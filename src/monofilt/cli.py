@@ -254,8 +254,10 @@ def _disk_to_json(dm: DiskModel) -> dict:
     labels = []
     for w, terms in dm.point_part.grading.entries:
         labels.extend([lbl.label, m] for lbl, m in terms)
+    # the zero point space carries no weight of its own
+    weight = dm.point_part.filtration.weights[0] if dm.point_part.dim else dm.n
     return {"open": _nilpotent_to_json(dm.open_part),
-            "point": {"weight": dm.n, "labels": labels},
+            "point": {"weight": weight, "labels": labels},
             "pure": dm.pure,
             "extension": dm.extension}
 

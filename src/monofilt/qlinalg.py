@@ -4,11 +4,24 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Matrices are dense, immutable and row-major.  Subspaces of Q^d are stored
 by their unique reduced-row-echelon basis, so subspace equality is plain
 structural equality.
+
+The arithmetic runs on integers; ``Fraction`` is only the type at the
+interface.  A matrix caches an integer form (integer rows over one common
+denominator), and products and matrix-vector products are integer dot
+products that skip zero entries, with one ``Fraction`` built per output
+entry.  Elimination clears each row's denominators and works fraction-free
+on primitive integer rows (each updated row is divided by the gcd of its
+entries).  Each canonical RREF row is then its primitive integer row
+divided by its pivot, so the ``Fraction`` basis is exactly the one rational
+elimination gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -24,8 +37,41 @@ class SingularMatrix(ValueError):
     """Inverse requested of a non-invertible matrix."""
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _frac(n: int, d: int) -> Fraction:
+    """n / d as a reduced Fraction, for d != 0; zero and one are shared."""
+    if not n:
+        return _ZERO
+    if n == d:
+        return _ONE
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+def _int_row(v: Sequence) -> tuple[list, int]:
+    """(integer row, denominator) with v equal to row / denominator."""
+    try:
+        den = lcm(*[x.denominator for x in v])
+    except AttributeError:  # entries that Fraction() still accepts, e.g. "1/2"
+        v = [_q(x) for x in v]
+        den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
+def _dots(rows: Iterable[Sequence], v: Sequence) -> list:
+    """[row . v for row in rows] on integers, skipping the zero entries of v."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    if 2 * len(nz) > len(v):
+        return [sum(map(mul, r, v)) for r in rows]
+    return [sum([x * r[k] for k, x in nz]) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -50,14 +96,29 @@ class QMatrix:
         return QMatrix(len(rows), ncols, rows)
 
     @staticmethod
+    def _from_ints(rows: list, den: int, cols: int) -> "QMatrix":
+        """The matrix rows / den, with that integer form already cached."""
+        m = QMatrix(len(rows), cols, tuple(tuple(_frac(x, den) for x in r) for r in rows))
+        m.__dict__["_ints"] = (rows, den)
+        return m
+
+    @cached_property
+    def _ints(self) -> tuple:
+        """(integer rows, common denominator) with entries equal to rows / den."""
+        den = lcm(*[x.denominator for r in self.entries for x in r])
+        if den == 1:
+            return [[x.numerator for x in r] for r in self.entries], 1
+        return [[x.numerator * (den // x.denominator) for x in r]
+                for r in self.entries], den
+
+    @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
-        z = Fraction(0)
-        return QMatrix(rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return QMatrix(rows, cols, tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
         return QMatrix(n, n, tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
@@ -72,16 +133,25 @@ class QMatrix:
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise AmbientMismatch("vector length does not match column count")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), Fraction(0))
-                     for r in self.entries)
+        a, da = self._ints
+        vi, dv = _int_row(v)
+        den = da * dv
+        return tuple(_frac(x, den) for x in _dots(a, vi))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise AmbientMismatch("inner dimensions do not match")
-        bt = other.transpose().entries
-        return QMatrix(self.rows, other.cols, tuple(
-            tuple(sum((r[k] * c[k] for k in range(self.cols)), Fraction(0)) for c in bt)
-            for r in self.entries))
+        a, da = self._ints
+        b, db = other._ints
+        bt = list(zip(*b)) if b else [()] * other.cols
+        out = [_dots(bt, r) for r in a]
+        den = da * db
+        if den != 1:
+            g = gcd(den, *[x for r in out for x in r])
+            if g != 1:
+                out = [[x // g for x in r] for r in out]
+                den //= g
+        return QMatrix._from_ints(out, den, other.cols)
 
     def power(self, k: int) -> "QMatrix":
         if self.rows != self.cols:
@@ -92,48 +162,63 @@ class QMatrix:
         return result
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(map(any, self._ints[0]))
 
     def to_lists(self) -> list:
         return [list(r) for r in self.entries]
 
 
-def _rref_rows(rows: list) -> tuple[list, list]:
-    """In-place style RREF on a list of row lists; returns (nonzero rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _echelon(rows: list) -> tuple[list, list]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Returns the nonzero rows of the reduced row echelon form, each scaled to
+    a primitive integer row, and their pivot columns.
+    """
+    rows = [r for r in rows if any(r)]
+    for i, row in enumerate(rows):
+        g = gcd(*row)
+        if g != 1:
+            rows[i] = [x // g for x in row]
+    n = len(rows)
     pivots: list[int] = []
+    if not n:
+        return [], pivots
     r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
+    for c in range(len(rows[0])):
+        for i in range(r, n):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        pv = prow[c]
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[i], prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
     return rows[:r], pivots
 
 
+def _frac_rows(rows: list, pivots: list) -> tuple:
+    """The RREF rows as Fractions: each integer row divided by its pivot."""
+    return tuple(tuple(_frac(x, row[p]) for x in row) for row, p in zip(rows, pivots))
+
+
 def rref(m: QMatrix) -> QMatrix:
     """Reduced row echelon form, same shape (zero rows at the bottom)."""
-    nz, _ = _rref_rows([list(r) for r in m.entries])
-    pad = [[Fraction(0)] * m.cols for _ in range(m.rows - len(nz))]
-    return QMatrix.from_rows(nz + pad, cols=m.cols)
+    rows, pivots = _echelon(list(m._ints[0]))
+    pad = tuple(tuple(_ZERO for _ in range(m.cols)) for _ in range(m.rows - len(rows)))
+    return QMatrix(m.rows, m.cols, _frac_rows(rows, pivots) + pad)
 
 
 @dataclass(frozen=True)
@@ -143,12 +228,16 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(_q(x) for x in v) for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
-        nz, _ = _rref_rows(vecs)
-        return Subspace(ambient_dim, QMatrix.from_rows(nz, cols=ambient_dim))
+            rows.append(_int_row(v)[0])
+        rows, pivots = _echelon(rows)
+        s = Subspace(ambient_dim,
+                     QMatrix(len(rows), ambient_dim, _frac_rows(rows, pivots)))
+        s.__dict__.update(_rows=rows, pivots=tuple(pivots))
+        return s
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -162,7 +251,7 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @property
+    @cached_property
     def pivots(self) -> tuple:
         piv = []
         for row in self.basis.entries:
@@ -172,6 +261,28 @@ class Subspace:
                     break
         return tuple(piv)
 
+    @cached_property
+    def _rows(self) -> list:
+        """The basis rows as primitive integer rows."""
+        return [_int_row(r)[0] for r in self.basis.entries]
+
+    def _reduce(self, v: list) -> tuple[list, int]:
+        """(w, s) with w / s the integer vector v reduced modulo this subspace."""
+        s = 1
+        for row, p in zip(self._rows, self.pivots):
+            f = v[p]
+            if f:
+                g = gcd(row[p], f)
+                a, b = row[p] // g, f // g
+                v = [a * x - b * y for x, y in zip(v, row)]
+                s *= a
+        return v, s
+
+    def _int_vector(self, v: Sequence) -> tuple[list, int]:
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match ambient dimension")
+        return _int_row(v)
+
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -179,19 +290,13 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains_vector(self, v: Sequence) -> bool:
-        r = self.reduce_vector(v)
-        return all(x == 0 for x in r)
+        return not any(self._reduce(self._int_vector(v)[0])[0])
 
     def reduce_vector(self, v: Sequence) -> tuple:
         """Canonical representative of v modulo this subspace (zeros at the pivots)."""
-        v = [_q(x) for x in v]
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
-        for row, p in zip(self.basis.entries, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        vi, dv = self._int_vector(v)
+        w, s = self._reduce(vi)
+        return tuple(_frac(x, dv * s) for x in w)
 
     def coords(self, v: Sequence) -> tuple:
         """Coordinates of v in the RREF basis; raises if v is not in the subspace."""
@@ -203,13 +308,12 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return all(self.contains_vector(r) for r in other.basis.entries)
+        return not any(any(self._reduce(r)[0]) for r in other._rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(
-            self.ambient_dim, list(self.basis.entries) + list(other.basis.entries))
+        return Subspace.from_vectors(self.ambient_dim, self._rows + other._rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         return intersect(self, other)
@@ -217,22 +321,26 @@ class Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """Null space {v : m v = 0} as a subspace of Q^cols."""
-    nz, pivots = _rref_rows([list(r) for r in m.entries])
+    rows, pivots = _echelon(list(m._ints[0]))
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
     vecs = []
-    for j in free:
-        v = [Fraction(0)] * m.cols
-        v[j] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -nz[r][j]
+    for j in range(m.cols):
+        if j in pivset:
+            continue
+        # v_j = 1 and v_p = -row[j] / row[p] at each pivot p, scaled to integers
+        used = [(row, p) for row, p in zip(rows, pivots) if row[j]]
+        scale = lcm(*[row[p] for row, p in used])
+        v = [0] * m.cols
+        v[j] = scale
+        for row, p in used:
+            v[p] = -row[j] * (scale // row[p])
         vecs.append(v)
     return Subspace.from_vectors(m.cols, vecs)
 
 
 def image(m: QMatrix) -> Subspace:
     """Column space of m as a subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, [m.col(j) for j in range(m.cols)])
+    return Subspace.from_vectors(m.rows, list(zip(*m._ints[0])))
 
 
 def annihilator(s: Subspace) -> Subspace:
@@ -247,19 +355,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return b
     if b.is_full():
         return a
-    perp = list(annihilator(a).basis.entries) + list(annihilator(b).basis.entries)
-    return kernel(QMatrix.from_rows(perp, cols=a.ambient_dim))
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
+    perp = annihilator(a).basis.entries + annihilator(b).basis.entries
+    return kernel(QMatrix(len(perp), a.ambient_dim, perp))
 
 
 def apply_to_subspace(m: QMatrix, s: Subspace) -> Subspace:
     """Image m(s) as a subspace of the codomain."""
     if m.cols != s.ambient_dim:
         raise AmbientMismatch("matrix columns do not match ambient dimension")
-    return Subspace.from_vectors(m.rows, [m.matvec(r) for r in s.basis.entries])
+    a = m._ints[0]
+    return Subspace.from_vectors(m.rows, [_dots(a, r) for r in s._rows])
 
 
 def preimage(m: QMatrix, s: Subspace) -> Subspace:
@@ -272,6 +377,15 @@ def preimage(m: QMatrix, s: Subspace) -> Subspace:
     return kernel(ann.basis @ m)
 
 
+def _quotient_coords(quot: Subspace, sub: Subspace, v: list, den: int) -> tuple:
+    """quotient_coords of the vector v / den, given as integers."""
+    if any(quot._reduce(v)[0]):
+        raise NotCompatible("vector not contained in the larger subspace")
+    w, s = sub._reduce(v)
+    sub_piv = set(sub.pivots)
+    return tuple(_frac(w[p], den * s) for p in quot.pivots if p not in sub_piv)
+
+
 def quotient_coords(quot: Subspace, sub: Subspace, v: Sequence) -> tuple:
     """Coordinates of the class of v in the canonical basis of quot/sub.
 
@@ -279,24 +393,7 @@ def quotient_coords(quot: Subspace, sub: Subspace, v: Sequence) -> tuple:
     is not a pivot of sub; coordinates are read off the canonical (sub-reduced)
     representative at those pivot positions.
     """
-    if not quot.contains_vector(v):
-        raise NotCompatible("vector not contained in the larger subspace")
-    r = sub.reduce_vector(v)
-    sub_piv = set(sub.pivots)
-    return tuple(r[p] for p in quot.pivots if p not in sub_piv)
-
-
-def quotient_lift(quot: Subspace, sub: Subspace, coords: Sequence) -> tuple:
-    """A representative in quot for the given quotient coordinates."""
-    free_rows = [row for row, p in zip(quot.basis.entries, quot.pivots)
-                 if p not in set(sub.pivots)]
-    coords = [_q(x) for x in coords]
-    if len(coords) != len(free_rows):
-        raise AmbientMismatch("wrong number of quotient coordinates")
-    v = [Fraction(0)] * quot.ambient_dim
-    for c, row in zip(coords, free_rows):
-        v = [a + c * b for a, b in zip(v, row)]
-    return tuple(v)
+    return _quotient_coords(quot, sub, *quot._int_vector(v))
 
 
 def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
@@ -312,14 +409,14 @@ def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
         raise NotCompatible("map does not send sub_dom into sub_cod")
     if not quot_cod.contains(apply_to_subspace(m, quot_dom)):
         raise NotCompatible("map does not send quot_dom into quot_cod")
+    a, da = m._ints
     sub_piv = set(sub_dom.pivots)
-    dom_basis = [row for row, p in zip(quot_dom.basis.entries, quot_dom.pivots)
-                 if p not in sub_piv]
-    cols = [quotient_coords(quot_cod, sub_cod, m.matvec(b)) for b in dom_basis]
+    # basis row b is the primitive row divided by its pivot, so m b = (a row) / (da pivot)
+    cols = [_quotient_coords(quot_cod, sub_cod, _dots(a, row), da * row[p])
+            for row, p in zip(quot_dom._rows, quot_dom.pivots) if p not in sub_piv]
     out_rows = quot_cod.dim - sub_cod.dim
-    return QMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(out_rows)],
-        cols=len(cols))
+    return QMatrix(out_rows, len(cols), tuple(
+        tuple(c[i] for c in cols) for i in range(out_rows)))
 
 
 def quotient_projection(s: Subspace) -> QMatrix:
@@ -333,24 +430,25 @@ def quotient_projection(s: Subspace) -> QMatrix:
     free = [j for j in range(d) if j not in piv]
     cols = []
     for j in range(d):
-        r = s.reduce_vector([Fraction(1 if t == j else 0) for t in range(d)])
-        cols.append([r[f] for f in free])
-    return QMatrix.from_rows(
-        [[cols[j][i] for j in range(d)] for i in range(len(free))], cols=d)
+        w, t = s._reduce([1 if i == j else 0 for i in range(d)])
+        cols.append([_frac(w[f], t) for f in free])
+    return QMatrix(len(free), d, tuple(
+        tuple(cols[j][i] for j in range(d)) for i in range(len(free))))
 
 
 def inverse(m: QMatrix) -> QMatrix:
     if m.rows != m.cols:
         raise SingularMatrix("non-square matrix")
     n = m.rows
-    aug = [list(m.entries[i]) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    nz, pivots = _rref_rows(aug)
+    a, den = m._ints
+    # [a / den | I] has the same row space as [a | den I]
+    rows, pivots = _echelon([list(a[i]) + [den if i == j else 0 for j in range(n)]
+                             for i in range(n)])
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return QMatrix.from_rows([r[n:] for r in nz], cols=n)
+    return QMatrix(n, n, tuple(tuple(_frac(x, row[i]) for x in row[n:])
+                               for i, row in enumerate(rows)))
 
 
 def rank(m: QMatrix) -> int:
-    _, pivots = _rref_rows([list(r) for r in m.entries])
-    return len(pivots)
+    return len(_echelon(list(m._ints[0]))[1])

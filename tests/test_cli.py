@@ -46,6 +46,19 @@ class TestRoundTrip:
         doc = ModelDocument("disk", DiskModel(m, WeightedSpace.pure(1, 1, "P")))
         assert parse(serialize(doc)) == doc
 
+    def test_impure_disk_keeps_point_weight(self):
+        m = JordanStringModel((("L", 2),), 1).to_nilpotent()
+        doc = ModelDocument("disk", DiskModel(m, WeightedSpace.pure(2, 5, "P"),
+                                              pure=False, extension="shriek"))
+        assert json.loads(serialize(doc))["point"]["weight"] == 5
+        assert parse(serialize(doc)) == doc
+
+    def test_zero_point_writes_open_weight(self):
+        m = JordanStringModel((("L", 2),), 3).to_nilpotent()
+        doc = ModelDocument("disk", DiskModel(m, WeightedSpace.zero()))
+        assert json.loads(serialize(doc))["point"] == {"weight": 3, "labels": []}
+        assert parse(serialize(doc)) == doc
+
     def test_rational_entries(self):
         text = json.dumps({
             "kind": "nilpotent", "n": 1,

@@ -1,0 +1,231 @@
+"""Differential tests of the integer qlinalg kernel against independent oracles.
+
+The reference below is a textbook Gauss-Jordan elimination on Fraction rows;
+it shares no code with monofilt.qlinalg.  Intersections and preimages are
+computed by a different method from the library's (a null space of stacked
+spanning sets instead of annihilators).  sympy's Matrix.rref, when sympy is
+installed, is a second oracle.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monofilt import qlinalg
+from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
+
+# -- reference ---------------------------------------------------------------
+
+
+def ref_rref(rows, ncols):
+    """(nonzero RREF rows, pivot columns) by plain Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(r) for r in m[:len(pivots)]], pivots
+
+
+def ref_span(vectors, dim):
+    return tuple(ref_rref(vectors, dim)[0])
+
+
+def ref_null(rows, ncols):
+    """A basis of {v : rows v = 0}."""
+    red, pivots = ref_rref(rows, ncols)
+    out = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[j]
+        out.append(v)
+    return out
+
+
+def ref_matmul(a, b, inner, ncols):
+    return tuple(tuple(sum((r[k] * b[k][j] for k in range(inner)), Fraction(0))
+                       for j in range(ncols)) for r in a)
+
+
+def ref_intersect(u, w, dim):
+    """Span of the sums a.u with a.u = b.w, from the null space of [U^T | -W^T]."""
+    cols = list(u) + [[-x for x in v] for v in w]
+    system = [[c[i] for c in cols] for i in range(dim)]
+    coeffs = ref_null(system, len(cols))
+    vecs = [[sum((a * v[i] for a, v in zip(c, u)), Fraction(0)) for i in range(dim)]
+            for c in coeffs]
+    return ref_span(vecs, dim)
+
+
+def ref_preimage(m, ncols, s, nrows):
+    """{v : m v in span(s)}, from the null space of [m | -S^T] in (v, c)."""
+    system = [list(m[i]) + [-v[i] for v in s] for i in range(nrows)]
+    sols = ref_null(system, ncols + len(s))
+    return ref_span([x[:ncols] for x in sols], ncols)
+
+
+def ref_inverse(m, n):
+    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    red, pivots = ref_rref(aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in red)
+
+
+# -- strategies ----------------------------------------------------------------
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.integers(-1200, 1200).map(Fraction),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=24),
+)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=6):
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    if draw(st.booleans()):
+        # rank at most k: a product of r x k and k x c factors
+        k = draw(st.integers(0, max(0, min(r, c) - 1)))
+        a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=r, max_size=r))
+        b = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=k, max_size=k))
+        data = [list(row) for row in ref_matmul(a, b, k, c)]
+    else:
+        data = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r:
+        for i in draw(st.lists(st.integers(0, r - 1), max_size=2)):
+            data[i] = [Fraction(0)] * c
+    return data, r, c
+
+
+def qmatrix(data, c):
+    return QMatrix.from_rows(data, cols=c)
+
+
+def is_canonical(m: QMatrix) -> bool:
+    return all(type(x) is Fraction for r in m.entries for x in r)
+
+
+EXAMPLES = settings(max_examples=150, deadline=None)
+
+# -- differential tests ----------------------------------------------------------
+
+
+@EXAMPLES
+@given(matrices())
+def test_rref_and_rank(mc):
+    data, r, c = mc
+    m = qmatrix(data, c)
+    red, pivots = ref_rref(data, c)
+    out = qlinalg.rref(m)
+    assert out.entries == tuple(red) + ((Fraction(0),) * c,) * (r - len(red))
+    assert is_canonical(out)
+    assert qlinalg.rank(m) == len(pivots)
+
+
+@EXAMPLES
+@given(matrices())
+def test_kernel_and_image(mc):
+    data, r, c = mc
+    m = qmatrix(data, c)
+    k = qlinalg.kernel(m)
+    assert k.basis.entries == ref_span(ref_null(data, c), c)
+    assert is_canonical(k.basis)
+    im = qlinalg.image(m)
+    assert im.basis.entries == ref_span([[row[j] for row in data] for j in range(c)], r)
+
+
+@EXAMPLES
+@given(st.integers(0, 6).flatmap(
+    lambda d: st.tuples(matrices(cols=d), matrices(cols=d), st.just(d))))
+def test_intersect(args):
+    (u, _, _), (w, _, _), d = args
+    a, b = Subspace.from_vectors(d, u), Subspace.from_vectors(d, w)
+    assert qlinalg.intersect(a, b).basis.entries == ref_intersect(u, w, d)
+
+
+@EXAMPLES
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda rc: st.tuples(matrices(rows=rc[0], cols=rc[1]), matrices(cols=rc[0]))))
+def test_preimage(args):
+    (data, r, c), (s, _, _) = args
+    sub = Subspace.from_vectors(r, s)
+    out = qlinalg.preimage(qmatrix(data, c), sub)
+    assert out.basis.entries == ref_preimage(data, c, list(sub.basis.entries), r)
+
+
+@EXAMPLES
+@given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_inverse(mc):
+    data, n, _ = mc
+    expected = ref_inverse(data, n)
+    if expected is None:
+        with pytest.raises(SingularMatrix):
+            qlinalg.inverse(qmatrix(data, n))
+    else:
+        inv = qlinalg.inverse(qmatrix(data, n))
+        assert inv.entries == expected and is_canonical(inv)
+
+
+@EXAMPLES
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(matrices(rows=s[0], cols=s[1]), matrices(rows=s[1], cols=s[2]),
+                        st.lists(entries, min_size=s[1], max_size=s[1]))))
+def test_matmul_and_matvec(args):
+    (a, r, k), (b, _, c), v = args
+    prod = qmatrix(a, k) @ qmatrix(b, c)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.entries == ref_matmul(a, b, k, c) and is_canonical(prod)
+    out = qmatrix(a, k).matvec(v)
+    assert out == tuple(row[0] for row in ref_matmul(a, [[x] for x in v], k, 1))
+    assert all(type(x) is Fraction for x in out)
+
+
+def test_negative_pivots_and_zero_rows():
+    data = [[0, 0, 0], [-2, 4, -6], [0, 0, 0], [3, -6, 10]]
+    m = qmatrix([[Fraction(x) for x in r] for r in data], 3)
+    assert qlinalg.rref(m).entries == (
+        (1, -2, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0))
+    assert qlinalg.kernel(m).basis.entries == ((1, Fraction(1, 2), 0),)
+
+
+def test_empty_shapes():
+    m = QMatrix.from_rows([], cols=4)
+    assert qlinalg.rank(m) == 0
+    assert qlinalg.kernel(m).is_full()
+    assert qlinalg.image(m).ambient_dim == 0
+    assert (m @ QMatrix.zero(4, 2)).rows == 0
+    assert (QMatrix.zero(3, 0) @ QMatrix.from_rows([], cols=5)).entries == \
+        ((Fraction(0),) * 5,) * 3
+    assert qlinalg.inverse(QMatrix.identity(0)).rows == 0
+
+
+# -- sympy oracle -------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(max_dim=5))
+def test_rref_matches_sympy(mc):
+    sympy = pytest.importorskip("sympy")
+    data, r, c = mc
+    if not r or not c:
+        return
+    red, pivots = sympy.Matrix(data).rref()
+    expected = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
+                     for i in range(r))
+    assert qlinalg.rref(qmatrix(data, c)).entries == expected
+    assert qlinalg.rank(qmatrix(data, c)) == len(pivots)
