@@ -62,6 +62,18 @@ def _parse_rat(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}: {e}") from None
 
 
+def _parse_int(x, what: str) -> int:
+    """An integer field: a JSON integer or a string of one; bools and floats fail."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {x!r}")
+
+
 def _matrix_to_json(m: QMatrix) -> list:
     return [[_rat_str(x) for x in row] for row in m.entries]
 
@@ -69,8 +81,11 @@ def _matrix_to_json(m: QMatrix) -> list:
 def _matrix_from_json(data, rows=None, cols=None) -> QMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ParseError("matrix must be a list of rows")
-    m = QMatrix.from_rows([[_parse_rat(x) for x in row] for row in data],
-                          cols=cols if not data else None)
+    entries = [[_parse_rat(x) for x in row] for row in data]
+    try:
+        m = QMatrix.from_rows(entries, cols=cols if not data else None)
+    except ValueError as e:
+        raise ParseError(f"bad matrix: {e}") from None
     if rows is not None and m.rows != rows:
         raise ParseError(f"expected {rows} rows, got {m.rows}")
     return m
@@ -120,7 +135,8 @@ def _grading_from_json(data) -> LabeledGrading:
             if not (isinstance(t, list) and len(t) == 3):
                 raise ParseError("grading entries must be [label, twist, mult]")
             label, twist, mult = t
-            entry[TwistedLabel(str(label), int(twist))] = int(mult)
+            entry[TwistedLabel(str(label), _parse_int(twist, "twist"))] = \
+                _parse_int(mult, "mult")
         d[w] = entry
     try:
         return LabeledGrading.from_dict(d)
@@ -137,7 +153,7 @@ def _space_to_json(ws: WeightedSpace) -> dict:
 def _space_from_json(data) -> WeightedSpace:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("space payload must be an object with a dim field")
-    dim = int(data["dim"])
+    dim = _parse_int(data["dim"], "dim")
     if dim == 0:
         return WeightedSpace.zero()
     if "filtration" not in data:
@@ -164,7 +180,7 @@ def _nilpotent_from_json(data) -> NilpotentModel:
     mat = _matrix_from_json(data["matrix"])
     if mat.rows != mat.cols:
         raise ValidationError("nilpotent matrix must be square")
-    n = int(data["n"])
+    n = _parse_int(data["n"], "n")
     dim = mat.rows
     try:
         if "filtration" in data:
@@ -190,9 +206,10 @@ def _strings_from_json(data) -> JordanStringModel:
     for s in data["strings"]:
         if not isinstance(s, dict) or "label" not in s or "length" not in s:
             raise ParseError("each string needs label and length")
-        strings.append((str(s["label"]), int(s["length"])))
+        strings.append((str(s["label"]), _parse_int(s["length"], "length")))
+    n = _parse_int(data["n"], "n")
     try:
-        return JordanStringModel(tuple(strings), int(data["n"]))
+        return JordanStringModel(tuple(strings), n)
     except ValueError as e:
         raise ValidationError(str(e)) from None
 
@@ -234,11 +251,12 @@ def _disk_from_json(data) -> DiskModel:
         open_model = _nilpotent_from_json(open_data)
     point_data = data.get("point", {"weight": open_model.n, "labels": []})
     labels = point_data.get("labels", [])
-    pw = int(point_data.get("weight", open_model.n))
-    pdim = sum(int(m) for _, m in labels)
+    pw = _parse_int(point_data.get("weight", open_model.n), "weight")
+    labels = [(lbl, _parse_int(m, "mult")) for lbl, m in labels]
+    pdim = sum(m for _, m in labels)
     if pdim:
         grading = LabeledGrading.from_dict(
-            {pw: {TwistedLabel(str(lbl)): int(m) for lbl, m in labels}})
+            {pw: {TwistedLabel(str(lbl)): m for lbl, m in labels}})
         point = WeightedSpace.pure(pdim, pw, grading=grading)
     else:
         point = WeightedSpace.zero()

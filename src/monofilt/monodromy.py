@@ -28,18 +28,21 @@ class GradedKernelMismatch(ValueError):
     """The two computations of the graded kernel disagree (non-strict input)."""
 
 
-def nilpotency_index(m: QMatrix) -> int:
-    """Least e with m^e = 0; raises NotNilpotent otherwise."""
+def _powers(m: QMatrix) -> list:
+    """[m^0, ..., m^e] with m^e the first zero power; raises NotNilpotent."""
     if m.rows != m.cols:
         raise NotNilpotent("operator is not square")
-    p = QMatrix.identity(m.rows)
-    for e in range(m.rows + 1):
-        if p.is_zero():
-            return e
-        p = p @ m
-    if p.is_zero():
-        return m.rows
-    raise NotNilpotent("operator is not nilpotent")
+    powers = [QMatrix.identity(m.rows)]
+    while not powers[-1].is_zero():
+        if len(powers) > m.rows:
+            raise NotNilpotent("operator is not nilpotent")
+        powers.append(powers[-1] @ m)
+    return powers
+
+
+def nilpotency_index(m: QMatrix) -> int:
+    """Least e with m^e = 0; raises NotNilpotent otherwise."""
+    return len(_powers(m)) - 1
 
 
 def monodromy_filtration(n_op: QMatrix, center: int) -> WeightFiltration:
@@ -48,22 +51,23 @@ def monodromy_filtration(n_op: QMatrix, center: int) -> WeightFiltration:
     Computed as M_{c+l} = sum over a-b=l, a,b>=0 of ker(N^{a+1}) n im(N^b).
     Use check_monodromy_axioms for an independent verification.
     """
-    e = nilpotency_index(n_op)
+    powers = _powers(n_op)
+    e = len(powers) - 1
     d = n_op.rows
-    powers = [QMatrix.identity(d)]
-    for _ in range(e + 1):
-        powers.append(powers[-1] @ n_op)
-    kernels = [qlinalg.kernel(powers[a]) for a in range(e + 2)]
-    images = [qlinalg.image(powers[b]) for b in range(e + 2)]
+    # ker N^0 = 0 and im N^0 = Q^d; from N^e = 0 on, ker = Q^d and im = 0
+    kernels = ([Subspace.zero(d)] + [qlinalg.kernel(p) for p in powers[1:e]]
+               + [Subspace.full(d)] * 2)
+    images = ([Subspace.full(d)] + [qlinalg.image(p) for p in powers[1:e]]
+              + [Subspace.zero(d)] * 2)
     steps = []
     for ell in range(-e, e + 1):
-        acc = Subspace.zero(d)
+        rows = []
         for a in range(max(0, ell), e + 1):
             b = a - ell
             if b > e:
                 continue
-            acc = acc + intersect(kernels[a + 1], images[b])
-        steps.append((center + ell, acc))
+            rows += intersect(kernels[a + 1], images[b])._rows
+        steps.append((center + ell, Subspace.from_vectors(d, rows)))
     return WeightFiltration.from_spaces(d, steps)
 
 

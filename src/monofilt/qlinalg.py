@@ -13,10 +13,12 @@ entry.  Elimination clears each row's denominators and works fraction-free
 on primitive integer rows (each updated row is divided by the gcd of its
 entries).  Each canonical RREF row is then its primitive integer row
 divided by its pivot, so the ``Fraction`` basis is exactly the one rational
-elimination gives.
+elimination gives.  An intersection takes one Zassenhaus elimination of the
+stacked bases, which yields its primitive RREF rows directly.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -172,7 +174,7 @@ def _echelon(rows: list) -> tuple[list, list]:
     """Fraction-free Gauss-Jordan elimination on integer rows.
 
     Returns the nonzero rows of the reduced row echelon form, each scaled to
-    a primitive integer row, and their pivot columns.
+    the primitive integer row with a positive pivot, and their pivot columns.
     """
     rows = [r for r in rows if any(r)]
     for i, row in enumerate(rows):
@@ -206,7 +208,8 @@ def _echelon(rows: list) -> tuple[list, list]:
         r += 1
         if r == n:
             break
-    return rows[:r], pivots
+    rows = [[-x for x in row] if row[p] < 0 else row for row, p in zip(rows, pivots)]
+    return rows, pivots
 
 
 def _frac_rows(rows: list, pivots: list) -> tuple:
@@ -233,7 +236,11 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
             rows.append(_int_row(v)[0])
-        rows, pivots = _echelon(rows)
+        return Subspace._from_echelon(ambient_dim, *_echelon(rows))
+
+    @staticmethod
+    def _from_echelon(ambient_dim: int, rows: list, pivots: list) -> "Subspace":
+        """The subspace spanned by _echelon output, with its integer form cached."""
         s = Subspace(ambient_dim,
                      QMatrix(len(rows), ambient_dim, _frac_rows(rows, pivots)))
         s.__dict__.update(_rows=rows, pivots=tuple(pivots))
@@ -349,14 +356,23 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a n b by one Zassenhaus elimination of the stacked rows [a | a] and [b | 0].
+
+    The echelon rows whose pivot lies in the right half are zero in the left
+    half; their right halves are the primitive RREF rows of a n b.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    if a.is_full():
+    if a.is_full() or b.is_zero():
         return b
-    if b.is_full():
+    if b.is_full() or a.is_zero():
         return a
-    perp = annihilator(a).basis.entries + annihilator(b).basis.entries
-    return kernel(QMatrix(len(perp), a.ambient_dim, perp))
+    d = a.ambient_dim
+    zeros = [0] * d
+    rows, pivots = _echelon([r + r for r in a._rows] + [r + zeros for r in b._rows])
+    start = bisect_left(pivots, d)
+    return Subspace._from_echelon(d, [r[d:] for r in rows[start:]],
+                                  [p - d for p in pivots[start:]])
 
 
 def apply_to_subspace(m: QMatrix, s: Subspace) -> Subspace:

@@ -1,0 +1,59 @@
+"""Reference linear algebra over Fraction for the differential and oracle tests.
+
+A textbook Gauss-Jordan elimination on Fraction rows and what follows from
+it: spans, null spaces, products and intersections.  It shares no code with
+monofilt.qlinalg, and intersections are computed by a different method from
+the library's (a null space of stacked spanning sets).
+"""
+from fractions import Fraction
+
+
+def ref_rref(rows, ncols):
+    """(nonzero RREF rows, pivot columns) by plain Gauss-Jordan over Fraction."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if src is None:
+            continue
+        m[r], m[src] = m[src], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(r) for r in m[:len(pivots)]], pivots
+
+
+def ref_span(vectors, dim):
+    return tuple(ref_rref(vectors, dim)[0])
+
+
+def ref_null(rows, ncols):
+    """A basis of {v : rows v = 0}."""
+    red, pivots = ref_rref(rows, ncols)
+    out = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[j] = Fraction(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[j]
+        out.append(v)
+    return out
+
+
+def ref_matmul(a, b, inner, ncols):
+    return tuple(tuple(sum((r[k] * b[k][j] for k in range(inner)), Fraction(0))
+                       for j in range(ncols)) for r in a)
+
+
+def ref_intersect(u, w, dim):
+    """Span of the sums a.u with a.u = b.w, from the null space of [U^T | -W^T]."""
+    cols = list(u) + [[-x for x in v] for v in w]
+    system = [[c[i] for c in cols] for i in range(dim)]
+    coeffs = ref_null(system, len(cols))
+    vecs = [[sum((a * v[i] for a, v in zip(c, u)), Fraction(0)) for i in range(dim)]
+            for c in coeffs]
+    return ref_span(vecs, dim)

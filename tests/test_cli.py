@@ -96,6 +96,63 @@ class TestErrors:
                                "1": [["1", "0"], ["0", "1"]]}}))
 
 
+J2_DOC = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]],
+          "filtration": {"-1": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]},
+          "grading": {"-1": [["L", 0, 1]], "1": [["L", -1, 1]]}}
+PT_SPACE = {"dim": 1, "filtration": {"1": [["1"]]}, "grading": {"1": [["pt", 0, 1]]}}
+
+
+def _doc(kind, **fields):
+    base = {"nilpotent": J2_DOC,
+            "pure_strings": {"kind": "pure_strings", "n": 1,
+                             "strings": [{"label": "L", "length": 2}]},
+            "gluing": {"kind": "gluing", "psi": PT_SPACE, "phi": PT_SPACE,
+                       "can": [["0"]], "var": [["0"]]},
+            "disk": {"kind": "disk", "open": J2_DOC, "pure": True,
+                     "extension": "intermediate",
+                     "point": {"weight": 1, "labels": [["P", 1]]}}}[kind]
+    return {**base, **fields}
+
+
+class TestDocumentBoundary:
+    """Ill-typed integer fields and empty matrices end in a parse error (exit 2)."""
+
+    CASES = {
+        "n_string": _doc("nilpotent", n="x"),
+        "n_float": _doc("nilpotent", n=1.7),
+        "n_bool": _doc("nilpotent", n=True),
+        "matrix_empty": _doc("nilpotent", matrix=[]),
+        "strings_n_string": _doc("pure_strings", n="1.5"),
+        "length_float": _doc("pure_strings", strings=[{"label": "L", "length": 2.0}]),
+        "length_string": _doc("pure_strings", strings=[{"label": "L", "length": "two"}]),
+        "twist_string": _doc("nilpotent", grading={"-1": [["L", "x", 1]],
+                                                   "1": [["L", -1, 1]]}),
+        "mult_float": _doc("nilpotent", grading={"-1": [["L", 0, 1.5]],
+                                                 "1": [["L", -1, 1]]}),
+        "dim_float": _doc("gluing", psi={**PT_SPACE, "dim": 1.7}),
+        "dim_bool": _doc("gluing", phi={**PT_SPACE, "dim": True}),
+        "point_weight_string": _doc("disk", point={"weight": "x", "labels": [["P", 1]]}),
+        "point_mult_float": _doc("disk", point={"weight": 1, "labels": [["P", 1.5]]}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_parse_error_exit(self, case, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self.CASES[case]))
+        rc, _ = run(["check", str(p)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_PARSE
+        assert err.startswith("parse error:") and "Traceback" not in err
+
+    def test_valid_bases_parse(self):
+        for kind in ("nilpotent", "pure_strings", "gluing", "disk"):
+            assert parse(json.dumps(_doc(kind))).kind == kind
+
+    def test_integer_strings_accepted(self):
+        doc = parse(json.dumps(_doc("nilpotent", n="1")))
+        assert doc.model.n == 1
+
+
 class TestCommands:
     def test_check_pure_model(self, tmp_path):
         doc = ModelDocument("pure_strings", generate_model(7, 3, 3, 1, ["L"]))

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from monofilt.monodromy import (GradedKernelMismatch, JordanStringModel,
@@ -11,6 +13,7 @@ from monofilt.weights import (TwistedLabel, TwistedMap, WeightFiltration,
                               WeightedSpace)
 
 from conftest import J2, J3, qm, span
+from reference import ref_intersect, ref_matmul, ref_null, ref_span
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -78,6 +81,46 @@ class TestMonodromyFiltration:
                          for r in fb.space_at(w).basis.entries]
                 expected.append((w, Subspace.from_vectors(m.cols, vecs)))
             assert fm == WeightFiltration.from_spaces(m.cols, expected)
+
+
+def ref_monodromy_steps(m, d, center):
+    """[(k, RREF rows of M_k)] for k = center-d-1 .. center+d, by the closed
+    formula M_{c+l} = sum over a-b=l, 0<=a,b<=d of ker N^{a+1} n im N^b, on
+    the Fraction reference alone."""
+    powers = [tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))]
+    for _ in range(d + 1):
+        powers.append(ref_matmul(powers[-1], m, d, d))
+    kernels = [ref_span(ref_null(p, d), d) for p in powers]
+    images = [ref_span([[r[j] for r in p] for j in range(d)], d) for p in powers]
+    steps = []
+    for ell in range(-d - 1, d + 1):
+        rows = []
+        for a in range(max(0, ell), d + 1):
+            if a - ell <= d:
+                rows += ref_intersect(kernels[a + 1], images[a - ell], d)
+        steps.append((center + ell, ref_span(rows, d)))
+    return steps
+
+
+class TestFiltrationOracle:
+    """The closed formula against a reference that shares no code with qlinalg."""
+
+    def check(self, m: QMatrix, center: int):
+        f = monodromy_filtration(m, center)
+        for k, rows in ref_monodromy_steps(m.entries, m.rows, center):
+            assert f.space_at(k).basis.entries == rows, k
+
+    def test_scrambled_operators(self, rng):
+        for _ in range(25):
+            self.check(random_nilpotent(rng, max_dim=7), rng.randint(-2, 2))
+
+    def test_jordan_strings(self, rng):
+        for _ in range(15):
+            strings = tuple(("L", rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+            m = JordanStringModel(strings, 1).to_nilpotent().N.matrix
+            p = random_unimodular(rng, m.rows)
+            self.check(m, 0)
+            self.check(p @ m @ inverse(p), rng.randint(-2, 2))
 
 
 class TestHardLefschetz:

@@ -1,10 +1,10 @@
 """Differential tests of the integer qlinalg kernel against independent oracles.
 
-The reference below is a textbook Gauss-Jordan elimination on Fraction rows;
-it shares no code with monofilt.qlinalg.  Intersections and preimages are
-computed by a different method from the library's (a null space of stacked
-spanning sets instead of annihilators).  sympy's Matrix.rref, when sympy is
-installed, is a second oracle.
+The reference (reference.py and the helpers below) is a textbook Gauss-Jordan
+elimination on Fraction rows; it shares no code with monofilt.qlinalg.
+Intersections and preimages are computed from null spaces of stacked
+spanning sets, a different method from the library's.  sympy's
+Matrix.rref, when sympy is installed, is a second oracle.
 """
 from fractions import Fraction
 
@@ -15,58 +15,9 @@ from hypothesis import strategies as st
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 
+from reference import ref_intersect, ref_matmul, ref_null, ref_rref, ref_span
+
 # -- reference ---------------------------------------------------------------
-
-
-def ref_rref(rows, ncols):
-    """(nonzero RREF rows, pivot columns) by plain Gauss-Jordan over Fraction."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        src = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if src is None:
-            continue
-        m[r], m[src] = m[src], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return [tuple(r) for r in m[:len(pivots)]], pivots
-
-
-def ref_span(vectors, dim):
-    return tuple(ref_rref(vectors, dim)[0])
-
-
-def ref_null(rows, ncols):
-    """A basis of {v : rows v = 0}."""
-    red, pivots = ref_rref(rows, ncols)
-    out = []
-    for j in (j for j in range(ncols) if j not in pivots):
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for r, p in zip(red, pivots):
-            v[p] = -r[j]
-        out.append(v)
-    return out
-
-
-def ref_matmul(a, b, inner, ncols):
-    return tuple(tuple(sum((r[k] * b[k][j] for k in range(inner)), Fraction(0))
-                       for j in range(ncols)) for r in a)
-
-
-def ref_intersect(u, w, dim):
-    """Span of the sums a.u with a.u = b.w, from the null space of [U^T | -W^T]."""
-    cols = list(u) + [[-x for x in v] for v in w]
-    system = [[c[i] for c in cols] for i in range(dim)]
-    coeffs = ref_null(system, len(cols))
-    vecs = [[sum((a * v[i] for a, v in zip(c, u)), Fraction(0)) for i in range(dim)]
-            for c in coeffs]
-    return ref_span(vecs, dim)
 
 
 def ref_preimage(m, ncols, s, nrows):
@@ -156,6 +107,48 @@ def test_intersect(args):
     (u, _, _), (w, _, _), d = args
     a, b = Subspace.from_vectors(d, u), Subspace.from_vectors(d, w)
     assert qlinalg.intersect(a, b).basis.entries == ref_intersect(u, w, d)
+
+
+def assert_caches_canonical(s: Subspace):
+    """The cached integer rows and pivots are the ones a fresh build derives."""
+    fresh = Subspace.from_vectors(s.ambient_dim, s.basis.entries)
+    assert s._rows == fresh._rows and s.pivots == fresh.pivots
+    assert all(row[p] > 0 for row, p in zip(s._rows, s.pivots))
+
+
+@EXAMPLES
+@given(st.integers(0, 6).flatmap(
+    lambda d: st.tuples(matrices(cols=d), matrices(cols=d), st.just(d))))
+def test_intersect_caches_and_dimension_formula(args):
+    (u, _, _), (w, _, _), d = args
+    a, b = Subspace.from_vectors(d, u), Subspace.from_vectors(d, w)
+    meet = qlinalg.intersect(a, b)
+    assert_caches_canonical(meet)
+    assert meet.dim + (a + b).dim == a.dim + b.dim
+    assert a.contains(meet) and b.contains(meet)
+
+
+@pytest.mark.parametrize("d", [0, 1, 4])
+def test_intersect_shortcuts(d):
+    zero, full = Subspace.zero(d), Subspace.full(d)
+    a = Subspace.from_vectors(d, [[Fraction(i + 2 * j - 3) for i in range(d)]
+                                  for j in range(2)])
+    for x, y in [(zero, a), (a, zero), (full, a), (a, full), (a, a),
+                 (zero, full), (full, full)]:
+        meet = qlinalg.intersect(x, y)
+        assert_caches_canonical(meet)
+        assert meet == (zero if zero in (x, y) else a if a in (x, y) else full)
+    with pytest.raises(qlinalg.AmbientMismatch):
+        qlinalg.intersect(a, Subspace.zero(d + 1))
+
+
+def test_intersect_negative_pivots():
+    # stacked rows whose elimination meets negative pivots in both halves
+    a = Subspace.from_vectors(3, [[-2, 4, -6], [0, -3, 5]])
+    b = Subspace.from_vectors(3, [[4, -5, -1], [1, 1, 1]])
+    meet = qlinalg.intersect(a, b)
+    assert_caches_canonical(meet)
+    assert meet.basis.entries == ref_intersect(a.basis.entries, b.basis.entries, 3)
 
 
 @EXAMPLES
