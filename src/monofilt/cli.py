@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import gluing, kgroup, monodromy, theorems, weights
 from .monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
@@ -105,6 +106,8 @@ def _filtration_from_json(data, dim: int) -> WeightFiltration:
             w = int(w_str)
         except ValueError:
             raise ParseError(f"bad filtration weight {w_str!r}") from None
+        if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+            raise ParseError(f"filtration step at weight {w} must be a list of rows")
         vecs = [[_parse_rat(x) for x in row] for row in rows]
         try:
             steps.append((w, Subspace.from_vectors(dim, vecs)))
@@ -130,11 +133,11 @@ def _grading_from_json(data) -> LabeledGrading:
             w = int(w_str)
         except ValueError:
             raise ParseError(f"bad grading weight {w_str!r}") from None
+        if not isinstance(terms, list) or any(
+                not isinstance(t, list) or len(t) != 3 for t in terms):
+            raise ParseError("grading entries must be [label, twist, mult]")
         entry = {}
-        for t in terms:
-            if not (isinstance(t, list) and len(t) == 3):
-                raise ParseError("grading entries must be [label, twist, mult]")
-            label, twist, mult = t
+        for label, twist, mult in terms:
             entry[TwistedLabel(str(label), _parse_int(twist, "twist"))] = \
                 _parse_int(mult, "mult")
         d[w] = entry
@@ -202,6 +205,8 @@ def _nilpotent_from_json(data) -> NilpotentModel:
 def _strings_from_json(data) -> JordanStringModel:
     if "strings" not in data or "n" not in data:
         raise ParseError("pure_strings payload needs strings and n")
+    if not isinstance(data["strings"], list):
+        raise ParseError("strings must be a list")
     strings = []
     for s in data["strings"]:
         if not isinstance(s, dict) or "label" not in s or "length" not in s:
@@ -250,7 +255,12 @@ def _disk_from_json(data) -> DiskModel:
     else:
         open_model = _nilpotent_from_json(open_data)
     point_data = data.get("point", {"weight": open_model.n, "labels": []})
+    if not isinstance(point_data, dict):
+        raise ParseError("point must be an object")
     labels = point_data.get("labels", [])
+    if not isinstance(labels, list) or any(
+            not isinstance(t, list) or len(t) != 2 for t in labels):
+        raise ParseError("point labels must be [label, mult] pairs")
     pw = _parse_int(point_data.get("weight", open_model.n), "weight")
     labels = [(lbl, _parse_int(m, "mult")) for lbl, m in labels]
     pdim = sum(m for _, m in labels)
@@ -260,8 +270,12 @@ def _disk_from_json(data) -> DiskModel:
         point = WeightedSpace.pure(pdim, pw, grading=grading)
     else:
         point = WeightedSpace.zero()
-    pure = bool(data.get("pure", True))
+    pure = data.get("pure", True)
+    if not isinstance(pure, bool):
+        raise ParseError(f"pure must be a boolean, got {pure!r}")
     extension = data.get("extension", "intermediate" if pure else "shriek")
+    if not isinstance(extension, str):
+        raise ParseError(f"extension must be a string, got {extension!r}")
     try:
         return DiskModel(open_model, point, pure, extension)
     except ValueError as e:
@@ -280,22 +294,8 @@ def _disk_to_json(dm: DiskModel) -> dict:
             "extension": dm.extension}
 
 
-_TO_JSON = {
-    "nilpotent": _nilpotent_to_json,
-    "pure_strings": _strings_to_json,
-    "gluing": _gluing_to_json,
-    "disk": _disk_to_json,
-}
-_FROM_JSON = {
-    "nilpotent": _nilpotent_from_json,
-    "pure_strings": _strings_from_json,
-    "gluing": _gluing_from_json,
-    "disk": _disk_from_json,
-}
-
-
 def serialize(doc: ModelDocument) -> str:
-    payload = _TO_JSON[doc.kind](doc.model)
+    payload = _KINDS[doc.kind].to_json(doc.model)
     payload["kind"] = doc.kind
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -309,9 +309,9 @@ def parse(text: str) -> ModelDocument:
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
     kind = data.get("kind")
-    if kind not in _FROM_JSON:
+    if kind not in _KINDS:
         raise ParseError(f"unknown or missing kind {kind!r}")
-    return ModelDocument(kind, _FROM_JSON[kind](data))
+    return ModelDocument(kind, _KINDS[kind].from_json(data))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +325,7 @@ def _model_reports(model: NilpotentModel) -> list:
     reports.append(verify_prop_2_3(V, N))
     if model.space.dim:
         reports.append(monodromy.check_monodromy_axioms(
-            monodromy_filtration(N.matrix, model.center), N.matrix, model.center))
+            model.monodromy_filtration, N.matrix, model.center))
     hl = verify_hard_lefschetz(model)
     if hl.passed:
         reports.append(hl)
@@ -353,24 +353,42 @@ def _gluing_reports(g: GluingDatum) -> list:
     return reports
 
 
-def _disk_reports(dm: DiskModel) -> list:
+def _disk_reports(dm: DiskModel, ks=(-1, 0)) -> list:
     reports = []
-    for k in (-1, 0):
+    for k in ks:
         reports.append(verify_local_invariant_cycles(dm, k))
         reports.append(verify_weight_mechanics(dm, k).to_report())
     return reports
 
 
+class _Kind(NamedTuple):
+    from_json: Callable
+    to_json: Callable
+    model: Callable | None  # the document's NilpotentModel, for kinds that have one
+    reports: Callable  # the verifiers of `check`, given that model or else the document's
+
+
+_KINDS = {
+    "nilpotent": _Kind(_nilpotent_from_json, _nilpotent_to_json, lambda m: m,
+                       _model_reports),
+    "pure_strings": _Kind(_strings_from_json, _strings_to_json,
+                          lambda m: m.to_nilpotent(), _model_reports),
+    "gluing": _Kind(_gluing_from_json, _gluing_to_json, None, _gluing_reports),
+    "disk": _Kind(_disk_from_json, _disk_to_json, None, _disk_reports),
+}
+
+
+def _doc_model(doc: ModelDocument) -> NilpotentModel:
+    to_model = _KINDS[doc.kind].model
+    if to_model is None:
+        raise ValidationError(f"command needs a nilpotent or pure_strings document, "
+                              f"got {doc.kind!r}")
+    return to_model(doc.model)
+
+
 def _reports_for(doc: ModelDocument) -> list:
-    if doc.kind == "pure_strings":
-        return _model_reports(doc.model.to_nilpotent())
-    if doc.kind == "nilpotent":
-        return _model_reports(doc.model)
-    if doc.kind == "gluing":
-        return _gluing_reports(doc.model)
-    if doc.kind == "disk":
-        return _disk_reports(doc.model)
-    raise ValidationError(f"no verifiers for kind {doc.kind!r}")
+    kind = _KINDS[doc.kind]
+    return kind.reports(doc.model if kind.model is None else kind.model(doc.model))
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +408,6 @@ def _load(path: str) -> ModelDocument:
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse(text)
-
-
-def _doc_model(doc: ModelDocument) -> NilpotentModel:
-    if doc.kind == "pure_strings":
-        return doc.model.to_nilpotent()
-    if doc.kind == "nilpotent":
-        return doc.model
-    raise ValidationError(f"command needs a nilpotent or pure_strings document, "
-                          f"got {doc.kind!r}")
 
 
 def cmd_check(args, out) -> int:
@@ -463,12 +472,7 @@ def cmd_lic(args, out) -> int:
     doc = _load(args.file)
     if doc.kind != "disk":
         raise ValidationError("lic needs a disk document")
-    dm = doc.model
-    ks = [args.k] if args.k is not None else [-1, 0]
-    reports = []
-    for k in ks:
-        reports.append(verify_local_invariant_cycles(dm, k))
-        reports.append(verify_weight_mechanics(dm, k).to_report())
+    reports = _disk_reports(doc.model, [args.k] if args.k is not None else (-1, 0))
     for r in reports:
         _emit(r, args.format, out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION

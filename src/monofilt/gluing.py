@@ -143,7 +143,6 @@ def verify_sequence_2(V: WeightedSpace, N: TwistedMap) -> Report:
     open pushforward to the origin; exactness at each slot is checked by
     subspace equality and the structural maps are checked to be strict.
     """
-    _require_nilpotent_filtered(V, N)
     g = j_lower_star(V, N)
     cx = i_upper_star(g)  # [V --N--> V(-1)]
     rb = ReportBuilder("exact sequence around N")
@@ -186,7 +185,6 @@ def verify_prop_2_3(V: WeightedSpace, N: TwistedMap) -> Report:
     induced filtrations and twists), and the complementary cohomologies
     vanish.
     """
-    _require_nilpotent_filtered(V, N)
     g = j_intermediate(V, N)
     rb = ReportBuilder("intermediate-extension kernel/cokernel identities")
     istar = i_upper_star(g)

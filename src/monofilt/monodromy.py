@@ -7,6 +7,7 @@ graded pieces) that verifies the two defining axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import qlinalg
 from .qlinalg import QMatrix, Subspace, apply_to_subspace, intersect
@@ -45,13 +46,15 @@ def nilpotency_index(m: QMatrix) -> int:
     return len(_powers(m)) - 1
 
 
-def monodromy_filtration(n_op: QMatrix, center: int) -> WeightFiltration:
+def monodromy_filtration(n_op: QMatrix, center: int,
+                         powers: list | None = None) -> WeightFiltration:
     """The unique filtration M with N M_k in M_{k-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
-    Computed as M_{c+l} = sum over a-b=l, a,b>=0 of ker(N^{a+1}) n im(N^b).
+    Computed as M_{c+l} = sum over a-b=l, a,b>=0 of ker(N^{a+1}) n im(N^b),
+    from `powers` = [N^0, ..., N^e] when given (a model passes its own).
     Use check_monodromy_axioms for an independent verification.
     """
-    powers = _powers(n_op)
+    powers = powers or _powers(n_op)
     e = len(powers) - 1
     d = n_op.rows
     # ker N^0 = 0 and im N^0 = Q^d; from N^e = 0 on, ker = Q^d and im = 0
@@ -79,6 +82,30 @@ def _induced_graded_map(m: QMatrix, filt_dom: WeightFiltration,
         filt_dom.space_at(k_dom), filt_cod.space_at(k_cod))
 
 
+def _spread(filt: WeightFiltration, center: int) -> int:
+    return max((abs(w - center) for w in filt.weights), default=0)
+
+
+def _check_graded_powers(rb: ReportBuilder, filt: WeightFiltration, powers: list,
+                         center: int, arrow: str, incompatible: str) -> None:
+    """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}.
+
+    powers[k] is N^k; a k past the end of the list reads its last entry,
+    which is the zero matrix when the list ends at the first zero power.
+    """
+    for k in range(_spread(filt, center) + 1):
+        name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
+        try:
+            g = _induced_graded_map(powers[min(k, len(powers) - 1)], filt, filt,
+                                    center + k, center - k)
+        except qlinalg.NotCompatible:
+            rb.check(name, False, incompatible)
+            continue
+        r = qlinalg.rank(g)
+        rb.check(name, g.rows == g.cols and r == g.rows,
+                 f"dims {g.cols} -> {g.rows}, rank {r}")
+
+
 def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
                            center: int) -> Report:
     """Independent verification of the two defining axioms of the filtration."""
@@ -89,22 +116,11 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
-    spread = max((abs(w - center) for w in filt.weights), default=0)
-    power = QMatrix.identity(n_op.rows)
-    for k in range(0, spread + 1):
-        try:
-            g = _induced_graded_map(power, filt, filt,
-                                    center + k, center - k)
-        except qlinalg.NotCompatible:
-            rb.check(f"N^{k}: Gr_{center + k} ~ Gr_{center - k}", False,
-                     "power of N does not respect the filtration")
-            power = power @ n_op
-            continue
-        r = qlinalg.rank(g)
-        rb.check(f"N^{k}: Gr_{center + k} ~ Gr_{center - k}",
-                 g.rows == g.cols and r == g.rows,
-                 f"dims {g.cols} -> {g.rows}, rank {r}")
-        power = power @ n_op
+    powers = [QMatrix.identity(n_op.rows)]
+    for _ in range(_spread(filt, center)):
+        powers.append(powers[-1] @ n_op)
+    _check_graded_powers(rb, filt, powers, center, "~",
+                         "power of N does not respect the filtration")
     return rb.build()
 
 
@@ -114,6 +130,11 @@ class NilpotentModel:
 
     n is the purity weight of the underlying object, so the filtration of a
     pure model is the monodromy filtration centered at n-1.
+
+    The quantities the verifiers share are computed once per instance and
+    kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
+    N^e = 0), the monodromy filtration at the center, the hard Lefschetz
+    report and the graded kernel.  Equality and hashing read the fields only.
     """
     space: WeightedSpace
     n: int
@@ -122,13 +143,53 @@ class NilpotentModel:
     def __post_init__(self):
         if self.N.twist != -1:
             raise ValueError("monodromy operator must carry twist -1")
-        nilpotency_index(self.N.matrix)
+        self.__dict__["powers"] = _powers(self.N.matrix)
         if not check_filtered(self.N, self.space, self.space, -2):
             raise ValueError("N does not shift the filtration by -2")
 
     @property
     def center(self) -> int:
         return self.n - 1
+
+    @cached_property
+    def monodromy_filtration(self) -> WeightFiltration:
+        """The monodromy filtration of N centered at n-1."""
+        return monodromy_filtration(self.N.matrix, self.center, self.powers)
+
+    @cached_property
+    def _hard_lefschetz(self) -> Report:
+        rb = ReportBuilder(f"hard Lefschetz (center {self.center})")
+        if self.space.dim == 0:
+            rb.check("zero space", True, "vacuous")
+            return rb.build()
+        filt = self.space.filtration
+        _check_graded_powers(rb, filt, self.powers, self.center, "->",
+                             "N^k does not respect the filtration")
+        rb.check("weight filtration equals monodromy filtration",
+                 filt == self.monodromy_filtration)
+        return rb.build()
+
+    @cached_property
+    def _graded_kernel(self) -> GradedKernel:
+        ker = qlinalg.kernel(self.N.matrix)
+        filt = self.space.filtration
+        if self.space.dim == 0:
+            return GradedKernel(LabeledGrading.empty(), ())
+        ker_filt = induced_filtration_on_sub(self.space, ker)
+        dims = []
+        kernel_dims: dict[int, int] = {}
+        for k in sorted(set(filt.weights) | set(ker_filt.weights)):
+            sub_side = ker_filt.graded_dim(k)
+            g = _induced_graded_map(self.N.matrix, filt, filt, k, k - 2)
+            map_side = g.cols - qlinalg.rank(g)
+            if sub_side != map_side:
+                raise GradedKernelMismatch(
+                    f"weight {k}: Gr(ker N) has dim {sub_side} but graded kernel "
+                    f"has dim {map_side}")
+            if sub_side:
+                kernel_dims[k] = sub_side
+            dims.append((k, sub_side, map_side))
+        return GradedKernel(_kernel_labels(self, kernel_dims), tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -187,30 +248,9 @@ def verify_hard_lefschetz(model: NilpotentModel) -> Report:
 
     Passing for every k is equivalent to the weight filtration being the
     monodromy filtration centered at n-1; that equality is asserted too.
+    The report is computed once per model.
     """
-    rb = ReportBuilder(f"hard Lefschetz (center {model.center})")
-    filt = model.space.filtration
-    c = model.center
-    if model.space.dim == 0:
-        rb.check("zero space", True, "vacuous")
-        return rb.build()
-    spread = max(abs(w - c) for w in filt.weights)
-    power = QMatrix.identity(model.space.dim)
-    for k in range(0, spread + 1):
-        if k:
-            power = power @ model.N.matrix
-        try:
-            g = _induced_graded_map(power, filt, filt, c + k, c - k)
-        except qlinalg.NotCompatible:
-            rb.check(f"N^{k}: Gr_{c + k} -> Gr_{c - k}", False,
-                     "N^k does not respect the filtration")
-            continue
-        r = qlinalg.rank(g)
-        rb.check(f"N^{k}: Gr_{c + k} -> Gr_{c - k}", g.rows == g.cols and r == g.rows,
-                 f"dims {g.cols} -> {g.rows}, rank {r}")
-    mono = monodromy_filtration(model.N.matrix, c)
-    rb.check("weight filtration equals monodromy filtration", filt == mono)
-    return rb.build()
+    return model._hard_lefschetz
 
 
 @dataclass(frozen=True)
@@ -227,29 +267,10 @@ def graded_kernel(model: NilpotentModel) -> GradedKernel:
     non-strict input and cannot happen for valid pure models.  Labels are
     taken from the twist-0 part of the model's grading when that accounts
     exactly for the kernel dimensions (true for string-propagated gradings),
-    with a single-label fallback otherwise.
+    with a single-label fallback otherwise.  The result is computed once per
+    model; a mismatch is raised on every call.
     """
-    ker = qlinalg.kernel(model.N.matrix)
-    filt = model.space.filtration
-    if model.space.dim == 0:
-        return GradedKernel(LabeledGrading.empty(), ())
-    ker_filt = induced_filtration_on_sub(model.space, ker)
-    weights = sorted(set(filt.weights) | set(ker_filt.weights))
-    dims = []
-    kernel_dims: dict[int, int] = {}
-    for k in weights:
-        sub_side = ker_filt.graded_dim(k)
-        g = _induced_graded_map(model.N.matrix, filt, filt, k, k - 2)
-        map_side = g.cols - qlinalg.rank(g)
-        if sub_side != map_side:
-            raise GradedKernelMismatch(
-                f"weight {k}: Gr(ker N) has dim {sub_side} but graded kernel "
-                f"has dim {map_side}")
-        if sub_side:
-            kernel_dims[k] = sub_side
-        dims.append((k, sub_side, map_side))
-    grading = _kernel_labels(model, kernel_dims)
-    return GradedKernel(grading, tuple(dims))
+    return model._graded_kernel
 
 
 def _kernel_labels(model: NilpotentModel, kernel_dims: dict) -> LabeledGrading:
@@ -293,7 +314,7 @@ def primitive_decomposition(model: NilpotentModel) -> PrimitiveDecomposition:
     if model.space.dim == 0:
         rb.check("zero space", True, "vacuous")
         return PrimitiveDecomposition((), rb.build())
-    spread = max(abs(w - c) for w in filt.weights)
+    spread = _spread(filt, c)
     max_m = max(((c - k) for k in kernel_dim), default=0)
     for k in range(c - max(spread, max_m), c + max(spread, max_m) + 1):
         lhs = filt.graded_dim(k)

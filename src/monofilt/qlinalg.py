@@ -122,15 +122,8 @@ class QMatrix:
         return QMatrix(n, n, tuple(
             tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -155,19 +148,8 @@ class QMatrix:
                 den //= g
         return QMatrix._from_ints(out, den, other.cols)
 
-    def power(self, k: int) -> "QMatrix":
-        if self.rows != self.cols:
-            raise AmbientMismatch("power of a non-square matrix")
-        result = QMatrix.identity(self.rows)
-        for _ in range(k):
-            result = result @ self
-        return result
-
     def is_zero(self) -> bool:
         return not any(map(any, self._ints[0]))
-
-    def to_lists(self) -> list:
-        return [list(r) for r in self.entries]
 
 
 def _echelon(rows: list) -> tuple[list, list]:

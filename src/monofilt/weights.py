@@ -155,9 +155,6 @@ class LabeledGrading:
     def weights(self) -> tuple:
         return tuple(w for w, _ in self.entries)
 
-    def total_dim(self) -> int:
-        return sum(m for _, terms in self.entries for _, m in terms)
-
     def twisted(self, d: int) -> "LabeledGrading":
         return LabeledGrading.from_dict({
             w - 2 * d: {lbl.twisted(d): m for lbl, m in dict(terms).items()}
@@ -215,19 +212,6 @@ class TwistedMap:
     def morphism_shift(self) -> int:
         """Raw filtration shift of a twist-t morphism against untwisted storage."""
         return 2 * self.twist
-
-
-@dataclass(frozen=True)
-class GradedPiece:
-    w_k: Subspace
-    w_km1: Subspace
-    dim: int
-
-
-def weight_of_graded_piece(ws: WeightedSpace, k: int) -> GradedPiece:
-    wk = ws.filtration.space_at(k)
-    wkm1 = ws.filtration.space_at(k - 1)
-    return GradedPiece(wk, wkm1, wk.dim - wkm1.dim)
 
 
 def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:

@@ -115,7 +115,7 @@ def _doc(kind, **fields):
 
 
 class TestDocumentBoundary:
-    """Ill-typed integer fields and empty matrices end in a parse error (exit 2)."""
+    """Ill-typed fields and empty matrices end in a parse error (exit 2)."""
 
     CASES = {
         "n_string": _doc("nilpotent", n="x"),
@@ -133,6 +133,14 @@ class TestDocumentBoundary:
         "dim_bool": _doc("gluing", phi={**PT_SPACE, "dim": True}),
         "point_weight_string": _doc("disk", point={"weight": "x", "labels": [["P", 1]]}),
         "point_mult_float": _doc("disk", point={"weight": 1, "labels": [["P", 1.5]]}),
+        "strings_not_list": _doc("pure_strings", strings=5),
+        "point_label_not_pair": _doc("disk", point={"weight": 1, "labels": ["P"]}),
+        "point_labels_not_list": _doc("disk", point={"weight": 1, "labels": 5}),
+        "point_not_object": _doc("disk", point=[1]),
+        "pure_string": _doc("disk", pure="no"),
+        "extension_list": _doc("disk", extension=[]),
+        "filtration_step_not_rows": _doc("nilpotent", filtration={"-1": 5, "1": [[1, 0]]}),
+        "grading_terms_not_list": _doc("nilpotent", grading={"-1": 5, "1": [["L", -1, 1]]}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from monofilt import monodromy
 from monofilt.monodromy import (GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
                                 check_monodromy_axioms, graded_kernel,
@@ -232,3 +233,79 @@ class TestNilpotentModel:
         assert nilpotency_index(J3) == 3
         with pytest.raises(NotNilpotent):
             nilpotency_index(qm([[1, 0], [0, 1]]))
+
+
+def wrong_center_model() -> NilpotentModel:
+    """J2 with an N-shift compatible filtration off the monodromy one."""
+    filt = WeightFiltration.from_spaces(2, [
+        (-2, span(2, [1, 0])), (1, Subspace.full(2))])
+    return NilpotentModel(WeightedSpace.from_filtration(filt), 1, TwistedMap(J2, -1))
+
+
+class TestOperatorContext:
+    """A model computes its powers, filtration, hard Lefschetz and graded kernel once."""
+
+    @pytest.fixture
+    def filtration_calls(self, monkeypatch):
+        calls = []
+        original = monodromy.monodromy_filtration
+
+        def counting(n_op, center, powers=None):
+            calls.append(center)
+            return original(n_op, center, powers)
+
+        monkeypatch.setattr(monodromy, "monodromy_filtration", counting)
+        return calls
+
+    def test_verifiers_build_one_filtration(self, filtration_calls, monkeypatch):
+        ranks = []
+        original_rank = monodromy.qlinalg.rank
+        monkeypatch.setattr(monodromy.qlinalg, "rank",
+                            lambda m: ranks.append(m) or original_rank(m))
+        model = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent()
+        assert verify_hard_lefschetz(model).passed
+        assert primitive_decomposition(model).passed
+        gk = graded_kernel(model)
+        first = len(ranks)
+        assert verify_hard_lefschetz(model) is verify_hard_lefschetz(model)
+        assert primitive_decomposition(model).passed
+        assert graded_kernel(model) is gk
+        assert filtration_calls == [model.center]
+        assert len(ranks) == first
+
+    def test_powers_end_at_the_first_zero_power(self):
+        model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
+        n_mat = model.N.matrix
+        assert model.powers == [QMatrix.identity(4), n_mat, n_mat @ n_mat,
+                                QMatrix.zero(4, 4)]
+
+    def test_no_memo_across_instances(self, filtration_calls):
+        strings = (("L", 3), ("P", 2))
+        a = JordanStringModel(strings, 2).to_nilpotent()
+        b = JordanStringModel(strings, 2).to_nilpotent()
+        assert a == b and a is not b
+        hl_a, hl_b = verify_hard_lefschetz(a), verify_hard_lefschetz(b)
+        assert hl_a == hl_b and hl_a is not hl_b
+        assert graded_kernel(a) is not graded_kernel(b)
+        assert filtration_calls == [1, 1]
+
+    def test_equality_and_hash_read_fields_only(self):
+        strings = (("L", 4), ("L", 2))
+        a = JordanStringModel(strings, 0).to_nilpotent()
+        b = JordanStringModel(strings, 0).to_nilpotent()
+        h = hash(b)
+        primitive_decomposition(a)
+        graded_kernel(a)
+        assert "monodromy_filtration" in vars(a)
+        assert "monodromy_filtration" not in vars(b)
+        assert a == b and hash(a) == hash(b) == h
+        assert {a: 1}[b] == 1
+
+    def test_not_pure_raised_on_every_call(self):
+        model = wrong_center_model()
+        for _ in range(3):
+            with pytest.raises(NotPure):
+                primitive_decomposition(model)
+            with pytest.raises(GradedKernelMismatch):
+                graded_kernel(model)
+        assert not verify_hard_lefschetz(model).passed

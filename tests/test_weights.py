@@ -7,8 +7,8 @@ from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               WeightFiltration, WeightedSpace, check_filtered,
                               check_strict, induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
-                              weight_of_graded_piece, weights_at_least,
-                              weights_at_most, quotient_weighted_space)
+                              weights_at_least, weights_at_most,
+                              quotient_weighted_space)
 
 from conftest import J2, span
 
@@ -40,19 +40,19 @@ class TestFiltration:
 
 class TestGradedPiece:
     def test_single_jump(self):
-        ws = WeightedSpace.pure(3, 5)
-        assert weight_of_graded_piece(ws, 5).dim == 3
-        assert weight_of_graded_piece(ws, 4).dim == 0
-        assert weight_of_graded_piece(ws, 6).dim == 0
+        filt = WeightedSpace.pure(3, 5).filtration
+        assert filt.graded_dim(5) == 3
+        assert filt.graded_dim(4) == 0
+        assert filt.graded_dim(6) == 0
 
     def test_jordan_block_dims(self):
-        ws = JordanStringModel((("L", 3),), 1).to_nilpotent().space
-        dims = {k: weight_of_graded_piece(ws, k).dim for k in range(-3, 4)}
+        filt = JordanStringModel((("L", 3),), 1).to_nilpotent().space.filtration
+        dims = {k: filt.graded_dim(k) for k in range(-3, 4)}
         assert dims == {-3: 0, -2: 1, -1: 0, 0: 1, 1: 0, 2: 1, 3: 0}
 
     def test_zero_space(self):
-        ws = WeightedSpace.zero()
-        assert weight_of_graded_piece(ws, 0).dim == 0
+        filt = WeightedSpace.zero().filtration
+        assert filt.graded_dim(0) == 0
 
 
 class TestTateTwist:
