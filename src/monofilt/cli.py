@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,12 +55,23 @@ def _rat_str(x: Fraction) -> str:
     return str(x)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_rat(s) -> Fraction:
-    if isinstance(s, bool) or isinstance(s, float):
-        raise ParseError(f"rationals must be strings or integers, got {s!r}")
-    try:
+    """A rational field: a JSON integer, or a string "p" or "p/q" of decimal
+    integers; decimal points and exponents are refused."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as e:
+    if not isinstance(s, str):
+        raise ParseError(f"rationals must be strings or integers, got {s!r}")
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise ParseError(f"bad rational {s!r}: not an integer or p/q")
+    num, den = m.groups()
+    try:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
 
 
@@ -186,14 +198,14 @@ def _nilpotent_from_json(data) -> NilpotentModel:
     n = _parse_int(data["n"], "n")
     dim = mat.rows
     try:
-        if "filtration" in data:
-            filt = _filtration_from_json(data["filtration"], dim)
-        elif dim:
-            filt = monodromy_filtration(mat, n - 1)
-        else:
-            filt = WeightFiltration(0, ())
+        filt = (_filtration_from_json(data["filtration"], dim)
+                if "filtration" in data else None)
         grading = (_grading_from_json(data["grading"]) if "grading" in data
-                   else weights.default_grading(filt))
+                   else None)
+        if filt is None:
+            return NilpotentModel.on_monodromy_filtration(mat, n, grading)
+        if grading is None:
+            grading = weights.default_grading(filt, center=n - 1)
         space = (WeightedSpace(dim, filt, grading) if dim else WeightedSpace.zero())
         return NilpotentModel(space, n, TwistedMap(mat, -1))
     except (NotNilpotent, weights.InconsistentGrading, ValueError) as e:
@@ -318,14 +330,11 @@ def parse(text: str) -> ModelDocument:
 # verifier dispatch
 
 def _model_reports(model: NilpotentModel) -> list:
-    reports = []
-    V, N = model.space, model.N
-    reports.append(gluing.verify_roundtrip(V, N))
-    reports.append(verify_sequence_2(V, N))
-    reports.append(verify_prop_2_3(V, N))
+    reports = [gluing.verify_roundtrip(model), verify_sequence_2(model),
+               verify_prop_2_3(model)]
     if model.space.dim:
         reports.append(monodromy.check_monodromy_axioms(
-            model.monodromy_filtration, N.matrix, model.center))
+            model.monodromy_filtration, model.N.matrix, model.center))
     hl = verify_hard_lefschetz(model)
     if hl.passed:
         reports.append(hl)
@@ -347,10 +356,7 @@ def _gluing_reports(g: GluingDatum) -> list:
     rb.check("var.can is nilpotent", True)  # enforced at construction
     rb.check("can is filtered", weights.check_filtered(g.can, g.psi, g.phi, 0))
     rb.check("var is filtered", weights.check_filtered(g.var, g.phi, g.psi, -2))
-    reports = [rb.build(),
-               verify_sequence_2(p.space, p.N),
-               verify_prop_2_3(p.space, p.N)]
-    return reports
+    return [rb.build(), verify_sequence_2(p), verify_prop_2_3(p)]
 
 
 def _disk_reports(dm: DiskModel, ks=(-1, 0)) -> list:
@@ -430,7 +436,8 @@ def cmd_monodromy(args, out) -> int:
     doc = _load(args.file)
     model = _doc_model(doc)
     center = args.center if args.center is not None else model.center
-    filt = monodromy_filtration(model.N.matrix, center)
+    filt = (model.monodromy_filtration if center == model.center
+            else monodromy_filtration(model.N.matrix, center))
     out.write(f"monodromy filtration centered at {center}\n")
     for w, s in filt.steps:
         out.write(f"  W_{w}: dim {s.dim}, graded dim {filt.graded_dim(w)}\n")
@@ -487,16 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="run every verifier applicable to a document")
     c.add_argument("file")
     c.add_argument("--format", choices=["text", "json"], default="text")
-    c.set_defaults(func=cmd_check)
 
     c = sub.add_parser("monodromy", help="print the monodromy filtration")
     c.add_argument("file")
     c.add_argument("--center", type=int, default=None)
-    c.set_defaults(func=cmd_monodromy)
 
     c = sub.add_parser("kclass", help="print the Grothendieck class")
     c.add_argument("file")
-    c.set_defaults(func=cmd_kclass)
 
     c = sub.add_parser("gen", help="emit a pseudorandom model document")
     c.add_argument("--seed", type=int, required=True)
@@ -505,28 +509,34 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--weight", type=int, default=1)
     c.add_argument("--labels", type=str, default="L")
     c.add_argument("--scramble", action="store_true")
-    c.set_defaults(func=cmd_gen)
 
     c = sub.add_parser("independence", help="compare classes of two pure models")
     c.add_argument("file_a")
     c.add_argument("file_b")
     c.add_argument("--format", choices=["text", "json"], default="text")
-    c.set_defaults(func=cmd_independence)
 
     c = sub.add_parser("lic", help="local invariant cycles and weight mechanics")
     c.add_argument("file")
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--format", choices=["text", "json"], default="text")
-    c.set_defaults(func=cmd_lic)
     return p
 
 
+# the function each subcommand runs, looked up on every run rather than kept
+# as a default of the parser, which is built once
+_COMMANDS = {"check": cmd_check, "monodromy": cmd_monodromy, "kclass": cmd_kclass,
+             "gen": cmd_gen, "independence": cmd_independence, "lic": cmd_lic}
+_parser: argparse.ArgumentParser | None = None  # built on the first run
+
+
 def run(argv=None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args, out)
+        return _COMMANDS[args.command](args, out)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import qlinalg
-from .monodromy import nilpotency_index
+from .monodromy import NilpotentModel, nilpotency_index
 from .qlinalg import QMatrix, Subspace, image, kernel
 from .report import Report, ReportBuilder
 from .weights import (TwistedMap, WeightedSpace, check_filtered, check_strict,
@@ -41,52 +41,36 @@ class GluingDatum:
             raise ValueError("can is not filtered")
         if not check_filtered(self.var, self.phi, self.psi, -2):
             raise ValueError("var is not filtered")
+        self.__dict__["_var_can"] = comp
 
     def monodromy_matrix(self) -> QMatrix:
-        return self.var.matrix @ self.can.matrix
+        """N = var . can, computed once at construction."""
+        return self._var_can
 
 
-@dataclass(frozen=True)
-class PsiData:
-    """The nearby-cycles presentation extracted from a gluing datum."""
-    space: WeightedSpace
-    N: TwistedMap
+def psi_u(g: GluingDatum) -> NilpotentModel:
+    """The nearby-cycles model (psi, var . can) of a gluing datum, with
+    purity weight 0: a datum does not record one."""
+    return NilpotentModel(g.psi, 0, TwistedMap(g.monodromy_matrix(), -1))
 
 
-def psi_u(g: GluingDatum) -> PsiData:
-    return PsiData(g.psi, TwistedMap(g.monodromy_matrix(), -1))
-
-
-def _require_nilpotent_filtered(V: WeightedSpace, N: TwistedMap) -> None:
-    if N.twist != -1:
-        raise ValueError("monodromy operator must carry twist -1")
-    nilpotency_index(N.matrix)
-    if not check_filtered(N, V, V, -2):
-        raise ValueError("N does not shift the filtration by -2")
-
-
-def j_lower_shriek(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
-    """j_! presentation: (V, V, id, N)."""
-    _require_nilpotent_filtered(V, N)
+def _shriek(model: NilpotentModel) -> GluingDatum:
+    V = model.space
     return GluingDatum(V, V, TwistedMap(QMatrix.identity(V.dim), 0),
-                       TwistedMap(N.matrix, -1))
+                       TwistedMap(model.N.matrix, -1))
 
 
-def j_lower_star(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
-    """j_* presentation: (V, V(-1), N, id)."""
-    _require_nilpotent_filtered(V, N)
-    return GluingDatum(V, tate_twist(V, -1), TwistedMap(N.matrix, 0),
+def _star(model: NilpotentModel) -> GluingDatum:
+    V = model.space
+    return GluingDatum(V, tate_twist(V, -1), TwistedMap(model.N.matrix, 0),
                        TwistedMap(QMatrix.identity(V.dim), -1))
 
 
-def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
-    """j_!* presentation: phi = im(N) inside V(-1), can = N corestricted,
-    var = the inclusion."""
-    _require_nilpotent_filtered(V, N)
-    img = image(N.matrix)
-    twisted = tate_twist(V, -1)
-    phi = sub_weighted_space(twisted, img)
-    can_cols = [img.coords(N.matrix.col(j)) for j in range(V.dim)]
+def _intermediate(model: NilpotentModel) -> GluingDatum:
+    V, n_mat = model.space, model.N.matrix
+    img = image(n_mat)
+    phi = sub_weighted_space(tate_twist(V, -1), img)
+    can_cols = [img.coords(n_mat.col(j)) for j in range(V.dim)]
     can = QMatrix.from_rows(
         [[can_cols[j][i] for j in range(V.dim)] for i in range(img.dim)],
         cols=V.dim)
@@ -94,6 +78,41 @@ def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
         [[row[i] for row in img.basis.entries] for i in range(V.dim)],
         cols=img.dim)
     return GluingDatum(V, phi, TwistedMap(can, 0), TwistedMap(var, -1))
+
+
+# the gluing presentation of each extension kind, built from a model
+EXTENSIONS = {"intermediate": _intermediate, "shriek": _shriek, "star": _star}
+
+
+def extension(model: NilpotentModel, kind: str) -> GluingDatum:
+    """The model's j_!* ("intermediate"), j_! ("shriek") or j_* ("star"),
+    built at most once per model and kept in its context."""
+    built = model.extensions
+    if kind not in built:
+        built[kind] = EXTENSIONS[kind](model)
+    return built[kind]
+
+
+def _model(V: WeightedSpace, N: TwistedMap) -> NilpotentModel:
+    """(V, N) checked as a model: twist -1, nilpotent, N-shift.  The purity
+    weight plays no part in the extensions."""
+    return NilpotentModel(V, 0, N)
+
+
+def j_lower_shriek(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+    """j_! presentation: (V, V, id, N)."""
+    return _shriek(_model(V, N))
+
+
+def j_lower_star(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+    """j_* presentation: (V, V(-1), N, id)."""
+    return _star(_model(V, N))
+
+
+def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+    """j_!* presentation: phi = im(N) inside V(-1), can = N corestricted,
+    var = the inclusion."""
+    return _intermediate(_model(V, N))
 
 
 @dataclass(frozen=True)
@@ -136,14 +155,15 @@ def i_upper_shriek(g: GluingDatum) -> TwoTermComplex:
                           TwistedMap(g.var.matrix, 0))
 
 
-def verify_sequence_2(V: WeightedSpace, N: TwistedMap) -> Report:
+def verify_sequence_2(model: NilpotentModel) -> Report:
     """Exactness of 0 -> ker N -> V --N--> V(-1) -> coker N -> 0, built from j_*.
 
     The outer terms are the perverse cohomologies of the restriction of the
     open pushforward to the origin; exactness at each slot is checked by
     subspace equality and the structural maps are checked to be strict.
     """
-    g = j_lower_star(V, N)
+    V, N = model.space, model.N
+    g = extension(model, "star")
     cx = i_upper_star(g)  # [V --N--> V(-1)]
     rb = ReportBuilder("exact sequence around N")
     d = V.dim
@@ -177,7 +197,7 @@ def verify_sequence_2(V: WeightedSpace, N: TwistedMap) -> Report:
     return rb.build()
 
 
-def verify_prop_2_3(V: WeightedSpace, N: TwistedMap) -> Report:
+def verify_prop_2_3(model: NilpotentModel) -> Report:
     """Kernel/cokernel identities for the intermediate extension.
 
     H^{-1} of the *-restriction of j_!* equals ker N, H^1 of the
@@ -185,7 +205,8 @@ def verify_prop_2_3(V: WeightedSpace, N: TwistedMap) -> Report:
     induced filtrations and twists), and the complementary cohomologies
     vanish.
     """
-    g = j_intermediate(V, N)
+    V, N = model.space, model.N
+    g = extension(model, "intermediate")
     rb = ReportBuilder("intermediate-extension kernel/cokernel identities")
     istar = i_upper_star(g)
     ishk = i_upper_shriek(g)
@@ -213,12 +234,13 @@ def verify_prop_2_3(V: WeightedSpace, N: TwistedMap) -> Report:
     return rb.build()
 
 
-def verify_roundtrip(V: WeightedSpace, N: TwistedMap) -> Report:
-    """psi_u of each of j_!, j_*, j_!* returns (V, N) back."""
+def verify_roundtrip(model: NilpotentModel) -> Report:
+    """psi_u of each of j_!, j_*, j_!* returns (V, N) back: psi = V and
+    var . can = N exactly."""
     rb = ReportBuilder("extension round-trips")
-    for name, ctor in (("j_!", j_lower_shriek), ("j_*", j_lower_star),
-                       ("j_!*", j_intermediate)):
-        p = psi_u(ctor(V, N))
+    for name, kind in (("j_!", "shriek"), ("j_*", "star"), ("j_!*", "intermediate")):
+        g = extension(model, kind)
+        # psi_u(g) is (g.psi, var . can); compared without rebuilding a model
         rb.check(f"psi_u . {name} = id",
-                 p.space == V and p.N.matrix == N.matrix)
+                 g.psi == model.space and g.monodromy_matrix() == model.N.matrix)
     return rb.build()

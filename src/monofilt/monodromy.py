@@ -14,7 +14,7 @@ from .qlinalg import QMatrix, Subspace, apply_to_subspace, intersect
 from .report import Report, ReportBuilder
 from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
-                      induced_filtration_on_sub)
+                      default_grading, induced_filtration_on_sub)
 
 
 class NotNilpotent(ValueError):
@@ -134,7 +134,8 @@ class NilpotentModel:
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
     N^e = 0), the monodromy filtration at the center, the hard Lefschetz
-    report and the graded kernel.  Equality and hashing read the fields only.
+    report, the graded kernel and the gluing extensions (gluing.extension).
+    Equality and hashing read the fields only.
     """
     space: WeightedSpace
     n: int
@@ -147,6 +148,24 @@ class NilpotentModel:
         if not check_filtered(self.N, self.space, self.space, -2):
             raise ValueError("N does not shift the filtration by -2")
 
+    @staticmethod
+    def on_monodromy_filtration(n_op: QMatrix, n: int,
+                                grading: LabeledGrading | None = None) -> NilpotentModel:
+        """The model of N = n_op whose weight filtration is the monodromy
+        filtration centered at n-1, which is built once and kept as the
+        model's monodromy_filtration.  The grading defaults to the string
+        grading of default_grading at that center."""
+        filt = monodromy_filtration(n_op, n - 1)
+        if n_op.rows == 0:
+            space = WeightedSpace.zero()
+        else:
+            if grading is None:
+                grading = default_grading(filt, center=n - 1)
+            space = WeightedSpace(n_op.rows, filt, grading)
+        model = NilpotentModel(space, n, TwistedMap(n_op, -1))
+        model.__dict__["monodromy_filtration"] = filt
+        return model
+
     @property
     def center(self) -> int:
         return self.n - 1
@@ -155,6 +174,11 @@ class NilpotentModel:
     def monodromy_filtration(self) -> WeightFiltration:
         """The monodromy filtration of N centered at n-1."""
         return monodromy_filtration(self.N.matrix, self.center, self.powers)
+
+    @cached_property
+    def extensions(self) -> dict:
+        """The gluing data of the model built so far, by extension kind."""
+        return {}
 
     @cached_property
     def _hard_lefschetz(self) -> Report:

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qlinalg
-from .gluing import (GluingDatum, i_upper_shriek, j_intermediate,
-                     j_lower_shriek, j_lower_star)
+from .gluing import EXTENSIONS, GluingDatum, extension, i_upper_shriek
 from .kgroup import kclass_of_space, kclass_psi_from_kernel
 from .monodromy import (JordanStringModel, NilpotentModel, NotPure,
                         graded_kernel, monodromy_filtration,
@@ -18,13 +17,6 @@ from .report import Report, ReportBuilder
 from .weights import (TwistedMap, WeightedSpace, is_pure,
                       sub_weighted_space, quotient_weighted_space, tate_twist,
                       weights_at_least)
-
-EXTENSIONS = {
-    "intermediate": j_intermediate,
-    "shriek": j_lower_shriek,
-    "star": j_lower_star,
-}
-
 
 class ImpureInput(ValueError):
     """A check requiring purity was asked of an impure disk model."""
@@ -56,7 +48,8 @@ class DiskModel:
         return self.open_part.n
 
     def datum(self) -> GluingDatum:
-        return EXTENSIONS[self.extension](self.open_part.space, self.open_part.N)
+        """The open part's extension, built once per open model."""
+        return extension(self.open_part, self.extension)
 
 
 @dataclass(frozen=True)
@@ -165,9 +158,10 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> WeightBoundReport:
         notes.append("impure input: claims evaluated but not guaranteed")
 
     # (1) weight filtration on H^k(nearby cycles) is the monodromy filtration
-    # centered at n+k
+    # centered at n+k; psi is the open part's space and var . can its N, so at
+    # k = -1 that is the open model's own filtration at its center
     if k == -1 and psi.dim:
-        mono = monodromy_filtration(n_mat, n + k)
+        mono = dm.open_part.monodromy_filtration
         claims.append(WeightBoundClaim(
             "monodromy_centered", psi.filtration == mono,
             f"center {n + k}"))

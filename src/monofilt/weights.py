@@ -161,10 +161,32 @@ class LabeledGrading:
             for w, terms in self.entries})
 
 
-def default_grading(filt: WeightFiltration, label: str = LABEL_DEFAULT) -> LabeledGrading:
+def default_grading(filt: WeightFiltration, label: str = LABEL_DEFAULT,
+                    center: int | None = None) -> LabeledGrading:
+    """Every graded piece as copies of `label`.
+
+    Given a center c at which the graded dimensions g are Lefschetz-symmetric
+    (g(c+k) = g(c-k), and p_m = g(c-m) - g(c-m-2) >= 0 for m >= 0), the
+    pieces are read as p_m strings of length m+1 centered at c, the vector at
+    weight c-m+2i carrying twist -i (the JordanStringModel convention).
+    Otherwise every piece has twist 0.
+    """
+    g = filt.graded_dims()
+    if center is not None and g:
+        spread = max(abs(w - center) for w in g)
+        prim = [g.get(center - m, 0) - g.get(center - m - 2, 0)
+                for m in range(spread + 1)]
+        if min(prim) >= 0 and all(g.get(center + k, 0) == g.get(center - k, 0)
+                                  for k in range(1, spread + 1)):
+            out: dict[int, dict[TwistedLabel, int]] = {}
+            for m, p in enumerate(prim):
+                for i in range(m + 1):
+                    piece = out.setdefault(center - m + 2 * i, {})
+                    lbl = TwistedLabel(label, -i)
+                    piece[lbl] = piece.get(lbl, 0) + p
+            return LabeledGrading.from_dict(out)
     return LabeledGrading.from_dict({
-        w: {TwistedLabel(label): filt.graded_dim(w)}
-        for w in filt.weights if filt.graded_dim(w) > 0})
+        w: {TwistedLabel(label): dim} for w, dim in g.items() if dim > 0})
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ import pytest
 from monofilt import cli
 from monofilt.cli import ModelDocument, parse, serialize
 from monofilt.kgroup import kclass_of_space, kclass_psi_from_kernel
-from monofilt.monodromy import (JordanStringModel, check_monodromy_axioms,
-                                graded_kernel, monodromy_filtration,
-                                primitive_decomposition)
+from monofilt.monodromy import (JordanStringModel, NilpotentModel,
+                                check_monodromy_axioms, graded_kernel,
+                                monodromy_filtration, primitive_decomposition)
 from monofilt.gluing import verify_prop_2_3, verify_sequence_2
 from monofilt.qlinalg import QMatrix
 from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
@@ -113,22 +113,23 @@ def _nilpotent_corpus(seed, count, max_dim):
     for _ in range(count):
         mat = random_nilpotent(rng, max_dim=max_dim)
         n = rng.randint(0, 2)
-        yield nilpotent_weighted_space(mat, n), TwistedMap(mat, -1)
+        yield NilpotentModel(nilpotent_weighted_space(mat, n), n,
+                             TwistedMap(mat, -1))
 
 
 def test_criterion_3_sequence_2():
     """Four-position exactness of the canonical sequence for 1000 random
     nilpotent models; exact subspace equality."""
-    ok = all(verify_sequence_2(V, N).passed
-             for V, N in _nilpotent_corpus(303, 1000, 6))
+    ok = all(verify_sequence_2(model).passed
+             for model in _nilpotent_corpus(303, 1000, 6))
     record("criterion 3: sequence exactness, 1000 random nilpotent models", ok)
 
 
 def test_criterion_4_intermediate_restrictions():
     """Same corpus: H^-1(i* of the intermediate extension) is ker N and
     H^1(i^!) is coker N with the correct twists; complementary slots vanish."""
-    ok = all(verify_prop_2_3(V, N).passed
-             for V, N in _nilpotent_corpus(303, 1000, 6))
+    ok = all(verify_prop_2_3(model).passed
+             for model in _nilpotent_corpus(303, 1000, 6))
     record("criterion 4: i*/i^! of intermediate extension, 1000 models", ok)
 
 

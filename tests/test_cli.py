@@ -1,15 +1,21 @@
 import io
 import json
+from fractions import Fraction
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from monofilt import cli
+from monofilt import cli, gluing, monodromy, theorems
 from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                           EXIT_VERIFICATION, ModelDocument, ParseError,
                           ValidationError, parse, serialize)
 from monofilt.monodromy import JordanStringModel
 from monofilt.theorems import DiskModel, generate_model, generate_scrambled
-from monofilt.weights import WeightedSpace
+from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
 
 
 def run(argv):
@@ -141,6 +147,12 @@ class TestDocumentBoundary:
         "extension_list": _doc("disk", extension=[]),
         "filtration_step_not_rows": _doc("nilpotent", filtration={"-1": 5, "1": [[1, 0]]}),
         "grading_terms_not_list": _doc("nilpotent", grading={"-1": 5, "1": [["L", -1, 1]]}),
+        "rational_decimal": _doc("nilpotent", matrix=[["0", "1.5"], ["0", "0"]]),
+        "rational_exponent": _doc("nilpotent", matrix=[["0", "1e3"], ["0", "0"]]),
+        "rational_decimal_integer": _doc("nilpotent", matrix=[["0", "1.0"], ["0", "0"]]),
+        "rational_decimal_in_filtration": _doc(
+            "nilpotent", filtration={"-1": [["1", "0.0"]], "1": [["1", "0"], ["0", "1"]]}),
+        "rational_exponent_in_gluing_map": _doc("gluing", can=[["0e0"]]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -159,6 +171,10 @@ class TestDocumentBoundary:
     def test_integer_strings_accepted(self):
         doc = parse(json.dumps(_doc("nilpotent", n="1")))
         assert doc.model.n == 1
+
+    def test_rational_strings_accepted(self):
+        doc = parse(json.dumps(_doc("nilpotent", matrix=[["0", "-3/4"], [0, "+0"]])))
+        assert doc.model.N.matrix.entries[0][1] == Fraction(-3, 4)
 
 
 class TestCommands:
@@ -242,3 +258,145 @@ class TestCommands:
                                               pure=False, extension="shriek"))
         rc, _ = run(["check", write_doc(tmp_path, "b.json", bad)])
         assert rc == EXIT_VERIFICATION
+
+
+README_EXAMPLE = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]]}
+
+
+def write_json(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+class TestDefaultGrading:
+    """An omitted nilpotent grading is read as Lefschetz strings when it can be."""
+
+    def test_readme_example_passes(self, tmp_path):
+        rc, out = run(["check", write_json(tmp_path, "m.json", README_EXAMPLE)])
+        assert rc == EXIT_OK
+        assert "pt(0) + pt(-1) vs pt(0) + pt(-1)" in out
+
+    def test_omitted_grading_is_the_string_grading(self):
+        for seed in range(8):
+            m = generate_model(seed, 3, 4, seed % 3 - 1, ["pt"])
+            data = json.loads(serialize(ModelDocument(
+                "nilpotent", generate_scrambled(m, seed + 50))))
+            del data["grading"]
+            want = m.to_nilpotent().space.grading
+            assert parse(json.dumps(data)).model.space.grading == want
+            del data["filtration"]
+            assert parse(json.dumps(data)).model.space.grading == want
+
+    def test_off_center_filtration_keeps_twist_zero(self, tmp_path):
+        data = {**README_EXAMPLE,
+                "filtration": {"-2": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]}}
+        model = parse(json.dumps(data)).model
+        assert model.space.grading == LabeledGrading.from_dict(
+            {-2: {TwistedLabel("pt"): 1}, 1: {TwistedLabel("pt"): 1}})
+        rc, out = run(["check", write_json(tmp_path, "m.json", data)])
+        # hard Lefschetz fails, so the class identity is not checked
+        assert rc == EXIT_VERIFICATION and "class identity" not in out
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of extension builds by kind, GluingDatum constructions
+    ("datum") and monodromy filtrations ("filtration")."""
+    counts = Counter()
+    for kind, build in list(gluing.EXTENSIONS.items()):
+        def counting(model, kind=kind, build=build):
+            counts[kind] += 1
+            return build(model)
+        monkeypatch.setitem(gluing.EXTENSIONS, kind, counting)
+    post_init = gluing.GluingDatum.__post_init__
+
+    def counting_post_init(self):
+        counts["datum"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(gluing.GluingDatum, "__post_init__", counting_post_init)
+    filtration = monodromy.monodromy_filtration
+
+    def counting_filtration(n_op, center, powers=None):
+        counts["filtration"] += 1
+        return filtration(n_op, center, powers)
+
+    for mod in (monodromy, theorems, cli):
+        monkeypatch.setattr(mod, "monodromy_filtration", counting_filtration)
+    return counts
+
+
+def _nilpotent_doc(omit=()):
+    m = generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 8)
+    data = json.loads(serialize(ModelDocument("nilpotent", m)))
+    return {k: v for k, v in data.items() if k not in omit}
+
+
+def _disk_doc(open_data, pure=True):
+    return {"kind": "disk", "open": open_data, "pure": pure,
+            "extension": "intermediate" if pure else "shriek",
+            "point": {"weight": open_data["n"], "labels": [["P", 1]]}}
+
+
+class TestExtensionContext:
+    """One check builds each extension, and each filtration, once per model."""
+
+    def test_model_check_builds_each_extension_once(self, builds, tmp_path):
+        strings = json.loads(serialize(ModelDocument(
+            "pure_strings", generate_model(5, 3, 4, 1, ["L", "P"]))))
+        for data in (strings, _nilpotent_doc(), _nilpotent_doc(("grading",))):
+            builds.clear()
+            rc, _ = run(["check", write_json(tmp_path, "m.json", data)])
+            assert rc == EXIT_OK
+            assert builds == Counter(intermediate=1, shriek=1, star=1,
+                                     datum=3, filtration=1)
+
+    def test_disk_check_builds_datum_and_filtration_once(self, builds, tmp_path):
+        for data in (_disk_doc(_nilpotent_doc()),
+                     _disk_doc(_nilpotent_doc(("filtration", "grading"))),
+                     _disk_doc(_nilpotent_doc(), pure=False)):
+            builds.clear()
+            rc, _ = run(["check", write_json(tmp_path, "d.json", data)])
+            assert rc == (EXIT_OK if data["pure"] else EXIT_VERIFICATION)
+            assert builds[data["extension"]] == builds["datum"] == 1
+            assert builds["filtration"] == 1
+
+    def test_filtrationless_nilpotent_builds_one_filtration(self, builds, tmp_path):
+        path = write_json(tmp_path, "m.json", _nilpotent_doc(("filtration",)))
+        rc, _ = run(["check", path])
+        assert rc == EXIT_OK and builds["filtration"] == 1
+        builds.clear()
+        rc, _ = run(["monodromy", path])
+        assert rc == EXIT_OK and builds["filtration"] == 1
+        builds.clear()
+        rc, _ = run(["monodromy", path, "--center", "7"])
+        assert rc == EXIT_OK and builds["filtration"] == 2
+
+    def test_disk_datum_is_the_open_models_extension(self):
+        open_model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
+        dm = DiskModel(open_model, WeightedSpace.zero())
+        assert dm.datum() is dm.datum() is gluing.extension(open_model, "intermediate")
+        assert dm.datum().monodromy_matrix() is dm.datum().monodromy_matrix()
+
+
+class TestProcess:
+    def test_parser_built_once(self, monkeypatch):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        monkeypatch.setattr(cli, "_parser", None)
+        for _ in range(3):
+            assert run(["gen", "--seed", "1"])[0] == EXIT_OK
+        assert len(calls) == 1
+
+    def test_python_m_monofilt(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "monofilt", "check",
+             write_json(tmp_path, "m.json", README_EXAMPLE)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip().endswith("PASS")

@@ -1,10 +1,11 @@
 import pytest
 
-from monofilt.gluing import (GluingDatum, i_upper_shriek, i_upper_star,
-                             j_intermediate, j_lower_shriek, j_lower_star,
-                             psi_u, verify_prop_2_3, verify_roundtrip,
+from monofilt.gluing import (EXTENSIONS, GluingDatum, extension,
+                             i_upper_shriek, i_upper_star, j_intermediate,
+                             j_lower_shriek, j_lower_star, psi_u,
+                             verify_prop_2_3, verify_roundtrip,
                              verify_sequence_2)
-from monofilt.monodromy import JordanStringModel
+from monofilt.monodromy import JordanStringModel, NilpotentModel
 from monofilt.qlinalg import QMatrix, image, kernel
 from monofilt.theorems import nilpotent_weighted_space, random_nilpotent
 from monofilt.weights import TwistedMap, WeightedSpace
@@ -12,9 +13,18 @@ from monofilt.weights import TwistedMap, WeightedSpace
 from conftest import span
 
 
+def string_model(strings, n=1):
+    return JordanStringModel(strings, n).to_nilpotent()
+
+
 def string_vn(strings, n=1):
-    m = JordanStringModel(strings, n).to_nilpotent()
+    m = string_model(strings, n)
     return m.space, m.N
+
+
+def raw_model(mat, n):
+    """mat on its monodromy filtration centered at n-1."""
+    return NilpotentModel(nilpotent_weighted_space(mat, n), n, TwistedMap(mat, -1))
 
 
 class TestPsiU:
@@ -47,14 +57,13 @@ class TestExtensions:
         for _ in range(40):
             strings = tuple(("L", rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3)))
-            V, N = string_vn(strings, rng.randint(0, 2))
-            assert verify_roundtrip(V, N).passed
+            model = string_model(strings, rng.randint(0, 2))
+            assert verify_roundtrip(model).passed
 
     def test_roundtrips_on_raw_nilpotents(self, rng):
         for _ in range(30):
             mat = random_nilpotent(rng, max_dim=5)
-            V = nilpotent_weighted_space(mat, 1)
-            assert verify_roundtrip(V, TwistedMap(mat, -1)).passed
+            assert verify_roundtrip(raw_model(mat, 1)).passed
 
     def test_invalid_datum_rejected(self):
         V = WeightedSpace.pure(1, 0)
@@ -62,6 +71,47 @@ class TestExtensions:
         with pytest.raises(Exception):
             # var . can = identity is not nilpotent
             GluingDatum(V, V, ident, TwistedMap(QMatrix.identity(1), -1))
+
+
+class TestExtensionContext:
+    """Each extension of a model is built once and kept beside its fields."""
+
+    def test_built_once_per_model(self):
+        model = string_model((("L", 3), ("P", 2)))
+        for kind, ctor in (("intermediate", j_intermediate),
+                           ("shriek", j_lower_shriek), ("star", j_lower_star)):
+            g = extension(model, kind)
+            assert extension(model, kind) is g
+            assert g == ctor(model.space, model.N)
+        assert set(model.extensions) == set(EXTENSIONS)
+
+    def test_no_memo_across_instances(self):
+        a = string_model((("L", 3),), 2)
+        b = string_model((("L", 3),), 2)
+        h = hash(b)
+        ga = extension(a, "star")
+        assert a == b and hash(a) == h and {a: 1}[b] == 1
+        assert "extensions" not in vars(b)
+        assert extension(b, "star") == ga and extension(b, "star") is not ga
+
+    def test_var_can_computed_once(self):
+        g = extension(string_model((("L", 2),)), "intermediate")
+        assert g.monodromy_matrix() is g.monodromy_matrix()
+
+    def test_constructors_validate_like_a_model(self):
+        V, N = string_vn((("L", 2),))
+        for ctor in (j_intermediate, j_lower_shriek, j_lower_star):
+            with pytest.raises(ValueError, match="twist -1"):
+                ctor(V, TwistedMap(N.matrix, 0))
+            with pytest.raises(ValueError, match="not nilpotent"):
+                ctor(V, TwistedMap(QMatrix.identity(2), -1))
+            with pytest.raises(ValueError, match="shift the filtration"):
+                ctor(WeightedSpace.pure(2, 0), N)
+
+    def test_psi_u_is_a_model(self):
+        model = string_model((("L", 3), ("L", 1)), 0)
+        for kind in EXTENSIONS:
+            assert psi_u(extension(model, kind)) == model
 
 
 class TestRestrictionFunctors:
@@ -88,43 +138,37 @@ class TestRestrictionFunctors:
 
 class TestSequence2:
     def test_zero_operator(self):
-        V, N = string_vn((("L", 1), ("L", 1)))
-        rep = verify_sequence_2(V, N)
+        rep = verify_sequence_2(string_model((("L", 1), ("L", 1))))
         assert rep.passed
         assert "term dims: 2, 2, 2, 2" in rep.notes[0]
 
     def test_j2_dims(self):
-        V, N = string_vn((("L", 2),))
-        rep = verify_sequence_2(V, N)
+        rep = verify_sequence_2(string_model((("L", 2),)))
         assert rep.passed
         assert "term dims: 1, 2, 2, 1" in rep.notes[0]
 
     def test_random_nilpotents(self, rng):
         for _ in range(60):
             mat = random_nilpotent(rng, max_dim=6)
-            V = nilpotent_weighted_space(mat, rng.randint(0, 2))
-            assert verify_sequence_2(V, TwistedMap(mat, -1)).passed
+            assert verify_sequence_2(raw_model(mat, rng.randint(0, 2))).passed
 
 
 class TestProp23:
     def test_zero_operator(self):
-        V, N = string_vn((("L", 1),))
-        rep = verify_prop_2_3(V, N)
+        rep = verify_prop_2_3(string_model((("L", 1),)))
         assert rep.passed
 
     def test_j2(self):
-        V, N = string_vn((("L", 2),))
-        assert verify_prop_2_3(V, N).passed
+        assert verify_prop_2_3(string_model((("L", 2),))).passed
 
     def test_j3_plus_j1_dims(self):
         V, N = string_vn((("L", 3), ("P", 1)))
         g = j_intermediate(V, N)
         assert i_upper_star(g).h_low_space().dim == 2
         assert i_upper_shriek(g).h_high().dim == 2
-        assert verify_prop_2_3(V, N).passed
+        assert verify_prop_2_3(string_model((("L", 3), ("P", 1)))).passed
 
     def test_random_nilpotents(self, rng):
         for _ in range(60):
             mat = random_nilpotent(rng, max_dim=6)
-            V = nilpotent_weighted_space(mat, rng.randint(0, 2))
-            assert verify_prop_2_3(V, TwistedMap(mat, -1)).passed
+            assert verify_prop_2_3(raw_model(mat, rng.randint(0, 2))).passed

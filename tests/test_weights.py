@@ -5,7 +5,8 @@ from monofilt.qlinalg import QMatrix, Subspace, apply_to_subspace, image, inters
 from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_filtered,
-                              check_strict, induced_filtration_on_quotient,
+                              check_strict, default_grading,
+                              induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most,
                               quotient_weighted_space)
@@ -205,3 +206,33 @@ class TestGrading:
         g = LabeledGrading.single(3, "L", 2)
         t = g.twisted(1)
         assert t.at(1) == {TwistedLabel("L", 1): 2}
+
+
+class TestDefaultGrading:
+    def test_strings_at_a_symmetric_center(self):
+        for strings in [(("pt", 3), ("pt", 1)), (("pt", 4), ("pt", 2), ("pt", 2)),
+                        (("pt", 1), ("pt", 1))]:
+            for n in (-1, 0, 2):
+                ws = JordanStringModel(strings, n).to_nilpotent().space
+                assert default_grading(ws.filtration, center=n - 1) == ws.grading
+
+    def test_twist_zero_without_a_center(self):
+        filt = JordanStringModel((("pt", 3),), 1).to_nilpotent().space.filtration
+        assert default_grading(filt) == LabeledGrading.from_dict(
+            {w: {TwistedLabel("pt"): 1} for w in (-2, 0, 2)})
+
+    def test_twist_zero_when_not_symmetric(self):
+        filt = WeightFiltration.from_spaces(2, [
+            (-2, span(2, [1, 0])), (1, Subspace.full(2))])
+        for center in (0, 1, -1):
+            assert default_grading(filt, center=center) == LabeledGrading.from_dict(
+                {-2: {TwistedLabel("pt"): 1}, 1: {TwistedLabel("pt"): 1}})
+
+    def test_twist_zero_when_primitive_dims_negative(self):
+        # dims 2, 1, 2 at -2, 0, 2 are symmetric about 0, but p_0 = 1 - 2 < 0
+        filt = WeightFiltration.from_spaces(5, [
+            (-2, span(5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0])),
+            (0, span(5, [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])),
+            (2, Subspace.full(5))])
+        assert all(lbl.twist == 0 for _, terms in
+                   default_grading(filt, center=0).entries for lbl, _ in terms)
