@@ -21,6 +21,13 @@ class Report:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def result(self, name: str) -> CheckResult:
+        """The check called ``name``; KeyError if there is none."""
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
     def to_dict(self) -> dict:
         return {
             "title": self.title,
@@ -57,11 +64,3 @@ class ReportBuilder:
     def build(self) -> Report:
         return Report(self.title, tuple(self._checks), tuple(self._notes))
 
-
-def merge(title: str, *reports: Report) -> Report:
-    checks = []
-    notes = []
-    for r in reports:
-        checks.append(CheckResult(r.title, r.passed))
-        notes.extend(f"{r.title}: {n}" for n in r.notes)
-    return Report(title, tuple(checks), tuple(notes))

@@ -52,36 +52,6 @@ class DiskModel:
         return extension(self.open_part, self.extension)
 
 
-@dataclass(frozen=True)
-class WeightBoundClaim:
-    claim: str
-    holds: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class WeightBoundReport:
-    k: int
-    claims: tuple  # of WeightBoundClaim
-    notes: tuple = ()
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.claims)
-
-    def claim(self, name: str) -> WeightBoundClaim:
-        for c in self.claims:
-            if c.claim == name:
-                return c
-        raise KeyError(name)
-
-    def to_report(self) -> Report:
-        from .report import CheckResult
-        return Report(f"weight mechanics (k={self.k})",
-                      tuple(CheckResult(c.claim, c.holds, c.detail)
-                            for c in self.claims), self.notes)
-
-
 def _as_model(m) -> NilpotentModel:
     if isinstance(m, JordanStringModel):
         return m.to_nilpotent()
@@ -145,37 +115,34 @@ def verify_local_invariant_cycles(dm: DiskModel, k: int) -> Report:
     return rb.build()
 
 
-def verify_weight_mechanics(dm: DiskModel, k: int) -> WeightBoundReport:
+def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     """The four weight claims behind local invariant cycles, evaluated
     independently: exactness must follow whenever all four hold."""
     g = dm.datum()
     n = dm.n
     n_mat = g.monodromy_matrix()
     psi = g.psi
-    claims = []
-    notes = []
+    rb = ReportBuilder(f"weight mechanics (k={k})")
     if not dm.pure:
-        notes.append("impure input: claims evaluated but not guaranteed")
+        rb.note("impure input: claims evaluated but not guaranteed")
 
     # (1) weight filtration on H^k(nearby cycles) is the monodromy filtration
     # centered at n+k; psi is the open part's space and var . can its N, so at
     # k = -1 that is the open model's own filtration at its center
     if k == -1 and psi.dim:
-        mono = dm.open_part.monodromy_filtration
-        claims.append(WeightBoundClaim(
-            "monodromy_centered", psi.filtration == mono,
-            f"center {n + k}"))
+        rb.check("monodromy_centered",
+                 psi.filtration == dm.open_part.monodromy_filtration,
+                 f"center {n + k}")
     else:
-        claims.append(WeightBoundClaim("monodromy_centered", True, "vacuous"))
+        rb.check("monodromy_centered", True, "vacuous")
 
     # (2) ker(N) has weights <= n+k
     if k == -1 and psi.dim:
-        ker_n = kernel(n_mat)
-        holds = psi.filtration.space_at(n + k).contains(ker_n)
-        claims.append(WeightBoundClaim(
-            "kernel_weight_bound", holds, f"ker N within W_{n + k}"))
+        rb.check("kernel_weight_bound",
+                 psi.filtration.space_at(n + k).contains(kernel(n_mat)),
+                 f"ker N within W_{n + k}")
     else:
-        claims.append(WeightBoundClaim("kernel_weight_bound", True, "vacuous"))
+        rb.check("kernel_weight_bound", True, "vacuous")
 
     # (3) H^{k+1} of the !-restriction has weights >= n+k+1
     ishk = i_upper_shriek(g)
@@ -190,41 +157,37 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> WeightBoundReport:
         if dm.point_part.dim:
             holds = holds and weights_at_least(dm.point_part, n + k + 1)
             detail += "; point part included"
-        claims.append(WeightBoundClaim("i_shriek_lower_bound", holds, detail))
+        rb.check("i_shriek_lower_bound", holds, detail)
     elif k == 0:
         img_var = ishk.h_high_denominator()
         if img_var.is_full():
-            claims.append(WeightBoundClaim("i_shriek_lower_bound", True, "vacuous"))
+            rb.check("i_shriek_lower_bound", True, "vacuous")
         else:
             coker = quotient_weighted_space(ishk.cod, img_var)
-            claims.append(WeightBoundClaim(
-                "i_shriek_lower_bound", weights_at_least(coker, n + k + 1),
-                f"coker(var) weights vs >= {n + k + 1}"))
+            rb.check("i_shriek_lower_bound", weights_at_least(coker, n + k + 1),
+                     f"coker(var) weights vs >= {n + k + 1}")
     else:
-        claims.append(WeightBoundClaim("i_shriek_lower_bound", True, "vacuous"))
+        rb.check("i_shriek_lower_bound", True, "vacuous")
 
     # (4) H^k of the central-fibre restriction surjects onto weights <= n+k
     # of H^k of the open pushforward's restriction
     if k == -1:
-        ker_n = kernel(n_mat)
-        low = intersect(ker_n, psi.filtration.space_at(n + k))
+        low = intersect(kernel(n_mat), psi.filtration.space_at(n + k))
         img = kernel(g.can.matrix)  # image of the comparison map
-        claims.append(WeightBoundClaim(
-            "surjective_on_low_weights", img.contains(low),
-            f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}"))
+        rb.check("surjective_on_low_weights", img.contains(low),
+                 f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}")
     elif k == 0:
         # target: coker N in the twisted coordinates; image: var(phi) mod im N
         twisted = tate_twist(psi, -1)
         im_n = image(n_mat)
         low = twisted.filtration.space_at(n + k) + im_n
         reach = image(g.var.matrix) + im_n
-        claims.append(WeightBoundClaim(
-            "surjective_on_low_weights", reach.contains(low),
-            "low weights of coker N reached from the central fibre"))
+        rb.check("surjective_on_low_weights", reach.contains(low),
+                 "low weights of coker N reached from the central fibre")
     else:
-        claims.append(WeightBoundClaim("surjective_on_low_weights", True, "vacuous"))
+        rb.check("surjective_on_low_weights", True, "vacuous")
 
-    return WeightBoundReport(k, tuple(claims), tuple(notes))
+    return rb.build()
 
 
 def generate_model(seed: int, max_strings: int, max_length: int, n: int,

@@ -13,7 +13,7 @@ the helpers here rather than re-deriving signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .qlinalg import QMatrix, Subspace, apply_to_subspace, image, intersect
 
@@ -296,8 +296,6 @@ def induced_filtration_on_sub(ws: WeightedSpace, s: Subspace) -> WeightFiltratio
     """W_k \\cap s, expressed in the intrinsic coordinates of s's RREF basis."""
     if s.ambient_dim != ws.dim:
         raise NotContained("subspace has wrong ambient dimension")
-    if not Subspace.full(ws.dim).contains(s):
-        raise NotContained("subspace not contained in ambient")
     steps = []
     for w, wk in ws.filtration.steps:
         meet = intersect(wk, s)
@@ -325,11 +323,9 @@ def induced_filtration_on_quotient(ws: WeightedSpace, s: Subspace) -> WeightFilt
     return WeightFiltration.from_spaces(qdim, steps)
 
 
-def sub_weighted_space(ws: WeightedSpace, s: Subspace,
-                       grading: LabeledGrading | None = None) -> WeightedSpace:
-    return WeightedSpace.from_filtration(induced_filtration_on_sub(ws, s), grading)
+def sub_weighted_space(ws: WeightedSpace, s: Subspace) -> WeightedSpace:
+    return WeightedSpace.from_filtration(induced_filtration_on_sub(ws, s))
 
 
-def quotient_weighted_space(ws: WeightedSpace, s: Subspace,
-                            grading: LabeledGrading | None = None) -> WeightedSpace:
-    return WeightedSpace.from_filtration(induced_filtration_on_quotient(ws, s), grading)
+def quotient_weighted_space(ws: WeightedSpace, s: Subspace) -> WeightedSpace:
+    return WeightedSpace.from_filtration(induced_filtration_on_quotient(ws, s))

@@ -215,12 +215,12 @@ def test_criterion_7_local_invariant_cycles():
     for dm in impure:
         if verify_local_invariant_cycles(dm, -1).passed:
             pinpointed = False
-        if verify_weight_mechanics(dm, -1).claim(
-                "surjective_on_low_weights").holds:
+        if verify_weight_mechanics(dm, -1).result(
+                "surjective_on_low_weights").passed:
             pinpointed = False
     for dm in models + impure:
         for k in (-1, 0):
-            if verify_weight_mechanics(dm, k).all_hold and \
+            if verify_weight_mechanics(dm, k).passed and \
                     not verify_local_invariant_cycles(dm, k).passed:
                 implication = False
     record("criterion 7: local invariant cycles, 500 pure + impure family + "

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 from fractions import Fraction
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from monofilt import cli, gluing, monodromy, theorems
 from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
@@ -153,6 +156,22 @@ class TestDocumentBoundary:
         "rational_decimal_in_filtration": _doc(
             "nilpotent", filtration={"-1": [["1", "0.0"]], "1": [["1", "0"], ["0", "1"]]}),
         "rational_exponent_in_gluing_map": _doc("gluing", can=[["0e0"]]),
+        "kind_list": {"kind": []},
+        "length_padded": _doc("pure_strings", strings=[{"label": "L", "length": " 2"}]),
+        "length_underscored": _doc("pure_strings",
+                                   strings=[{"label": "L", "length": "1_0"}]),
+        "filtration_weight_underscored": _doc(
+            "nilpotent", filtration={"-1_0": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]}),
+        "grading_weight_padded": _doc("nilpotent", grading={" -1": [["L", 0, 1]],
+                                                            "1": [["L", -1, 1]]}),
+    }
+
+    VALIDATION_CASES = {
+        "point_mult_negative": _doc("disk", point={"weight": 1, "labels": [["P", -1]]}),
+        "point_mults_sum_to_zero": _doc(
+            "disk", point={"weight": 1, "labels": [["P", 2], ["Q", -2]]}),
+        "point_label_repeated": _doc(
+            "disk", point={"weight": 1, "labels": [["P", 1], ["P", 2]]}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -164,6 +183,14 @@ class TestDocumentBoundary:
         assert rc == EXIT_PARSE
         assert err.startswith("parse error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_validation_error_exit(self, case, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(self.VALIDATION_CASES[case]))
+        rc, _ = run(["check", str(p)])
+        assert rc == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("validation error:")
+
     def test_valid_bases_parse(self):
         for kind in ("nilpotent", "pure_strings", "gluing", "disk"):
             assert parse(json.dumps(_doc(kind))).kind == kind
@@ -171,10 +198,54 @@ class TestDocumentBoundary:
     def test_integer_strings_accepted(self):
         doc = parse(json.dumps(_doc("nilpotent", n="1")))
         assert doc.model.n == 1
+        assert parse(json.dumps(_doc("nilpotent", n="-1"))).model.n == -1
 
     def test_rational_strings_accepted(self):
         doc = parse(json.dumps(_doc("nilpotent", matrix=[["0", "-3/4"], [0, "+0"]])))
         assert doc.model.N.matrix.entries[0][1] == Fraction(-3, 4)
+
+
+# JSON values a mutated field may take: small numbers only, so that no
+# mutation asks for a large space
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(-2, 2)
+    | st.sampled_from(["", "x", "0", "1", "-1", "+2", "1/2", "1/0", "1_0", " 1",
+                       "1.0", "1e3", "nilpotent", "disk", "shriek"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["-1", "0", "1", "dim", "x"]), inner, max_size=3),
+    max_leaves=6)
+
+
+def _field_paths(node, path=()):
+    """The path of every dict value and list item below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+class TestBoundaryFuzz:
+    """One mutated field of a valid document ends in a defined exit code."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_document_exits_cleanly(self, data, tmp_path):
+        doc = copy.deepcopy(_doc(data.draw(st.sampled_from(
+            ["nilpotent", "pure_strings", "gluing", "disk"]))))
+        *parents, last = data.draw(st.sampled_from(list(_field_paths(doc))))
+        node = doc
+        for key in parents:
+            node = node[key]
+        if data.draw(st.booleans()):
+            del node[last]
+        else:
+            node[last] = data.draw(_JSON_VALUES)
+        p = tmp_path / "fuzz.json"
+        p.write_text(json.dumps(doc))
+        rc, _ = run(["check", str(p)])
+        assert rc in (EXIT_OK, EXIT_VERIFICATION, EXIT_PARSE, EXIT_VALIDATION)
 
 
 class TestCommands:

@@ -2,6 +2,7 @@ import pytest
 
 from monofilt.kgroup import kclass_of_space
 from monofilt.monodromy import JordanStringModel, NotPure, graded_kernel
+from monofilt.report import Report
 from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
                                verify_kclass_independence,
                                verify_local_invariant_cycles,
@@ -72,19 +73,28 @@ class TestLocalInvariantCycles:
 class TestWeightMechanics:
     def test_pure_j2(self):
         dm = disk((("L", 2),))
-        assert verify_weight_mechanics(dm, -1).all_hold
-        assert verify_weight_mechanics(dm, 0).all_hold
+        assert verify_weight_mechanics(dm, -1).passed
+        assert verify_weight_mechanics(dm, 0).passed
 
     def test_zero_operator_vacuous_bound(self):
         dm = disk((("L", 1),))
         rep = verify_weight_mechanics(dm, -1)
-        assert rep.all_hold
-        assert rep.claim("i_shriek_lower_bound").detail.startswith("vacuous")
+        assert rep.passed
+        assert rep.result("i_shriek_lower_bound").detail.startswith("vacuous")
+
+    def test_returns_a_report_with_claim_lookup(self):
+        rep = verify_weight_mechanics(disk((("L", 1),)), 0)
+        assert isinstance(rep, Report) and rep.title == "weight mechanics (k=0)"
+        assert [c.name for c in rep.checks] == [
+            "monodromy_centered", "kernel_weight_bound", "i_shriek_lower_bound",
+            "surjective_on_low_weights"]
+        with pytest.raises(KeyError):
+            rep.result("no_such_claim")
 
     def test_impure_shriek_pinpoints_claim_4(self):
         dm = disk((("L", 1),), pure=False, extension="shriek")
         rep = verify_weight_mechanics(dm, -1)
-        assert not rep.claim("surjective_on_low_weights").holds
+        assert not rep.result("surjective_on_low_weights").passed
 
     def test_implication_holds_on_mixed_corpus(self, rng):
         for i in range(80):
@@ -96,7 +106,7 @@ class TestWeightMechanics:
             for k in (-1, 0):
                 wm = verify_weight_mechanics(dm, k)
                 lic = verify_local_invariant_cycles(dm, k)
-                if wm.all_hold:
+                if wm.passed:
                     assert lic.passed
 
     def test_pure_models_never_fail(self, rng):
@@ -104,7 +114,7 @@ class TestWeightMechanics:
             m = generate_model(1000 + i, 3, 4, 1, ["L", "P"])
             dm = DiskModel(m.to_nilpotent(), WeightedSpace.zero())
             for k in (-1, 0):
-                assert verify_weight_mechanics(dm, k).all_hold
+                assert verify_weight_mechanics(dm, k).passed
                 assert verify_local_invariant_cycles(dm, k).passed
 
 
