@@ -5,7 +5,9 @@ strings ("p/q" or "p"), never floats; serialization is canonical (sorted
 keys, fixed field order) so parse . serialize is the identity.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 parse error,
-3 validation error.
+3 validation error.  A document whose model would exceed MAX_DIM (in
+dimension, total string length or weight spread) is a validation error,
+raised before anything of that size is built.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import gluing, kgroup, monodromy, theorems, weights
-from .monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
-                        graded_kernel, monodromy_filtration,
-                        primitive_decomposition, verify_hard_lefschetz)
+from .monodromy import (JordanStringModel, NilpotentModel, graded_kernel,
+                        monodromy_filtration, primitive_decomposition,
+                        verify_hard_lefschetz)
 from .gluing import GluingDatum, psi_u, verify_prop_2_3, verify_sequence_2
 from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
@@ -33,6 +35,11 @@ EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
+# the largest dimension, total string length, point multiplicity or distance
+# of a weight from the center that a document or `gen` may ask for: the
+# checks grow faster than d^3, and some loops run over the whole weight range
+MAX_DIM = 128
+
 
 class ParseError(ValueError):
     """Malformed document text or missing/ill-typed fields."""
@@ -40,6 +47,13 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Well-formed document whose payload violates a model invariant."""
+
+
+def _capped(size: int, what: str) -> int:
+    """size, or a validation error if it exceeds MAX_DIM."""
+    if size > MAX_DIM:
+        raise ValidationError(f"{what} is {size}, above the size cap {MAX_DIM}")
+    return size
 
 
 @dataclass(frozen=True)
@@ -121,10 +135,7 @@ def _filtration_from_json(data, dim: int) -> WeightFiltration:
             steps.append((w, Subspace.from_vectors(dim, vecs)))
         except Exception as e:
             raise ParseError(f"bad filtration step at weight {w}: {e}") from None
-    try:
-        return WeightFiltration.from_spaces(dim, steps)
-    except weights.FiltrationError as e:
-        raise ValidationError(str(e)) from None
+    return WeightFiltration.from_spaces(dim, steps)
 
 
 def _grading_to_json(g: LabeledGrading) -> dict:
@@ -141,15 +152,14 @@ def _grading_from_json(data) -> LabeledGrading:
         if not isinstance(terms, list) or any(
                 not isinstance(t, list) or len(t) != 3 for t in terms):
             raise ParseError("grading entries must be [label, twist, mult]")
-        entry = {}
+        entry = d.setdefault(w, {})  # keys such as "1" and "+1" name one weight
+        count = len(entry) + len(terms)
         for label, twist, mult in terms:
             entry[TwistedLabel(str(label), _parse_int(twist, "twist"))] = \
                 _parse_int(mult, "mult")
-        d[w] = entry
-    try:
-        return LabeledGrading.from_dict(d)
-    except weights.InconsistentGrading as e:
-        raise ValidationError(str(e)) from None
+        if len(entry) != count:
+            raise ValidationError(f"grading terms must be distinct at weight {w}")
+    return LabeledGrading.from_dict(d)
 
 
 def _space_to_json(ws: WeightedSpace) -> dict:
@@ -161,7 +171,7 @@ def _space_to_json(ws: WeightedSpace) -> dict:
 def _space_from_json(data) -> WeightedSpace:
     if not isinstance(data, dict) or "dim" not in data:
         raise ParseError("space payload must be an object with a dim field")
-    dim = _parse_int(data["dim"], "dim")
+    dim = _capped(_parse_int(data["dim"], "dim"), "dim")
     if dim == 0:
         return WeightedSpace.zero()
     if "filtration" not in data:
@@ -169,10 +179,7 @@ def _space_from_json(data) -> WeightedSpace:
     filt = _filtration_from_json(data["filtration"], dim)
     grading = (_grading_from_json(data["grading"]) if "grading" in data
                else weights.default_grading(filt))
-    try:
-        return WeightedSpace(dim, filt, grading)
-    except (weights.InconsistentGrading, weights.FiltrationError) as e:
-        raise ValidationError(str(e)) from None
+    return WeightedSpace(dim, filt, grading)
 
 
 def _nilpotent_to_json(m: NilpotentModel) -> dict:
@@ -189,22 +196,20 @@ def _nilpotent_from_json(data) -> NilpotentModel:
     if mat.rows != mat.cols:
         raise ValidationError("nilpotent matrix must be square")
     n = _parse_int(data["n"], "n")
-    dim = mat.rows
-    try:
-        filt = (_filtration_from_json(data["filtration"], dim)
-                if "filtration" in data else None)
-        grading = (_grading_from_json(data["grading"]) if "grading" in data
-                   else None)
-        if filt is None:
-            return NilpotentModel.on_monodromy_filtration(mat, n, grading)
-        if grading is None:
-            grading = weights.default_grading(filt, center=n - 1)
-        space = (WeightedSpace(dim, filt, grading) if dim else WeightedSpace.zero())
-        return NilpotentModel(space, n, TwistedMap(mat, -1))
-    except (NotNilpotent, weights.InconsistentGrading, ValueError) as e:
-        if isinstance(e, (ParseError, ValidationError)):
-            raise
-        raise ValidationError(str(e)) from None
+    dim = _capped(mat.rows, "matrix dimension")
+    filt = (_filtration_from_json(data["filtration"], dim)
+            if "filtration" in data else None)
+    grading = (_grading_from_json(data["grading"]) if "grading" in data
+               else None)
+    # hard Lefschetz and the default grading loop over every weight from the center
+    for w in (filt.weights if filt else ()) + (grading.weights if grading else ()):
+        _capped(abs(w - (n - 1)), f"the distance of weight {w} from the center {n - 1}")
+    if filt is None:
+        return NilpotentModel.on_monodromy_filtration(mat, n, grading)
+    if grading is None:
+        grading = weights.default_grading(filt, center=n - 1)
+    space = (WeightedSpace(dim, filt, grading) if dim else WeightedSpace.zero())
+    return NilpotentModel(space, n, TwistedMap(mat, -1))
 
 
 def _strings_from_json(data) -> JordanStringModel:
@@ -217,11 +222,9 @@ def _strings_from_json(data) -> JordanStringModel:
         if not isinstance(s, dict) or "label" not in s or "length" not in s:
             raise ParseError("each string needs label and length")
         strings.append((str(s["label"]), _parse_int(s["length"], "length")))
-    n = _parse_int(data["n"], "n")
-    try:
-        return JordanStringModel(tuple(strings), n)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
+    model = JordanStringModel(tuple(strings), _parse_int(data["n"], "n"))
+    _capped(model.dim, "total string length")
+    return model
 
 
 def _strings_to_json(m: JordanStringModel) -> dict:
@@ -237,10 +240,7 @@ def _gluing_from_json(data) -> GluingDatum:
     phi = _space_from_json(data["phi"])
     can = _matrix_from_json(data["can"], cols=psi.dim)
     var = _matrix_from_json(data["var"], cols=phi.dim)
-    try:
-        return GluingDatum(psi, phi, TwistedMap(can, 0), TwistedMap(var, -1))
-    except (NotNilpotent, ValueError) as e:
-        raise ValidationError(str(e)) from None
+    return GluingDatum(psi, phi, TwistedMap(can, 0), TwistedMap(var, -1))
 
 
 def _gluing_to_json(g: GluingDatum) -> dict:
@@ -270,21 +270,16 @@ def _disk_from_json(data) -> DiskModel:
     labels = {TwistedLabel(str(lbl)): _parse_int(m, "mult") for lbl, m in pairs}
     if len(labels) != len(pairs):
         raise ValidationError("point labels must be distinct")
-    try:
-        grading = LabeledGrading.from_dict({pw: labels})
-        point = WeightedSpace.pure(grading.total_at(pw), pw, grading=grading)
-    except weights.InconsistentGrading as e:
-        raise ValidationError(str(e)) from None
+    _capped(sum(labels.values()), "the sum of point multiplicities")
+    grading = LabeledGrading.from_dict({pw: labels})
+    point = WeightedSpace.pure(grading.total_at(pw), pw, grading=grading)
     pure = data.get("pure", True)
     if not isinstance(pure, bool):
         raise ParseError(f"pure must be a boolean, got {pure!r}")
     extension = data.get("extension", "intermediate" if pure else "shriek")
     if not isinstance(extension, str):
         raise ParseError(f"extension must be a string, got {extension!r}")
-    try:
-        return DiskModel(open_model, point, pure, extension)
-    except ValueError as e:
-        raise ValidationError(str(e)) from None
+    return DiskModel(open_model, point, pure, extension)
 
 
 def _disk_to_json(dm: DiskModel) -> dict:
@@ -316,7 +311,13 @@ def parse(text: str) -> ModelDocument:
     kind = data.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ParseError(f"unknown or missing kind {kind!r}")
-    return ModelDocument(kind, _KINDS[kind].from_json(data))
+    try:
+        model = _KINDS[kind].from_json(data)
+    except (ParseError, ValidationError):
+        raise
+    except ValueError as e:  # a model invariant the payload violates
+        raise ValidationError(str(e)) from None
+    return ModelDocument(kind, model)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +449,13 @@ def cmd_kclass(args, out) -> int:
 
 
 def cmd_gen(args, out) -> int:
+    for flag, value in (("--strings", args.strings), ("--maxlen", args.maxlen)):
+        if not 1 <= value <= MAX_DIM:
+            raise ValidationError(f"{flag} must be between 1 and {MAX_DIM}, got {value}")
     labels = args.labels.split(",") if args.labels else ["L"]
     model = theorems.generate_model(args.seed, args.strings, args.maxlen,
                                     args.weight, labels)
+    _capped(model.dim, "the generated model's dimension")
     if args.scramble:
         doc = ModelDocument("nilpotent",
                             theorems.generate_scrambled(model, args.seed + 1))

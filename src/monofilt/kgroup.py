@@ -8,8 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .weights import (InconsistentGrading, LabeledGrading, TwistedLabel,
-                      WeightedSpace)
+from .weights import LabeledGrading, TwistedLabel, WeightedSpace
 
 
 class BadSupport(ValueError):
@@ -57,19 +56,14 @@ def twist_class(c: KClass, d: int) -> KClass:
     return KClass.from_dict({lbl.twisted(d): coeff for lbl, coeff in c.terms})
 
 
-def kclass_of_grading(grading: LabeledGrading) -> KClass:
+def kclass_of_space(ws: WeightedSpace) -> KClass:
+    """The class of the grading, which WeightedSpace keeps consistent with the
+    graded dimensions."""
     acc: dict[TwistedLabel, int] = {}
-    for _, terms in grading.entries:
+    for _, terms in ws.grading.entries:
         for lbl, m in terms:
             acc[lbl] = acc.get(lbl, 0) + m
     return KClass.from_dict(acc)
-
-
-def kclass_of_space(ws: WeightedSpace) -> KClass:
-    for w in set(ws.filtration.weights) | set(ws.grading.weights):
-        if ws.grading.total_at(w) != ws.filtration.graded_dim(w):
-            raise InconsistentGrading(f"grading inconsistent at weight {w}")
-    return kclass_of_grading(ws.grading)
 
 
 def kclass_psi_from_kernel(kernel_grading: LabeledGrading, n: int) -> KClass:

@@ -1,9 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
-Matrices are dense, immutable and row-major.  Subspaces of Q^d are stored
-by their unique reduced-row-echelon basis, so subspace equality is plain
-structural equality.
+Matrices are dense, immutable and row-major.
 
 The arithmetic runs on integers; ``Fraction`` is only the type at the
 interface.  A matrix caches an integer form (integer rows over one common
@@ -11,10 +9,15 @@ denominator), and products and matrix-vector products are integer dot
 products that skip zero entries, with one ``Fraction`` built per output
 entry.  Elimination clears each row's denominators and works fraction-free
 on primitive integer rows (each updated row is divided by the gcd of its
-entries).  Each canonical RREF row is then its primitive integer row
-divided by its pivot, so the ``Fraction`` basis is exactly the one rational
-elimination gives.  An intersection takes one Zassenhaus elimination of the
-stacked bases, which yields its primitive RREF rows directly.
+entries).  An intersection takes one Zassenhaus elimination of the stacked
+rows, which yields its primitive RREF rows directly.
+
+A subspace of Q^d stores only its primitive integer RREF rows: each row of
+the reduced row echelon basis scaled to coprime integers with a positive
+pivot.  These rows are unique, so subspace equality and hashing are plain
+structural equality.  The ``Fraction`` RREF ``basis`` (each integer row
+divided by its pivot, exactly the basis rational elimination gives) is
+built on first read, where a caller needs the rational matrix.
 """
 from __future__ import annotations
 
@@ -209,7 +212,7 @@ def rref(m: QMatrix) -> QMatrix:
 @dataclass(frozen=True)
 class Subspace:
     ambient_dim: int
-    basis: QMatrix  # dim x ambient_dim, RREF with no zero rows
+    _rows: tuple  # primitive integer RREF rows (tuples of int), pivots positive
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -218,42 +221,29 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
             rows.append(_int_row(v)[0])
-        return Subspace._from_echelon(ambient_dim, *_echelon(rows))
-
-    @staticmethod
-    def _from_echelon(ambient_dim: int, rows: list, pivots: list) -> "Subspace":
-        """The subspace spanned by _echelon output, with its integer form cached."""
-        s = Subspace(ambient_dim,
-                     QMatrix(len(rows), ambient_dim, _frac_rows(rows, pivots)))
-        s.__dict__.update(_rows=rows, pivots=tuple(pivots))
-        return s
+        return Subspace(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, QMatrix.from_rows([], cols=ambient_dim))
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, QMatrix.identity(ambient_dim))
+        return Subspace(ambient_dim, tuple(
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self._rows)
 
     @cached_property
     def pivots(self) -> tuple:
-        piv = []
-        for row in self.basis.entries:
-            for j, x in enumerate(row):
-                if x != 0:
-                    piv.append(j)
-                    break
-        return tuple(piv)
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self._rows)
 
     @cached_property
-    def _rows(self) -> list:
-        """The basis rows as primitive integer rows."""
-        return [_int_row(r)[0] for r in self.basis.entries]
+    def basis(self) -> QMatrix:
+        """The RREF basis as a dim x ambient_dim Fraction matrix."""
+        return QMatrix(self.dim, self.ambient_dim, _frac_rows(self._rows, self.pivots))
 
     def _reduce(self, v: list) -> tuple[list, int]:
         """(w, s) with w / s the integer vector v reduced modulo this subspace."""
@@ -281,12 +271,6 @@ class Subspace:
     def contains_vector(self, v: Sequence) -> bool:
         return not any(self._reduce(self._int_vector(v)[0])[0])
 
-    def reduce_vector(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo this subspace (zeros at the pivots)."""
-        vi, dv = self._int_vector(v)
-        w, s = self._reduce(vi)
-        return tuple(_frac(x, dv * s) for x in w)
-
     def coords(self, v: Sequence) -> tuple:
         """Coordinates of v in the RREF basis; raises if v is not in the subspace."""
         v = tuple(_q(x) for x in v)
@@ -303,9 +287,6 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
         return Subspace.from_vectors(self.ambient_dim, self._rows + other._rows)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
 
 
 def kernel(m: QMatrix) -> Subspace:
@@ -350,11 +331,9 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     if b.is_full() or a.is_zero():
         return a
     d = a.ambient_dim
-    zeros = [0] * d
+    zeros = (0,) * d
     rows, pivots = _echelon([r + r for r in a._rows] + [r + zeros for r in b._rows])
-    start = bisect_left(pivots, d)
-    return Subspace._from_echelon(d, [r[d:] for r in rows[start:]],
-                                  [p - d for p in pivots[start:]])
+    return Subspace(d, tuple(tuple(r[d:]) for r in rows[bisect_left(pivots, d):]))
 
 
 def apply_to_subspace(m: QMatrix, s: Subspace) -> Subspace:

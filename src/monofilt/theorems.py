@@ -18,9 +18,6 @@ from .weights import (TwistedMap, WeightedSpace, is_pure,
                       sub_weighted_space, quotient_weighted_space, tate_twist,
                       weights_at_least)
 
-class ImpureInput(ValueError):
-    """A check requiring purity was asked of an impure disk model."""
-
 
 @dataclass(frozen=True)
 class DiskModel:

@@ -296,10 +296,10 @@ def induced_filtration_on_sub(ws: WeightedSpace, s: Subspace) -> WeightFiltratio
     """W_k \\cap s, expressed in the intrinsic coordinates of s's RREF basis."""
     if s.ambient_dim != ws.dim:
         raise NotContained("subspace has wrong ambient dimension")
+    # a vector of s has its RREF coordinates at s's pivots
     steps = []
     for w, wk in ws.filtration.steps:
-        meet = intersect(wk, s)
-        vecs = [s.coords(v) for v in meet.basis.entries]
+        vecs = [[r[p] for p in s.pivots] for r in intersect(wk, s)._rows]
         steps.append((w, Subspace.from_vectors(s.dim, vecs)))
     return WeightFiltration.from_spaces(s.dim, steps)
 
@@ -311,14 +311,10 @@ def induced_filtration_on_quotient(ws: WeightedSpace, s: Subspace) -> WeightFilt
     qdim = ws.dim - s.dim
     piv = set(s.pivots)
     free = [j for j in range(ws.dim) if j not in piv]
-
-    def project(v):
-        r = s.reduce_vector(v)
-        return tuple(r[j] for j in free)
-
+    # only the span matters, so each reduced row keeps its integer scale
     steps = []
     for w, wk in ws.filtration.steps:
-        vecs = [project(v) for v in wk.basis.entries]
+        vecs = [[v[j] for j in free] for v in (s._reduce(r)[0] for r in wk._rows)]
         steps.append((w, Subspace.from_vectors(qdim, vecs)))
     return WeightFiltration.from_spaces(qdim, steps)
 

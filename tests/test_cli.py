@@ -172,6 +172,29 @@ class TestDocumentBoundary:
             "disk", point={"weight": 1, "labels": [["P", 2], ["Q", -2]]}),
         "point_label_repeated": _doc(
             "disk", point={"weight": 1, "labels": [["P", 1], ["P", 2]]}),
+        # read last-wins, the -1 would hide behind the later term
+        "grading_term_repeated": _doc(
+            "nilpotent", grading={"-1": [["L", 0, -1], ["L", 0, 1]], "1": [["L", -1, 1]]}),
+        "grading_term_repeated_across_keys": _doc(
+            "nilpotent", grading={"-1": [["L", 0, 1]], "1": [["L", -1, 1]],
+                                  "+1": [["L", -1, 1]]}),
+    }
+
+    # one past the size cap (128); parse refuses each before building its model
+    SIZE_CASES = {
+        "string_length": _doc("pure_strings", strings=[{"label": "L", "length": 129}]),
+        "total_string_length": _doc("pure_strings", strings=[
+            {"label": "L", "length": 100}, {"label": "P", "length": 29}]),
+        "disk_open_strings": _doc("disk", pure=False, extension="shriek", open={
+            "n": 1, "strings": [{"label": "L", "length": 65}, {"label": "P", "length": 64}]}),
+        "space_dim": _doc("gluing", psi={**PT_SPACE, "dim": 129}),
+        "matrix_dimension": {"kind": "nilpotent", "n": 1, "matrix": [[0] * 129] * 129},
+        "point_multiplicity": _doc("disk", point={"weight": 1, "labels": [["P", 129]]}),
+        "point_multiplicity_sum": _doc(
+            "disk", point={"weight": 1, "labels": [["P", 100], ["Q", 29]]}),
+        "filtration_weight": {"kind": "nilpotent", "n": 1, "matrix": [[0, 0], [0, 0]],
+                              "filtration": {"-129": [[1, 0]], "1": [[1, 0], [0, 1]]}},
+        "center": _doc("nilpotent", n=130),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -191,6 +214,19 @@ class TestDocumentBoundary:
         assert rc == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("validation error:")
 
+    @pytest.mark.parametrize("case", sorted(SIZE_CASES))
+    def test_size_cap(self, case):
+        with pytest.raises(ValidationError, match="above the size cap 128"):
+            parse(json.dumps(self.SIZE_CASES[case]))
+
+    @pytest.mark.parametrize("flags", [
+        ["--strings", "0"], ["--maxlen", "0"], ["--strings", "129"], ["--maxlen", "129"],
+        ["--strings", "128", "--maxlen", "128"]])  # a model of dim 2613
+    def test_gen_size_cap(self, flags, capsys):
+        rc, out = run(["gen", "--seed", "1", *flags])
+        assert rc == EXIT_VALIDATION and out == ""
+        assert capsys.readouterr().err.startswith("validation error:")
+
     def test_valid_bases_parse(self):
         for kind in ("nilpotent", "pure_strings", "gluing", "disk"):
             assert parse(json.dumps(_doc(kind))).kind == kind
@@ -205,10 +241,10 @@ class TestDocumentBoundary:
         assert doc.model.N.matrix.entries[0][1] == Fraction(-3, 4)
 
 
-# JSON values a mutated field may take: small numbers only, so that no
-# mutation asks for a large space
+# JSON values a mutated field may take; the large integers meet the size cap
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 4) | st.floats(-2, 2)
+    st.none() | st.booleans() | st.integers(-3, 4) | st.integers(-10**9, 10**9)
+    | st.floats(-2, 2)
     | st.sampled_from(["", "x", "0", "1", "-1", "+2", "1/2", "1/0", "1_0", " 1",
                        "1.0", "1e3", "nilpotent", "disk", "shriek"]),
     lambda inner: st.lists(inner, max_size=3)
@@ -226,9 +262,13 @@ def _field_paths(node, path=()):
 
 
 class TestBoundaryFuzz:
-    """One mutated field of a valid document ends in a defined exit code."""
+    """One mutated field of a valid document ends in a defined exit code under
+    every command that reads a document."""
 
-    @settings(max_examples=300, derandomize=True, deadline=None,
+    COMMANDS = [["check"], ["lic"], ["lic", "--k", "0"], ["kclass"], ["monodromy"],
+                ["monodromy", "--center", "2"]]
+
+    @settings(max_examples=1000, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_document_exits_cleanly(self, data, tmp_path):
@@ -244,7 +284,8 @@ class TestBoundaryFuzz:
             node[last] = data.draw(_JSON_VALUES)
         p = tmp_path / "fuzz.json"
         p.write_text(json.dumps(doc))
-        rc, _ = run(["check", str(p)])
+        command, *flags = data.draw(st.sampled_from(self.COMMANDS))
+        rc, _ = run([command, str(p), *flags])
         assert rc in (EXIT_OK, EXIT_VERIFICATION, EXIT_PARSE, EXIT_VALIDATION)
 
 

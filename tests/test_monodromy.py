@@ -1,15 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from monofilt import monodromy
+from monofilt import monodromy, qlinalg
 from monofilt.monodromy import (GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
                                 check_monodromy_axioms, graded_kernel,
                                 monodromy_filtration, nilpotency_index,
                                 primitive_decomposition, verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, apply_to_subspace, inverse
-from monofilt.theorems import random_nilpotent, random_unimodular
+from monofilt.theorems import generate_model, random_nilpotent, random_unimodular
 from monofilt.weights import (TwistedLabel, TwistedMap, WeightFiltration,
                               WeightedSpace)
 
@@ -309,3 +310,24 @@ class TestOperatorContext:
             with pytest.raises(GradedKernelMismatch):
                 graded_kernel(model)
         assert not verify_hard_lefschetz(model).passed
+
+
+def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):
+    """Subspaces are read through their integer rows: only a caller that asks
+    for the Fraction basis (JSON, printing, annihilator) builds one."""
+    calls = []
+    frac_rows = qlinalg._frac_rows
+    monkeypatch.setattr(qlinalg, "_frac_rows",
+                        lambda rows, pivots: calls.append(1) or frac_rows(rows, pivots))
+    rng = random.Random(11)
+    for _ in range(30):
+        mat = random_nilpotent(rng, max_dim=7)
+        center = rng.randint(-3, 3)
+        assert check_monodromy_axioms(monodromy_filtration(mat, center), mat, center).passed
+    for seed in range(10):
+        model = generate_model(seed, 3, 4, seed % 3 - 1, ["L", "P"]).to_nilpotent()
+        assert verify_hard_lefschetz(model).passed
+        assert primitive_decomposition(model).passed
+        graded_kernel(model)
+    assert calls == []
+    assert Subspace.full(2).basis == QMatrix.identity(2) and calls == [1]

@@ -128,6 +128,24 @@ def test_intersect_caches_and_dimension_formula(args):
     assert a.contains(meet) and b.contains(meet)
 
 
+@EXAMPLES
+@given(st.integers(0, 5).flatmap(
+    lambda d: st.tuples(matrices(cols=d, max_dim=5), matrices(cols=d, max_dim=5),
+                        st.booleans(), st.just(d))))
+def test_equality_and_hash_agree_with_the_basis(args):
+    (u, _, _), (w, _, _), respan, d = args
+    respan = respan and bool(u)
+    if respan:  # the span of u, from other spanning vectors
+        w = [[Fraction(-3, 2) * x + y for x, y in zip(r, u[0])] for r in u[::-1]] + [u[0]]
+    a, b = Subspace.from_vectors(d, u), Subspace.from_vectors(d, w)
+    same = a.basis == b.basis
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+    if respan:
+        assert same
+
+
 @pytest.mark.parametrize("d", [0, 1, 4])
 def test_intersect_shortcuts(d):
     zero, full = Subspace.zero(d), Subspace.full(d)
