@@ -88,6 +88,8 @@ def _parse_rat(s) -> Fraction:
         return Fraction(int(num), int(den or 1))
     except ZeroDivisionError as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
+    except ValueError as e:  # more digits than int() converts
+        raise ParseError(f"bad rational: {e}") from None
 
 
 def _parse_int(x, what: str) -> int:
@@ -96,7 +98,10 @@ def _parse_int(x, what: str) -> int:
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str) and _INTEGER.fullmatch(x):
-        return int(x)
+        try:
+            return int(x)
+        except ValueError as e:  # more digits than int() converts
+            raise ParseError(f"{what}: {e}") from None
     raise ParseError(f"{what} must be an integer, got {x!r}")
 
 
@@ -306,6 +311,8 @@ def parse(text: str) -> ModelDocument:
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") \
             from None
+    except ValueError as e:  # an integer literal with more digits than int() converts
+        raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
     kind = data.get("kind")

@@ -11,6 +11,7 @@ degrees (-1, 0) and i^! in degrees (0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import qlinalg
 from .monodromy import NilpotentModel, nilpotency_index
@@ -70,10 +71,9 @@ def _intermediate(model: NilpotentModel) -> GluingDatum:
     V, n_mat = model.space, model.N.matrix
     img = image(n_mat)
     phi = sub_weighted_space(tate_twist(V, -1), img)
-    can_cols = [img.coords(n_mat.col(j)) for j in range(V.dim)]
-    can = QMatrix.from_rows(
-        [[can_cols[j][i] for j in range(V.dim)] for i in range(img.dim)],
-        cols=V.dim)
+    # N v in the RREF basis of im N has its entries at the pivots as coordinates
+    rows, den = n_mat._ints
+    can = QMatrix._make([rows[p] for p in img.pivots], den, V.dim)
     var = QMatrix.from_rows(
         [[row[i] for row in img.basis.entries] for i in range(V.dim)],
         cols=img.dim)
@@ -123,22 +123,24 @@ class TwoTermComplex:
     cod: WeightedSpace
     d: TwistedMap
 
+    @cached_property
     def h_low_space(self) -> Subspace:
         return kernel(self.d.matrix)
 
     def h_low(self) -> WeightedSpace:
         """ker(d) with the induced filtration, in its intrinsic coordinates."""
-        ker = self.h_low_space()
+        ker = self.h_low_space
         if ker.is_zero():
             return WeightedSpace.zero()
         return sub_weighted_space(self.dom, ker)
 
+    @cached_property
     def h_high_denominator(self) -> Subspace:
         return image(self.d.matrix)
 
     def h_high(self) -> WeightedSpace:
         """coker(d) with the quotient filtration, in complement coordinates."""
-        img = self.h_high_denominator()
+        img = self.h_high_denominator
         if img.is_full():
             return WeightedSpace.zero()
         return quotient_weighted_space(self.cod, img)
@@ -167,8 +169,8 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
     cx = i_upper_star(g)  # [V --N--> V(-1)]
     rb = ReportBuilder("exact sequence around N")
     d = V.dim
-    ker = cx.h_low_space()
-    img = cx.h_high_denominator()
+    ker = cx.h_low_space
+    img = cx.h_high_denominator
     incl = QMatrix.from_rows(
         [[row[i] for row in ker.basis.entries] for i in range(d)],
         cols=ker.dim)
@@ -214,21 +216,21 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
     im_n = image(N.matrix)
 
     rb.check("(i) H^{-1}(i^* j_!*) = ker N as subspaces of V",
-             istar.h_low_space() == ker_n)
+             istar.h_low_space == ker_n)
     rb.check("(i) complementary vanishing: H^0(i^* j_!*) = 0",
-             istar.h_high_denominator().is_full())
+             istar.h_high_denominator.is_full())
     if not ker_n.is_zero():
-        lhs = induced_filtration_on_sub(istar.dom, istar.h_low_space())
+        lhs = induced_filtration_on_sub(istar.dom, istar.h_low_space)
         rhs = induced_filtration_on_sub(V, ker_n)
         rb.check("(i) induced filtrations agree", lhs == rhs)
 
     rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0",
-             ishk.h_low_space().is_zero())
+             ishk.h_low_space.is_zero())
     rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)",
-             ishk.h_high_denominator() == im_n)
+             ishk.h_high_denominator == im_n)
     if not im_n.is_full():
         twisted = tate_twist(V, -1)
-        lhs = induced_filtration_on_quotient(ishk.cod, ishk.h_high_denominator())
+        lhs = induced_filtration_on_quotient(ishk.cod, ishk.h_high_denominator)
         rhs = induced_filtration_on_quotient(twisted, im_n)
         rb.check("(ii) quotient filtrations agree (with the twist)", lhs == rhs)
     return rb.build()

@@ -4,20 +4,20 @@ Scalars are ``fractions.Fraction`` (always reduced, positive denominator).
 Matrices are dense, immutable and row-major.
 
 The arithmetic runs on integers; ``Fraction`` is only the type at the
-interface.  A matrix caches an integer form (integer rows over one common
-denominator), and products and matrix-vector products are integer dot
-products that skip zero entries, with one ``Fraction`` built per output
-entry.  Elimination clears each row's denominators and works fraction-free
-on primitive integer rows (each updated row is divided by the gcd of its
-entries).  An intersection takes one Zassenhaus elimination of the stacked
-rows, which yields its primitive RREF rows directly.
+interface.  A matrix stores its integer rows over one positive denominator
+in lowest terms; that form is unique, so matrix equality and hashing are
+plain structural equality, and the ``Fraction`` ``entries`` are built on
+first read.  Products and matrix-vector products are integer dot products
+that skip zero entries.  Elimination works fraction-free on primitive
+integer rows (each updated row is divided by the gcd of its entries).  An
+intersection takes one Zassenhaus elimination of the stacked rows, which
+yields its primitive RREF rows directly.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
-pivot.  These rows are unique, so subspace equality and hashing are plain
-structural equality.  The ``Fraction`` RREF ``basis`` (each integer row
-divided by its pivot, exactly the basis rational elimination gives) is
-built on first read, where a caller needs the rational matrix.
+pivot.  These rows are unique in the same way.  The RREF ``basis`` (each
+integer row divided by its pivot, exactly the basis rational elimination
+gives) is a matrix built on first read.
 """
 from __future__ import annotations
 
@@ -46,10 +46,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def _frac(n: int, d: int) -> Fraction:
     """n / d as a reduced Fraction, for d != 0; zero and one are shared."""
     if not n:
@@ -64,7 +60,7 @@ def _int_row(v: Sequence) -> tuple[list, int]:
     try:
         den = lcm(*[x.denominator for x in v])
     except AttributeError:  # entries that Fraction() still accepts, e.g. "1/2"
-        v = [_q(x) for x in v]
+        v = [Fraction(x) for x in v]
         den = lcm(*[x.denominator for x in v])
     if den == 1:
         return [x.numerator for x in v], 1
@@ -79,18 +75,36 @@ def _dots(rows: Iterable[Sequence], v: Sequence) -> list:
     return [sum([x * r[k] for k, x in nz]) for r in rows]
 
 
+def _over(vecs: list, scales: list) -> tuple[list, int]:
+    """(integer rows, den) with rows[i] / den == vecs[i] / scales[i]; the
+    scales are positive and den is their lcm."""
+    den = lcm(*scales)
+    return [v if s == den else [x * (den // s) for x in v]
+            for v, s in zip(vecs, scales)], den
+
+
 @dataclass(frozen=True)
 class QMatrix:
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples of Fraction
+    _ints: tuple  # (integer row tuples, den): den > 0, gcd(den, *entries) == 1
+
+    @staticmethod
+    def _make(rows: list, den: int, cols: int) -> "QMatrix":
+        """The matrix rows / den (den > 0), brought to lowest terms."""
+        if den != 1:
+            g = gcd(den, *[x for r in rows for x in r])
+            if g != 1:
+                rows = [[x // g for x in r] for r in rows]
+                den //= g
+        return QMatrix(len(rows), cols, (tuple(map(tuple, rows)), den))
 
     @staticmethod
     def from_rows(rows_data: Iterable[Sequence], cols: int | None = None) -> "QMatrix":
-        rows = tuple(tuple(_q(x) for x in row) for row in rows_data)
+        rows = [_int_row(tuple(row)) for row in rows_data]
         if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
+            ncols = len(rows[0][0])
+            if any(len(r) != ncols for r, _ in rows):
                 raise ValueError("ragged rows")
             if cols is not None and cols != ncols:
                 raise ValueError("cols does not match row length")
@@ -98,35 +112,22 @@ class QMatrix:
             if cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
             ncols = cols
-        return QMatrix(len(rows), ncols, rows)
-
-    @staticmethod
-    def _from_ints(rows: list, den: int, cols: int) -> "QMatrix":
-        """The matrix rows / den, with that integer form already cached."""
-        m = QMatrix(len(rows), cols, tuple(tuple(_frac(x, den) for x in r) for r in rows))
-        m.__dict__["_ints"] = (rows, den)
-        return m
+        return QMatrix._make(*_over([r for r, _ in rows], [d for _, d in rows]), ncols)
 
     @cached_property
-    def _ints(self) -> tuple:
-        """(integer rows, common denominator) with entries equal to rows / den."""
-        den = lcm(*[x.denominator for r in self.entries for x in r])
-        if den == 1:
-            return [[x.numerator for x in r] for r in self.entries], 1
-        return [[x.numerator * (den // x.denominator) for x in r]
-                for r in self.entries], den
+    def entries(self) -> tuple:
+        """The entries as a tuple of row tuples of Fraction."""
+        rows, den = self._ints
+        return tuple(tuple(_frac(x, den) for x in r) for r in rows)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, tuple(tuple(_ZERO for _ in range(cols)) for _ in range(rows)))
+        return QMatrix(rows, cols, (((0,) * cols,) * rows, 1))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
+        return QMatrix(n, n, (tuple(
+            tuple(int(i == j) for j in range(n)) for i in range(n)), 1))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -142,17 +143,17 @@ class QMatrix:
         a, da = self._ints
         b, db = other._ints
         bt = list(zip(*b)) if b else [()] * other.cols
-        out = [_dots(bt, r) for r in a]
-        den = da * db
-        if den != 1:
-            g = gcd(den, *[x for r in out for x in r])
-            if g != 1:
-                out = [[x // g for x in r] for r in out]
-                den //= g
-        return QMatrix._from_ints(out, den, other.cols)
+        return QMatrix._make([_dots(bt, r) for r in a], da * db, other.cols)
 
     def is_zero(self) -> bool:
         return not any(map(any, self._ints[0]))
+
+
+def _from_columns(cols: list, nrows: int) -> QMatrix:
+    """The nrows-row matrix whose j-th column is v / s for cols[j] = (v, s),
+    v an integer vector and s > 0."""
+    vecs, den = _over([v for v, _ in cols], [s for _, s in cols])
+    return QMatrix._make([[v[i] for v in vecs] for i in range(nrows)], den, len(cols))
 
 
 def _echelon(rows: list) -> tuple[list, list]:
@@ -197,16 +198,16 @@ def _echelon(rows: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def _frac_rows(rows: list, pivots: list) -> tuple:
-    """The RREF rows as Fractions: each integer row divided by its pivot."""
-    return tuple(tuple(_frac(x, row[p]) for x in row) for row, p in zip(rows, pivots))
+def _rref_ints(rows: list, pivots: list) -> tuple[list, int]:
+    """The RREF rows as (integer rows, den): each primitive row divided by its
+    pivot, over the lcm of the pivots."""
+    return _over(rows, [row[p] for row, p in zip(rows, pivots)])
 
 
 def rref(m: QMatrix) -> QMatrix:
     """Reduced row echelon form, same shape (zero rows at the bottom)."""
-    rows, pivots = _echelon(list(m._ints[0]))
-    pad = tuple(tuple(_ZERO for _ in range(m.cols)) for _ in range(m.rows - len(rows)))
-    return QMatrix(m.rows, m.cols, _frac_rows(rows, pivots) + pad)
+    rows, den = _rref_ints(*_echelon(list(m._ints[0])))
+    return QMatrix._make(rows + [(0,) * m.cols] * (m.rows - len(rows)), den, m.cols)
 
 
 @dataclass(frozen=True)
@@ -242,8 +243,8 @@ class Subspace:
 
     @cached_property
     def basis(self) -> QMatrix:
-        """The RREF basis as a dim x ambient_dim Fraction matrix."""
-        return QMatrix(self.dim, self.ambient_dim, _frac_rows(self._rows, self.pivots))
+        """The RREF basis as a dim x ambient_dim matrix."""
+        return QMatrix._make(*_rref_ints(self._rows, self.pivots), self.ambient_dim)
 
     def _reduce(self, v: list) -> tuple[list, int]:
         """(w, s) with w / s the integer vector v reduced modulo this subspace."""
@@ -257,11 +258,6 @@ class Subspace:
                 s *= a
         return v, s
 
-    def _int_vector(self, v: Sequence) -> tuple[list, int]:
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
-        return _int_row(v)
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -269,14 +265,9 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not any(self._reduce(self._int_vector(v)[0])[0])
-
-    def coords(self, v: Sequence) -> tuple:
-        """Coordinates of v in the RREF basis; raises if v is not in the subspace."""
-        v = tuple(_q(x) for x in v)
-        if not self.contains_vector(v):
-            raise NotCompatible("vector not contained in subspace")
-        return tuple(v[p] for p in self.pivots)
+        if len(v) != self.ambient_dim:
+            raise AmbientMismatch("vector length does not match ambient dimension")
+        return not any(self._reduce(_int_row(v)[0])[0])
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -354,23 +345,19 @@ def preimage(m: QMatrix, s: Subspace) -> Subspace:
     return kernel(ann.basis @ m)
 
 
-def _quotient_coords(quot: Subspace, sub: Subspace, v: list, den: int) -> tuple:
-    """quotient_coords of the vector v / den, given as integers."""
-    if any(quot._reduce(v)[0]):
-        raise NotCompatible("vector not contained in the larger subspace")
-    w, s = sub._reduce(v)
-    sub_piv = set(sub.pivots)
-    return tuple(_frac(w[p], den * s) for p in quot.pivots if p not in sub_piv)
-
-
-def quotient_coords(quot: Subspace, sub: Subspace, v: Sequence) -> tuple:
-    """Coordinates of the class of v in the canonical basis of quot/sub.
+def _quotient_coords(quot: Subspace, sub: Subspace, v: list, den: int) -> tuple[list, int]:
+    """(integer coords, scale) of the class of the vector v / den, v an integer
+    vector, in the canonical basis of quot/sub: the coordinates are coords / scale.
 
     The basis consists of the classes of the RREF rows of quot whose pivot
     is not a pivot of sub; coordinates are read off the canonical (sub-reduced)
     representative at those pivot positions.
     """
-    return _quotient_coords(quot, sub, *quot._int_vector(v))
+    if any(quot._reduce(v)[0]):
+        raise NotCompatible("vector not contained in the larger subspace")
+    w, s = sub._reduce(v)
+    sub_piv = set(sub.pivots)
+    return [w[p] for p in quot.pivots if p not in sub_piv], den * s
 
 
 def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
@@ -391,9 +378,7 @@ def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
     # basis row b is the primitive row divided by its pivot, so m b = (a row) / (da pivot)
     cols = [_quotient_coords(quot_cod, sub_cod, _dots(a, row), da * row[p])
             for row, p in zip(quot_dom._rows, quot_dom.pivots) if p not in sub_piv]
-    out_rows = quot_cod.dim - sub_cod.dim
-    return QMatrix(out_rows, len(cols), tuple(
-        tuple(c[i] for c in cols) for i in range(out_rows)))
+    return _from_columns(cols, quot_cod.dim - sub_cod.dim)
 
 
 def quotient_projection(s: Subspace) -> QMatrix:
@@ -408,9 +393,8 @@ def quotient_projection(s: Subspace) -> QMatrix:
     cols = []
     for j in range(d):
         w, t = s._reduce([1 if i == j else 0 for i in range(d)])
-        cols.append([_frac(w[f], t) for f in free])
-    return QMatrix(len(free), d, tuple(
-        tuple(cols[j][i] for j in range(d)) for i in range(len(free))))
+        cols.append(([w[f] for f in free], t))
+    return _from_columns(cols, len(free))
 
 
 def inverse(m: QMatrix) -> QMatrix:
@@ -423,8 +407,8 @@ def inverse(m: QMatrix) -> QMatrix:
                              for i in range(n)])
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return QMatrix(n, n, tuple(tuple(_frac(x, row[i]) for x in row[n:])
-                               for i, row in enumerate(rows)))
+    return QMatrix._make(*_over([row[n:] for row in rows],
+                                [row[i] for i, row in enumerate(rows)]), n)
 
 
 def rank(m: QMatrix) -> int:

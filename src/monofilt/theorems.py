@@ -119,6 +119,7 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     n = dm.n
     n_mat = g.monodromy_matrix()
     psi = g.psi
+    ker_n = kernel(n_mat) if k == -1 else None  # read by claims (2) and (4)
     rb = ReportBuilder(f"weight mechanics (k={k})")
     if not dm.pure:
         rb.note("impure input: claims evaluated but not guaranteed")
@@ -136,7 +137,7 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     # (2) ker(N) has weights <= n+k
     if k == -1 and psi.dim:
         rb.check("kernel_weight_bound",
-                 psi.filtration.space_at(n + k).contains(kernel(n_mat)),
+                 psi.filtration.space_at(n + k).contains(ker_n),
                  f"ker N within W_{n + k}")
     else:
         rb.check("kernel_weight_bound", True, "vacuous")
@@ -146,7 +147,7 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     if k == -1:
         holds = True
         detail = "vacuous"
-        ker_var = ishk.h_low_space()
+        ker_var = ishk.h_low_space
         if not ker_var.is_zero():
             ws = sub_weighted_space(ishk.dom, ker_var)
             holds = weights_at_least(ws, n + k + 1)
@@ -156,7 +157,7 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
             detail += "; point part included"
         rb.check("i_shriek_lower_bound", holds, detail)
     elif k == 0:
-        img_var = ishk.h_high_denominator()
+        img_var = ishk.h_high_denominator
         if img_var.is_full():
             rb.check("i_shriek_lower_bound", True, "vacuous")
         else:
@@ -169,7 +170,7 @@ def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     # (4) H^k of the central-fibre restriction surjects onto weights <= n+k
     # of H^k of the open pushforward's restriction
     if k == -1:
-        low = intersect(kernel(n_mat), psi.filtration.space_at(n + k))
+        low = intersect(ker_n, psi.filtration.space_at(n + k))
         img = kernel(g.can.matrix)  # image of the comparison map
         rb.check("surjective_on_low_weights", img.contains(low),
                  f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}")

@@ -111,6 +111,16 @@ J2_DOC = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]],
 PT_SPACE = {"dim": 1, "filtration": {"1": [["1"]]}, "grading": {"1": [["pt", 0, 1]]}}
 
 
+# a JSON integer literal of 5000 digits, past the interpreter's int() digit
+# limit; json.dumps cannot write one, so _dumps puts it in place of this token
+BIG_INT = "<5000-digit integer>"
+BIG_DIGITS = "1" * 5000
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(BIG_INT), BIG_DIGITS)
+
+
 def _doc(kind, **fields):
     base = {"nilpotent": J2_DOC,
             "pure_strings": {"kind": "pure_strings", "n": 1,
@@ -164,6 +174,14 @@ class TestDocumentBoundary:
             "nilpotent", filtration={"-1_0": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]}),
         "grading_weight_padded": _doc("nilpotent", grading={" -1": [["L", 0, 1]],
                                                             "1": [["L", -1, 1]]}),
+        "n_digits_json": _doc("nilpotent", n=BIG_INT),
+        "entry_digits_json": _doc("nilpotent", matrix=[[0, BIG_INT], [0, 0]]),
+        "n_digits_string": _doc("nilpotent", n=BIG_DIGITS),
+        "length_digits_string": _doc("pure_strings",
+                                     strings=[{"label": "L", "length": BIG_DIGITS}]),
+        "entry_digits_string": _doc("nilpotent", matrix=[["0", BIG_DIGITS], ["0", "0"]]),
+        "denominator_digits_string": _doc("nilpotent",
+                                          matrix=[["0", "1/" + BIG_DIGITS], ["0", "0"]]),
     }
 
     VALIDATION_CASES = {
@@ -200,7 +218,7 @@ class TestDocumentBoundary:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_parse_error_exit(self, case, tmp_path, capsys):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(self.CASES[case]))
+        p.write_text(_dumps(self.CASES[case]))
         rc, _ = run(["check", str(p)])
         err = capsys.readouterr().err
         assert rc == EXIT_PARSE
@@ -242,11 +260,12 @@ class TestDocumentBoundary:
 
 
 # JSON values a mutated field may take; the large integers meet the size cap
+# and the 5000-digit ones the int() digit limit
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 4) | st.integers(-10**9, 10**9)
     | st.floats(-2, 2)
     | st.sampled_from(["", "x", "0", "1", "-1", "+2", "1/2", "1/0", "1_0", " 1",
-                       "1.0", "1e3", "nilpotent", "disk", "shriek"]),
+                       "1.0", "1e3", "nilpotent", "disk", "shriek", BIG_INT, BIG_DIGITS]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["-1", "0", "1", "dim", "x"]), inner, max_size=3),
     max_leaves=6)
@@ -283,7 +302,7 @@ class TestBoundaryFuzz:
         else:
             node[last] = data.draw(_JSON_VALUES)
         p = tmp_path / "fuzz.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(_dumps(doc))
         command, *flags = data.draw(st.sampled_from(self.COMMANDS))
         rc, _ = run([command, str(p), *flags])
         assert rc in (EXIT_OK, EXIT_VERIFICATION, EXIT_PARSE, EXIT_VALIDATION)

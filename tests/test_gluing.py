@@ -119,20 +119,20 @@ class TestRestrictionFunctors:
         V, N = string_vn((("L", 2),))
         cx = i_upper_star(j_lower_star(V, N))
         assert cx.deg_low == -1
-        assert cx.h_low_space() == kernel(N.matrix)
+        assert cx.h_low_space == kernel(N.matrix)
         assert cx.h_high().dim == 1  # coker N, twisted
 
     def test_i_star_of_intermediate(self):
         V, N = string_vn((("L", 2),))
         cx = i_upper_star(j_intermediate(V, N))
-        assert cx.h_low_space() == kernel(N.matrix)
+        assert cx.h_low_space == kernel(N.matrix)
         assert cx.h_high().dim == 0
 
     def test_i_shriek_of_intermediate(self):
         V, N = string_vn((("L", 2),))
         cx = i_upper_shriek(j_intermediate(V, N))
         assert cx.deg_low == 0
-        assert cx.h_low_space().is_zero()
+        assert cx.h_low_space.is_zero()
         assert cx.h_high().dim == 1  # coker N
 
 
@@ -164,7 +164,7 @@ class TestProp23:
     def test_j3_plus_j1_dims(self):
         V, N = string_vn((("L", 3), ("P", 1)))
         g = j_intermediate(V, N)
-        assert i_upper_star(g).h_low_space().dim == 2
+        assert i_upper_star(g).h_low_space.dim == 2
         assert i_upper_shriek(g).h_high().dim == 2
         assert verify_prop_2_3(string_model((("L", 3), ("P", 1)))).passed
 

@@ -313,12 +313,11 @@ class TestOperatorContext:
 
 
 def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):
-    """Subspaces are read through their integer rows: only a caller that asks
-    for the Fraction basis (JSON, printing, annihilator) builds one."""
+    """Subspaces and matrices are read through their integer forms: only a
+    caller that reads the Fraction entries (JSON, printing) builds them."""
     calls = []
-    frac_rows = qlinalg._frac_rows
-    monkeypatch.setattr(qlinalg, "_frac_rows",
-                        lambda rows, pivots: calls.append(1) or frac_rows(rows, pivots))
+    frac = qlinalg._frac
+    monkeypatch.setattr(qlinalg, "_frac", lambda n, d: calls.append(1) or frac(n, d))
     rng = random.Random(11)
     for _ in range(30):
         mat = random_nilpotent(rng, max_dim=7)
@@ -330,4 +329,6 @@ def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):
         assert primitive_decomposition(model).passed
         graded_kernel(model)
     assert calls == []
-    assert Subspace.full(2).basis == QMatrix.identity(2) and calls == [1]
+    basis = Subspace.full(2).basis
+    assert basis == QMatrix.identity(2) and calls == []
+    assert basis.entries == ((1, 0), (0, 1)) and calls

@@ -7,6 +7,7 @@ spanning sets, a different method from the library's.  sympy's
 Matrix.rref, when sympy is installed, is a second oracle.
 """
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +69,11 @@ def qmatrix(data, c):
 
 
 def is_canonical(m: QMatrix) -> bool:
-    return all(type(x) is Fraction for r in m.entries for x in r)
+    """The stored integer rows are over one positive denominator in lowest
+    terms, and the entries read back as Fractions."""
+    rows, den = m._ints
+    return (den > 0 and gcd(den, *[x for r in rows for x in r]) == 1
+            and all(type(x) is Fraction for r in m.entries for x in r))
 
 
 EXAMPLES = settings(max_examples=150, deadline=None)
@@ -144,6 +149,36 @@ def test_equality_and_hash_agree_with_the_basis(args):
         assert hash(a) == hash(b)
     if respan:
         assert same
+
+
+@EXAMPLES
+@given(matrices(), matrices(), st.sampled_from([-3, -2, 2, 3, 5, 6]))
+def test_matrix_equality_and_hash_agree_with_the_entries(x, y, k):
+    """One stored form per matrix: however a matrix is reached, two compare
+    equal, and hash alike, exactly when their shapes and entries agree."""
+    (u, r, c), (w, _, c2) = x, y
+    a = qmatrix(u, c)
+    over_k = QMatrix.from_rows(
+        [[Fraction(int(i == j), k) for j in range(c)] for i in range(c)], cols=c)
+    ku = [[k * e for e in row] for row in u]
+    same_as_a = [
+        qmatrix(ku, c) @ over_k,  # k a over a denominator k, brought to lowest terms
+        QMatrix.from_rows([[str(e) if e.denominator > 1 else e.numerator for e in row]
+                           for row in u], cols=c),
+        a @ QMatrix.identity(c),
+        QMatrix.identity(r) @ a,
+    ]
+    # the RREF depends only on the row space and the row count
+    rrefs = [qlinalg.rref(a), qlinalg.rref(qmatrix(ku[::-1], c)), qlinalg.rref(qlinalg.rref(a))]
+    forms = [a, *same_as_a, *rrefs, qmatrix(w, c2), qlinalg.rref(qmatrix(w, c2))]
+    assert all(m == a for m in same_as_a) and all(m == rrefs[0] for m in rrefs)
+    for m in forms:
+        assert is_canonical(m)
+        for n in forms:
+            same = (m.rows, m.cols, m.entries) == (n.rows, n.cols, n.entries)
+            assert (m == n) == same
+            if same:
+                assert hash(m) == hash(n)
 
 
 @pytest.mark.parametrize("d", [0, 1, 4])
