@@ -65,10 +65,6 @@ class ModelDocument:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
@@ -106,24 +102,21 @@ def _parse_int(x, what: str) -> int:
 
 
 def _matrix_to_json(m: QMatrix) -> list:
-    return [[_rat_str(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.entries]
 
 
-def _matrix_from_json(data, rows=None, cols=None) -> QMatrix:
+def _matrix_from_json(data, cols=None) -> QMatrix:
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ParseError("matrix must be a list of rows")
     entries = [[_parse_rat(x) for x in row] for row in data]
     try:
-        m = QMatrix.from_rows(entries, cols=cols if not data else None)
+        return QMatrix.from_rows(entries, cols=cols if not data else None)
     except ValueError as e:
         raise ParseError(f"bad matrix: {e}") from None
-    if rows is not None and m.rows != rows:
-        raise ParseError(f"expected {rows} rows, got {m.rows}")
-    return m
 
 
 def _filtration_to_json(f: WeightFiltration) -> dict:
-    return {str(w): [[_rat_str(x) for x in row] for row in s.basis.entries]
+    return {str(w): [[str(x) for x in row] for row in s.basis.entries]
             for w, s in f.steps}
 
 

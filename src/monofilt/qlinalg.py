@@ -371,14 +371,20 @@ def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
         raise NotCompatible("sub is not contained in quot")
     if not sub_cod.contains(apply_to_subspace(m, sub_dom)):
         raise NotCompatible("map does not send sub_dom into sub_cod")
-    if not quot_cod.contains(apply_to_subspace(m, quot_dom)):
-        raise NotCompatible("map does not send quot_dom into quot_cod")
+    # m(quot_dom) in quot_cod: sub_dom is checked above, the rest by _quotient_coords
     a, da = m._ints
     sub_piv = set(sub_dom.pivots)
     # basis row b is the primitive row divided by its pivot, so m b = (a row) / (da pivot)
     cols = [_quotient_coords(quot_cod, sub_cod, _dots(a, row), da * row[p])
             for row, p in zip(quot_dom._rows, quot_dom.pivots) if p not in sub_piv]
     return _from_columns(cols, quot_cod.dim - sub_cod.dim)
+
+
+def inclusion(s: Subspace) -> QMatrix:
+    """The ambient_dim x dim(s) matrix whose columns are the RREF basis of s."""
+    rows, den = s.basis._ints
+    cols = tuple(zip(*rows)) if rows else ((),) * s.ambient_dim
+    return QMatrix(s.ambient_dim, s.dim, (cols, den))
 
 
 def quotient_projection(s: Subspace) -> QMatrix:

@@ -10,13 +10,11 @@ from . import qlinalg
 from .gluing import EXTENSIONS, GluingDatum, extension, i_upper_shriek
 from .kgroup import kclass_of_space, kclass_psi_from_kernel
 from .monodromy import (JordanStringModel, NilpotentModel, NotPure,
-                        graded_kernel, monodromy_filtration,
-                        verify_hard_lefschetz)
+                        graded_kernel, verify_hard_lefschetz)
 from .qlinalg import QMatrix, image, intersect, kernel
 from .report import Report, ReportBuilder
 from .weights import (TwistedMap, WeightedSpace, is_pure,
-                      sub_weighted_space, quotient_weighted_space, tate_twist,
-                      weights_at_least)
+                      sub_weighted_space, quotient_weighted_space, weights_at_least)
 
 
 @dataclass(frozen=True)
@@ -94,97 +92,94 @@ def verify_local_invariant_cycles(dm: DiskModel, k: int) -> Report:
     rb = ReportBuilder(f"local invariant cycles (k={k})")
     if not dm.pure:
         rb.note("hypothesis violated (impure input); exactness not guaranteed")
-    g = dm.datum()
-    n_mat = g.monodromy_matrix()
     if k == -1:
         # source is ker(can) inside the nearby-cycles space; the map is the
         # inclusion, so its image is ker(can) itself
+        g = dm.datum()
         img = kernel(g.can.matrix)
-        ker_n = kernel(n_mat)
+        ker_n = kernel(g.monodromy_matrix())
         rb.check("image of H^{-1}(i^*M) equals ker N", img == ker_n,
                  f"dims {img.dim} vs {ker_n.dim}")
-    elif k == 0:
-        # H^0 of nearby cycles vanishes (perverse convention), so exactness
-        # amounts to the image being zero in the zero space
-        rb.check("image equals ker N in H^0 = 0", True, "vacuous")
     else:
-        rb.check("both terms vanish", True, "vacuous")
+        # H^0 of nearby cycles vanishes (perverse convention), so at k = 0
+        # exactness amounts to the image being zero in the zero space
+        rb.check("image equals ker N in H^0 = 0" if k == 0 else "both terms vanish",
+                 True, "vacuous")
     return rb.build()
+
+
+# the four weight claims behind local invariant cycles, in report order
+WEIGHT_CLAIMS = ("monodromy_centered", "kernel_weight_bound",
+                 "i_shriek_lower_bound", "surjective_on_low_weights")
+
+
+def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
+    n, psi = dm.n, g.psi
+    ker_n = kernel(g.monodromy_matrix())
+    low_weights = psi.filtration.space_at(n - 1)
+    claims = {}
+    if psi.dim:
+        # (1) the weight filtration on H^{-1}(nearby cycles) is the monodromy
+        # filtration centered at n-1; psi is the open part's space and var . can
+        # its N, so that is the open model's own filtration
+        claims["monodromy_centered"] = (
+            psi.filtration == dm.open_part.monodromy_filtration, f"center {n - 1}")
+        # (2) ker(N) has weights <= n-1
+        claims["kernel_weight_bound"] = (
+            low_weights.contains(ker_n), f"ker N within W_{n - 1}")
+    # (3) H^0 of the !-restriction, ker(var) plus the point part, has weights >= n
+    ishk = i_upper_shriek(g)
+    holds, detail = True, "vacuous"
+    if not ishk.h_low_space.is_zero():
+        holds = weights_at_least(sub_weighted_space(ishk.dom, ishk.h_low_space), n)
+        detail = f"ker(var) weights vs >= {n}"
+    if dm.point_part.dim:
+        holds = holds and weights_at_least(dm.point_part, n)
+        detail += "; point part included"
+    claims["i_shriek_lower_bound"] = (holds, detail)
+    # (4) H^{-1} of the central-fibre restriction surjects onto the weights
+    # <= n-1 of ker N; its image is ker(can)
+    low = intersect(ker_n, low_weights)
+    img = kernel(g.can.matrix)
+    claims["surjective_on_low_weights"] = (
+        img.contains(low),
+        f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}")
+    return claims
+
+
+def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
+    n = dm.n
+    # the !-restriction's H^1 is coker(var) inside psi(-1)
+    ishk = i_upper_shriek(g)
+    twisted, img_var = ishk.cod, ishk.h_high_denominator
+    claims = {}
+    # (3) H^1 of the !-restriction has weights >= n+1
+    if not img_var.is_full():
+        coker = quotient_weighted_space(twisted, img_var)
+        claims["i_shriek_lower_bound"] = (
+            weights_at_least(coker, n + 1), f"coker(var) weights vs >= {n + 1}")
+    # (4) the low weights of coker N are reached from the central fibre:
+    # target coker N in the twisted coordinates, image var(phi) mod im N
+    im_n = image(g.monodromy_matrix())
+    claims["surjective_on_low_weights"] = (
+        (img_var + im_n).contains(twisted.filtration.space_at(n) + im_n),
+        "low weights of coker N reached from the central fibre")
+    return claims
+
+
+_WEIGHT_CLAIMS_AT = {-1: _weight_claims_at_minus_1, 0: _weight_claims_at_0}
 
 
 def verify_weight_mechanics(dm: DiskModel, k: int) -> Report:
     """The four weight claims behind local invariant cycles, evaluated
-    independently: exactness must follow whenever all four hold."""
-    g = dm.datum()
-    n = dm.n
-    n_mat = g.monodromy_matrix()
-    psi = g.psi
-    ker_n = kernel(n_mat) if k == -1 else None  # read by claims (2) and (4)
+    independently: exactness must follow whenever all four hold.  A claim
+    the degree's claims function does not evaluate holds vacuously."""
     rb = ReportBuilder(f"weight mechanics (k={k})")
     if not dm.pure:
         rb.note("impure input: claims evaluated but not guaranteed")
-
-    # (1) weight filtration on H^k(nearby cycles) is the monodromy filtration
-    # centered at n+k; psi is the open part's space and var . can its N, so at
-    # k = -1 that is the open model's own filtration at its center
-    if k == -1 and psi.dim:
-        rb.check("monodromy_centered",
-                 psi.filtration == dm.open_part.monodromy_filtration,
-                 f"center {n + k}")
-    else:
-        rb.check("monodromy_centered", True, "vacuous")
-
-    # (2) ker(N) has weights <= n+k
-    if k == -1 and psi.dim:
-        rb.check("kernel_weight_bound",
-                 psi.filtration.space_at(n + k).contains(ker_n),
-                 f"ker N within W_{n + k}")
-    else:
-        rb.check("kernel_weight_bound", True, "vacuous")
-
-    # (3) H^{k+1} of the !-restriction has weights >= n+k+1
-    ishk = i_upper_shriek(g)
-    if k == -1:
-        holds = True
-        detail = "vacuous"
-        ker_var = ishk.h_low_space
-        if not ker_var.is_zero():
-            ws = sub_weighted_space(ishk.dom, ker_var)
-            holds = weights_at_least(ws, n + k + 1)
-            detail = f"ker(var) weights vs >= {n + k + 1}"
-        if dm.point_part.dim:
-            holds = holds and weights_at_least(dm.point_part, n + k + 1)
-            detail += "; point part included"
-        rb.check("i_shriek_lower_bound", holds, detail)
-    elif k == 0:
-        img_var = ishk.h_high_denominator
-        if img_var.is_full():
-            rb.check("i_shriek_lower_bound", True, "vacuous")
-        else:
-            coker = quotient_weighted_space(ishk.cod, img_var)
-            rb.check("i_shriek_lower_bound", weights_at_least(coker, n + k + 1),
-                     f"coker(var) weights vs >= {n + k + 1}")
-    else:
-        rb.check("i_shriek_lower_bound", True, "vacuous")
-
-    # (4) H^k of the central-fibre restriction surjects onto weights <= n+k
-    # of H^k of the open pushforward's restriction
-    if k == -1:
-        low = intersect(ker_n, psi.filtration.space_at(n + k))
-        img = kernel(g.can.matrix)  # image of the comparison map
-        rb.check("surjective_on_low_weights", img.contains(low),
-                 f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}")
-    elif k == 0:
-        # target: coker N in the twisted coordinates; image: var(phi) mod im N
-        twisted = tate_twist(psi, -1)
-        im_n = image(n_mat)
-        low = twisted.filtration.space_at(n + k) + im_n
-        reach = image(g.var.matrix) + im_n
-        rb.check("surjective_on_low_weights", reach.contains(low),
-                 "low weights of coker N reached from the central fibre")
-    else:
-        rb.check("surjective_on_low_weights", True, "vacuous")
-
+    claims = _WEIGHT_CLAIMS_AT[k](dm, dm.datum()) if k in _WEIGHT_CLAIMS_AT else {}
+    for name in WEIGHT_CLAIMS:
+        rb.check(name, *claims.get(name, (True, "vacuous")))
     return rb.build()
 
 
@@ -244,11 +239,3 @@ def random_nilpotent(rng: random.Random, max_dim: int = 8,
         p = random_unimodular(rng, d)
         m = p @ m @ qlinalg.inverse(p)
     return m
-
-
-def nilpotent_weighted_space(n_mat: QMatrix, n: int) -> WeightedSpace:
-    """Weighted space carrying the monodromy filtration of n_mat centered n-1."""
-    if n_mat.rows == 0:
-        return WeightedSpace.zero()
-    filt = monodromy_filtration(n_mat, n - 1)
-    return WeightedSpace.from_filtration(filt)

@@ -204,11 +204,8 @@ class WeightedSpace:
                     f"grading multiplicity at weight {w} does not match graded dim")
 
     @staticmethod
-    def from_filtration(filt: WeightFiltration,
-                        grading: LabeledGrading | None = None) -> "WeightedSpace":
-        if grading is None:
-            grading = default_grading(filt)
-        return WeightedSpace(filt.ambient_dim, filt, grading)
+    def from_filtration(filt: WeightFiltration) -> "WeightedSpace":
+        return WeightedSpace(filt.ambient_dim, filt, default_grading(filt))
 
     @staticmethod
     def pure(dim: int, weight: int, label: str = LABEL_DEFAULT,

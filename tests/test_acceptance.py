@@ -20,11 +20,10 @@ from monofilt.monodromy import (JordanStringModel, NilpotentModel,
 from monofilt.gluing import verify_prop_2_3, verify_sequence_2
 from monofilt.qlinalg import QMatrix
 from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
-                               nilpotent_weighted_space, random_nilpotent,
-                               verify_kclass_independence,
+                               random_nilpotent, verify_kclass_independence,
                                verify_local_invariant_cycles,
                                verify_weight_mechanics)
-from monofilt.weights import TwistedMap, WeightedSpace
+from monofilt.weights import WeightedSpace
 
 
 _CAPSYS = None
@@ -113,8 +112,7 @@ def _nilpotent_corpus(seed, count, max_dim):
     for _ in range(count):
         mat = random_nilpotent(rng, max_dim=max_dim)
         n = rng.randint(0, 2)
-        yield NilpotentModel(nilpotent_weighted_space(mat, n), n,
-                             TwistedMap(mat, -1))
+        yield NilpotentModel.on_monodromy_filtration(mat, n)
 
 
 def test_criterion_3_sequence_2():

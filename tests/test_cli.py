@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from monofilt import cli, gluing, monodromy, theorems
+from monofilt import cli, gluing, monodromy
 from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                           EXIT_VERIFICATION, ModelDocument, ParseError,
                           ValidationError, parse, serialize)
@@ -453,7 +453,7 @@ def builds(monkeypatch):
         counts["filtration"] += 1
         return filtration(n_op, center, powers)
 
-    for mod in (monodromy, theorems, cli):
+    for mod in (monodromy, cli):
         monkeypatch.setattr(mod, "monodromy_filtration", counting_filtration)
     return counts
 

@@ -7,7 +7,7 @@ from monofilt.gluing import (EXTENSIONS, GluingDatum, extension,
                              verify_sequence_2)
 from monofilt.monodromy import JordanStringModel, NilpotentModel
 from monofilt.qlinalg import QMatrix, image, kernel
-from monofilt.theorems import nilpotent_weighted_space, random_nilpotent
+from monofilt.theorems import random_nilpotent
 from monofilt.weights import TwistedMap, WeightedSpace
 
 from conftest import span
@@ -24,7 +24,7 @@ def string_vn(strings, n=1):
 
 def raw_model(mat, n):
     """mat on its monodromy filtration centered at n-1."""
-    return NilpotentModel(nilpotent_weighted_space(mat, n), n, TwistedMap(mat, -1))
+    return NilpotentModel.on_monodromy_filtration(mat, n)
 
 
 class TestPsiU:
@@ -151,6 +151,16 @@ class TestSequence2:
         for _ in range(60):
             mat = random_nilpotent(rng, max_dim=6)
             assert verify_sequence_2(raw_model(mat, rng.randint(0, 2))).passed
+
+
+def test_zero_model_passes_every_gluing_verifier():
+    """On the zero space ker N and coker N are zero: the inclusion is d x 0
+    and the projection 0 x 0, and the general checks hold on them."""
+    model = JordanStringModel((), 1).to_nilpotent()
+    seq = verify_sequence_2(model)
+    assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
+    assert verify_prop_2_3(model).passed
+    assert verify_roundtrip(model).passed
 
 
 class TestProp23:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from monofilt import monodromy, qlinalg
+from monofilt.gluing import extension, verify_sequence_2
 from monofilt.monodromy import (GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
                                 check_monodromy_axioms, graded_kernel,
@@ -314,7 +315,8 @@ class TestOperatorContext:
 
 def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):
     """Subspaces and matrices are read through their integer forms: only a
-    caller that reads the Fraction entries (JSON, printing) builds them."""
+    caller that reads the Fraction entries (JSON, printing) builds them.  The
+    gluing inclusion maps and verify_sequence_2 build none either."""
     calls = []
     frac = qlinalg._frac
     monkeypatch.setattr(qlinalg, "_frac", lambda n, d: calls.append(1) or frac(n, d))
@@ -328,6 +330,11 @@ def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):
         assert verify_hard_lefschetz(model).passed
         assert primitive_decomposition(model).passed
         graded_kernel(model)
+    assert calls == []
+    model = JordanStringModel((("L", 3), ("L", 2), ("L", 1)), 1).to_nilpotent()
+    extension(model, "intermediate")
+    assert calls == []
+    assert verify_sequence_2(model).passed
     assert calls == []
     basis = Subspace.full(2).basis
     assert basis == QMatrix.identity(2) and calls == []

@@ -6,6 +6,8 @@ Intersections and preimages are computed from null spaces of stacked
 spanning sets, a different method from the library's.  sympy's
 Matrix.rref, when sympy is installed, is a second oracle.
 """
+import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -212,6 +214,60 @@ def test_preimage(args):
     sub = Subspace.from_vectors(r, s)
     out = qlinalg.preimage(qmatrix(data, c), sub)
     assert out.basis.entries == ref_preimage(data, c, list(sub.basis.entries), r)
+
+
+def _random_span(rng, d, count, rows=()):
+    """The span of `rows` and `count` random small integer vectors in Q^d."""
+    vecs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(count)]
+    return Subspace.from_vectors(d, vecs + list(rows))
+
+
+def test_induced_map_on_quotient_raises_exactly_on_the_four_containments():
+    """NotCompatible is raised exactly when one of sub_dom < quot_dom,
+    sub_cod < quot_cod, m(sub_dom) < sub_cod, m(quot_dom) < quot_cod fails;
+    otherwise each column is the class of m b mod sub_cod in the quotient
+    basis.  The containments are computed here with apply_to_subspace and
+    contains; the library does not test the last one up front."""
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(600):
+        d, e = rng.randint(1, 5), rng.randint(1, 5)
+        rank = rng.randint(1, min(d, e))
+        m = qmatrix(ref_matmul([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(e)],
+                               [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)],
+                               rank, d), d)
+        quot_dom = _random_span(rng, d, rng.randint(1, d))
+        sub_dom = _random_span(rng, d, rng.random() < 0.1,
+                               [r for r in quot_dom._rows if rng.random() < 0.4])
+        m_sub = qlinalg.apply_to_subspace(m, sub_dom)
+        m_quot = qlinalg.apply_to_subspace(m, quot_dom)
+        sub_cod = _random_span(rng, e, rng.randint(0, 1), m_sub._rows if rng.random() < 0.9 else ())
+        # quot_cod holds m(quot_dom), or only sub_cod, or is random
+        mode = rng.choice(("image", "image", "sub", "sub", "random"))
+        if mode == "random":
+            quot_cod = _random_span(rng, e, rng.randint(0, e))
+        else:
+            quot_cod = _random_span(rng, e, rng.randint(0, 1),
+                                    sub_cod._rows + (m_quot._rows if mode == "image" else ()))
+        held = (quot_dom.contains(sub_dom), quot_cod.contains(sub_cod),
+                sub_cod.contains(m_sub), quot_cod.contains(m_quot))
+        if not all(held):
+            with pytest.raises(qlinalg.NotCompatible):
+                qlinalg.induced_map_on_quotient(m, sub_dom, sub_cod, quot_dom, quot_cod)
+            outcomes["only m(quot_dom) fails" if all(held[:3]) else "raises"] += 1
+            continue
+        out = qlinalg.induced_map_on_quotient(m, sub_dom, sub_cod, quot_dom, quot_cod)
+        dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
+                     if p not in sub_dom.pivots]
+        cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
+                     if p not in sub_cod.pivots]
+        assert (out.rows, out.cols) == (len(cod_basis), len(dom_basis))
+        for j, b in enumerate(dom_basis):
+            w = [x - sum(out.entries[i][j] * c[t] for i, c in enumerate(cod_basis))
+                 for t, x in enumerate(m.matvec(b))]
+            assert sub_cod.contains_vector(w)
+        outcomes["maps"] += 1
+    assert min(outcomes[k] for k in ("maps", "raises", "only m(quot_dom) fails")) >= 50, outcomes
 
 
 @EXAMPLES

@@ -149,3 +149,152 @@ class TestGenerators:
             s = generate_scrambled(m, seed + 99)
             assert graded_kernel(base).grading == graded_kernel(s).grading
             assert kclass_of_space(base.space) == kclass_of_space(s.space)
+
+
+def pinned_disks():
+    """A pure J3 + J1 disk with a point label, an impure shriek disk whose
+    point weight is above n, and an impure star disk with no point part."""
+    return {
+        "pure_point": disk((("L", 3), ("L", 1)), point_dim=1),
+        "shriek_high_point": DiskModel(
+            JordanStringModel((("L", 2),), 1).to_nilpotent(),
+            WeightedSpace.pure(1, 3, "P"), pure=False, extension="shriek"),
+        "star_no_point": disk((("L", 2), ("L", 1)), n=0, pure=False,
+                              extension="star"),
+    }
+
+
+# to_text() of (local invariant cycles, weight mechanics) for each disk and k
+PINNED_REPORTS = {
+    ("pure_point", -2): (
+        "[PASS] local invariant cycles (k=-2)\n"
+        "  ok   both terms vanish — vacuous",
+        "[PASS] weight mechanics (k=-2)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous",
+    ),
+    ("pure_point", -1): (
+        "[PASS] local invariant cycles (k=-1)\n"
+        "  ok   image of H^{-1}(i^*M) equals ker N — dims 2 vs 2",
+        "[PASS] weight mechanics (k=-1)\n"
+        "  ok   monodromy_centered — center 0\n"
+        "  ok   kernel_weight_bound — ker N within W_0\n"
+        "  ok   i_shriek_lower_bound — vacuous; point part included\n"
+        "  ok   surjective_on_low_weights — low-weight part of ker N: dim 2, image dim 2",
+    ),
+    ("pure_point", 0): (
+        "[PASS] local invariant cycles (k=0)\n"
+        "  ok   image equals ker N in H^0 = 0 — vacuous",
+        "[PASS] weight mechanics (k=0)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — coker(var) weights vs >= 2\n"
+        "  ok   surjective_on_low_weights — low weights of coker N reached from the central fibre",
+    ),
+    ("pure_point", 1): (
+        "[PASS] local invariant cycles (k=1)\n"
+        "  ok   both terms vanish — vacuous",
+        "[PASS] weight mechanics (k=1)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous",
+    ),
+    ("shriek_high_point", -2): (
+        "[PASS] local invariant cycles (k=-2)\n"
+        "  ok   both terms vanish — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=-2)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("shriek_high_point", -1): (
+        "[FAIL] local invariant cycles (k=-1)\n"
+        "  FAIL image of H^{-1}(i^*M) equals ker N — dims 0 vs 1\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[FAIL] weight mechanics (k=-1)\n"
+        "  ok   monodromy_centered — center 0\n"
+        "  ok   kernel_weight_bound — ker N within W_0\n"
+        "  FAIL i_shriek_lower_bound — ker(var) weights vs >= 1; point part included\n"
+        "  FAIL surjective_on_low_weights — low-weight part of ker N: dim 1, image dim 0\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("shriek_high_point", 0): (
+        "[PASS] local invariant cycles (k=0)\n"
+        "  ok   image equals ker N in H^0 = 0 — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=0)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — coker(var) weights vs >= 2\n"
+        "  ok   surjective_on_low_weights — low weights of coker N reached from the central fibre\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("shriek_high_point", 1): (
+        "[PASS] local invariant cycles (k=1)\n"
+        "  ok   both terms vanish — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=1)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("star_no_point", -2): (
+        "[PASS] local invariant cycles (k=-2)\n"
+        "  ok   both terms vanish — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=-2)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("star_no_point", -1): (
+        "[PASS] local invariant cycles (k=-1)\n"
+        "  ok   image of H^{-1}(i^*M) equals ker N — dims 2 vs 2\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=-1)\n"
+        "  ok   monodromy_centered — center -1\n"
+        "  ok   kernel_weight_bound — ker N within W_-1\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — low-weight part of ker N: dim 2, image dim 2\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("star_no_point", 0): (
+        "[PASS] local invariant cycles (k=0)\n"
+        "  ok   image equals ker N in H^0 = 0 — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=0)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — low weights of coker N reached from the central fibre\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+    ("star_no_point", 1): (
+        "[PASS] local invariant cycles (k=1)\n"
+        "  ok   both terms vanish — vacuous\n"
+        "  note: hypothesis violated (impure input); exactness not guaranteed",
+        "[PASS] weight mechanics (k=1)\n"
+        "  ok   monodromy_centered — vacuous\n"
+        "  ok   kernel_weight_bound — vacuous\n"
+        "  ok   i_shriek_lower_bound — vacuous\n"
+        "  ok   surjective_on_low_weights — vacuous\n"
+        "  note: impure input: claims evaluated but not guaranteed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(PINNED_REPORTS))
+def test_lic_and_weight_mechanics_reports_are_pinned(name, k):
+    dm = pinned_disks()[name]
+    assert (verify_local_invariant_cycles(dm, k).to_text(),
+            verify_weight_mechanics(dm, k).to_text()) == PINNED_REPORTS[name, k]
