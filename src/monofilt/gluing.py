@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import qlinalg
-from .monodromy import NilpotentModel, nilpotency_index
+from .monodromy import NilpotentModel
 from .qlinalg import QMatrix, Subspace, image, kernel
 from .report import Report, ReportBuilder
 from .weights import (TwistedMap, WeightedSpace, check_filtered, check_strict,
@@ -36,13 +36,12 @@ class GluingDatum:
             raise ValueError("can has the wrong shape")
         if self.var.matrix.cols != self.phi.dim or self.var.matrix.rows != self.psi.dim:
             raise ValueError("var has the wrong shape")
-        comp = self.var.matrix @ self.can.matrix
-        nilpotency_index(comp)
+        # filtered can and var make var . can lower psi's filtration by 2: nilpotent
         if not check_filtered(self.can, self.psi, self.phi, 0):
             raise ValueError("can is not filtered")
         if not check_filtered(self.var, self.phi, self.psi, -2):
             raise ValueError("var is not filtered")
-        self.__dict__["_var_can"] = comp
+        self.__dict__["_var_can"] = self.var.matrix @ self.can.matrix
 
     def monodromy_matrix(self) -> QMatrix:
         """N = var . can, computed once at construction."""
@@ -127,10 +126,7 @@ class TwoTermComplex:
 
     def h_low(self) -> WeightedSpace:
         """ker(d) with the induced filtration, in its intrinsic coordinates."""
-        ker = self.h_low_space
-        if ker.is_zero():
-            return WeightedSpace.zero()
-        return sub_weighted_space(self.dom, ker)
+        return sub_weighted_space(self.dom, self.h_low_space)
 
     @cached_property
     def h_high_denominator(self) -> Subspace:
@@ -138,10 +134,7 @@ class TwoTermComplex:
 
     def h_high(self) -> WeightedSpace:
         """coker(d) with the quotient filtration, in complement coordinates."""
-        img = self.h_high_denominator
-        if img.is_full():
-            return WeightedSpace.zero()
-        return quotient_weighted_space(self.cod, img)
+        return quotient_weighted_space(self.cod, self.h_high_denominator)
 
 
 def i_upper_star(g: GluingDatum) -> TwoTermComplex:

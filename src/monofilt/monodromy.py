@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import qlinalg
-from .qlinalg import QMatrix, Subspace, apply_to_subspace, intersect
+from .qlinalg import QMatrix, Subspace, intersect, maps_into
 from .report import Report, ReportBuilder
 from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
@@ -112,7 +112,7 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
     rb = ReportBuilder(f"monodromy axioms (center {center})")
     shift_ok = True
     for w, s in filt.steps:
-        if not filt.space_at(w - 2).contains(apply_to_subspace(n_op, s)):
+        if not maps_into(n_op, s, filt.space_at(w - 2)):
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
@@ -156,13 +156,10 @@ class NilpotentModel:
         model's monodromy_filtration.  The grading defaults to the string
         grading of default_grading at that center."""
         filt = monodromy_filtration(n_op, n - 1)
-        if n_op.rows == 0:
-            space = WeightedSpace.zero()
-        else:
-            if grading is None:
-                grading = default_grading(filt, center=n - 1)
-            space = WeightedSpace(n_op.rows, filt, grading)
-        model = NilpotentModel(space, n, TwistedMap(n_op, -1))
+        if grading is None:
+            grading = default_grading(filt, center=n - 1)
+        model = NilpotentModel(WeightedSpace(n_op.rows, filt, grading), n,
+                               TwistedMap(n_op, -1))
         model.__dict__["monodromy_filtration"] = filt
         return model
 
@@ -197,8 +194,6 @@ class NilpotentModel:
     def _graded_kernel(self) -> GradedKernel:
         ker = qlinalg.kernel(self.N.matrix)
         filt = self.space.filtration
-        if self.space.dim == 0:
-            return GradedKernel(LabeledGrading.empty(), ())
         ker_filt = induced_filtration_on_sub(self.space, ker)
         dims = []
         kernel_dims: dict[int, int] = {}
@@ -259,11 +254,8 @@ class JordanStringModel:
             acc.extend(weight_vectors[w])
             vecs = [[1 if j == idx else 0 for j in range(d)] for idx in acc]
             steps.append((w, Subspace.from_vectors(d, vecs)))
-        if d == 0:
-            space = WeightedSpace.zero()
-        else:
-            filt = WeightFiltration.from_spaces(d, steps)
-            space = WeightedSpace(d, filt, LabeledGrading.from_dict(grading))
+        space = WeightedSpace(d, WeightFiltration.from_spaces(d, steps),
+                              LabeledGrading.from_dict(grading))
         return NilpotentModel(space, self.n, TwistedMap(n_mat, -1))
 
 

@@ -335,6 +335,17 @@ def apply_to_subspace(m: QMatrix, s: Subspace) -> Subspace:
     return Subspace.from_vectors(m.rows, [_dots(a, r) for r in s._rows])
 
 
+def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
+    """True iff m(s) is contained in t: each m r, r a row of s, reduces to
+    zero modulo t, so m(s) is never eliminated."""
+    if m.cols != s.ambient_dim:
+        raise AmbientMismatch("matrix columns do not match ambient dimension")
+    if m.rows != t.ambient_dim:
+        raise AmbientMismatch("ambient dimensions differ")
+    a = m._ints[0]
+    return not any(any(t._reduce(_dots(a, r))[0]) for r in s._rows)
+
+
 def preimage(m: QMatrix, s: Subspace) -> Subspace:
     """{v : m v in s} as a subspace of the domain."""
     if s.ambient_dim != m.rows:
@@ -369,7 +380,7 @@ def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
     """
     if not quot_dom.contains(sub_dom) or not quot_cod.contains(sub_cod):
         raise NotCompatible("sub is not contained in quot")
-    if not sub_cod.contains(apply_to_subspace(m, sub_dom)):
+    if not maps_into(m, sub_dom, sub_cod):
         raise NotCompatible("map does not send sub_dom into sub_cod")
     # m(quot_dom) in quot_cod: sub_dom is checked above, the rest by _quotient_coords
     a, da = m._ints

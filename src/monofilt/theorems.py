@@ -35,7 +35,7 @@ class DiskModel:
                 raise ValueError("a pure model must use the intermediate extension")
             if not verify_hard_lefschetz(self.open_part).passed:
                 raise ValueError("open part is not pure")
-            if self.point_part.dim and not is_pure(self.point_part, self.open_part.n):
+            if not is_pure(self.point_part, self.open_part.n):
                 raise ValueError("point part is not pure of the open part's weight")
 
     @property
@@ -216,8 +216,6 @@ def generate_scrambled(model: JordanStringModel, seed: int) -> NilpotentModel:
     transport the filtration; the grading is unchanged."""
     base = model.to_nilpotent()
     d = base.space.dim
-    if d == 0:
-        return base
     rng = random.Random(seed)
     p = random_unimodular(rng, d)
     p_inv = qlinalg.inverse(p)

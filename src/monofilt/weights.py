@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .qlinalg import QMatrix, Subspace, apply_to_subspace, image, intersect
+from .qlinalg import (QMatrix, Subspace, apply_to_subspace, image, intersect,
+                      maps_into)
 
 LABEL_DEFAULT = "pt"
 
@@ -210,8 +211,6 @@ class WeightedSpace:
     @staticmethod
     def pure(dim: int, weight: int, label: str = LABEL_DEFAULT,
              grading: LabeledGrading | None = None) -> "WeightedSpace":
-        if dim == 0:
-            return WeightedSpace(0, WeightFiltration(0, ()), LabeledGrading.empty())
         filt = WeightFiltration.single_step(dim, weight)
         if grading is None:
             grading = LabeledGrading.single(weight, label, dim)
@@ -249,7 +248,7 @@ def check_filtered(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
     if m.cols != dom.dim or m.rows != cod.dim:
         raise ShapeMismatch("matrix shape does not match the filtered spaces")
     for w, s in dom.filtration.steps:
-        if not cod.filtration.space_at(w + shift).contains(apply_to_subspace(m, s)):
+        if not maps_into(m, s, cod.filtration.space_at(w + shift)):
             return False
     return True
 

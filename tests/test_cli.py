@@ -182,6 +182,12 @@ class TestDocumentBoundary:
         "entry_digits_string": _doc("nilpotent", matrix=[["0", BIG_DIGITS], ["0", "0"]]),
         "denominator_digits_string": _doc("nilpotent",
                                           matrix=[["0", "1/" + BIG_DIGITS], ["0", "0"]]),
+        # a zero-dimensional space has its payload read like any other
+        "zero_dim_filtration_not_object": _doc(
+            "gluing", psi={"dim": 0, "filtration": "junk"}, phi={"dim": 0}, can=[], var=[]),
+        "zero_dim_filtration_row_too_long": _doc(
+            "gluing", psi={"dim": 0, "filtration": {"0": [["1", "2"]]}}, phi={"dim": 0},
+            can=[], var=[]),
     }
 
     VALIDATION_CASES = {
@@ -196,6 +202,11 @@ class TestDocumentBoundary:
         "grading_term_repeated_across_keys": _doc(
             "nilpotent", grading={"-1": [["L", 0, 1]], "1": [["L", -1, 1]],
                                   "+1": [["L", -1, 1]]}),
+        "zero_dim_grading_not_empty": _doc(
+            "gluing", psi={"dim": 0, "grading": {"0": [["L", 0, 5]]}}, phi={"dim": 0},
+            can=[], var=[]),
+        # var . can = 1 is not nilpotent; var does not lower the weight by 2
+        "gluing_var_can_not_nilpotent": _doc("gluing", can=[["1"]], var=[["1"]]),
     }
 
     # one past the size cap (128); parse refuses each before building its model
@@ -230,7 +241,14 @@ class TestDocumentBoundary:
         p.write_text(json.dumps(self.VALIDATION_CASES[case]))
         rc, _ = run(["check", str(p)])
         assert rc == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith("validation error:")
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("space", [{"dim": 0}, {"dim": "0", "filtration": {}},
+                                       {"dim": 0, "filtration": {"3": []}, "grading": {}}])
+    def test_zero_dim_space_parses_to_the_zero_space(self, space):
+        doc = parse(json.dumps(_doc("gluing", psi=space, phi={"dim": 0}, can=[], var=[])))
+        assert doc.model.psi == doc.model.phi == WeightedSpace.zero()
 
     @pytest.mark.parametrize("case", sorted(SIZE_CASES))
     def test_size_cap(self, case):
@@ -453,8 +471,8 @@ def builds(monkeypatch):
         counts["filtration"] += 1
         return filtration(n_op, center, powers)
 
-    for mod in (monodromy, cli):
-        monkeypatch.setattr(mod, "monodromy_filtration", counting_filtration)
+    # the cli builds filtrations only through monodromy
+    monkeypatch.setattr(monodromy, "monodromy_filtration", counting_filtration)
     return counts
 
 
@@ -501,14 +519,33 @@ class TestExtensionContext:
         rc, _ = run(["monodromy", path])
         assert rc == EXIT_OK and builds["filtration"] == 1
         builds.clear()
+        # another center shifts the model's filtration rather than building one
         rc, _ = run(["monodromy", path, "--center", "7"])
-        assert rc == EXIT_OK and builds["filtration"] == 2
+        assert rc == EXIT_OK and builds["filtration"] == 1
 
     def test_disk_datum_is_the_open_models_extension(self):
         open_model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
         dm = DiskModel(open_model, WeightedSpace.zero())
         assert dm.datum() is dm.datum() is gluing.extension(open_model, "intermediate")
         assert dm.datum().monodromy_matrix() is dm.datum().monodromy_matrix()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_monodromy_center_prints_the_filtration_at_that_center(seed, tmp_path):
+    """`monodromy --center c` prints what monodromy_filtration(N, c), built
+    afresh, gives, whatever the model's own center."""
+    m = generate_scrambled(generate_model(seed, 3, 4, seed - 2, ["L", "P"]), seed + 10)
+    data = json.loads(serialize(ModelDocument("nilpotent", m)))
+    for omit in ((), ("filtration",)):
+        path = write_json(tmp_path, "m.json", {k: v for k, v in data.items() if k not in omit})
+        for c in range(-3, 4):
+            filt = monodromy.monodromy_filtration(m.N.matrix, c)
+            want = [f"monodromy filtration centered at {c}"]
+            for w, s in filt.steps:
+                want.append(f"  W_{w}: dim {s.dim}, graded dim {filt.graded_dim(w)}")
+                want += ["    [" + ", ".join(map(str, row)) + "]" for row in s.basis.entries]
+            assert run(["monodromy", path, "--center", str(c)]) == \
+                (EXIT_OK, "\n".join(want) + "\n")
 
 
 class TestProcess:

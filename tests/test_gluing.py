@@ -1,14 +1,18 @@
+import random
+
 import pytest
 
+from monofilt import monodromy, qlinalg
 from monofilt.gluing import (EXTENSIONS, GluingDatum, extension,
                              i_upper_shriek, i_upper_star, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
                              verify_prop_2_3, verify_roundtrip,
                              verify_sequence_2)
-from monofilt.monodromy import JordanStringModel, NilpotentModel
-from monofilt.qlinalg import QMatrix, image, kernel
-from monofilt.theorems import random_nilpotent
-from monofilt.weights import TwistedMap, WeightedSpace
+from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
+                                nilpotency_index)
+from monofilt.qlinalg import QMatrix, Subspace, image, kernel
+from monofilt.theorems import random_nilpotent, random_unimodular
+from monofilt.weights import TwistedMap, WeightFiltration, WeightedSpace
 
 from conftest import span
 
@@ -71,6 +75,80 @@ class TestExtensions:
         with pytest.raises(Exception):
             # var . can = identity is not nilpotent
             GluingDatum(V, V, ident, TwistedMap(QMatrix.identity(1), -1))
+
+
+def _adapted_space(rng, d):
+    """(space, basis change p, weights): W_k is spanned by the columns of the
+    random unimodular p whose weight, drawn from -2..2, is at most k."""
+    p = random_unimodular(rng, d) if d else QMatrix.identity(0)
+    ws = [rng.randint(-2, 2) for _ in range(d)]
+    cols = list(zip(*p.entries))
+    filt = WeightFiltration.from_spaces(d, [
+        (k, Subspace.from_vectors(d, [c for c, w in zip(cols, ws) if w <= k]))
+        for k in sorted(set(ws))])
+    return WeightedSpace.from_filtration(filt), p, ws
+
+
+def _adapted_map(rng, src, tgt, shift):
+    """(matrix, filtered): a map src -> tgt with entries in -2..2 in the
+    adapted bases.  Either it is filtered with `shift` by construction, or its
+    entries are drawn freely; then it is filtered exactly when every adapted
+    entry from weight w to a weight above w + shift is zero."""
+    (_, p, w_src), (_, q, w_tgt) = src, tgt
+    keep = rng.random() < 0.6
+    adapted = [[rng.randint(-2, 2) if not keep or wt <= ws + shift else 0
+                for ws in w_src] for wt in w_tgt]
+    filtered = all(x == 0 for row, wt in zip(adapted, w_tgt)
+                   for x, ws in zip(row, w_src) if wt > ws + shift)
+    a = QMatrix.from_rows(adapted, cols=len(w_src))
+    return q @ a @ qlinalg.inverse(p), filtered
+
+
+def test_datum_refused_exactly_when_the_construction_checks_fail():
+    """GluingDatum refuses a datum exactly when a shape is wrong, var . can
+    is not nilpotent, or can or var is not filtered.  Its constructor no
+    longer tests nilpotency: filtered can and var imply it.  Filteredness is
+    read here off the adapted bases, not from check_filtered."""
+    rng = random.Random(11)
+    outcomes = {"accepted": 0, "shape": 0, "not nilpotent": 0, "not filtered": 0}
+    for _ in range(400):
+        psi_a = _adapted_space(rng, rng.randint(0, 4))
+        phi_a = _adapted_space(rng, rng.randint(0, 4))
+        (psi, *_), (phi, *_) = psi_a, phi_a
+        can, can_ok = _adapted_map(rng, psi_a, phi_a, 0)
+        var, var_ok = _adapted_map(rng, phi_a, psi_a, -2)
+        if rng.random() < 0.1:  # one column too many
+            can = QMatrix.from_rows([list(r) + [1] for r in can.entries], cols=can.cols + 1)
+        if (can.cols, can.rows, var.cols, var.rows) != (psi.dim, phi.dim, phi.dim, psi.dim):
+            verdict = "shape"
+        else:
+            try:
+                nilpotency_index(var @ can)
+                verdict = "accepted" if can_ok and var_ok else "not filtered"
+            except NotNilpotent:
+                verdict = "not nilpotent"
+                assert not (can_ok and var_ok)
+        outcomes[verdict] += 1
+        try:
+            g = GluingDatum(psi, phi, TwistedMap(can, 0), TwistedMap(var, -1))
+        except ValueError:
+            assert verdict != "accepted"
+            continue
+        assert verdict == "accepted"
+        assert g.monodromy_matrix() == var @ can
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_extensions_take_no_powers(monkeypatch):
+    """The three extensions of a built model take no power of any operator:
+    the datum's construction checks imply that var . can is nilpotent."""
+    model = string_model((("L", 3), ("P", 2)))
+    calls = []
+    powers = monodromy._powers
+    monkeypatch.setattr(monodromy, "_powers", lambda m: calls.append(m) or powers(m))
+    for kind in EXTENSIONS:
+        extension(model, kind)
+    assert calls == []
 
 
 class TestExtensionContext:
@@ -157,6 +235,9 @@ def test_zero_model_passes_every_gluing_verifier():
     """On the zero space ker N and coker N are zero: the inclusion is d x 0
     and the projection 0 x 0, and the general checks hold on them."""
     model = JordanStringModel((), 1).to_nilpotent()
+    for g in (extension(model, kind) for kind in EXTENSIONS):
+        for cx in (i_upper_star(g), i_upper_shriek(g)):
+            assert cx.h_low() == cx.h_high() == WeightedSpace.zero()
     seq = verify_sequence_2(model)
     assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
     assert verify_prop_2_3(model).passed

@@ -5,15 +5,16 @@ import pytest
 
 from monofilt import monodromy, qlinalg
 from monofilt.gluing import extension, verify_sequence_2
-from monofilt.monodromy import (GradedKernelMismatch, JordanStringModel,
+from monofilt.monodromy import (GradedKernel, GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
                                 check_monodromy_axioms, graded_kernel,
                                 monodromy_filtration, nilpotency_index,
                                 primitive_decomposition, verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, apply_to_subspace, inverse
-from monofilt.theorems import generate_model, random_nilpotent, random_unimodular
-from monofilt.weights import (TwistedLabel, TwistedMap, WeightFiltration,
-                              WeightedSpace)
+from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
+                               random_unimodular)
+from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
+                              WeightFiltration, WeightedSpace)
 
 from conftest import J2, J3, qm, span
 from reference import ref_intersect, ref_matmul, ref_null, ref_span
@@ -235,6 +236,18 @@ class TestNilpotentModel:
         assert nilpotency_index(J3) == 3
         with pytest.raises(NotNilpotent):
             nilpotency_index(qm([[1, 0], [0, 1]]))
+
+
+def test_zero_space_takes_the_general_path():
+    """The constructors and readers have no zero-space branch: on Q^0 the
+    general path gives the zero space and the empty graded kernel."""
+    zero = WeightedSpace.zero()
+    model = JordanStringModel((), 1).to_nilpotent()
+    assert model.space == zero
+    assert NilpotentModel.on_monodromy_filtration(QMatrix.zero(0, 0), 1).space == zero
+    assert WeightedSpace.pure(0, 2) == zero
+    assert graded_kernel(model) == GradedKernel(LabeledGrading.empty(), ())
+    assert generate_scrambled(JordanStringModel((), 1), 4) == model
 
 
 def wrong_center_model() -> NilpotentModel:

@@ -216,6 +216,39 @@ def test_preimage(args):
     assert out.basis.entries == ref_preimage(data, c, list(sub.basis.entries), r)
 
 
+def _outcome(f):
+    """f() or the name of the AmbientMismatch it raises."""
+    try:
+        return f()
+    except qlinalg.AmbientMismatch:
+        return "AmbientMismatch"
+
+
+@EXAMPLES
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda rc: st.tuples(matrices(rows=rc[0], cols=rc[1], max_dim=5),
+                         matrices(cols=rc[1], max_dim=5), matrices(cols=rc[0], max_dim=5),
+                         st.sampled_from(("drawn", "zero", "full")),
+                         st.sampled_from(("drawn", "zero", "full", "holds m(s)")),
+                         st.sampled_from((None, None, None, "s", "t")))))
+def test_maps_into(args):
+    """maps_into(m, s, t) decides m(s) < t as t.contains(apply_to_subspace(m, s))
+    does, and raises AmbientMismatch when that pair of calls does."""
+    (data, r, c), (u, _, _), (w, _, _), s_kind, t_kind, off = args
+    m = qmatrix(data, c)
+    ds, dt = c + (off == "s"), r + (off == "t")
+    s = {"drawn": lambda: Subspace.from_vectors(ds, [v + [0] * (ds - c) for v in u]),
+         "zero": lambda: Subspace.zero(ds), "full": lambda: Subspace.full(ds)}[s_kind]()
+    drawn_t = Subspace.from_vectors(dt, [v + [0] * (dt - r) for v in w])
+    if t_kind == "holds m(s)":
+        t = drawn_t if off else drawn_t + qlinalg.apply_to_subspace(m, s)
+    else:
+        t = {"drawn": drawn_t, "zero": Subspace.zero(dt), "full": Subspace.full(dt)}[t_kind]
+    want = _outcome(lambda: t.contains(qlinalg.apply_to_subspace(m, s)))
+    assert _outcome(lambda: qlinalg.maps_into(m, s, t)) == want
+    assert (want == "AmbientMismatch") == (off is not None)
+
+
 def _random_span(rng, d, count, rows=()):
     """The span of `rows` and `count` random small integer vectors in Q^d."""
     vecs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(count)]
