@@ -49,7 +49,9 @@ class ValidationError(ValueError):
 
 
 def _capped(size: int, what: str) -> int:
-    """size, or a validation error if it exceeds MAX_DIM."""
+    """size, or a validation error if it is negative or exceeds MAX_DIM."""
+    if size < 0:
+        raise ValidationError(f"{what} is {size}, below 0")
     if size > MAX_DIM:
         raise ValidationError(f"{what} is {size}, above the size cap {MAX_DIM}")
     return size
@@ -264,8 +266,8 @@ def _disk_from_json(data) -> DiskModel:
     labels = {TwistedLabel(str(lbl)): _parse_int(m, "mult") for lbl, m in pairs}
     if len(labels) != len(pairs):
         raise ValidationError("point labels must be distinct")
+    grading = LabeledGrading.from_dict({pw: labels})  # refuses a negative multiplicity
     _capped(sum(labels.values()), "the sum of point multiplicities")
-    grading = LabeledGrading.from_dict({pw: labels})
     point = WeightedSpace.pure(grading.total_at(pw), pw, grading=grading)
     pure = data.get("pure", True)
     if not isinstance(pure, bool):
@@ -463,7 +465,10 @@ def cmd_gen(args, out) -> int:
 def cmd_independence(args, out) -> int:
     a = _doc_model(_load(args.file_a))
     b = _doc_model(_load(args.file_b))
-    report = theorems.verify_kclass_independence(a, b)
+    try:
+        report = theorems.verify_kclass_independence(a, b)
+    except monodromy.NotPure as e:  # an impure model, or two weights n
+        raise ValidationError(str(e)) from None
     _emit(report, args.format, out)
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 

@@ -28,21 +28,6 @@ class KClass:
     def zero() -> "KClass":
         return KClass(())
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        d = self.as_dict()
-        for lbl, c in other.terms:
-            d[lbl] = d.get(lbl, 0) + c
-        return KClass.from_dict(d)
-
-    def __neg__(self) -> "KClass":
-        return KClass.from_dict({lbl: -c for lbl, c in self.terms})
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -50,10 +35,6 @@ class KClass:
         for lbl, c in self.terms:
             parts.append(str(lbl) if c == 1 else f"{c}*{lbl}")
         return " + ".join(parts)
-
-
-def twist_class(c: KClass, d: int) -> KClass:
-    return KClass.from_dict({lbl.twisted(d): coeff for lbl, coeff in c.terms})
 
 
 def kclass_of_space(ws: WeightedSpace) -> KClass:

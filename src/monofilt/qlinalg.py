@@ -7,11 +7,11 @@ The arithmetic runs on integers; ``Fraction`` is only the type at the
 interface.  A matrix stores its integer rows over one positive denominator
 in lowest terms; that form is unique, so matrix equality and hashing are
 plain structural equality, and the ``Fraction`` ``entries`` are built on
-first read.  Products and matrix-vector products are integer dot products
-that skip zero entries.  Elimination works fraction-free on primitive
-integer rows (each updated row is divided by the gcd of its entries).  An
-intersection takes one Zassenhaus elimination of the stacked rows, which
-yields its primitive RREF rows directly.
+first read.  Products are integer dot products that skip zero entries.
+Elimination works fraction-free on primitive integer rows (each updated row
+is divided by the gcd of its entries).  An intersection takes one Zassenhaus
+elimination of the stacked rows, which yields its primitive RREF rows
+directly.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -128,14 +128,6 @@ class QMatrix:
     def identity(n: int) -> "QMatrix":
         return QMatrix(n, n, (tuple(
             tuple(int(i == j) for j in range(n)) for i in range(n)), 1))
-
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise AmbientMismatch("vector length does not match column count")
-        a, da = self._ints
-        vi, dv = _int_row(v)
-        den = da * dv
-        return tuple(_frac(x, den) for x in _dots(a, vi))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -264,11 +256,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def contains_vector(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise AmbientMismatch("vector length does not match ambient dimension")
-        return not any(self._reduce(_int_row(v)[0])[0])
-
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
@@ -302,11 +289,6 @@ def kernel(m: QMatrix) -> Subspace:
 def image(m: QMatrix) -> Subspace:
     """Column space of m as a subspace of Q^rows."""
     return Subspace.from_vectors(m.rows, list(zip(*m._ints[0])))
-
-
-def annihilator(s: Subspace) -> Subspace:
-    """Orthogonal complement w.r.t. the standard bilinear form."""
-    return kernel(s.basis)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -344,16 +326,6 @@ def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
         raise AmbientMismatch("ambient dimensions differ")
     a = m._ints[0]
     return not any(any(t._reduce(_dots(a, r))[0]) for r in s._rows)
-
-
-def preimage(m: QMatrix, s: Subspace) -> Subspace:
-    """{v : m v in s} as a subspace of the domain."""
-    if s.ambient_dim != m.rows:
-        raise AmbientMismatch("subspace does not live in the codomain")
-    ann = annihilator(s)
-    if ann.is_zero():
-        return Subspace.full(m.cols)
-    return kernel(ann.basis @ m)
 
 
 def _quotient_coords(quot: Subspace, sub: Subspace, v: list, den: int) -> tuple[list, int]:

@@ -57,3 +57,14 @@ def ref_intersect(u, w, dim):
     vecs = [[sum((a * v[i] for a, v in zip(c, u)), Fraction(0)) for i in range(dim)]
             for c in coeffs]
     return ref_span(vecs, dim)
+
+
+def ref_matvec(rows, v):
+    """The product of the matrix with the given rows and the vector v."""
+    return tuple(sum((Fraction(x) * Fraction(y) for x, y in zip(r, v)), Fraction(0))
+                 for r in rows)
+
+
+def ref_in_span(vectors, v, dim):
+    """True iff v lies in the span of `vectors`: adding it leaves the rank alone."""
+    return len(ref_rref(list(vectors) + [v], dim)[1]) == len(ref_rref(vectors, dim)[1])

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -109,6 +110,8 @@ J2_DOC = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]],
           "filtration": {"-1": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]},
           "grading": {"-1": [["L", 0, 1]], "1": [["L", -1, 1]]}}
 PT_SPACE = {"dim": 1, "filtration": {"1": [["1"]]}, "grading": {"1": [["pt", 0, 1]]}}
+# the filtration of J2_DOC is M(N, 0), not M(N, 1), so this model is impure
+IMPURE_J2 = {**J2_DOC, "n": 2}
 
 
 # a JSON integer literal of 5000 digits, past the interpreter's int() digit
@@ -207,6 +210,9 @@ class TestDocumentBoundary:
             can=[], var=[]),
         # var . can = 1 is not nilpotent; var does not lower the weight by 2
         "gluing_var_can_not_nilpotent": _doc("gluing", can=[["1"]], var=[["1"]]),
+        "dim_negative": _doc("gluing", psi={"dim": -1, "filtration": {}}),
+        "dim_negative_without_filtration": _doc("gluing", psi={"dim": -2}),
+        "disk_open_part_not_pure": _doc("disk", open=IMPURE_J2),
     }
 
     # one past the size cap (128); parse refuses each before building its model
@@ -243,6 +249,11 @@ class TestDocumentBoundary:
         assert rc == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("space", [{"dim": -1, "filtration": {}}, {"dim": -2}])
+    def test_negative_dim_is_named(self, space):
+        with pytest.raises(ValidationError, match=rf"^dim is {space['dim']}, below 0$"):
+            parse(json.dumps(_doc("gluing", psi=space)))
 
     @pytest.mark.parametrize("space", [{"dim": 0}, {"dim": "0", "filtration": {}},
                                        {"dim": 0, "filtration": {"3": []}, "grading": {}}])
@@ -326,6 +337,93 @@ class TestBoundaryFuzz:
         assert rc in (EXIT_OK, EXIT_VERIFICATION, EXIT_PARSE, EXIT_VALIDATION)
 
 
+# the whole-document fuzz draws only integers that keep every model small or
+# that lie far past the size cap, so no drawn document takes long to check
+_DOC_KEYS = ["kind", "n", "matrix", "filtration", "grading", "strings", "label", "length",
+             "psi", "phi", "can", "var", "dim", "open", "point", "weight", "labels",
+             "pure", "extension", "-1", "0", "1"]
+_DOC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 4) | st.sampled_from([-10**9, 10**9])
+    | st.floats(-2, 2)
+    | st.sampled_from(["", "x", "0", "1", "-1", "+2", "1/2", "1/0", "1.0", "L", "pt",
+                       "nilpotent", "pure_strings", "gluing", "disk", "intermediate",
+                       "shriek", "star", BIG_DIGITS]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_DOC_KEYS), inner, max_size=4),
+    max_leaves=12)
+_KINDS = ["nilpotent", "pure_strings", "gluing", "disk"]
+# leaves of the same JSON type as the base documents' own: a string here is a
+# rational and also a label, an integer fits every integer field
+_LIKE_LEAVES = {str: ["0", "1", "-1", "2", "1/2"], int: list(range(-3, 5)),
+                bool: [True, False]}
+# a whole JSON document: any value, or an object of any fields with a known kind
+_WHOLE_DOCUMENTS = _DOC_VALUES | st.builds(
+    lambda rest, kind: {**rest, "kind": kind},
+    st.dictionaries(st.sampled_from(_DOC_KEYS), _DOC_VALUES, max_size=6),
+    st.sampled_from(_KINDS))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """A whole JSON document (one time in four), or a base document with one
+    to four fields, at any depth, deleted or replaced; most replace a leaf by
+    another of its type, so that more of the documents stay valid.  The
+    choices are uniform: hypothesis's own would mostly pick the first field,
+    the kind."""
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.25:
+        return draw(_WHOLE_DOCUMENTS)
+    doc = copy.deepcopy(_doc(rng.choice(_KINDS)))
+    for _ in range(rng.randint(1, 4)):
+        action = rng.choice(["leaf"] * 6 + ["value", "delete"])
+        paths = [p for p in _field_paths(doc)
+                 if action != "leaf" or type(_node(doc, p)) in _LIKE_LEAVES]
+        if not paths:
+            break
+        *parents, last = rng.choice(paths)
+        node = _node(doc, parents)
+        if action == "delete":
+            del node[last]
+        else:
+            node[last] = (rng.choice(_LIKE_LEAVES[type(node[last])]) if action == "leaf"
+                          else draw(_DOC_VALUES))
+    return doc
+
+
+class TestDocumentFuzz:
+    """Every document, under every command that reads one, ends in exit 0 or 1
+    with nothing on stderr, or in exit 2 or 3 with one error line."""
+
+    COMMANDS = [["check"], ["check", "--format", "json"], ["lic"],
+                ["lic", "--k", "-1", "--format", "json"], ["lic", "--k", "0"], ["kclass"],
+                ["monodromy"], ["monodromy", "--center", "2"]]
+    PREFIX = {EXIT_OK: "", EXIT_VERIFICATION: "", EXIT_PARSE: "parse error: ",
+              EXIT_VALIDATION: "validation error: "}
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_fuzz_documents())
+    def test_document_exits_cleanly(self, doc, tmp_path):
+        path = write_json(tmp_path, "fuzz.json", doc)
+        base = write_json(tmp_path, "base.json", _doc("pure_strings"))
+        argvs = [[command, path, *flags] for command, *flags in self.COMMANDS]
+        argvs += [["independence", path, path], ["independence", path, base],
+                  ["independence", base, path]]
+        for argv in argvs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc, _ = run(argv)
+            assert rc in self.PREFIX, argv
+            prefix, err = self.PREFIX[rc], err.getvalue()
+            assert err.startswith(prefix) and err.count("\n") == bool(prefix), (argv, err)
+
+
 class TestCommands:
     def test_check_pure_model(self, tmp_path):
         doc = ModelDocument("pure_strings", generate_model(7, 3, 3, 1, ["L"]))
@@ -355,6 +453,15 @@ class TestCommands:
         rc, _ = run(["check", str(p)])
         assert rc == EXIT_VALIDATION
 
+    def test_kernel_labels_fall_back_to_pt(self, tmp_path):
+        """No twist-0 label at the kernel's weight -1, so the kernel grading
+        is read as pt there and the class identity fails."""
+        data = {**README_EXAMPLE, "grading": {"-1": [["L", -1, 1]], "1": [["L", 0, 1]]}}
+        rc, out = run(["check", write_json(tmp_path, "m.json", data)])
+        assert rc == EXIT_VERIFICATION
+        assert "FAIL class of the space equals class assembled from ker N — " \
+            "L(0) + L(-1) vs pt(0) + pt(-1)" in out
+
     def test_kclass_j2(self, tmp_path):
         doc = ModelDocument("pure_strings", JordanStringModel((("L", 2),), 1))
         rc, out = run(["kclass", write_doc(tmp_path, "m.json", doc)])
@@ -383,6 +490,16 @@ class TestCommands:
         rc, out = run(["independence", a, b])
         assert rc == EXIT_OK
         assert "kernel gradings agree" in out
+
+    @pytest.mark.parametrize("docs, reason", [
+        ((_doc("pure_strings"), _doc("pure_strings", n=2)),
+         "models have different purity weights"),
+        ((IMPURE_J2, IMPURE_J2), "first model is not pure")])
+    def test_independence_refuses_impure_or_unequal_weights(self, docs, reason, tmp_path,
+                                                             capsys):
+        paths = [write_json(tmp_path, f"{i}.json", d) for i, d in enumerate(docs)]
+        assert run(["independence", *paths]) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == f"validation error: {reason}\n"
 
     def test_lic_pure(self, tmp_path):
         m = JordanStringModel((("L", 2),), 1).to_nilpotent()

@@ -1,17 +1,11 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from monofilt.kgroup import (BadSupport, KClass, kclass_of_space,
-                             kclass_psi_from_kernel, twist_class)
+                             kclass_psi_from_kernel)
 from monofilt.monodromy import JordanStringModel, graded_kernel
 from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
-
-
-labels_st = st.sampled_from(["L", "P", "Q"])
-classes_st = st.dictionaries(
-    st.builds(TwistedLabel, labels_st, st.integers(-3, 3)),
-    st.integers(-4, 4), max_size=5).map(KClass.from_dict)
 
 
 class TestKClass:
@@ -19,33 +13,9 @@ class TestKClass:
         c = KClass.from_dict({TwistedLabel("L", 0): 0, TwistedLabel("P", 1): 2})
         assert c.terms == ((TwistedLabel("P", 1), 2),)
 
-    @given(classes_st, classes_st)
-    def test_addition_commutes(self, a, b):
-        assert a + b == b + a
-
-    @given(classes_st)
-    def test_subtraction(self, a):
-        assert a - a == KClass.zero()
-
     def test_str_sorted(self):
         c = KClass.from_dict({TwistedLabel("L", -1): 1, TwistedLabel("L", 0): 1})
         assert str(c) == "L(0) + L(-1)"
-
-
-class TestTwistClass:
-    def test_identity(self):
-        c = KClass.from_dict({TwistedLabel("L", 0): 2})
-        assert twist_class(c, 0) == c
-
-    def test_convention(self):
-        c = KClass.from_dict({TwistedLabel("L", 0): 1, TwistedLabel("L", -1): 1})
-        t = twist_class(c, 1)
-        assert t == KClass.from_dict({TwistedLabel("L", 1): 1,
-                                      TwistedLabel("L", 0): 1})
-
-    @given(classes_st, st.integers(-3, 3), st.integers(-3, 3))
-    def test_group_action(self, c, a, b):
-        assert twist_class(twist_class(c, a), b) == twist_class(c, a + b)
 
 
 class TestKClassOfSpace:
@@ -98,9 +68,10 @@ class TestKClassPsiFromKernel:
                     for lbl, c in terms.items():
                         merged[w][lbl] = merged[w].get(lbl, 0) + c
             lhs = kclass_psi_from_kernel(LabeledGrading.from_dict(merged), n)
-            rhs = (kclass_psi_from_kernel(LabeledGrading.from_dict(d1), n)
-                   + kclass_psi_from_kernel(LabeledGrading.from_dict(d2), n))
-            assert lhs == rhs
+            rhs = Counter()
+            for d in (d1, d2):
+                rhs.update(dict(kclass_psi_from_kernel(LabeledGrading.from_dict(d), n).terms))
+            assert lhs == KClass.from_dict(rhs)
 
     def test_matches_direct_class_on_string_models(self, rng):
         for _ in range(60):

@@ -11,6 +11,7 @@ from monofilt.monodromy import (GradedKernel, GradedKernelMismatch, JordanString
                                 monodromy_filtration, nilpotency_index,
                                 primitive_decomposition, verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, apply_to_subspace, inverse
+from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
 from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
@@ -56,6 +57,23 @@ class TestMonodromyFiltration:
             c = rng.randint(-2, 2)
             f = monodromy_filtration(m, c)
             assert check_monodromy_axioms(f, m, c).passed
+
+    def test_axiom_checker_fails_when_n_does_not_lower_the_filtration(self):
+        # N e2 = e1, so N W_-1 = <e1> is not in W_-3 = 0
+        filt = WeightFiltration.from_spaces(2, [(-1, span(2, [0, 1])),
+                                                (1, Subspace.full(2))])
+        rep = check_monodromy_axioms(filt, J2, 0)
+        assert not rep.result("N-shift: N M_k in M_{k-2}").passed
+        assert rep.result("N^1: Gr_1 ~ Gr_-1") == CheckResult(
+            "N^1: Gr_1 ~ Gr_-1", False, "power of N does not respect the filtration")
+
+    def test_axiom_checker_fails_off_center(self, rng):
+        """The graded dims of M(N, c) on a nonzero space are symmetric about c,
+        so not about c + 1."""
+        for _ in range(60):
+            m = random_nilpotent(rng, max_dim=6)
+            c = rng.randint(-2, 2)
+            assert not check_monodromy_axioms(monodromy_filtration(m, c), m, c + 1).passed
 
     def test_uniqueness_under_conjugation(self, rng):
         for _ in range(40):
