@@ -47,6 +47,11 @@ class GluingDatum:
         """N = var . can, computed once at construction."""
         return self._var_can
 
+    @cached_property
+    def can_n_kernels(self) -> tuple:
+        """(ker can, ker N), taken once per datum."""
+        return kernel(self.can.matrix), kernel(self._var_can)
+
 
 def psi_u(g: GluingDatum) -> NilpotentModel:
     """The nearby-cycles model (psi, var . can) of a gluing datum, with

@@ -29,12 +29,8 @@ class KClass:
         return KClass(())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for lbl, c in self.terms:
-            parts.append(str(lbl) if c == 1 else f"{c}*{lbl}")
-        return " + ".join(parts)
+        return " + ".join(str(lbl) if c == 1 else f"{c}*{lbl}"
+                          for lbl, c in self.terms) or "0"
 
 
 def kclass_of_space(ws: WeightedSpace) -> KClass:

@@ -1,8 +1,9 @@
 """Monodromy filtrations of nilpotent operators and their graded structure.
 
-The filtration is built by the closed kernel/image convolution formula;
-check_monodromy_axioms provides an independent code path (induced maps on
-graded pieces) that verifies the two defining axioms.
+The filtration is read off a basis of Jordan chains of N built along the
+kernel flag ker N c ker N^2 c ... c ker N^e.  check_monodromy_axioms and a
+model's hard Lefschetz report verify it without the chains, by induced maps
+on graded pieces.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import qlinalg
-from .qlinalg import QMatrix, Subspace, intersect, maps_into
+from .qlinalg import QMatrix, Subspace, maps_into
 from .report import Report, ReportBuilder
 from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
@@ -46,32 +47,42 @@ def nilpotency_index(m: QMatrix) -> int:
     return len(_powers(m)) - 1
 
 
-def monodromy_filtration(n_op: QMatrix, center: int,
-                         powers: list | None = None) -> WeightFiltration:
+def _kernel_flag(powers: list) -> list:
+    """[ker N^k for k = 0 .. max(e, 1)] from powers = [N^0, ..., N^e], N^e = 0."""
+    zero, full = Subspace.zero(powers[0].rows), Subspace.full(powers[0].rows)
+    return [zero] + [qlinalg.kernel(p) for p in powers[1:-1]] + [full]
+
+
+def monodromy_filtration(n_op: QMatrix, center: int, powers: list | None = None,
+                         kernels: list | None = None) -> WeightFiltration:
     """The unique filtration M with N M_k in M_{k-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
-    Computed as M_{c+l} = sum over a-b=l, a,b>=0 of ker(N^{a+1}) n im(N^b),
-    from `powers` = [N^0, ..., N^e] when given (a model passes its own).
-    Use check_monodromy_axioms for an independent verification.
+    M_w is spanned by the vectors of weight <= w in a basis of Jordan chains
+    h, N h, ..., N^m h, N^i h of weight c + m - 2i (Deligne, Weil II 1.6),
+    built top-down along the kernel flag `kernels` (taken from `powers` or
+    n_op when not given).  check_monodromy_axioms verifies M without chains.
     """
-    powers = powers or _powers(n_op)
-    e = len(powers) - 1
-    d = n_op.rows
-    # ker N^0 = 0 and im N^0 = Q^d; from N^e = 0 on, ker = Q^d and im = 0
-    kernels = ([Subspace.zero(d)] + [qlinalg.kernel(p) for p in powers[1:e]]
-               + [Subspace.full(d)] * 2)
-    images = ([Subspace.full(d)] + [qlinalg.image(p) for p in powers[1:e]]
-              + [Subspace.zero(d)] * 2)
-    steps = []
-    for ell in range(-e, e + 1):
-        rows = []
-        for a in range(max(0, ell), e + 1):
-            b = a - ell
-            if b > e:
-                continue
-            rows += intersect(kernels[a + 1], images[b])._rows
-        steps.append((center + ell, Subspace.from_vectors(d, rows)))
-    return WeightFiltration.from_spaces(d, steps)
+    kernels = kernels or _kernel_flag(powers or _powers(n_op))
+    d, a = n_op.rows, n_op._ints[0]
+    chains, level = [], []  # (integer vector, weight): all, and those at level k
+    for k in range(len(kernels) - 1, 0, -1):
+        # N is injective from ker N^{k+1}/ker N^k to ker N^k/ker N^{k-1}
+        level = [(qlinalg._dots(a, v), w - 2) for v, w in level]
+        missing = kernels[k].dim - kernels[k - 1].dim - len(level)
+        if missing:
+            rows = kernels[k - 1]._rows + tuple(v for v, _ in level)
+            below = Subspace.from_vectors(d, rows)
+            # the rows of ker N^k reduced modulo `below` span the heads' classes
+            heads = qlinalg._echelon([below._reduce(r)[0] for r in kernels[k]._rows])[0]
+            level += [(h, center + k - 1) for h in heads]
+        chains += level
+    # the chain vectors are a basis of Q^d, so the steps strictly grow up to Q^d
+    steps, span = [], Subspace.zero(d)
+    for w in sorted({u for _, u in chains}):
+        rows = span._rows + tuple(v for v, u in chains if u == w)
+        span = Subspace.from_vectors(d, rows)
+        steps.append((w, span))
+    return WeightFiltration(d, tuple(steps))
 
 
 def _induced_graded_map(m: QMatrix, filt_dom: WeightFiltration,
@@ -134,9 +145,9 @@ class NilpotentModel:
 
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
-    N^e = 0), the monodromy filtration at the center, the hard Lefschetz
-    report, the graded kernel and the gluing extensions (gluing.extension).
-    Equality and hashing read the fields only.
+    N^e = 0), their kernels, the monodromy filtration at the center, the hard
+    Lefschetz report, the graded kernel and the gluing extensions
+    (gluing.extension).  Equality and hashing read the fields only.
     """
     space: WeightedSpace
     n: int
@@ -156,12 +167,13 @@ class NilpotentModel:
         filtration centered at n-1, which is built once and kept as the
         model's monodromy_filtration.  The grading defaults to the string
         grading of default_grading at that center."""
-        filt = monodromy_filtration(n_op, n - 1)
+        kernels = _kernel_flag(_powers(n_op))
+        filt = monodromy_filtration(n_op, n - 1, kernels=kernels)
         if grading is None:
             grading = default_grading(filt, center=n - 1)
         model = NilpotentModel(WeightedSpace(n_op.rows, filt, grading), n,
                                TwistedMap(n_op, -1))
-        model.__dict__["monodromy_filtration"] = filt
+        model.__dict__.update(kernels=kernels, monodromy_filtration=filt)
         return model
 
     @property
@@ -169,9 +181,14 @@ class NilpotentModel:
         return self.n - 1
 
     @cached_property
+    def kernels(self) -> list:
+        """The kernel flag [ker N^0, ..., ker N^e] of the chain builder."""
+        return _kernel_flag(self.powers)
+
+    @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
         """The monodromy filtration of N centered at n-1."""
-        return monodromy_filtration(self.N.matrix, self.center, self.powers)
+        return monodromy_filtration(self.N.matrix, self.center, kernels=self.kernels)
 
     @cached_property
     def extensions(self) -> dict:
@@ -192,7 +209,7 @@ class NilpotentModel:
 
     @cached_property
     def _graded_kernel(self) -> GradedKernel:
-        ker = qlinalg.kernel(self.N.matrix)
+        ker = self.kernels[1]
         filt = self.space.filtration
         ker_filt = induced_filtration_on_sub(self.space, ker)
         dims = []
@@ -290,16 +307,9 @@ def graded_kernel(model: NilpotentModel) -> GradedKernel:
 
 
 def _kernel_labels(model: NilpotentModel, kernel_dims: dict) -> LabeledGrading:
-    out: dict[int, dict[TwistedLabel, int]] = {}
-    consistent = True
-    for k, dim in kernel_dims.items():
-        zero_twist = {lbl: m for lbl, m in model.space.grading.at(k).items()
-                      if lbl.twist == 0}
-        if sum(zero_twist.values()) != dim:
-            consistent = False
-            break
-        out[k] = zero_twist
-    if not consistent:
+    out = {k: {lbl: m for lbl, m in model.space.grading.at(k).items() if lbl.twist == 0}
+           for k in kernel_dims}
+    if any(sum(out[k].values()) != dim for k, dim in kernel_dims.items()):
         out = {k: {TwistedLabel("pt"): dim} for k, dim in kernel_dims.items()}
     return LabeledGrading.from_dict(out)
 

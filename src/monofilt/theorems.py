@@ -11,7 +11,7 @@ from .gluing import EXTENSIONS, GluingDatum, extension, i_upper_shriek
 from .kgroup import kclass_of_space, kclass_psi_from_kernel
 from .monodromy import (JordanStringModel, NilpotentModel, NotPure,
                         graded_kernel, verify_hard_lefschetz)
-from .qlinalg import QMatrix, image, intersect, kernel
+from .qlinalg import QMatrix, image, intersect
 from .report import Report, ReportBuilder
 from .weights import (TwistedMap, WeightedSpace, is_pure,
                       sub_weighted_space, quotient_weighted_space, weights_at_least)
@@ -96,8 +96,7 @@ def verify_local_invariant_cycles(dm: DiskModel, k: int) -> Report:
         # source is ker(can) inside the nearby-cycles space; the map is the
         # inclusion, so its image is ker(can) itself
         g = dm.datum()
-        img = kernel(g.can.matrix)
-        ker_n = kernel(g.monodromy_matrix())
+        img, ker_n = g.can_n_kernels
         rb.check("image of H^{-1}(i^*M) equals ker N", img == ker_n,
                  f"dims {img.dim} vs {ker_n.dim}")
     else:
@@ -115,7 +114,7 @@ WEIGHT_CLAIMS = ("monodromy_centered", "kernel_weight_bound",
 
 def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     n, psi = dm.n, g.psi
-    ker_n = kernel(g.monodromy_matrix())
+    img, ker_n = g.can_n_kernels  # the image of H^{-1}(i^*M) is ker(can)
     low_weights = psi.filtration.space_at(n - 1)
     claims = {}
     if psi.dim:
@@ -138,9 +137,8 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
         detail += "; point part included"
     claims["i_shriek_lower_bound"] = (holds, detail)
     # (4) H^{-1} of the central-fibre restriction surjects onto the weights
-    # <= n-1 of ker N; its image is ker(can)
+    # <= n-1 of ker N
     low = intersect(ker_n, low_weights)
-    img = kernel(g.can.matrix)
     claims["surjective_on_low_weights"] = (
         img.contains(low),
         f"low-weight part of ker N: dim {low.dim}, image dim {img.dim}")

@@ -144,10 +144,7 @@ class LabeledGrading:
         return {w: dict(terms) for w, terms in self.entries}
 
     def at(self, k: int) -> dict:
-        for w, terms in self.entries:
-            if w == k:
-                return dict(terms)
-        return {}
+        return dict(dict(self.entries).get(k, ()))
 
     def total_at(self, k: int) -> int:
         return sum(self.at(k).values())
@@ -226,11 +223,6 @@ class TwistedMap:
     matrix: QMatrix
     twist: int = 0
 
-    @property
-    def morphism_shift(self) -> int:
-        """Raw filtration shift of a twist-t morphism against untwisted storage."""
-        return 2 * self.twist
-
 
 def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:
     filt = ws.filtration.shifted(-2 * d)
@@ -256,8 +248,8 @@ def check_filtered(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
 def check_strict(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
                  shift: int | None = None) -> bool:
     """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k."""
-    if shift is None:
-        shift = tm.morphism_shift
+    if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
+        shift = 2 * tm.twist
     if not check_filtered(tm, dom, cod, shift):
         raise NotFiltered("map is not filtered with the given shift")
     m = tm.matrix
@@ -277,11 +269,8 @@ def weights_at_most(ws: WeightedSpace, n: int) -> bool:
 
 
 def weights_at_least(ws: WeightedSpace, n: int) -> bool:
-    lowest = Subspace.zero(ws.dim)
-    for w, s in ws.filtration.steps:
-        if w < n and s != lowest:
-            return False
-    return True
+    # a filtration keeps no step equal to the one below it, so none is zero
+    return all(w >= n for w in ws.filtration.weights)
 
 
 def is_pure(ws: WeightedSpace, n: int) -> bool:

@@ -3,7 +3,9 @@
 A textbook Gauss-Jordan elimination on Fraction rows and what follows from
 it: spans, null spaces, products and intersections.  It shares no code with
 monofilt.qlinalg, and intersections are computed by a different method from
-the library's (a null space of stacked spanning sets).
+the library's (a null space of stacked spanning sets).  The monodromy
+filtration is computed by the closed kernel/image formula, not from Jordan
+chains as the library builds it.
 """
 from fractions import Fraction
 
@@ -57,6 +59,24 @@ def ref_intersect(u, w, dim):
     vecs = [[sum((a * v[i] for a, v in zip(c, u)), Fraction(0)) for i in range(dim)]
             for c in coeffs]
     return ref_span(vecs, dim)
+
+
+def ref_monodromy_steps(m, d, center):
+    """[(k, RREF rows of M_k)] for k = center-d-1 .. center+d, by the closed
+    formula M_{c+l} = sum over a-b=l, 0<=a,b<=d of ker N^{a+1} n im N^b."""
+    powers = [tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))]
+    for _ in range(d + 1):
+        powers.append(ref_matmul(powers[-1], m, d, d))
+    kernels = [ref_span(ref_null(p, d), d) for p in powers]
+    images = [ref_span([[r[j] for r in p] for j in range(d)], d) for p in powers]
+    steps = []
+    for ell in range(-d - 1, d + 1):
+        rows = []
+        for a in range(max(0, ell), d + 1):
+            if a - ell <= d:
+                rows += ref_intersect(kernels[a + 1], images[a - ell], d)
+        steps.append((center + ell, ref_span(rows, d)))
+    return steps
 
 
 def ref_matvec(rows, v):

@@ -584,9 +584,9 @@ def builds(monkeypatch):
     monkeypatch.setattr(gluing.GluingDatum, "__post_init__", counting_post_init)
     filtration = monodromy.monodromy_filtration
 
-    def counting_filtration(n_op, center, powers=None):
+    def counting_filtration(n_op, center, *args, **kwargs):
         counts["filtration"] += 1
-        return filtration(n_op, center, powers)
+        return filtration(n_op, center, *args, **kwargs)
 
     # the cli builds filtrations only through monodromy
     monkeypatch.setattr(monodromy, "monodromy_filtration", counting_filtration)

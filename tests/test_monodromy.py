@@ -1,5 +1,5 @@
 import random
-from fractions import Fraction
+from collections import Counter
 
 import pytest
 
@@ -18,7 +18,7 @@ from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace)
 
 from conftest import J2, J3, qm, span
-from reference import ref_intersect, ref_matmul, ref_null, ref_span
+from reference import ref_monodromy_steps
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -105,27 +105,9 @@ class TestMonodromyFiltration:
             assert fm == WeightFiltration.from_spaces(m.cols, expected)
 
 
-def ref_monodromy_steps(m, d, center):
-    """[(k, RREF rows of M_k)] for k = center-d-1 .. center+d, by the closed
-    formula M_{c+l} = sum over a-b=l, 0<=a,b<=d of ker N^{a+1} n im N^b, on
-    the Fraction reference alone."""
-    powers = [tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))]
-    for _ in range(d + 1):
-        powers.append(ref_matmul(powers[-1], m, d, d))
-    kernels = [ref_span(ref_null(p, d), d) for p in powers]
-    images = [ref_span([[r[j] for r in p] for j in range(d)], d) for p in powers]
-    steps = []
-    for ell in range(-d - 1, d + 1):
-        rows = []
-        for a in range(max(0, ell), d + 1):
-            if a - ell <= d:
-                rows += ref_intersect(kernels[a + 1], images[a - ell], d)
-        steps.append((center + ell, ref_span(rows, d)))
-    return steps
-
-
 class TestFiltrationOracle:
-    """The closed formula against a reference that shares no code with qlinalg."""
+    """The Jordan chain builder against the closed kernel/image formula,
+    computed by a reference that shares no code with qlinalg."""
 
     def check(self, m: QMatrix, center: int):
         f = monodromy_filtration(m, center)
@@ -143,6 +125,46 @@ class TestFiltrationOracle:
             p = random_unimodular(rng, m.rows)
             self.check(m, 0)
             self.check(p @ m @ inverse(p), rng.randint(-2, 2))
+
+    @pytest.mark.parametrize("lengths", [(3, 3, 2, 1, 1), (4, 2, 2), (2, 2, 2, 1),
+                                         (1, 1, 1), (3, 1, 3)])
+    def test_repeated_chain_lengths(self, lengths):
+        """Several heads at one level of the kernel flag, so the heads the
+        builder picks are one choice among many."""
+        m = JordanStringModel(tuple(("L", n) for n in lengths), 1).to_nilpotent().N.matrix
+        for seed in range(3):
+            p = random_unimodular(random.Random(seed), m.rows)
+            self.check(p @ m @ inverse(p), seed - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zero_operator(self, d):
+        self.check(QMatrix.zero(d, d), d - 2)
+
+    def test_random_nilpotent_up_to_dim_10(self):
+        rng = random.Random(10)
+        for _ in range(12):
+            self.check(random_nilpotent(rng, max_dim=10), rng.randint(-3, 3))
+
+
+def test_filtration_takes_no_intersection_or_image(monkeypatch):
+    """The chain builder reads only N and its kernel flag: building a
+    filtration calls neither qlinalg.intersect nor qlinalg.image, and the
+    axiom checker, which shares nothing with the chains, passes on each."""
+    calls = Counter()
+    for name in ("intersect", "image"):
+        original = getattr(qlinalg, name)
+        monkeypatch.setattr(qlinalg, name, lambda *args, name=name, original=original:
+                            calls.update([name]) or original(*args))
+    assert not {"intersect", "image"} & set(vars(monodromy))
+    rng = random.Random(200)
+    built = []
+    for _ in range(200):
+        m = random_nilpotent(rng, max_dim=8)
+        center = rng.randint(-3, 3)
+        built.append((monodromy_filtration(m, center), m, center))
+    assert calls == Counter()
+    for filt, m, center in built:
+        assert check_monodromy_axioms(filt, m, center).passed
 
 
 class TestHardLefschetz:
@@ -283,9 +305,9 @@ class TestOperatorContext:
         calls = []
         original = monodromy.monodromy_filtration
 
-        def counting(n_op, center, powers=None):
+        def counting(n_op, center, *args, **kwargs):
             calls.append(center)
-            return original(n_op, center, powers)
+            return original(n_op, center, *args, **kwargs)
 
         monkeypatch.setattr(monodromy, "monodromy_filtration", counting)
         return calls
@@ -305,6 +327,22 @@ class TestOperatorContext:
         assert graded_kernel(model) is gk
         assert filtration_calls == [model.center]
         assert len(ranks) == first
+
+    def test_one_kernel_flag_per_model(self, monkeypatch):
+        """The chain builder and the graded kernel read ker N^k, 0 < k < e,
+        from one kernel flag per model, also when the model is built on the
+        monodromy filtration of its operator."""
+        calls = []
+        kernel = qlinalg.kernel
+        monkeypatch.setattr(qlinalg, "kernel", lambda m: calls.append(m) or kernel(m))
+        model = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent()
+        assert verify_hard_lefschetz(model).passed
+        assert primitive_decomposition(model).passed
+        assert calls == model.powers[1:-1]
+        calls.clear()
+        model = NilpotentModel.on_monodromy_filtration(J3, 1)
+        assert primitive_decomposition(model).passed
+        assert calls == [J3, J3 @ J3]
 
     def test_powers_end_at_the_first_zero_power(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()

@@ -1,5 +1,6 @@
 import pytest
 
+from monofilt import gluing
 from monofilt.kgroup import kclass_of_space
 from monofilt.monodromy import JordanStringModel, NotPure, graded_kernel
 from monofilt.report import Report
@@ -68,6 +69,19 @@ class TestLocalInvariantCycles:
         rep = verify_local_invariant_cycles(dm, -1)
         assert not rep.passed
         assert any("hypothesis violated" in n for n in rep.notes)
+
+
+def test_disk_reports_take_each_kernel_once(monkeypatch):
+    """At k = -1 the lic and weight-mechanics reports of one disk take
+    ker(can), ker N and ker(var) once each, all from the disk's datum."""
+    dm = disk((("L", 3), ("L", 2)))
+    g = dm.datum()
+    calls = []
+    kernel = gluing.kernel
+    monkeypatch.setattr(gluing, "kernel", lambda m: calls.append(m) or kernel(m))
+    assert verify_local_invariant_cycles(dm, -1).passed
+    assert verify_weight_mechanics(dm, -1).passed
+    assert calls == [g.can.matrix, g.monodromy_matrix(), g.var.matrix]
 
 
 class TestWeightMechanics:
