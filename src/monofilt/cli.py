@@ -17,6 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NamedTuple
 
 from . import gluing, kgroup, monodromy, theorems, weights
@@ -70,11 +71,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
-def _parse_rat(s) -> Fraction:
+def _parse_rat(s) -> int | Fraction:
     """A rational field: a JSON integer, or a string "p" or "p/q" of decimal
-    integers; decimal points and exponents are refused."""
+    integers; decimal points and exponents are refused.  Only "p/q" is a Fraction."""
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return s
     if not isinstance(s, str):
         raise ParseError(f"rationals must be strings or integers, got {s!r}")
     m = _RATIONAL.fullmatch(s)
@@ -82,7 +83,7 @@ def _parse_rat(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}: not an integer or p/q")
     num, den = m.groups()
     try:
-        return Fraction(int(num), int(den or 1))
+        return Fraction(int(num), int(den)) if den else int(num)
     except ZeroDivisionError as e:
         raise ParseError(f"bad rational {s!r}: {e}") from None
     except ValueError as e:  # more digits than int() converts
@@ -103,7 +104,9 @@ def _parse_int(x, what: str) -> int:
 
 
 def _matrix_to_json(m: QMatrix) -> list:
-    return [[str(x) for x in row] for row in m.entries]
+    rows, den = m._ints  # each entry x / den written as str(Fraction) writes it
+    return [[str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+             for x in row] for row in rows]
 
 
 def _matrix_from_json(data, cols=None) -> QMatrix:
@@ -117,8 +120,7 @@ def _matrix_from_json(data, cols=None) -> QMatrix:
 
 
 def _filtration_to_json(f: WeightFiltration) -> dict:
-    return {str(w): [[str(x) for x in row] for row in s.basis.entries]
-            for w, s in f.steps}
+    return {str(w): _matrix_to_json(s.basis) for w, s in f.steps}
 
 
 def _filtration_from_json(data, dim: int) -> WeightFiltration:
@@ -326,7 +328,7 @@ def _model_reports(model: NilpotentModel) -> list:
                verify_prop_2_3(model)]
     if model.space.dim:
         reports.append(monodromy.check_monodromy_axioms(
-            model.monodromy_filtration, model.N.matrix, model.center))
+            model.monodromy_filtration, model.N.matrix, model.center, model.powers))
     hl = verify_hard_lefschetz(model)
     if hl.passed:
         reports.append(hl)
@@ -432,8 +434,8 @@ def cmd_monodromy(args, out) -> int:
     out.write(f"monodromy filtration centered at {center}\n")
     for w, s in filt.steps:
         out.write(f"  W_{w}: dim {s.dim}, graded dim {filt.graded_dim(w)}\n")
-        for row in s.basis.entries:
-            out.write("    [" + ", ".join(str(x) for x in row) + "]\n")
+        for row in _matrix_to_json(s.basis):
+            out.write("    [" + ", ".join(row) + "]\n")
     return EXIT_OK
 
 

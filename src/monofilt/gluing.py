@@ -24,6 +24,9 @@ from .weights import (TwistedMap, WeightedSpace, check_filtered, check_strict,
 
 @dataclass(frozen=True)
 class GluingDatum:
+    """Checked at construction: twists, shapes, and can and var filtered,
+    which makes var . can nilpotent.  gluing.extension skips the checks
+    (_trusted), which a model's nilpotency and N-shift checks imply."""
     psi: WeightedSpace
     phi: WeightedSpace
     can: TwistedMap  # psi -> phi, twist 0
@@ -43,6 +46,13 @@ class GluingDatum:
             raise ValueError("var is not filtered")
         self.__dict__["_var_can"] = self.var.matrix @ self.can.matrix
 
+    @staticmethod
+    def _trusted(psi, phi, can, var) -> GluingDatum:
+        """The datum (psi, phi, can, var) without the construction checks."""
+        g = object.__new__(GluingDatum)
+        g.__dict__.update(psi=psi, phi=phi, can=can, var=var, _var_can=var.matrix @ can.matrix)
+        return g
+
     def monodromy_matrix(self) -> QMatrix:
         """N = var . can, computed once at construction."""
         return self._var_can
@@ -52,6 +62,17 @@ class GluingDatum:
         """(ker can, ker N), taken once per datum."""
         return kernel(self.can.matrix), kernel(self._var_can)
 
+    @cached_property
+    def i_upper_star(self) -> TwoTermComplex:
+        """i^*: [psi --can--> phi] in degrees (-1, 0), built once per datum."""
+        return TwoTermComplex(-1, self.psi, self.phi, self.can)
+
+    @cached_property
+    def i_upper_shriek(self) -> TwoTermComplex:
+        """i^!: [phi --var--> psi(-1)] in degrees (0, 1), built once per datum."""
+        return TwoTermComplex(0, self.phi, tate_twist(self.psi, -1),
+                              TwistedMap(self.var.matrix, 0))
+
 
 def psi_u(g: GluingDatum) -> NilpotentModel:
     """The nearby-cycles model (psi, var . can) of a gluing datum, with
@@ -59,62 +80,57 @@ def psi_u(g: GluingDatum) -> NilpotentModel:
     return NilpotentModel(g.psi, 0, TwistedMap(g.monodromy_matrix(), -1))
 
 
-def _shriek(model: NilpotentModel) -> GluingDatum:
+def _shriek(model: NilpotentModel) -> tuple:
     V = model.space
-    return GluingDatum(V, V, TwistedMap(QMatrix.identity(V.dim), 0),
-                       TwistedMap(model.N.matrix, -1))
+    return V, V, TwistedMap(QMatrix.identity(V.dim), 0), TwistedMap(model.N.matrix, -1)
 
 
-def _star(model: NilpotentModel) -> GluingDatum:
+def _star(model: NilpotentModel) -> tuple:
     V = model.space
-    return GluingDatum(V, tate_twist(V, -1), TwistedMap(model.N.matrix, 0),
-                       TwistedMap(QMatrix.identity(V.dim), -1))
+    return (V, model.twisted, TwistedMap(model.N.matrix, 0),
+            TwistedMap(QMatrix.identity(V.dim), -1))
 
 
-def _intermediate(model: NilpotentModel) -> GluingDatum:
-    V, n_mat = model.space, model.N.matrix
-    img = image(n_mat)
-    phi = sub_weighted_space(tate_twist(V, -1), img)
+def _intermediate(model: NilpotentModel) -> tuple:
+    V, n_mat, img = model.space, model.N.matrix, model.im_n
+    phi = sub_weighted_space(model.twisted, img)
     # N v in the RREF basis of im N has its entries at the pivots as coordinates
     rows, den = n_mat._ints
     can = QMatrix._make([rows[p] for p in img.pivots], den, V.dim)
-    var = qlinalg.inclusion(img)
-    return GluingDatum(V, phi, TwistedMap(can, 0), TwistedMap(var, -1))
+    return V, phi, TwistedMap(can, 0), TwistedMap(qlinalg.inclusion(img), -1)
 
 
-# the gluing presentation of each extension kind, built from a model
+# the fields (psi, phi, can, var) of each extension kind of a model, whose
+# N-shift makes every can and var above filtered
 EXTENSIONS = {"intermediate": _intermediate, "shriek": _shriek, "star": _star}
 
 
 def extension(model: NilpotentModel, kind: str) -> GluingDatum:
-    """The model's j_!* ("intermediate"), j_! ("shriek") or j_* ("star"),
-    built at most once per model and kept in its context."""
+    """The model's j_!* ("intermediate"), j_! ("shriek") or j_* ("star"), built
+    once per model, kept in its context and not re-checked (see GluingDatum)."""
     built = model.extensions
     if kind not in built:
-        built[kind] = EXTENSIONS[kind](model)
+        built[kind] = GluingDatum._trusted(*EXTENSIONS[kind](model))
     return built[kind]
 
 
-def _model(V: WeightedSpace, N: TwistedMap) -> NilpotentModel:
-    """(V, N) checked as a model: twist -1, nilpotent, N-shift.  The purity
-    weight plays no part in the extensions."""
-    return NilpotentModel(V, 0, N)
-
+# one extension of a bare (V, N), checked as a model (twist -1, nilpotent,
+# N-shift; the purity weight plays no part) and then as a GluingDatum
 
 def j_lower_shriek(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
     """j_! presentation: (V, V, id, N)."""
-    return _shriek(_model(V, N))
+    return GluingDatum(*_shriek(NilpotentModel(V, 0, N)))
 
 
 def j_lower_star(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
     """j_* presentation: (V, V(-1), N, id)."""
-    return _star(_model(V, N))
+    return GluingDatum(*_star(NilpotentModel(V, 0, N)))
 
 
 def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
     """j_!* presentation: phi = im(N) inside V(-1), can = N corestricted,
     var = the inclusion."""
-    return _intermediate(_model(V, N))
+    return GluingDatum(*_intermediate(NilpotentModel(V, 0, N)))
 
 
 @dataclass(frozen=True)
@@ -142,31 +158,18 @@ class TwoTermComplex:
         return quotient_weighted_space(self.cod, self.h_high_denominator)
 
 
-def i_upper_star(g: GluingDatum) -> TwoTermComplex:
-    """[psi --can--> phi] in degrees (-1, 0)."""
-    return TwoTermComplex(-1, g.psi, g.phi, g.can)
-
-
-def i_upper_shriek(g: GluingDatum) -> TwoTermComplex:
-    """[phi --var--> psi(-1)] in degrees (0, 1)."""
-    return TwoTermComplex(0, g.phi, tate_twist(g.psi, -1),
-                          TwistedMap(g.var.matrix, 0))
-
-
 def verify_sequence_2(model: NilpotentModel) -> Report:
     """Exactness of 0 -> ker N -> V --N--> V(-1) -> coker N -> 0, built from j_*.
 
     The outer terms are the perverse cohomologies of the restriction of the
     open pushforward to the origin; exactness at each slot is checked by
     subspace equality and the structural maps are checked to be strict.
+    ker N, im N and the outer terms are the model's own.
     """
-    V, N = model.space, model.N
-    g = extension(model, "star")
-    cx = i_upper_star(g)  # [V --N--> V(-1)]
+    V = model.space
+    g = extension(model, "star")  # its *-restriction is [V --N--> V(-1)]
     rb = ReportBuilder("exact sequence around N")
-    d = V.dim
-    ker = cx.h_low_space
-    img = cx.h_high_denominator
+    ker, img = model.kernels[1], model.im_n
     incl = qlinalg.inclusion(ker)
     proj = qlinalg.quotient_projection(img)
 
@@ -178,12 +181,13 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
              img == kernel(proj))
     rb.check("right exactness: projection onto coker N is surjective",
              image(proj).is_full())
-    rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == d)
+    rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
     rb.check("all structural maps are strict",
-             check_strict(TwistedMap(incl, 0), cx.h_low(), V, shift=0)
-             and check_strict(TwistedMap(N.matrix, 0), V, cx.cod, shift=0)
-             and check_strict(TwistedMap(proj, 0), cx.cod, cx.h_high(), shift=0))
-    rb.note(f"term dims: {ker.dim}, {d}, {d}, {d - img.dim}")
+             check_strict(TwistedMap(incl, 0), WeightedSpace.from_filtration(
+                 model.ker_filtration), V, shift=0)
+             and check_strict(g.can, V, g.phi, shift=0)
+             and check_strict(TwistedMap(proj, 0), g.phi, model.coker_space, shift=0))
+    rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
     return rb.build()
 
 
@@ -193,15 +197,12 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
     H^{-1} of the *-restriction of j_!* equals ker N, H^1 of the
     !-restriction equals coker N (as canonical subquotients of V with the
     induced filtrations and twists), and the complementary cohomologies
-    vanish.
+    vanish.  Each datum side is computed and compared with the model's own.
     """
-    V, N = model.space, model.N
     g = extension(model, "intermediate")
     rb = ReportBuilder("intermediate-extension kernel/cokernel identities")
-    istar = i_upper_star(g)
-    ishk = i_upper_shriek(g)
-    ker_n = kernel(N.matrix)
-    im_n = image(N.matrix)
+    istar, ishk = g.i_upper_star, g.i_upper_shriek
+    ker_n, im_n = model.kernels[1], model.im_n
 
     rb.check("(i) H^{-1}(i^* j_!*) = ker N as subspaces of V",
              istar.h_low_space == ker_n)
@@ -209,18 +210,16 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
              istar.h_high_denominator.is_full())
     if not ker_n.is_zero():
         lhs = induced_filtration_on_sub(istar.dom, istar.h_low_space)
-        rhs = induced_filtration_on_sub(V, ker_n)
-        rb.check("(i) induced filtrations agree", lhs == rhs)
+        rb.check("(i) induced filtrations agree", lhs == model.ker_filtration)
 
     rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0",
              ishk.h_low_space.is_zero())
     rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)",
              ishk.h_high_denominator == im_n)
     if not im_n.is_full():
-        twisted = tate_twist(V, -1)
         lhs = induced_filtration_on_quotient(ishk.cod, ishk.h_high_denominator)
-        rhs = induced_filtration_on_quotient(twisted, im_n)
-        rb.check("(ii) quotient filtrations agree (with the twist)", lhs == rhs)
+        rb.check("(ii) quotient filtrations agree (with the twist)",
+                 lhs == model.coker_space.filtration)
     return rb.build()
 
 

@@ -7,7 +7,7 @@ on graded pieces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from . import qlinalg
@@ -15,7 +15,8 @@ from .qlinalg import QMatrix, Subspace, maps_into
 from .report import Report, ReportBuilder
 from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
-                      default_grading, induced_filtration_on_sub)
+                      default_grading, induced_filtration_on_sub,
+                      quotient_weighted_space, tate_twist)
 
 
 class NotNilpotent(ValueError):
@@ -120,8 +121,9 @@ def _check_graded_powers(rb: ReportBuilder, filt: WeightFiltration, powers: list
 
 
 def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
-                           center: int) -> Report:
-    """Independent verification of the two defining axioms of the filtration."""
+                           center: int, powers: list | None = None) -> Report:
+    """Independent verification of the two defining axioms of the filtration,
+    reading N^k from `powers` (as a model keeps them) when given."""
     rb = ReportBuilder(f"monodromy axioms (center {center})")
     shift_ok = True
     for w, s in filt.steps:
@@ -129,9 +131,10 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
-    powers = [QMatrix.identity(n_op.rows)]
-    for _ in range(_spread(filt, center)):
-        powers.append(powers[-1] @ n_op)
+    if powers is None:
+        powers = [QMatrix.identity(n_op.rows)]
+        for _ in range(_spread(filt, center)):
+            powers.append(powers[-1] @ n_op)
     _check_graded_powers(rb, filt, powers, center, "~")
     return rb.build()
 
@@ -145,18 +148,19 @@ class NilpotentModel:
 
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
-    N^e = 0), their kernels, the monodromy filtration at the center, the hard
-    Lefschetz report, the graded kernel and the gluing extensions
-    (gluing.extension).  Equality and hashing read the fields only.
-    """
+    N^e = 0; `known_powers` if the caller has taken them), their kernels,
+    im N, V(-1), ker N's induced filtration, coker N, the monodromy filtration,
+    the hard Lefschetz report, the graded kernel and the gluing extensions
+    (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
     N: TwistedMap
+    known_powers: InitVar[list | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_powers):
         if self.N.twist != -1:
             raise ValueError("monodromy operator must carry twist -1")
-        self.__dict__["powers"] = _powers(self.N.matrix)
+        self.__dict__["powers"] = known_powers or _powers(self.N.matrix)
         if not check_filtered(self.N, self.space, self.space, -2):
             raise ValueError("N does not shift the filtration by -2")
 
@@ -167,12 +171,13 @@ class NilpotentModel:
         filtration centered at n-1, which is built once and kept as the
         model's monodromy_filtration.  The grading defaults to the string
         grading of default_grading at that center."""
-        kernels = _kernel_flag(_powers(n_op))
+        powers = _powers(n_op)
+        kernels = _kernel_flag(powers)
         filt = monodromy_filtration(n_op, n - 1, kernels=kernels)
         if grading is None:
             grading = default_grading(filt, center=n - 1)
         model = NilpotentModel(WeightedSpace(n_op.rows, filt, grading), n,
-                               TwistedMap(n_op, -1))
+                               TwistedMap(n_op, -1), powers)
         model.__dict__.update(kernels=kernels, monodromy_filtration=filt)
         return model
 
@@ -184,6 +189,26 @@ class NilpotentModel:
     def kernels(self) -> list:
         """The kernel flag [ker N^0, ..., ker N^e] of the chain builder."""
         return _kernel_flag(self.powers)
+
+    @cached_property
+    def im_n(self) -> Subspace:
+        """im N, a subspace of V(-1)."""
+        return qlinalg.image(self.N.matrix)
+
+    @cached_property
+    def twisted(self) -> WeightedSpace:
+        """V(-1), the codomain of N as a morphism."""
+        return tate_twist(self.space, -1)
+
+    @cached_property
+    def ker_filtration(self) -> WeightFiltration:
+        """The filtration V induces on ker N, in ker N's RREF coordinates."""
+        return induced_filtration_on_sub(self.space, self.kernels[1])
+
+    @cached_property
+    def coker_space(self) -> WeightedSpace:
+        """coker N = V(-1)/im N with the quotient filtration, in complement coords."""
+        return quotient_weighted_space(self.twisted, self.im_n)
 
     @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
@@ -209,9 +234,7 @@ class NilpotentModel:
 
     @cached_property
     def _graded_kernel(self) -> GradedKernel:
-        ker = self.kernels[1]
-        filt = self.space.filtration
-        ker_filt = induced_filtration_on_sub(self.space, ker)
+        filt, ker_filt = self.space.filtration, self.ker_filtration
         dims = []
         kernel_dims: dict[int, int] = {}
         for k in sorted(set(filt.weights) | set(ker_filt.weights)):

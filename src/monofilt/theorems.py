@@ -7,14 +7,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qlinalg
-from .gluing import EXTENSIONS, GluingDatum, extension, i_upper_shriek
+from .gluing import EXTENSIONS, GluingDatum, extension
 from .kgroup import kclass_of_space, kclass_psi_from_kernel
 from .monodromy import (JordanStringModel, NilpotentModel, NotPure,
                         graded_kernel, verify_hard_lefschetz)
-from .qlinalg import QMatrix, image, intersect
+from .qlinalg import QMatrix, intersect
 from .report import Report, ReportBuilder
-from .weights import (TwistedMap, WeightedSpace, is_pure,
-                      sub_weighted_space, quotient_weighted_space, weights_at_least)
+from .weights import TwistedMap, WeightedSpace, is_pure, weights_at_least
 
 
 @dataclass(frozen=True)
@@ -127,10 +126,10 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
         claims["kernel_weight_bound"] = (
             low_weights.contains(ker_n), f"ker N within W_{n - 1}")
     # (3) H^0 of the !-restriction, ker(var) plus the point part, has weights >= n
-    ishk = i_upper_shriek(g)
+    ishk = g.i_upper_shriek
     holds, detail = True, "vacuous"
     if not ishk.h_low_space.is_zero():
-        holds = weights_at_least(sub_weighted_space(ishk.dom, ishk.h_low_space), n)
+        holds = weights_at_least(ishk.h_low(), n)
         detail = f"ker(var) weights vs >= {n}"
     if dm.point_part.dim:
         holds = holds and weights_at_least(dm.point_part, n)
@@ -148,17 +147,16 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
 def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
     n = dm.n
     # the !-restriction's H^1 is coker(var) inside psi(-1)
-    ishk = i_upper_shriek(g)
+    ishk = g.i_upper_shriek
     twisted, img_var = ishk.cod, ishk.h_high_denominator
     claims = {}
     # (3) H^1 of the !-restriction has weights >= n+1
     if not img_var.is_full():
-        coker = quotient_weighted_space(twisted, img_var)
         claims["i_shriek_lower_bound"] = (
-            weights_at_least(coker, n + 1), f"coker(var) weights vs >= {n + 1}")
+            weights_at_least(ishk.h_high(), n + 1), f"coker(var) weights vs >= {n + 1}")
     # (4) the low weights of coker N are reached from the central fibre:
     # target coker N in the twisted coordinates, image var(phi) mod im N
-    im_n = image(g.monodromy_matrix())
+    im_n = dm.open_part.im_n  # var . can is the open model's N
     claims["surjective_on_low_weights"] = (
         (img_var + im_n).contains(twisted.filtration.space_at(n) + im_n),
         "low weights of coker N reached from the central fibre")

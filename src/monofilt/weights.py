@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .qlinalg import (QMatrix, Subspace, apply_to_subspace, image, intersect,
-                      maps_into)
+from .qlinalg import (QMatrix, Subspace, apply_to_subspace,
+                      induced_map_on_quotient, intersect, maps_into, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -247,21 +247,24 @@ def check_filtered(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
 
 def check_strict(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
                  shift: int | None = None) -> bool:
-    """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k."""
+    """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k.
+
+    Decided by graded ranks (Deligne, Hodge II, 1.1): with F_k = m(W_k) and
+    G_k = image(m) \\cap W_{k+shift}, rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
+    <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
+    iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is F = G.
+    """
     if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
         shift = 2 * tm.twist
     if not check_filtered(tm, dom, cod, shift):
         raise NotFiltered("map is not filtered with the given shift")
-    m = tm.matrix
-    img = image(m)
-    candidates = set(dom.filtration.weights)
-    candidates.update(w - shift for w in cod.filtration.weights)
-    for k in sorted(candidates):
-        lhs = intersect(img, cod.filtration.space_at(k + shift))
-        rhs = apply_to_subspace(m, dom.filtration.space_at(k))
-        if lhs != rhs:
-            return False
-    return True
+    m, cod_filt = tm.matrix, cod.filtration
+    graded, below = 0, Subspace.zero(dom.dim)
+    for k, wk in dom.filtration.steps:
+        graded += rank(induced_map_on_quotient(
+            m, below, cod_filt.space_at(k + shift - 1), wk, cod_filt.space_at(k + shift)))
+        below = wk
+    return graded == rank(m)
 
 
 def weights_at_most(ws: WeightedSpace, n: int) -> bool:

@@ -88,3 +88,21 @@ def ref_matvec(rows, v):
 def ref_in_span(vectors, v, dim):
     """True iff v lies in the span of `vectors`: adding it leaves the rank alone."""
     return len(ref_rref(list(vectors) + [v], dim)[1]) == len(ref_rref(vectors, dim)[1])
+
+
+def ref_is_strict(m, dom_dim, cod_dim, dom_steps, cod_steps, shift):
+    """Strictness by its definition: m(W_k) = im m n W'_{k+shift} for every k.
+
+    m is the list of rows of a cod_dim x dom_dim matrix.  A filtration is a
+    list of (weight, spanning vectors of W_weight) with nested steps, and
+    W_k is the span of the steps of weight <= k.
+    """
+    def at(steps, k, dim):
+        return ref_span([v for w, vs in steps if w <= k for v in vs], dim)
+
+    img = ref_span([[r[j] for r in m] for j in range(dom_dim)], cod_dim)
+    for k in {w for w, _ in dom_steps} | {w - shift for w, _ in cod_steps}:
+        lhs = ref_span([ref_matvec(m, v) for v in at(dom_steps, k, dom_dim)], cod_dim)
+        if lhs != ref_intersect(img, at(cod_steps, k + shift, cod_dim), cod_dim):
+            return False
+    return True

@@ -3,15 +3,15 @@ import random
 import pytest
 
 from monofilt import monodromy, qlinalg
-from monofilt.gluing import (EXTENSIONS, GluingDatum, extension,
-                             i_upper_shriek, i_upper_star, j_intermediate,
+from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
                              verify_prop_2_3, verify_roundtrip,
                              verify_sequence_2)
 from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
                                 nilpotency_index)
 from monofilt.qlinalg import QMatrix, Subspace, image, kernel
-from monofilt.theorems import random_nilpotent, random_unimodular
+from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
+                               random_unimodular)
 from monofilt.weights import TwistedMap, WeightFiltration, WeightedSpace
 
 from conftest import span
@@ -151,6 +151,23 @@ def test_extensions_take_no_powers(monkeypatch):
     assert calls == []
 
 
+def test_model_built_extensions_pass_the_public_checks():
+    """gluing.extension builds a datum without GluingDatum's checks, since the
+    model's checks imply them.  On the acceptance corpora (the random
+    nilpotent models of criteria 3 and 4, and the string models and their
+    scrambles of criterion 7) every datum it builds passes them."""
+    rng = random.Random(303)
+    models = [raw_model(random_nilpotent(rng, max_dim=6), rng.randint(0, 2))
+              for _ in range(1000)]
+    for seed in range(500):
+        strings = generate_model(9000 + seed, 3, 4, seed % 3, ["L", "P"])
+        models += [strings.to_nilpotent(), generate_scrambled(strings, seed)]
+    for model in models:
+        for kind in EXTENSIONS:
+            g = extension(model, kind)
+            GluingDatum(g.psi, g.phi, g.can, g.var)  # raises ValueError on a failed check
+
+
 class TestExtensionContext:
     """Each extension of a model is built once and kept beside its fields."""
 
@@ -195,20 +212,20 @@ class TestExtensionContext:
 class TestRestrictionFunctors:
     def test_i_star_of_j_star(self):
         V, N = string_vn((("L", 2),))
-        cx = i_upper_star(j_lower_star(V, N))
+        cx = j_lower_star(V, N).i_upper_star
         assert cx.deg_low == -1
         assert cx.h_low_space == kernel(N.matrix)
         assert cx.h_high().dim == 1  # coker N, twisted
 
     def test_i_star_of_intermediate(self):
         V, N = string_vn((("L", 2),))
-        cx = i_upper_star(j_intermediate(V, N))
+        cx = j_intermediate(V, N).i_upper_star
         assert cx.h_low_space == kernel(N.matrix)
         assert cx.h_high().dim == 0
 
     def test_i_shriek_of_intermediate(self):
         V, N = string_vn((("L", 2),))
-        cx = i_upper_shriek(j_intermediate(V, N))
+        cx = j_intermediate(V, N).i_upper_shriek
         assert cx.deg_low == 0
         assert cx.h_low_space.is_zero()
         assert cx.h_high().dim == 1  # coker N
@@ -236,7 +253,7 @@ def test_zero_model_passes_every_gluing_verifier():
     and the projection 0 x 0, and the general checks hold on them."""
     model = JordanStringModel((), 1).to_nilpotent()
     for g in (extension(model, kind) for kind in EXTENSIONS):
-        for cx in (i_upper_star(g), i_upper_shriek(g)):
+        for cx in (g.i_upper_star, g.i_upper_shriek):
             assert cx.h_low() == cx.h_high() == WeightedSpace.zero()
     seq = verify_sequence_2(model)
     assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
@@ -255,8 +272,8 @@ class TestProp23:
     def test_j3_plus_j1_dims(self):
         V, N = string_vn((("L", 3), ("P", 1)))
         g = j_intermediate(V, N)
-        assert i_upper_star(g).h_low_space.dim == 2
-        assert i_upper_shriek(g).h_high().dim == 2
+        assert g.i_upper_star.h_low_space.dim == 2
+        assert g.i_upper_shriek.h_high().dim == 2
         assert verify_prop_2_3(string_model((("L", 3), ("P", 1)))).passed
 
     def test_random_nilpotents(self, rng):

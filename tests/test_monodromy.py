@@ -344,6 +344,32 @@ class TestOperatorContext:
         assert primitive_decomposition(model).passed
         assert calls == [J3, J3 @ J3]
 
+    def test_on_monodromy_filtration_takes_the_powers_once(self, monkeypatch):
+        calls = []
+        powers = monodromy._powers
+        monkeypatch.setattr(monodromy, "_powers", lambda m: calls.append(m) or powers(m))
+        rng = random.Random(5)
+        for i in range(1, 21):
+            mat = random_nilpotent(rng, max_dim=6)
+            model = NilpotentModel.on_monodromy_filtration(mat, rng.randint(-1, 2))
+            assert len(calls) == i and model.powers == powers(mat)
+            assert verify_hard_lefschetz(model).passed and len(calls) == i
+
+    def test_axioms_read_the_models_powers(self, monkeypatch):
+        """Given the model's powers, check_monodromy_axioms multiplies no
+        matrix and reports what it reports when it takes the powers itself."""
+        rng = random.Random(6)
+        for _ in range(20):
+            mat = random_nilpotent(rng, max_dim=6)
+            model = NilpotentModel.on_monodromy_filtration(mat, rng.randint(-1, 2))
+            filt, c = model.monodromy_filtration, model.center
+            own = check_monodromy_axioms(filt, mat, c)
+            matmul = QMatrix.__matmul__
+            with monkeypatch.context() as mp:
+                mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product"))
+                assert check_monodromy_axioms(filt, mat, c, model.powers) == own
+            assert QMatrix.__matmul__ is matmul and own.passed
+
     def test_powers_end_at_the_first_zero_power(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
         n_mat = model.N.matrix

@@ -1,6 +1,6 @@
 import pytest
 
-from monofilt import gluing
+from monofilt import gluing, qlinalg
 from monofilt.kgroup import kclass_of_space
 from monofilt.monodromy import JordanStringModel, NotPure, graded_kernel
 from monofilt.report import Report
@@ -72,16 +72,23 @@ class TestLocalInvariantCycles:
 
 
 def test_disk_reports_take_each_kernel_once(monkeypatch):
-    """At k = -1 the lic and weight-mechanics reports of one disk take
-    ker(can), ker N and ker(var) once each, all from the disk's datum."""
+    """The lic and weight-mechanics reports of one disk, at k = -1 and 0 and
+    asked three times, take ker(can), ker N and ker(var) once each from the
+    disk's datum, im(var) once, and im N once, when the datum is built."""
     dm = disk((("L", 3), ("L", 2)))
+    kernels, images = [], []
+    kernel, image = gluing.kernel, qlinalg.image
+    monkeypatch.setattr(gluing, "kernel", lambda m: kernels.append(m) or kernel(m))
+    # the model takes im N through qlinalg; the datum its restrictions' images
+    for mod in (gluing, qlinalg):
+        monkeypatch.setattr(mod, "image", lambda m: images.append(m) or image(m))
+    for _ in range(3):
+        for k in (-1, 0):
+            assert verify_local_invariant_cycles(dm, k).passed
+            assert verify_weight_mechanics(dm, k).passed
     g = dm.datum()
-    calls = []
-    kernel = gluing.kernel
-    monkeypatch.setattr(gluing, "kernel", lambda m: calls.append(m) or kernel(m))
-    assert verify_local_invariant_cycles(dm, -1).passed
-    assert verify_weight_mechanics(dm, -1).passed
-    assert calls == [g.can.matrix, g.monodromy_matrix(), g.var.matrix]
+    assert kernels == [g.can.matrix, g.monodromy_matrix(), g.var.matrix]
+    assert images == [dm.open_part.N.matrix, g.var.matrix]
 
 
 class TestWeightMechanics:

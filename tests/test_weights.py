@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from monofilt.monodromy import JordanStringModel, monodromy_filtration
-from monofilt.qlinalg import QMatrix, Subspace, apply_to_subspace, image, intersect
+from monofilt.qlinalg import (QMatrix, Subspace, apply_to_subspace, image,
+                              intersect, inverse)
+from monofilt.theorems import random_unimodular
 from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_filtered,
@@ -12,6 +16,7 @@ from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               quotient_weighted_space)
 
 from conftest import J2, span
+from reference import ref_is_strict
 
 
 def j2_space():
@@ -140,6 +145,54 @@ class TestCheckStrict:
                 for k in range(min(m.space.filtration.weights, default=0) - 2,
                                max(m.space.filtration.weights, default=0) + 3))
             assert check_strict(tm, m.space, m.space) == agree
+
+
+def _transpose(m: QMatrix) -> QMatrix:
+    return QMatrix.from_rows(list(zip(*m.entries)), cols=m.rows)
+
+
+def _random_filtered_space(rng, dim):
+    """(WeightedSpace, [(w, spanning rows of W_w)], adapted basis, weights): W_w
+    is spanned by the rows of a random unimodular basis of weight <= w."""
+    basis = [list(r) for r in random_unimodular(rng, dim).entries]
+    weights = sorted(rng.randint(-2, 2) for _ in range(dim))
+    steps = [(w, [b for b, u in zip(basis, weights) if u <= w])
+             for w in sorted(set(weights))]
+    filt = WeightFiltration.from_spaces(
+        dim, [(w, Subspace.from_vectors(dim, rows)) for w, rows in steps])
+    return WeightedSpace.from_filtration(filt), steps, basis, weights
+
+
+def random_filtered_map(rng):
+    """A map m between random filtered spaces with m(W_k) in W'_{k+shift}:
+    each adapted basis vector of weight w goes to a random combination of
+    the codomain's adapted basis vectors of weight <= w + shift."""
+    dom_dim, cod_dim, shift = rng.randint(0, 4), rng.randint(0, 4), rng.randint(-2, 2)
+    dom, dom_steps, e, e_wt = _random_filtered_space(rng, dom_dim)
+    cod, cod_steps, f, f_wt = _random_filtered_space(rng, cod_dim)
+    coeffs = QMatrix.from_rows(
+        [[rng.choice((-1, 0, 0, 1, 2)) if fw <= ew + shift else 0 for ew in e_wt]
+         for fw in f_wt], cols=dom_dim)
+    # m e_i = sum_j coeffs[j][i] f_j, so m E^T = F^T coeffs
+    e_mat = QMatrix.from_rows(e, cols=dom_dim)
+    f_mat = QMatrix.from_rows(f, cols=cod_dim)
+    m = _transpose(f_mat) @ coeffs @ inverse(_transpose(e_mat))
+    return m, dom, cod, shift, (dom_steps, cod_steps)
+
+
+class TestStrictnessOracle:
+    def test_graded_ranks_match_the_definition(self, rng):
+        """check_strict against ref_is_strict, which shares no code with
+        qlinalg, on 300 filtered maps between random filtered spaces."""
+        verdicts = Counter()
+        for _ in range(300):
+            m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng)
+            assert check_filtered(TwistedMap(m, 0), dom, cod, shift)
+            want = ref_is_strict([list(r) for r in m.entries], dom.dim, cod.dim,
+                                 dom_steps, cod_steps, shift)
+            assert check_strict(TwistedMap(m, 0), dom, cod, shift) == want
+            verdicts[want] += 1
+        assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
 
 class TestPurityPredicates:
