@@ -17,9 +17,9 @@ from . import qlinalg
 from .monodromy import NilpotentModel
 from .qlinalg import QMatrix, Subspace, image, kernel
 from .report import Report, ReportBuilder
-from .weights import (TwistedMap, WeightedSpace, check_filtered, check_strict,
-                      induced_filtration_on_quotient, induced_filtration_on_sub,
-                      quotient_weighted_space, sub_weighted_space, tate_twist)
+from .weights import (TwistedMap, WeightedSpace, WeightFiltration, check_filtered,
+                      check_strict, induced_filtration_on_quotient,
+                      induced_filtration_on_sub)
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,10 @@ class GluingDatum:
         if self.var.matrix.cols != self.phi.dim or self.var.matrix.rows != self.psi.dim:
             raise ValueError("var has the wrong shape")
         # filtered can and var make var . can lower psi's filtration by 2: nilpotent
-        if not check_filtered(self.can, self.psi, self.phi, 0):
+        psi, phi = self.psi.filtration, self.phi.filtration
+        if not check_filtered(self.can, psi, phi, 0):
             raise ValueError("can is not filtered")
-        if not check_filtered(self.var, self.phi, self.psi, -2):
+        if not check_filtered(self.var, phi, psi, -2):
             raise ValueError("var is not filtered")
         self.__dict__["_var_can"] = self.var.matrix @ self.can.matrix
 
@@ -58,19 +59,14 @@ class GluingDatum:
         return self._var_can
 
     @cached_property
-    def can_n_kernels(self) -> tuple:
-        """(ker can, ker N), taken once per datum."""
-        return kernel(self.can.matrix), kernel(self._var_can)
-
-    @cached_property
     def i_upper_star(self) -> TwoTermComplex:
         """i^*: [psi --can--> phi] in degrees (-1, 0), built once per datum."""
-        return TwoTermComplex(-1, self.psi, self.phi, self.can)
+        return TwoTermComplex(-1, self.psi.filtration, self.phi.filtration, self.can)
 
     @cached_property
     def i_upper_shriek(self) -> TwoTermComplex:
         """i^!: [phi --var--> psi(-1)] in degrees (0, 1), built once per datum."""
-        return TwoTermComplex(0, self.phi, tate_twist(self.psi, -1),
+        return TwoTermComplex(0, self.phi.filtration, self.psi.filtration.shifted(2),
                               TwistedMap(self.var.matrix, 0))
 
 
@@ -93,7 +89,8 @@ def _star(model: NilpotentModel) -> tuple:
 
 def _intermediate(model: NilpotentModel) -> tuple:
     V, n_mat, img = model.space, model.N.matrix, model.im_n
-    phi = sub_weighted_space(model.twisted, img)
+    phi = WeightedSpace.from_filtration(
+        induced_filtration_on_sub(model.twisted.filtration, img))
     # N v in the RREF basis of im N has its entries at the pivots as coordinates
     rows, den = n_mat._ints
     can = QMatrix._make([rows[p] for p in img.pivots], den, V.dim)
@@ -135,27 +132,30 @@ def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
 
 @dataclass(frozen=True)
 class TwoTermComplex:
-    """A complex [dom --d--> cod] concentrated in degrees (deg_low, deg_low+1)."""
+    """A complex [dom --d--> cod] of filtered spaces concentrated in degrees
+    (deg_low, deg_low+1).  Its cohomologies are taken once per complex."""
     deg_low: int
-    dom: WeightedSpace
-    cod: WeightedSpace
+    dom: WeightFiltration
+    cod: WeightFiltration
     d: TwistedMap
 
     @cached_property
     def h_low_space(self) -> Subspace:
         return kernel(self.d.matrix)
 
-    def h_low(self) -> WeightedSpace:
+    @cached_property
+    def h_low(self) -> WeightFiltration:
         """ker(d) with the induced filtration, in its intrinsic coordinates."""
-        return sub_weighted_space(self.dom, self.h_low_space)
+        return induced_filtration_on_sub(self.dom, self.h_low_space)
 
     @cached_property
     def h_high_denominator(self) -> Subspace:
         return image(self.d.matrix)
 
-    def h_high(self) -> WeightedSpace:
+    @cached_property
+    def h_high(self) -> WeightFiltration:
         """coker(d) with the quotient filtration, in complement coordinates."""
-        return quotient_weighted_space(self.cod, self.h_high_denominator)
+        return induced_filtration_on_quotient(self.cod, self.h_high_denominator)
 
 
 def verify_sequence_2(model: NilpotentModel) -> Report:
@@ -182,11 +182,11 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
     rb.check("right exactness: projection onto coker N is surjective",
              image(proj).is_full())
     rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
+    filt, phi = V.filtration, g.phi.filtration
     rb.check("all structural maps are strict",
-             check_strict(TwistedMap(incl, 0), WeightedSpace.from_filtration(
-                 model.ker_filtration), V, shift=0)
-             and check_strict(g.can, V, g.phi, shift=0)
-             and check_strict(TwistedMap(proj, 0), g.phi, model.coker_space, shift=0))
+             check_strict(TwistedMap(incl, 0), model.ker_filtration, filt, shift=0)
+             and check_strict(g.can, filt, phi, shift=0)
+             and check_strict(TwistedMap(proj, 0), phi, model.coker_filtration, shift=0))
     rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
     return rb.build()
 
@@ -209,17 +209,15 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
     rb.check("(i) complementary vanishing: H^0(i^* j_!*) = 0",
              istar.h_high_denominator.is_full())
     if not ker_n.is_zero():
-        lhs = induced_filtration_on_sub(istar.dom, istar.h_low_space)
-        rb.check("(i) induced filtrations agree", lhs == model.ker_filtration)
+        rb.check("(i) induced filtrations agree", istar.h_low == model.ker_filtration)
 
     rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0",
              ishk.h_low_space.is_zero())
     rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)",
              ishk.h_high_denominator == im_n)
     if not im_n.is_full():
-        lhs = induced_filtration_on_quotient(ishk.cod, ishk.h_high_denominator)
         rb.check("(ii) quotient filtrations agree (with the twist)",
-                 lhs == model.coker_space.filtration)
+                 ishk.h_high == model.coker_filtration)
     return rb.build()
 
 

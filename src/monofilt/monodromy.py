@@ -15,8 +15,8 @@ from .qlinalg import QMatrix, Subspace, maps_into
 from .report import Report, ReportBuilder
 from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
-                      default_grading, induced_filtration_on_sub,
-                      quotient_weighted_space, tate_twist)
+                      default_grading, induced_filtration_on_quotient,
+                      induced_filtration_on_sub, tate_twist)
 
 
 class NotNilpotent(ValueError):
@@ -54,16 +54,16 @@ def _kernel_flag(powers: list) -> list:
     return [zero] + [qlinalg.kernel(p) for p in powers[1:-1]] + [full]
 
 
-def monodromy_filtration(n_op: QMatrix, center: int, powers: list | None = None,
+def monodromy_filtration(n_op: QMatrix, center: int,
                          kernels: list | None = None) -> WeightFiltration:
     """The unique filtration M with N M_k in M_{k-2} and N^k: Gr_{c+k} ~ Gr_{c-k}.
 
     M_w is spanned by the vectors of weight <= w in a basis of Jordan chains
     h, N h, ..., N^m h, N^i h of weight c + m - 2i (Deligne, Weil II 1.6),
-    built top-down along the kernel flag `kernels` (taken from `powers` or
+    built top-down along the kernel flag `kernels` (taken from the powers of
     n_op when not given).  check_monodromy_axioms verifies M without chains.
     """
-    kernels = kernels or _kernel_flag(powers or _powers(n_op))
+    kernels = kernels or _kernel_flag(_powers(n_op))
     d, a = n_op.rows, n_op._ints[0]
     chains, level = [], []  # (integer vector, weight): all, and those at level k
     for k in range(len(kernels) - 1, 0, -1):
@@ -149,9 +149,9 @@ class NilpotentModel:
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
     N^e = 0; `known_powers` if the caller has taken them), their kernels,
-    im N, V(-1), ker N's induced filtration, coker N, the monodromy filtration,
-    the hard Lefschetz report, the graded kernel and the gluing extensions
-    (gluing.extension).  Equality and hashing read the fields only."""
+    im N, V(-1), the filtrations induced on ker N and coker N, the monodromy
+    filtration, the hard Lefschetz report, the graded kernel and the gluing
+    extensions (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
     N: TwistedMap
@@ -161,7 +161,8 @@ class NilpotentModel:
         if self.N.twist != -1:
             raise ValueError("monodromy operator must carry twist -1")
         self.__dict__["powers"] = known_powers or _powers(self.N.matrix)
-        if not check_filtered(self.N, self.space, self.space, -2):
+        filt = self.space.filtration
+        if not check_filtered(self.N, filt, filt, -2):
             raise ValueError("N does not shift the filtration by -2")
 
     @staticmethod
@@ -203,12 +204,12 @@ class NilpotentModel:
     @cached_property
     def ker_filtration(self) -> WeightFiltration:
         """The filtration V induces on ker N, in ker N's RREF coordinates."""
-        return induced_filtration_on_sub(self.space, self.kernels[1])
+        return induced_filtration_on_sub(self.space.filtration, self.kernels[1])
 
     @cached_property
-    def coker_space(self) -> WeightedSpace:
-        """coker N = V(-1)/im N with the quotient filtration, in complement coords."""
-        return quotient_weighted_space(self.twisted, self.im_n)
+    def coker_filtration(self) -> WeightFiltration:
+        """The filtration V(-1) induces on coker N = V(-1)/im N, in complement coords."""
+        return induced_filtration_on_quotient(self.twisted.filtration, self.im_n)
 
     @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
@@ -269,10 +270,10 @@ class JordanStringModel:
     def dim(self) -> int:
         return sum(length for _, length in self.strings)
 
-    def to_nilpotent(self) -> NilpotentModel:
+    def operator_and_grading(self) -> tuple:
+        """(N, grading): N e_i = e_{i-1} along each string, and the string grading."""
         d = self.dim
         rows = [[0] * d for _ in range(d)]
-        weight_vectors: dict[int, list[int]] = {}
         grading: dict[int, dict[TwistedLabel, int]] = {}
         offset = 0
         for label, length in self.strings:
@@ -281,22 +282,17 @@ class JordanStringModel:
                 idx = offset + i
                 if i > 0:
                     rows[idx - 1][idx] = 1  # N e_i = e_{i-1}
-                w = self.n - 1 + 2 * i - m
-                weight_vectors.setdefault(w, []).append(idx)
+                piece = grading.setdefault(self.n - 1 + 2 * i - m, {})
                 lbl = TwistedLabel(label, -i)
-                grading.setdefault(w, {})
-                grading[w][lbl] = grading[w].get(lbl, 0) + 1
+                piece[lbl] = piece.get(lbl, 0) + 1
             offset += length
-        n_mat = QMatrix.from_rows(rows, cols=d)
-        steps = []
-        acc: list[int] = []
-        for w in sorted(weight_vectors):
-            acc.extend(weight_vectors[w])
-            vecs = [[1 if j == idx else 0 for j in range(d)] for idx in acc]
-            steps.append((w, Subspace.from_vectors(d, vecs)))
-        space = WeightedSpace(d, WeightFiltration.from_spaces(d, steps),
-                              LabeledGrading.from_dict(grading))
-        return NilpotentModel(space, self.n, TwistedMap(n_mat, -1))
+        return QMatrix.from_rows(rows, cols=d), LabeledGrading.from_dict(grading)
+
+    def to_nilpotent(self) -> NilpotentModel:
+        """The model on N and the string grading; its filtration is the
+        monodromy filtration of N."""
+        n_op, grading = self.operator_and_grading()
+        return NilpotentModel.on_monodromy_filtration(n_op, self.n, grading)
 
 
 def verify_hard_lefschetz(model: NilpotentModel) -> Report:

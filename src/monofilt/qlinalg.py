@@ -309,14 +309,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(d, tuple(tuple(r[d:]) for r in rows[bisect_left(pivots, d):]))
 
 
-def apply_to_subspace(m: QMatrix, s: Subspace) -> Subspace:
-    """Image m(s) as a subspace of the codomain."""
-    if m.cols != s.ambient_dim:
-        raise AmbientMismatch("matrix columns do not match ambient dimension")
-    a = m._ints[0]
-    return Subspace.from_vectors(m.rows, [_dots(a, r) for r in s._rows])
-
-
 def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
     """True iff m(s) is contained in t: each m r, r a row of s, reduces to
     zero modulo t, so m(s) is never eliminated."""

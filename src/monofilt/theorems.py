@@ -13,7 +13,7 @@ from .monodromy import (JordanStringModel, NilpotentModel, NotPure,
                         graded_kernel, verify_hard_lefschetz)
 from .qlinalg import QMatrix, intersect
 from .report import Report, ReportBuilder
-from .weights import TwistedMap, WeightedSpace, is_pure, weights_at_least
+from .weights import WeightedSpace, is_pure, weights_at_least
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class DiskModel:
                 raise ValueError("a pure model must use the intermediate extension")
             if not verify_hard_lefschetz(self.open_part).passed:
                 raise ValueError("open part is not pure")
-            if not is_pure(self.point_part, self.open_part.n):
+            if not is_pure(self.point_part.filtration, self.open_part.n):
                 raise ValueError("point part is not pure of the open part's weight")
 
     @property
@@ -94,8 +94,7 @@ def verify_local_invariant_cycles(dm: DiskModel, k: int) -> Report:
     if k == -1:
         # source is ker(can) inside the nearby-cycles space; the map is the
         # inclusion, so its image is ker(can) itself
-        g = dm.datum()
-        img, ker_n = g.can_n_kernels
+        img, ker_n = dm.datum().i_upper_star.h_low_space, dm.open_part.kernels[1]
         rb.check("image of H^{-1}(i^*M) equals ker N", img == ker_n,
                  f"dims {img.dim} vs {ker_n.dim}")
     else:
@@ -113,7 +112,8 @@ WEIGHT_CLAIMS = ("monodromy_centered", "kernel_weight_bound",
 
 def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     n, psi = dm.n, g.psi
-    img, ker_n = g.can_n_kernels  # the image of H^{-1}(i^*M) is ker(can)
+    # the image of H^{-1}(i^*M) is ker(can); var . can is the open model's N
+    img, ker_n = g.i_upper_star.h_low_space, dm.open_part.kernels[1]
     low_weights = psi.filtration.space_at(n - 1)
     claims = {}
     if psi.dim:
@@ -129,10 +129,10 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     ishk = g.i_upper_shriek
     holds, detail = True, "vacuous"
     if not ishk.h_low_space.is_zero():
-        holds = weights_at_least(ishk.h_low(), n)
+        holds = weights_at_least(ishk.h_low, n)
         detail = f"ker(var) weights vs >= {n}"
     if dm.point_part.dim:
-        holds = holds and weights_at_least(dm.point_part, n)
+        holds = holds and weights_at_least(dm.point_part.filtration, n)
         detail += "; point part included"
     claims["i_shriek_lower_bound"] = (holds, detail)
     # (4) H^{-1} of the central-fibre restriction surjects onto the weights
@@ -153,12 +153,12 @@ def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
     # (3) H^1 of the !-restriction has weights >= n+1
     if not img_var.is_full():
         claims["i_shriek_lower_bound"] = (
-            weights_at_least(ishk.h_high(), n + 1), f"coker(var) weights vs >= {n + 1}")
+            weights_at_least(ishk.h_high, n + 1), f"coker(var) weights vs >= {n + 1}")
     # (4) the low weights of coker N are reached from the central fibre:
     # target coker N in the twisted coordinates, image var(phi) mod im N
     im_n = dm.open_part.im_n  # var . can is the open model's N
     claims["surjective_on_low_weights"] = (
-        (img_var + im_n).contains(twisted.filtration.space_at(n) + im_n),
+        (img_var + im_n).contains(twisted.space_at(n) + im_n),
         "low weights of coker N reached from the central fibre")
     return claims
 
@@ -208,17 +208,13 @@ def random_unimodular(rng: random.Random, d: int, passes: int = 2) -> QMatrix:
 
 
 def generate_scrambled(model: JordanStringModel, seed: int) -> NilpotentModel:
-    """Conjugate the canonical model by a random invertible matrix and
-    transport the filtration; the grading is unchanged."""
-    base = model.to_nilpotent()
-    d = base.space.dim
-    rng = random.Random(seed)
-    p = random_unimodular(rng, d)
-    p_inv = qlinalg.inverse(p)
-    n_mat = p @ base.N.matrix @ p_inv
-    filt = base.space.filtration.transported(p)
-    space = WeightedSpace(d, filt, base.space.grading)
-    return NilpotentModel(space, base.n, TwistedMap(n_mat, -1))
+    """Conjugate the string operator N by a random invertible matrix P.  The
+    filtration is M(PNP^-1) = P M(N), built from the conjugated operator;
+    the grading is the string grading."""
+    n_op, grading = model.operator_and_grading()
+    p = random_unimodular(random.Random(seed), model.dim)
+    return NilpotentModel.on_monodromy_filtration(
+        p @ n_op @ qlinalg.inverse(p), model.n, grading)
 
 
 def random_nilpotent(rng: random.Random, max_dim: int = 8,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .qlinalg import (QMatrix, Subspace, apply_to_subspace,
-                      induced_map_on_quotient, intersect, maps_into, rank)
+from .qlinalg import (NotCompatible, QMatrix, Subspace, induced_map_on_quotient,
+                      intersect, maps_into, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -110,11 +110,6 @@ class WeightFiltration:
         return WeightFiltration(self.ambient_dim,
                                 tuple((w + delta, s) for w, s in self.steps))
 
-    def transported(self, p: QMatrix) -> "WeightFiltration":
-        """Filtration with every step replaced by its image under invertible p."""
-        return WeightFiltration.from_spaces(
-            p.rows, [(w, apply_to_subspace(p, s)) for w, s in self.steps])
-
 
 @dataclass(frozen=True)
 class LabeledGrading:
@@ -159,9 +154,8 @@ class LabeledGrading:
             for w, terms in self.entries})
 
 
-def default_grading(filt: WeightFiltration, label: str = LABEL_DEFAULT,
-                    center: int | None = None) -> LabeledGrading:
-    """Every graded piece as copies of `label`.
+def default_grading(filt: WeightFiltration, center: int | None = None) -> LabeledGrading:
+    """Every graded piece as copies of LABEL_DEFAULT.
 
     Given a center c at which the graded dimensions g are Lefschetz-symmetric
     (g(c+k) = g(c-k), and p_m = g(c-m) - g(c-m-2) >= 0 for m >= 0), the
@@ -180,11 +174,11 @@ def default_grading(filt: WeightFiltration, label: str = LABEL_DEFAULT,
             for m, p in enumerate(prim):
                 for i in range(m + 1):
                     piece = out.setdefault(center - m + 2 * i, {})
-                    lbl = TwistedLabel(label, -i)
+                    lbl = TwistedLabel(LABEL_DEFAULT, -i)
                     piece[lbl] = piece.get(lbl, 0) + p
             return LabeledGrading.from_dict(out)
     return LabeledGrading.from_dict({
-        w: {TwistedLabel(label): dim} for w, dim in g.items() if dim > 0})
+        w: {TwistedLabel(LABEL_DEFAULT): dim} for w, dim in g.items() if dim > 0})
 
 
 @dataclass(frozen=True)
@@ -229,7 +223,7 @@ def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:
     return WeightedSpace(ws.dim, filt, ws.grading.twisted(d))
 
 
-def check_filtered(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
+def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
                    shift: int) -> bool:
     """True iff matrix . W_k(dom) is contained in W_{k+shift}(cod) for all k.
 
@@ -237,15 +231,15 @@ def check_filtered(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
     morphism between untwisted storages corresponds to shift 2t.
     """
     m = tm.matrix
-    if m.cols != dom.dim or m.rows != cod.dim:
+    if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
         raise ShapeMismatch("matrix shape does not match the filtered spaces")
-    for w, s in dom.filtration.steps:
-        if not maps_into(m, s, cod.filtration.space_at(w + shift)):
+    for w, s in dom.steps:
+        if not maps_into(m, s, cod.space_at(w + shift)):
             return False
     return True
 
 
-def check_strict(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
+def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
                  shift: int | None = None) -> bool:
     """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k.
 
@@ -253,63 +247,60 @@ def check_strict(tm: TwistedMap, dom: WeightedSpace, cod: WeightedSpace,
     G_k = image(m) \\cap W_{k+shift}, rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
     <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
     iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is F = G.
+    The graded maps exist iff m is filtered: m(W_k) in W_{k+shift} is tested
+    at every step, and m(W_{k-1}) in W_{k+shift-1} follows from the step below.
     """
     if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
         shift = 2 * tm.twist
-    if not check_filtered(tm, dom, cod, shift):
-        raise NotFiltered("map is not filtered with the given shift")
-    m, cod_filt = tm.matrix, cod.filtration
-    graded, below = 0, Subspace.zero(dom.dim)
-    for k, wk in dom.filtration.steps:
-        graded += rank(induced_map_on_quotient(
-            m, below, cod_filt.space_at(k + shift - 1), wk, cod_filt.space_at(k + shift)))
-        below = wk
+    m = tm.matrix
+    if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
+        raise ShapeMismatch("matrix shape does not match the filtered spaces")
+    graded, below = 0, Subspace.zero(dom.ambient_dim)
+    try:
+        for k, wk in dom.steps:
+            graded += rank(induced_map_on_quotient(
+                m, below, cod.space_at(k + shift - 1), wk, cod.space_at(k + shift)))
+            below = wk
+    except NotCompatible:
+        raise NotFiltered("map is not filtered with the given shift") from None
     return graded == rank(m)
 
 
-def weights_at_most(ws: WeightedSpace, n: int) -> bool:
-    return all(w <= n for w in ws.filtration.weights)
+def weights_at_most(filt: WeightFiltration, n: int) -> bool:
+    return all(w <= n for w in filt.weights)
 
 
-def weights_at_least(ws: WeightedSpace, n: int) -> bool:
+def weights_at_least(filt: WeightFiltration, n: int) -> bool:
     # a filtration keeps no step equal to the one below it, so none is zero
-    return all(w >= n for w in ws.filtration.weights)
+    return all(w >= n for w in filt.weights)
 
 
-def is_pure(ws: WeightedSpace, n: int) -> bool:
-    return weights_at_most(ws, n) and weights_at_least(ws, n)
+def is_pure(filt: WeightFiltration, n: int) -> bool:
+    return weights_at_most(filt, n) and weights_at_least(filt, n)
 
 
-def induced_filtration_on_sub(ws: WeightedSpace, s: Subspace) -> WeightFiltration:
+def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
     """W_k \\cap s, expressed in the intrinsic coordinates of s's RREF basis."""
-    if s.ambient_dim != ws.dim:
+    if s.ambient_dim != filt.ambient_dim:
         raise NotContained("subspace has wrong ambient dimension")
     # a vector of s has its RREF coordinates at s's pivots
     steps = []
-    for w, wk in ws.filtration.steps:
+    for w, wk in filt.steps:
         vecs = [[r[p] for p in s.pivots] for r in intersect(wk, s)._rows]
         steps.append((w, Subspace.from_vectors(s.dim, vecs)))
     return WeightFiltration.from_spaces(s.dim, steps)
 
 
-def induced_filtration_on_quotient(ws: WeightedSpace, s: Subspace) -> WeightFiltration:
+def induced_filtration_on_quotient(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
     """(W_k + s)/s in the canonical complement coordinates of s."""
-    if s.ambient_dim != ws.dim:
+    if s.ambient_dim != filt.ambient_dim:
         raise NotContained("subspace has wrong ambient dimension")
-    qdim = ws.dim - s.dim
+    qdim = filt.ambient_dim - s.dim
     piv = set(s.pivots)
-    free = [j for j in range(ws.dim) if j not in piv]
+    free = [j for j in range(filt.ambient_dim) if j not in piv]
     # only the span matters, so each reduced row keeps its integer scale
     steps = []
-    for w, wk in ws.filtration.steps:
+    for w, wk in filt.steps:
         vecs = [[v[j] for j in free] for v in (s._reduce(r)[0] for r in wk._rows)]
         steps.append((w, Subspace.from_vectors(qdim, vecs)))
     return WeightFiltration.from_spaces(qdim, steps)
-
-
-def sub_weighted_space(ws: WeightedSpace, s: Subspace) -> WeightedSpace:
-    return WeightedSpace.from_filtration(induced_filtration_on_sub(ws, s))
-
-
-def quotient_weighted_space(ws: WeightedSpace, s: Subspace) -> WeightedSpace:
-    return WeightedSpace.from_filtration(induced_filtration_on_quotient(ws, s))

@@ -5,7 +5,8 @@ it: spans, null spaces, products and intersections.  It shares no code with
 monofilt.qlinalg, and intersections are computed by a different method from
 the library's (a null space of stacked spanning sets).  The monodromy
 filtration is computed by the closed kernel/image formula, not from Jordan
-chains as the library builds it.
+chains as the library builds it, and the filtration of a string model is
+written down from the string weights.
 """
 from fractions import Fraction
 
@@ -83,6 +84,23 @@ def ref_matvec(rows, v):
     """The product of the matrix with the given rows and the vector v."""
     return tuple(sum((Fraction(x) * Fraction(y) for x, y in zip(r, v)), Fraction(0))
                  for r in rows)
+
+
+def ref_apply(m, vectors, dim):
+    """RREF rows of the span of the m v, v in `vectors`; m is the list of rows
+    of a matrix with `dim` rows."""
+    return ref_span([ref_matvec(m, v) for v in vectors], dim)
+
+
+def ref_string_steps(strings, n):
+    """[(k, RREF rows of W_k)] for k = n-2-d .. n-1+d, d the total length, of
+    the string model with these (label, length) strings: e_i of a string of
+    length m+1 lies at weight n-1-m+2i."""
+    weights = [n - 1 - (length - 1) + 2 * i for _, length in strings for i in range(length)]
+    d = len(weights)
+    unit = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    return [(k, ref_span([e for e, w in zip(unit, weights) if w <= k], d))
+            for k in range(n - 2 - d, n + d)]
 
 
 def ref_in_span(vectors, v, dim):

@@ -21,7 +21,7 @@ from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
 from monofilt.monodromy import JordanStringModel, NilpotentModel
 from monofilt.qlinalg import QMatrix, inverse
 from monofilt.theorems import DiskModel, generate_model, generate_scrambled
-from monofilt.weights import LabeledGrading, TwistedLabel, TwistedMap, WeightedSpace
+from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
 
 
 def run(argv):
@@ -87,9 +87,8 @@ def test_rational_document_check_output_is_unchanged(tmp_path):
     m = generate_scrambled(generate_model(7, 3, 4, 1, ["L", "P"]), 8)
     d = m.space.dim
     scale = QMatrix.from_rows([[i + 1 if i == j else 0 for j in range(d)] for i in range(d)])
-    space = WeightedSpace(d, m.space.filtration.transported(scale), m.space.grading)
-    doc = ModelDocument("nilpotent", NilpotentModel(
-        space, m.n, TwistedMap(scale @ m.N.matrix @ inverse(scale), -1)))
+    doc = ModelDocument("nilpotent", NilpotentModel.on_monodromy_filtration(
+        scale @ m.N.matrix @ inverse(scale), m.n, m.space.grading))
     text = serialize(doc)
     assert "/" in json.dumps(json.loads(text)["matrix"])
     rc, out = run(["check", write_doc(tmp_path, "r.json", doc), "--format", "json"])
@@ -653,6 +652,7 @@ class TestExtensionContext:
 
     def test_filtrationless_nilpotent_builds_one_filtration(self, builds, tmp_path):
         path = write_json(tmp_path, "m.json", _nilpotent_doc(("filtration",)))
+        builds.clear()  # the document's own model was built on its filtration
         rc, _ = run(["check", path])
         assert rc == EXIT_OK and builds["filtration"] == 1
         builds.clear()

@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 
 from monofilt.monodromy import JordanStringModel, monodromy_filtration
-from monofilt.qlinalg import (QMatrix, Subspace, apply_to_subspace, image,
-                              intersect, inverse)
+from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
+                              quotient_projection)
 from monofilt.theorems import random_unimodular
 from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel, TwistedMap,
@@ -12,15 +12,18 @@ from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               check_strict, default_grading,
                               induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
-                              weights_at_least, weights_at_most,
-                              quotient_weighted_space)
+                              weights_at_least, weights_at_most)
 
-from conftest import J2, span
-from reference import ref_is_strict
+from conftest import J2, random_subspace, span
+from reference import ref_apply, ref_in_span, ref_is_strict
+
+
+def j2_filt():
+    return monodromy_filtration(J2, 0)
 
 
 def j2_space():
-    return WeightedSpace.from_filtration(monodromy_filtration(J2, 0))
+    return WeightedSpace.from_filtration(j2_filt())
 
 
 class TestFiltration:
@@ -83,51 +86,53 @@ class TestTateTwist:
 
 class TestCheckFiltered:
     def test_zero_map(self):
-        ws = j2_space()
+        f = j2_filt()
         z = TwistedMap(QMatrix.zero(2, 2), 0)
-        assert check_filtered(z, ws, ws, -7)
+        assert check_filtered(z, f, f, -7)
 
     def test_identity_shift_zero(self):
-        ws = j2_space()
-        assert check_filtered(TwistedMap(QMatrix.identity(2), 0), ws, ws, 0)
+        f = j2_filt()
+        assert check_filtered(TwistedMap(QMatrix.identity(2), 0), f, f, 0)
 
     def test_monodromy_shift(self):
         # N sends the weight-1 line into the weight-(-1) line
-        ws = j2_space()
+        f = j2_filt()
         n = TwistedMap(J2, -1)
-        assert check_filtered(n, ws, ws, -2)
-        assert not check_filtered(n, ws, ws, -3)
+        assert check_filtered(n, f, f, -2)
+        assert not check_filtered(n, f, f, -3)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            check_filtered(TwistedMap(QMatrix.zero(3, 3), 0),
-                           j2_space(), j2_space(), 0)
+            check_filtered(TwistedMap(QMatrix.zero(3, 3), 0), j2_filt(), j2_filt(), 0)
 
 
 class TestCheckStrict:
     def test_one_step_filtrations(self):
-        dom = WeightedSpace.pure(2, 0)
-        cod = WeightedSpace.pure(2, 0)
+        dom = WeightFiltration.single_step(2, 0)
+        cod = WeightFiltration.single_step(2, 0)
         assert check_strict(TwistedMap(J2, 0), dom, cod)
 
     def test_finer_domain_fails(self):
-        dom = WeightedSpace.pure(1, 1)
-        cod = WeightedSpace.from_filtration(WeightFiltration.from_spaces(
-            1, [(0, Subspace.full(1))]))
+        dom = WeightFiltration.single_step(1, 1)
+        cod = WeightFiltration.single_step(1, 0)
         # identity: image meets W_0(cod) but W_0(dom) = 0
         assert not check_strict(TwistedMap(QMatrix.identity(1), 0), dom, cod)
 
     def test_monodromy_operator_is_strict(self):
         for strings in [(("L", 2),), (("L", 3), ("L", 1)), (("L", 4), ("P", 2))]:
             m = JordanStringModel(strings, 1).to_nilpotent()
-            assert check_strict(m.N, m.space, m.space)
+            f = m.space.filtration
+            assert check_strict(m.N, f, f)
 
     def test_not_filtered_precondition(self):
-        dom = WeightedSpace.from_filtration(WeightFiltration.from_spaces(
-            1, [(0, Subspace.full(1))]))
-        cod = WeightedSpace.pure(1, 5)
+        dom = WeightFiltration.single_step(1, 0)
+        cod = WeightFiltration.single_step(1, 5)
         with pytest.raises(NotFiltered):
             check_strict(TwistedMap(QMatrix.identity(1), 0), dom, cod)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            check_strict(TwistedMap(QMatrix.zero(3, 3), 0), j2_filt(), j2_filt(), 0)
 
     def test_strictness_matches_graded_dimension_oracle(self, rng):
         # strict iff the image filtration computed from the domain matches
@@ -136,15 +141,13 @@ class TestCheckStrict:
             strings = tuple(("L", rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3)))
             m = JordanStringModel(strings, rng.randint(-1, 2)).to_nilpotent()
-            mat = m.N.matrix
-            tm = TwistedMap(mat, -1)
+            mat, f = m.N.matrix, m.space.filtration
             img = image(mat)
             agree = all(
-                intersect(img, m.space.filtration.space_at(k - 2)).dim
-                == apply_to_subspace(mat, m.space.filtration.space_at(k)).dim
-                for k in range(min(m.space.filtration.weights, default=0) - 2,
-                               max(m.space.filtration.weights, default=0) + 3))
-            assert check_strict(tm, m.space, m.space) == agree
+                intersect(img, f.space_at(k - 2)).dim
+                == len(ref_apply(mat.entries, f.space_at(k).basis.entries, mat.rows))
+                for k in range(min(f.weights, default=0) - 2, max(f.weights, default=0) + 3))
+            assert check_strict(TwistedMap(mat, -1), f, f) == agree
 
 
 def _transpose(m: QMatrix) -> QMatrix:
@@ -152,7 +155,7 @@ def _transpose(m: QMatrix) -> QMatrix:
 
 
 def _random_filtered_space(rng, dim):
-    """(WeightedSpace, [(w, spanning rows of W_w)], adapted basis, weights): W_w
+    """(WeightFiltration, [(w, spanning rows of W_w)], adapted basis, weights): W_w
     is spanned by the rows of a random unimodular basis of weight <= w."""
     basis = [list(r) for r in random_unimodular(rng, dim).entries]
     weights = sorted(rng.randint(-2, 2) for _ in range(dim))
@@ -160,19 +163,20 @@ def _random_filtered_space(rng, dim):
              for w in sorted(set(weights))]
     filt = WeightFiltration.from_spaces(
         dim, [(w, Subspace.from_vectors(dim, rows)) for w, rows in steps])
-    return WeightedSpace.from_filtration(filt), steps, basis, weights
+    return filt, steps, basis, weights
 
 
-def random_filtered_map(rng):
+def random_filtered_map(rng, filtered=True):
     """A map m between random filtered spaces with m(W_k) in W'_{k+shift}:
     each adapted basis vector of weight w goes to a random combination of
-    the codomain's adapted basis vectors of weight <= w + shift."""
+    the codomain's adapted basis vectors of weight <= w + shift.  With
+    filtered=False the combination may use every codomain basis vector."""
     dom_dim, cod_dim, shift = rng.randint(0, 4), rng.randint(0, 4), rng.randint(-2, 2)
     dom, dom_steps, e, e_wt = _random_filtered_space(rng, dom_dim)
     cod, cod_steps, f, f_wt = _random_filtered_space(rng, cod_dim)
     coeffs = QMatrix.from_rows(
-        [[rng.choice((-1, 0, 0, 1, 2)) if fw <= ew + shift else 0 for ew in e_wt]
-         for fw in f_wt], cols=dom_dim)
+        [[rng.choice((-1, 0, 0, 1, 2)) if fw <= ew + shift or not filtered else 0
+          for ew in e_wt] for fw in f_wt], cols=dom_dim)
     # m e_i = sum_j coeffs[j][i] f_j, so m E^T = F^T coeffs
     e_mat = QMatrix.from_rows(e, cols=dom_dim)
     f_mat = QMatrix.from_rows(f, cols=cod_dim)
@@ -188,64 +192,83 @@ class TestStrictnessOracle:
         for _ in range(300):
             m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng)
             assert check_filtered(TwistedMap(m, 0), dom, cod, shift)
-            want = ref_is_strict([list(r) for r in m.entries], dom.dim, cod.dim,
-                                 dom_steps, cod_steps, shift)
+            want = ref_is_strict([list(r) for r in m.entries], dom.ambient_dim,
+                                 cod.ambient_dim, dom_steps, cod_steps, shift)
             assert check_strict(TwistedMap(m, 0), dom, cod, shift) == want
             verdicts[want] += 1
+        assert min(verdicts[True], verdicts[False]) >= 50, verdicts
+
+    def test_not_filtered_exactly_when_check_filtered_fails(self, rng):
+        """check_strict has no filteredness pre-pass: NotFiltered is raised
+        exactly when check_filtered is false, which matches filteredness
+        read off the reference spans."""
+        verdicts = Counter()
+        for _ in range(300):
+            m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng, False)
+            rows, tm = [list(r) for r in m.entries], TwistedMap(m, 0)
+            cod_at = {k: [v for w, vs in cod_steps if w <= k for v in vs]
+                      for k in {w + shift for w, _ in dom_steps}}
+            filtered = all(ref_in_span(cod_at[w + shift], v, cod.ambient_dim)
+                           for w, vs in dom_steps
+                           for v in ref_apply(rows, vs, cod.ambient_dim))
+            assert check_filtered(tm, dom, cod, shift) == filtered
+            if filtered:
+                assert check_strict(tm, dom, cod, shift) == ref_is_strict(
+                    rows, dom.ambient_dim, cod.ambient_dim, dom_steps, cod_steps, shift)
+            else:
+                with pytest.raises(NotFiltered):
+                    check_strict(tm, dom, cod, shift)
+            verdicts[filtered] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
 
 class TestPurityPredicates:
     def test_one_step(self):
-        ws = WeightedSpace.pure(2, 4)
-        assert is_pure(ws, 4)
-        assert weights_at_most(ws, 4) and weights_at_least(ws, 4)
-        assert not is_pure(ws, 3)
+        f = WeightFiltration.single_step(2, 4)
+        assert is_pure(f, 4)
+        assert weights_at_most(f, 4) and weights_at_least(f, 4)
+        assert not is_pure(f, 3)
 
     def test_j2_bounds(self):
-        ws = j2_space()
-        assert weights_at_most(ws, 1)
-        assert not weights_at_most(ws, 0)
-        assert weights_at_least(ws, -1)
-        assert not is_pure(ws, 0)
+        f = j2_filt()
+        assert weights_at_most(f, 1)
+        assert not weights_at_most(f, 0)
+        assert weights_at_least(f, -1)
+        assert not is_pure(f, 0)
 
     def test_zero_space_pure_of_every_weight(self):
-        ws = WeightedSpace.zero()
+        f = WeightedSpace.zero().filtration
         for n in (-2, 0, 5):
-            assert is_pure(ws, n)
+            assert is_pure(f, n)
 
 
 class TestInducedFiltrations:
     def test_full_subspace(self):
-        ws = j2_space()
-        assert induced_filtration_on_sub(ws, Subspace.full(2)) == ws.filtration
+        f = j2_filt()
+        assert induced_filtration_on_sub(f, Subspace.full(2)) == f
 
     def test_zero_subspace(self):
-        ws = j2_space()
-        assert induced_filtration_on_quotient(ws, Subspace.zero(2)) == ws.filtration
-        sub = induced_filtration_on_sub(ws, Subspace.zero(2))
+        f = j2_filt()
+        assert induced_filtration_on_quotient(f, Subspace.zero(2)) == f
+        sub = induced_filtration_on_sub(f, Subspace.zero(2))
         assert sub.ambient_dim == 0 and sub.steps == ()
 
     def test_kernel_of_j2(self):
-        ws = j2_space()
-        f = induced_filtration_on_sub(ws, span(2, [1, 0]))
+        f = induced_filtration_on_sub(j2_filt(), span(2, [1, 0]))
         assert f.weights == (-1,)
         assert f.graded_dim(-1) == 1
 
     def test_quotient_projection_is_strict(self, rng):
-        from monofilt.weights import check_strict as strict
-        from monofilt.qlinalg import quotient_projection
-        from conftest import random_subspace
         for _ in range(60):
             strings = tuple(("L", rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3)))
-            ws = JordanStringModel(strings, 1).to_nilpotent().space
-            s = random_subspace(rng, ws.dim)
+            f = JordanStringModel(strings, 1).to_nilpotent().space.filtration
+            s = random_subspace(rng, f.ambient_dim)
             if s.is_full():
                 continue
-            q = quotient_weighted_space(ws, s)
+            q = induced_filtration_on_quotient(f, s)
             p = TwistedMap(quotient_projection(s), 0)
-            assert strict(p, ws, q, shift=0)
+            assert check_strict(p, f, q, shift=0)
 
 
 class TestGrading:
