@@ -330,8 +330,8 @@ def _model_reports(model: NilpotentModel) -> list:
         reports.append(monodromy.check_monodromy_axioms(
             model.monodromy_filtration, model.N.matrix, model.center, model.powers))
     hl = verify_hard_lefschetz(model)
+    reports.append(hl)
     if hl.passed:
-        reports.append(hl)
         pd = primitive_decomposition(model)
         reports.append(pd.report)
         gk = graded_kernel(model)

@@ -91,10 +91,8 @@ def _intermediate(model: NilpotentModel) -> tuple:
     V, n_mat, img = model.space, model.N.matrix, model.im_n
     phi = WeightedSpace.from_filtration(
         induced_filtration_on_sub(model.twisted.filtration, img))
-    # N v in the RREF basis of im N has its entries at the pivots as coordinates
-    rows, den = n_mat._ints
-    can = QMatrix._make([rows[p] for p in img.pivots], den, V.dim)
-    return V, phi, TwistedMap(can, 0), TwistedMap(qlinalg.inclusion(img), -1)
+    return (V, phi, TwistedMap(qlinalg.corestriction(n_mat, img), 0),
+            TwistedMap(qlinalg.inclusion(img), -1))
 
 
 # the fields (psi, phi, can, var) of each extension kind of a model, whose

@@ -2,8 +2,8 @@
 
 The filtration is read off a basis of Jordan chains of N built along the
 kernel flag ker N c ker N^2 c ... c ker N^e.  check_monodromy_axioms and a
-model's hard Lefschetz report verify it without the chains, by induced maps
-on graded pieces.
+model's hard Lefschetz report verify it without the chains, by the graded
+maps of weights.graded_map.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from functools import cached_property
 from . import qlinalg
 from .qlinalg import QMatrix, Subspace, maps_into
 from .report import Report, ReportBuilder
-from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
+from .weights import (LABEL_DEFAULT, LabeledGrading, TwistedLabel, TwistedMap,
                       WeightFiltration, WeightedSpace, check_filtered,
-                      default_grading, induced_filtration_on_quotient,
+                      default_grading, graded_map, induced_filtration_on_quotient,
                       induced_filtration_on_sub, tate_twist)
 
 
@@ -86,14 +86,6 @@ def monodromy_filtration(n_op: QMatrix, center: int,
     return WeightFiltration(d, tuple(steps))
 
 
-def _induced_graded_map(m: QMatrix, filt_dom: WeightFiltration,
-                        filt_cod: WeightFiltration, k_dom: int, k_cod: int) -> QMatrix:
-    return qlinalg.induced_map_on_quotient(
-        m,
-        filt_dom.space_at(k_dom - 1), filt_cod.space_at(k_cod - 1),
-        filt_dom.space_at(k_dom), filt_cod.space_at(k_cod))
-
-
 def _spread(filt: WeightFiltration, center: int) -> int:
     return max((abs(w - center) for w in filt.weights), default=0)
 
@@ -110,8 +102,8 @@ def _check_graded_powers(rb: ReportBuilder, filt: WeightFiltration, powers: list
     for k in range(_spread(filt, center) + 1):
         name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
         try:
-            g = _induced_graded_map(powers[min(k, len(powers) - 1)], filt, filt,
-                                    center + k, center - k)
+            g = graded_map(powers[min(k, len(powers) - 1)], filt, center + k,
+                           filt, center - k)
         except qlinalg.NotCompatible:
             rb.check(name, False, "power of N does not respect the filtration")
             continue
@@ -237,18 +229,16 @@ class NilpotentModel:
     def _graded_kernel(self) -> GradedKernel:
         filt, ker_filt = self.space.filtration, self.ker_filtration
         dims = []
-        kernel_dims: dict[int, int] = {}
-        for k in sorted(set(filt.weights) | set(ker_filt.weights)):
+        for k in filt.weights:  # the filtration induced on ker N has no other weights
             sub_side = ker_filt.graded_dim(k)
-            g = _induced_graded_map(self.N.matrix, filt, filt, k, k - 2)
+            g = graded_map(self.N.matrix, filt, k, filt, k - 2)
             map_side = g.cols - qlinalg.rank(g)
             if sub_side != map_side:
                 raise GradedKernelMismatch(
                     f"weight {k}: Gr(ker N) has dim {sub_side} but graded kernel "
                     f"has dim {map_side}")
-            if sub_side:
-                kernel_dims[k] = sub_side
             dims.append((k, sub_side, map_side))
+        kernel_dims = {k: d for k, d, _ in dims if d}
         return GradedKernel(_kernel_labels(self, kernel_dims), tuple(dims))
 
 
@@ -329,7 +319,7 @@ def _kernel_labels(model: NilpotentModel, kernel_dims: dict) -> LabeledGrading:
     out = {k: {lbl: m for lbl, m in model.space.grading.at(k).items() if lbl.twist == 0}
            for k in kernel_dims}
     if any(sum(out[k].values()) != dim for k, dim in kernel_dims.items()):
-        out = {k: {TwistedLabel("pt"): dim} for k, dim in kernel_dims.items()}
+        out = {k: {TwistedLabel(LABEL_DEFAULT): dim} for k, dim in kernel_dims.items()}
     return LabeledGrading.from_dict(out)
 
 

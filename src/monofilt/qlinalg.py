@@ -18,6 +18,12 @@ the reduced row echelon basis scaled to coprime integers with a positive
 pivot.  These rows are unique in the same way.  The RREF ``basis`` (each
 integer row divided by its pivot, exactly the basis rational elimination
 gives) is a matrix built on first read.
+
+Subquotient coordinates follow one rule (_coords): the coordinates of v in
+quot/sub are the entries of v reduced modulo sub, read at the pivots of quot
+that are not pivots of sub; sub = 0 gives coordinates in a subspace, quot =
+Q^d in a quotient.  subquotient, corestriction, quotient_projection and the
+induced map behind weights.graded_map all read coordinates this way.
 """
 from __future__ import annotations
 
@@ -320,39 +326,50 @@ def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
     return not any(any(t._reduce(_dots(a, r))[0]) for r in s._rows)
 
 
-def _quotient_coords(quot: Subspace, sub: Subspace, v: list, den: int) -> tuple[list, int]:
-    """(integer coords, scale) of the class of the vector v / den, v an integer
-    vector, in the canonical basis of quot/sub: the coordinates are coords / scale.
-
-    The basis consists of the classes of the RREF rows of quot whose pivot
-    is not a pivot of sub; coordinates are read off the canonical (sub-reduced)
-    representative at those pivot positions.
-    """
-    if any(quot._reduce(v)[0]):
-        raise NotCompatible("vector not contained in the larger subspace")
-    w, s = sub._reduce(v)
+def _coord_positions(quot: Subspace, sub: Subspace) -> list:
+    """The pivots of quot that are not pivots of sub, for sub in quot; quot/sub
+    has the classes of quot's RREF rows at them as its basis."""
     sub_piv = set(sub.pivots)
-    return [w[p] for p in quot.pivots if p not in sub_piv], den * s
+    return [p for p in quot.pivots if p not in sub_piv]
 
 
-def induced_map_on_quotient(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
-                            quot_dom: Subspace, quot_cod: Subspace) -> QMatrix:
-    """Matrix of the induced map quot_dom/sub_dom -> quot_cod/sub_cod.
+def _coords(quot: Subspace, sub: Subspace, vecs: Iterable[Sequence]) -> list:
+    """[(w, s)] with w / s the coordinates in quot/sub of each integer vector
+    of vecs, taken in quot, by the rule of the module docstring."""
+    pos = _coord_positions(quot, sub)
+    return [([w[p] for p in pos], s) for w, s in map(sub._reduce, vecs)]
 
-    Bases are the canonical complement bases derived from RREF pivots.
-    Raises NotCompatible if m does not map sub into sub or quot into quot.
-    """
-    if not quot_dom.contains(sub_dom) or not quot_cod.contains(sub_cod):
-        raise NotCompatible("sub is not contained in quot")
+
+def subquotient(t: Subspace, quot: Subspace, sub: Subspace) -> Subspace:
+    """((t n quot) + sub)/sub in the coordinates of quot/sub, for sub in quot."""
+    return Subspace.from_vectors(quot.dim - sub.dim, [
+        w for w, _ in _coords(quot, sub, intersect(t, quot)._rows)])
+
+
+def corestriction(m: QMatrix, s: Subspace) -> QMatrix:
+    """m as a map into s, for image(m) in s: its columns in the coordinates
+    of s, which (sub = 0) are their entries at the pivots of s."""
+    rows, den = m._ints
+    return QMatrix._make([rows[p] for p in s.pivots], den, m.cols)
+
+
+def _subquotient_map(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
+                     quot_dom: Subspace, quot_cod: Subspace) -> QMatrix:
+    """Matrix of quot_dom/sub_dom -> quot_cod/sub_cod induced by m, for sub in
+    quot on both sides.  Raises NotCompatible unless the map is well defined:
+    m(sub_dom) in sub_cod and m(quot_dom) in quot_cod."""
     if not maps_into(m, sub_dom, sub_cod):
         raise NotCompatible("map does not send sub_dom into sub_cod")
-    # m(quot_dom) in quot_cod: sub_dom is checked above, the rest by _quotient_coords
     a, da = m._ints
-    sub_piv = set(sub_dom.pivots)
-    # basis row b is the primitive row divided by its pivot, so m b = (a row) / (da pivot)
-    cols = [_quotient_coords(quot_cod, sub_cod, _dots(a, row), da * row[p])
-            for row, p in zip(quot_dom._rows, quot_dom.pivots) if p not in sub_piv]
-    return _from_columns(cols, quot_cod.dim - sub_cod.dim)
+    piv = _coord_positions(quot_dom, sub_dom)
+    rows = dict(zip(quot_dom.pivots, quot_dom._rows))
+    # m sends the basis vector rows[p] / rows[p][p] of quot_dom/sub_dom to v / (da rows[p][p])
+    images = [_dots(a, rows[p]) for p in piv]
+    if any(any(quot_cod._reduce(v)[0]) for v in images):
+        raise NotCompatible("map does not send quot_dom into quot_cod")
+    return _from_columns([(w, da * rows[p][p] * s) for p, (w, s)
+                          in zip(piv, _coords(quot_cod, sub_cod, images))],
+                         quot_cod.dim - sub_cod.dim)
 
 
 def inclusion(s: Subspace) -> QMatrix:
@@ -363,19 +380,11 @@ def inclusion(s: Subspace) -> QMatrix:
 
 
 def quotient_projection(s: Subspace) -> QMatrix:
-    """Matrix of the projection Q^d -> Q^d / s in complement coordinates.
-
-    Coordinates are the non-pivot positions of s's RREF, applied to the
-    canonical (s-reduced) representative.
-    """
+    """Matrix of the projection Q^d -> Q^d / s: column j holds the
+    coordinates of e_j in Q^d / s."""
     d = s.ambient_dim
-    piv = set(s.pivots)
-    free = [j for j in range(d) if j not in piv]
-    cols = []
-    for j in range(d):
-        w, t = s._reduce([1 if i == j else 0 for i in range(d)])
-        cols.append(([w[f] for f in free], t))
-    return _from_columns(cols, len(free))
+    unit = [[int(i == j) for i in range(d)] for j in range(d)]
+    return _from_columns(_coords(Subspace.full(d), s, unit), d - s.dim)
 
 
 def inverse(m: QMatrix) -> QMatrix:

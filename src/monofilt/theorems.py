@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import qlinalg
 from .gluing import EXTENSIONS, GluingDatum, extension
@@ -194,12 +193,12 @@ def generate_model(seed: int, max_strings: int, max_length: int, n: int,
 
 def random_unimodular(rng: random.Random, d: int, passes: int = 2) -> QMatrix:
     """Product of random integer transvections and a permutation; det = +-1."""
-    rows = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(passes):
         for i in range(d):
             j = rng.randrange(d)
             if i != j:
-                c = Fraction(rng.randint(-2, 2))
+                c = rng.randint(-2, 2)
                 if c:
                     rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
     perm = list(range(d))
@@ -222,7 +221,7 @@ def random_nilpotent(rng: random.Random, max_dim: int = 8,
     """Random nilpotent matrix: strictly upper triangular, optionally
     conjugated by a random unimodular matrix."""
     d = rng.randint(1, max_dim)
-    rows = [[Fraction(rng.randint(-entry_bound, entry_bound)) if j > i else Fraction(0)
+    rows = [[rng.randint(-entry_bound, entry_bound) if j > i else 0
              for j in range(d)] for i in range(d)]
     m = QMatrix.from_rows(rows, cols=d)
     if scramble and d > 1:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .qlinalg import (NotCompatible, QMatrix, Subspace, induced_map_on_quotient,
-                      intersect, maps_into, rank)
+from .qlinalg import (NotCompatible, QMatrix, Subspace, _subquotient_map, maps_into,
+                      rank, subquotient)
 
 LABEL_DEFAULT = "pt"
 
@@ -239,6 +239,15 @@ def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
     return True
 
 
+def graded_map(m: QMatrix, dom: WeightFiltration, k: int,
+               cod: WeightFiltration, j: int) -> QMatrix:
+    """Matrix of Gr_k(dom) -> Gr_j(cod) induced by m, in the canonical
+    subquotient bases; NotCompatible unless m W_{k-1} in W'_{j-1} and
+    m W_k in W'_j."""
+    return _subquotient_map(m, dom.space_at(k - 1), cod.space_at(j - 1),
+                            dom.space_at(k), cod.space_at(j))
+
+
 def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
                  shift: int | None = None) -> bool:
     """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k.
@@ -247,20 +256,16 @@ def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
     G_k = image(m) \\cap W_{k+shift}, rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
     <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
     iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is F = G.
-    The graded maps exist iff m is filtered: m(W_k) in W_{k+shift} is tested
-    at every step, and m(W_{k-1}) in W_{k+shift-1} follows from the step below.
+    The graded maps exist iff m is filtered, so a map that is not filtered
+    raises NotFiltered from the same loop.
     """
     if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
         shift = 2 * tm.twist
     m = tm.matrix
     if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
         raise ShapeMismatch("matrix shape does not match the filtered spaces")
-    graded, below = 0, Subspace.zero(dom.ambient_dim)
     try:
-        for k, wk in dom.steps:
-            graded += rank(induced_map_on_quotient(
-                m, below, cod.space_at(k + shift - 1), wk, cod.space_at(k + shift)))
-            below = wk
+        graded = sum(rank(graded_map(m, dom, k, cod, k + shift)) for k in dom.weights)
     except NotCompatible:
         raise NotFiltered("map is not filtered with the given shift") from None
     return graded == rank(m)
@@ -279,28 +284,25 @@ def is_pure(filt: WeightFiltration, n: int) -> bool:
     return weights_at_most(filt, n) and weights_at_least(filt, n)
 
 
-def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
-    """W_k \\cap s, expressed in the intrinsic coordinates of s's RREF basis."""
-    if s.ambient_dim != filt.ambient_dim:
+def _induced(filt: WeightFiltration, quot: Subspace, sub: Subspace) -> WeightFiltration:
+    """((W_k n quot) + sub)/sub on quot/sub: nested and exhaustive because
+    filt is, so a step is only dropped when it equals the one below."""
+    if quot.ambient_dim != filt.ambient_dim:
         raise NotContained("subspace has wrong ambient dimension")
-    # a vector of s has its RREF coordinates at s's pivots
-    steps = []
+    steps, below = [], Subspace.zero(quot.dim - sub.dim)
     for w, wk in filt.steps:
-        vecs = [[r[p] for p in s.pivots] for r in intersect(wk, s)._rows]
-        steps.append((w, Subspace.from_vectors(s.dim, vecs)))
-    return WeightFiltration.from_spaces(s.dim, steps)
+        s = subquotient(wk, quot, sub)
+        if s != below:
+            steps.append((w, s))
+            below = s
+    return WeightFiltration(below.ambient_dim, tuple(steps))
+
+
+def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
+    """W_k \\cap s, in the coordinates of s's RREF basis."""
+    return _induced(filt, s, Subspace.zero(s.ambient_dim))
 
 
 def induced_filtration_on_quotient(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
-    """(W_k + s)/s in the canonical complement coordinates of s."""
-    if s.ambient_dim != filt.ambient_dim:
-        raise NotContained("subspace has wrong ambient dimension")
-    qdim = filt.ambient_dim - s.dim
-    piv = set(s.pivots)
-    free = [j for j in range(filt.ambient_dim) if j not in piv]
-    # only the span matters, so each reduced row keeps its integer scale
-    steps = []
-    for w, wk in filt.steps:
-        vecs = [[v[j] for j in free] for v in (s._reduce(r)[0] for r in wk._rows)]
-        steps.append((w, Subspace.from_vectors(qdim, vecs)))
-    return WeightFiltration.from_spaces(qdim, steps)
+    """(W_k + s)/s in the coordinates of the quotient."""
+    return _induced(filt, Subspace.full(s.ambient_dim), s)

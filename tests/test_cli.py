@@ -546,6 +546,21 @@ class TestCommands:
         rc, _ = run(["check", write_doc(tmp_path, "b.json", bad)])
         assert rc == EXIT_VERIFICATION
 
+    def test_check_reports_a_failing_hard_lefschetz(self, tmp_path):
+        """An impure model's hard Lefschetz report is shown and fails the
+        check; the primitive decomposition and class identity, which need
+        a pure model, are left out."""
+        path = write_json(tmp_path, "impure.json", IMPURE_J2)
+        rc, out = run(["check", path])
+        assert rc == EXIT_VERIFICATION
+        assert "[FAIL] hard Lefschetz (center 1)" in out
+        assert "FAIL N^2: Gr_3 -> Gr_-1" in out
+        rc, out = run(["check", path, "--format", "json"])
+        assert rc == EXIT_VERIFICATION
+        reports = {r["title"]: r for r in json.loads(out)["reports"]}
+        assert reports["hard Lefschetz (center 1)"]["passed"] is False
+        assert "primitive decomposition (center 1)" not in reports
+
 
 README_EXAMPLE = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]]}
 

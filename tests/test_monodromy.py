@@ -15,7 +15,7 @@ from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
 from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
-                              WeightFiltration, WeightedSpace)
+                              WeightFiltration, WeightedSpace, check_strict)
 
 from conftest import J2, J3, qm, span
 from reference import ref_apply, ref_monodromy_steps, ref_string_steps
@@ -197,6 +197,35 @@ def test_filtration_takes_no_intersection_or_image(monkeypatch):
     assert calls == Counter()
     for filt, m, center in built:
         assert check_monodromy_axioms(filt, m, center).passed
+
+
+
+def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
+    """check_strict, hard Lefschetz and the graded kernel take every graded
+    map through weights.graded_map, whose steps are nested by construction:
+    on seeded string and scrambled models, and on N, the inclusion of ker N
+    and the projection onto coker N, none of them calls Subspace.contains."""
+    rng = random.Random(31)
+    models = []
+    for seed in range(30):
+        strings = generate_model(seed, 3, 4, rng.randint(-1, 3), ["L", "P"])
+        models += [strings.to_nilpotent(), generate_scrambled(strings, seed)]
+    calls = []
+    contains = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains",
+                        lambda self, other: calls.append(1) or contains(self, other))
+    for model in models:
+        filt, ker, img = model.space.filtration, model.kernels[1], model.im_n
+        assert verify_hard_lefschetz(model).passed
+        assert graded_kernel(model).dims
+        assert check_strict(model.N, filt, filt)  # the twist -1 gives shift -2
+        assert check_strict(TwistedMap(qlinalg.inclusion(ker), 0), model.ker_filtration,
+                            filt, shift=0)
+        assert check_strict(TwistedMap(qlinalg.quotient_projection(img), 0),
+                            model.twisted.filtration, model.coker_filtration, shift=0)
+    assert calls == []
+    Subspace.zero(1).contains(Subspace.zero(1))
+    assert calls == [1]
 
 
 class TestHardLefschetz:

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofilt.qlinalg import (AmbientMismatch, NotCompatible, QMatrix,
-                              Subspace, image, induced_map_on_quotient,
-                              intersect, inverse, kernel,
+                              Subspace, image, intersect, inverse, kernel,
                               quotient_projection, rank, rref)
+from monofilt.weights import WeightFiltration, graded_map
 
 from conftest import J2, J3, qm, random_matrix, random_subspace, span
 from reference import ref_matvec
@@ -104,31 +104,31 @@ class TestLattice:
         assert a == b
 
 
+def _filtration(d, *spaces):
+    """The filtration of Q^d with W_i = spaces[i] and W_{len(spaces)} = Q^d."""
+    steps = list(enumerate(spaces)) + [(len(spaces), Subspace.full(d))]
+    return WeightFiltration.from_spaces(d, steps)
+
+
 class TestInducedMap:
     def test_identity_on_quotient(self):
-        sub = span(3, [1, 0, 0])
-        g = induced_map_on_quotient(QMatrix.identity(3), sub, sub,
-                                    Subspace.full(3), Subspace.full(3))
-        assert g == QMatrix.identity(2)
+        f = _filtration(3, span(3, [1, 0, 0]))
+        assert graded_map(QMatrix.identity(3), f, 1, f, 1) == QMatrix.identity(2)
 
     def test_zero_map(self):
-        sub = span(3, [1, 0, 0])
-        g = induced_map_on_quotient(QMatrix.zero(3, 3), sub, sub,
-                                    Subspace.full(3), Subspace.full(3))
-        assert g == QMatrix.zero(2, 2)
+        f = _filtration(3, span(3, [1, 0, 0]))
+        assert graded_map(QMatrix.zero(3, 3), f, 1, f, 1) == QMatrix.zero(2, 2)
 
     def test_jordan_kernel_powers(self):
-        k1, k2 = kernel(J3), kernel(J3 @ J3)
-        g = induced_map_on_quotient(J3, k1, Subspace.zero(3), k2, k1)
-        assert g == qm([[1]])
-        g2 = induced_map_on_quotient(J3, k2, k1, Subspace.full(3), k2)
-        assert g2 == qm([[1]])
+        f = _filtration(3, kernel(J3), kernel(J3 @ J3))
+        # Gr_1 = ker J3^2 / ker J3 -> Gr_0 = ker J3, and Gr_2 = Q^3 / ker J3^2 -> Gr_1
+        assert graded_map(J3, f, 1, f, 0) == qm([[1]])
+        assert graded_map(J3, f, 2, f, 1) == qm([[1]])
 
     def test_incompatible(self):
         with pytest.raises(NotCompatible):
-            # J2 does not map the full space into the zero subspace
-            induced_map_on_quotient(J2, Subspace.zero(2), Subspace.zero(2),
-                                    Subspace.full(2), Subspace.zero(2))
+            # J2 does not map W_0 = Q^2 into W'_0 = 0
+            graded_map(J2, _filtration(2), 0, _filtration(2, Subspace.zero(2)), 0)
 
 
 class TestMisc:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
+from monofilt.weights import WeightFiltration, graded_map
 
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
                        ref_null, ref_rref, ref_span)
@@ -246,12 +247,17 @@ def _random_span(rng, d, count, rows=()):
     return Subspace.from_vectors(d, vecs + list(rows))
 
 
-def test_induced_map_on_quotient_raises_exactly_on_the_four_containments():
-    """NotCompatible is raised exactly when one of sub_dom < quot_dom,
-    sub_cod < quot_cod, m(sub_dom) < sub_cod, m(quot_dom) < quot_cod fails;
-    otherwise each column is the class of m b mod sub_cod in the quotient
-    basis.  The containments are computed here with ref_image and
-    contains; the library does not test the last one up front."""
+def _two_step(d, sub, quot):
+    """The filtration W_0 = sub c W_1 = quot c W_2 = Q^d."""
+    return WeightFiltration.from_spaces(d, [(0, sub), (1, quot), (2, Subspace.full(d))])
+
+
+def test_graded_map_raises_exactly_when_a_containment_fails():
+    """On random two-step filtrations, graded_map(m, dom, 1, cod, 1) raises
+    NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
+    otherwise each column is the class of m b mod W'_0 in the basis of
+    Gr_1.  The containments are computed here with ref_image and contains.
+    A filtration is nested, so W_0 in W_1 needs no test."""
     rng = random.Random(5)
     outcomes = Counter()
     for _ in range(600):
@@ -261,26 +267,21 @@ def test_induced_map_on_quotient_raises_exactly_on_the_four_containments():
                                [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)],
                                rank, d), d)
         quot_dom = _random_span(rng, d, rng.randint(1, d))
-        sub_dom = _random_span(rng, d, rng.random() < 0.1,
-                               [r for r in quot_dom._rows if rng.random() < 0.4])
+        sub_dom = _random_span(rng, d, 0, [r for r in quot_dom._rows if rng.random() < 0.4])
         m_sub = ref_image(m, sub_dom)
         m_quot = ref_image(m, quot_dom)
-        sub_cod = _random_span(rng, e, rng.randint(0, 1), m_sub._rows if rng.random() < 0.9 else ())
-        # quot_cod holds m(quot_dom), or only sub_cod, or is random
-        mode = rng.choice(("image", "image", "sub", "sub", "random"))
-        if mode == "random":
-            quot_cod = _random_span(rng, e, rng.randint(0, e))
-        else:
-            quot_cod = _random_span(rng, e, rng.randint(0, 1),
-                                    sub_cod._rows + (m_quot._rows if mode == "image" else ()))
-        held = (quot_dom.contains(sub_dom), quot_cod.contains(sub_cod),
-                sub_cod.contains(m_sub), quot_cod.contains(m_quot))
+        sub_cod = _random_span(rng, e, rng.randint(0, 1), m_sub._rows if rng.random() < 0.75 else ())
+        # quot_cod holds sub_cod and m(quot_dom), or sub_cod and random vectors
+        extra = m_quot._rows if rng.random() < 0.6 else ()
+        quot_cod = _random_span(rng, e, rng.randint(0, e - 1), sub_cod._rows + extra)
+        dom, cod = _two_step(d, sub_dom, quot_dom), _two_step(e, sub_cod, quot_cod)
+        held = (sub_cod.contains(m_sub), quot_cod.contains(m_quot))
         if not all(held):
             with pytest.raises(qlinalg.NotCompatible):
-                qlinalg.induced_map_on_quotient(m, sub_dom, sub_cod, quot_dom, quot_cod)
-            outcomes["only m(quot_dom) fails" if all(held[:3]) else "raises"] += 1
+                graded_map(m, dom, 1, cod, 1)
+            outcomes["only m(W_1) fails" if held[0] else "m(W_0) fails"] += 1
             continue
-        out = qlinalg.induced_map_on_quotient(m, sub_dom, sub_cod, quot_dom, quot_cod)
+        out = graded_map(m, dom, 1, cod, 1)
         dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
                      if p not in sub_dom.pivots]
         cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
@@ -291,8 +292,36 @@ def test_induced_map_on_quotient_raises_exactly_on_the_four_containments():
                  for t, x in enumerate(ref_matvec(m.entries, b))]
             assert ref_in_span(sub_cod.basis.entries, w, e)
         outcomes["maps"] += 1
-    assert min(outcomes[k] for k in ("maps", "raises", "only m(quot_dom) fails")) >= 50, outcomes
+    assert min(outcomes[k] for k in ("maps", "m(W_0) fails", "only m(W_1) fails")) >= 50, \
+        outcomes
 
+
+def test_subquotient_and_corestriction_read_the_subquotient_basis():
+    """subquotient(t, quot, sub), lifted through the basis of quot/sub (quot's
+    RREF rows at the pivots that are not pivots of sub), spans (t n quot) + sub
+    modulo sub with no redundancy; the oracle intersects with ref_intersect.
+    corestriction(inclusion(quot) a, quot) gives a back."""
+    rng = random.Random(8)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        quot = _random_span(rng, d, rng.randint(1, d))
+        # random combinations of quot's rows, so that sub is rarely spanned by some of them
+        coeffs = [[rng.randint(-2, 2) for _ in range(quot.dim)]
+                  for _ in range(rng.randint(0, quot.dim))]
+        sub = Subspace.from_vectors(d, ref_matmul(coeffs, quot._rows, quot.dim, d))
+        t = _random_span(rng, d, rng.randint(1, d))
+        out = qlinalg.subquotient(t, quot, sub)
+        basis = [b for b, p in zip(quot.basis.entries, quot.pivots) if p not in sub.pivots]
+        assert out.ambient_dim == len(basis)
+        lifted = [[sum((c * b[i] for c, b in zip(row, basis)), Fraction(0)) for i in range(d)]
+                  for row in out.basis.entries]
+        want = ref_span(list(ref_intersect(t.basis.entries, quot.basis.entries, d))
+                        + list(sub.basis.entries), d)
+        assert ref_span(lifted + list(sub.basis.entries), d) == want
+        assert out.dim == len(want) - sub.dim
+        cols = rng.randint(0, 3)
+        a = qmatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(quot.dim)], cols)
+        assert qlinalg.corestriction(qlinalg.inclusion(quot) @ a, quot) == a
 
 @EXAMPLES
 @given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))
