@@ -64,11 +64,11 @@ def monodromy_filtration(n_op: QMatrix, center: int,
     n_op when not given).  check_monodromy_axioms verifies M without chains.
     """
     kernels = kernels or _kernel_flag(_powers(n_op))
-    d, a = n_op.rows, n_op._ints[0]
+    d = n_op.rows
     chains, level = [], []  # (integer vector, weight): all, and those at level k
     for k in range(len(kernels) - 1, 0, -1):
         # N is injective from ker N^{k+1}/ker N^k to ker N^k/ker N^{k-1}
-        level = [(qlinalg._dots(a, v), w - 2) for v, w in level]
+        level = [(n_op._apply(v), w - 2) for v, w in level]
         missing = kernels[k].dim - kernels[k - 1].dim - len(level)
         if missing:
             rows = kernels[k - 1]._rows + tuple(v for v, _ in level)

@@ -7,7 +7,11 @@ The arithmetic runs on integers; ``Fraction`` is only the type at the
 interface.  A matrix stores its integer rows over one positive denominator
 in lowest terms; that form is unique, so matrix equality and hashing are
 plain structural equality, and the ``Fraction`` ``entries`` are built on
-first read.  Products are integer dot products that skip zero entries.
+first read.  Every product combines integer lines by one rule (_combine):
+a row of A @ B is the sum of B's rows weighted by the nonzeros of A's row,
+and m v is the sum of m's columns, read from a transpose cached on m, weighted
+by the nonzeros of v; a vector more than half nonzero takes dense dot
+products instead.
 Elimination works fraction-free on primitive integer rows (each updated row
 is divided by the gcd of its entries).  An intersection takes one Zassenhaus
 elimination of the stacked rows, which yields its primitive RREF rows
@@ -73,12 +77,21 @@ def _int_row(v: Sequence) -> tuple[list, int]:
     return [x.numerator * (den // x.denominator) for x in v], den
 
 
-def _dots(rows: Iterable[Sequence], v: Sequence) -> list:
-    """[row . v for row in rows] on integers, skipping the zero entries of v."""
+def _combine(v: Sequence, lines: Sequence, cross: Sequence) -> Sequence:
+    """The integer vector sum of v[k] lines[k] over the nonzeros of v, where
+    cross is the transpose of lines; when more than half of v is nonzero,
+    its dot products with the lines of cross.  A single nonzero 1 returns
+    its line itself, so the result is read, never written."""
     nz = [(k, x) for k, x in enumerate(v) if x]
     if 2 * len(nz) > len(v):
-        return [sum(map(mul, r, v)) for r in rows]
-    return [sum([x * r[k] for k, x in nz]) for r in rows]
+        return [sum(map(mul, v, c)) for c in cross]
+    if not nz:
+        return [0] * len(cross)
+    (k, x), *nz = nz
+    out = lines[k] if x == 1 else [x * b for b in lines[k]]
+    for k, x in nz:
+        out = [a + x * b for a, b in zip(out, lines[k])]
+    return out
 
 
 def _over(vecs: list, scales: list) -> tuple[list, int]:
@@ -126,6 +139,16 @@ class QMatrix:
         rows, den = self._ints
         return tuple(tuple(_frac(x, den) for x in r) for r in rows)
 
+    @cached_property
+    def _cols(self) -> tuple:
+        """The integer columns, over the denominator of _ints."""
+        rows = self._ints[0]
+        return tuple(zip(*rows)) if rows else ((),) * self.cols
+
+    def _apply(self, v: Sequence) -> list:
+        """self v, for an integer vector v, over the denominator of _ints."""
+        return _combine(v, self._cols, self._ints[0])
+
     @staticmethod
     def zero(rows: int, cols: int) -> "QMatrix":
         return QMatrix(rows, cols, (((0,) * cols,) * rows, 1))
@@ -140,8 +163,7 @@ class QMatrix:
             raise AmbientMismatch("inner dimensions do not match")
         a, da = self._ints
         b, db = other._ints
-        bt = list(zip(*b)) if b else [()] * other.cols
-        return QMatrix._make([_dots(bt, r) for r in a], da * db, other.cols)
+        return QMatrix._make([_combine(r, b, other._cols) for r in a], da * db, other.cols)
 
     def is_zero(self) -> bool:
         return not any(map(any, self._ints[0]))
@@ -294,7 +316,7 @@ def kernel(m: QMatrix) -> Subspace:
 
 def image(m: QMatrix) -> Subspace:
     """Column space of m as a subspace of Q^rows."""
-    return Subspace.from_vectors(m.rows, list(zip(*m._ints[0])))
+    return Subspace.from_vectors(m.rows, m._cols)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -322,8 +344,7 @@ def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
         raise AmbientMismatch("matrix columns do not match ambient dimension")
     if m.rows != t.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    a = m._ints[0]
-    return not any(any(t._reduce(_dots(a, r))[0]) for r in s._rows)
+    return not any(any(t._reduce(m._apply(r))[0]) for r in s._rows)
 
 
 def _coord_positions(quot: Subspace, sub: Subspace) -> list:
@@ -360,11 +381,11 @@ def _subquotient_map(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
     m(sub_dom) in sub_cod and m(quot_dom) in quot_cod."""
     if not maps_into(m, sub_dom, sub_cod):
         raise NotCompatible("map does not send sub_dom into sub_cod")
-    a, da = m._ints
+    da = m._ints[1]
     piv = _coord_positions(quot_dom, sub_dom)
     rows = dict(zip(quot_dom.pivots, quot_dom._rows))
     # m sends the basis vector rows[p] / rows[p][p] of quot_dom/sub_dom to v / (da rows[p][p])
-    images = [_dots(a, rows[p]) for p in piv]
+    images = [m._apply(rows[p]) for p in piv]
     if any(any(quot_cod._reduce(v)[0]) for v in images):
         raise NotCompatible("map does not send quot_dom into quot_cod")
     return _from_columns([(w, da * rows[p][p] * s) for p, (w, s)
@@ -374,9 +395,7 @@ def _subquotient_map(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
 
 def inclusion(s: Subspace) -> QMatrix:
     """The ambient_dim x dim(s) matrix whose columns are the RREF basis of s."""
-    rows, den = s.basis._ints
-    cols = tuple(zip(*rows)) if rows else ((),) * s.ambient_dim
-    return QMatrix(s.ambient_dim, s.dim, (cols, den))
+    return QMatrix(s.ambient_dim, s.dim, (s.basis._cols, s.basis._ints[1]))
 
 
 def quotient_projection(s: Subspace) -> QMatrix:

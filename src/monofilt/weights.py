@@ -68,10 +68,10 @@ class WeightFiltration:
         items = sorted(steps, key=lambda t: t[0])
         norm: list[tuple[int, Subspace]] = []
         prev = Subspace.zero(ambient_dim)
-        for w, s in items:
+        for i, (w, s) in enumerate(items):
             if s.ambient_dim != ambient_dim:
                 raise FiltrationError("step has wrong ambient dimension")
-            if norm and norm[-1][0] == w:
+            if i and items[i - 1][0] == w:  # before equal steps are dropped
                 raise FiltrationError("repeated weight")
             if s == prev:
                 continue

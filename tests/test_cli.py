@@ -474,6 +474,16 @@ class TestCommands:
         rc, _ = run(["check", str(p)])
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("first", [[], [["0", "1"]]])
+    def test_repeated_filtration_weight_is_refused(self, first, tmp_path, capsys):
+        """The keys "-1" and "-01" name one weight; the document is refused
+        whether or not the step at "-1" is empty."""
+        doc = {"kind": "nilpotent", "n": 1, "matrix": [["0", "0"], ["0", "0"]],
+               "filtration": {"-1": first, "-01": [["1", "0"]],
+                              "1": [["1", "0"], ["0", "1"]]}}
+        assert run(["check", write_json(tmp_path, "d.json", doc)]) == (EXIT_VALIDATION, "")
+        assert capsys.readouterr().err == "validation error: repeated weight\n"
+
     def test_kernel_labels_fall_back_to_pt(self, tmp_path):
         """No twist-0 label at the kernel's weight -1, so the kernel grading
         is read as pt there and the class identity fails."""

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
+from monofilt.monodromy import monodromy_filtration
 from monofilt.weights import WeightFiltration, graded_map
 
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
-                       ref_null, ref_rref, ref_span)
+                       ref_monodromy_steps, ref_null, ref_rref, ref_span)
 
 # -- reference ---------------------------------------------------------------
 
@@ -252,6 +253,29 @@ def _two_step(d, sub, quot):
     return WeightFiltration.from_spaces(d, [(0, sub), (1, quot), (2, Subspace.full(d))])
 
 
+def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
+    """graded_map(m, dom, 1, cod, 1) on the two-step filtrations sub c quot,
+    against containments computed with ref_image; returns the case met."""
+    d, e = m.cols, m.rows
+    dom, cod = _two_step(d, sub_dom, quot_dom), _two_step(e, sub_cod, quot_cod)
+    held = (sub_cod.contains(ref_image(m, sub_dom)), quot_cod.contains(ref_image(m, quot_dom)))
+    if not all(held):
+        with pytest.raises(qlinalg.NotCompatible):
+            graded_map(m, dom, 1, cod, 1)
+        return "only m(W_1) fails" if held[0] else "m(W_0) fails"
+    out = graded_map(m, dom, 1, cod, 1)
+    dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
+                 if p not in sub_dom.pivots]
+    cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
+                 if p not in sub_cod.pivots]
+    assert (out.rows, out.cols) == (len(cod_basis), len(dom_basis))
+    for j, b in enumerate(dom_basis):
+        w = [x - sum(out.entries[i][j] * c[t] for i, c in enumerate(cod_basis))
+             for t, x in enumerate(ref_matvec(m.entries, b))]
+        assert ref_in_span(sub_cod.basis.entries, w, e)
+    return "maps"
+
+
 def test_graded_map_raises_exactly_when_a_containment_fails():
     """On random two-step filtrations, graded_map(m, dom, 1, cod, 1) raises
     NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
@@ -274,24 +298,7 @@ def test_graded_map_raises_exactly_when_a_containment_fails():
         # quot_cod holds sub_cod and m(quot_dom), or sub_cod and random vectors
         extra = m_quot._rows if rng.random() < 0.6 else ()
         quot_cod = _random_span(rng, e, rng.randint(0, e - 1), sub_cod._rows + extra)
-        dom, cod = _two_step(d, sub_dom, quot_dom), _two_step(e, sub_cod, quot_cod)
-        held = (sub_cod.contains(m_sub), quot_cod.contains(m_quot))
-        if not all(held):
-            with pytest.raises(qlinalg.NotCompatible):
-                graded_map(m, dom, 1, cod, 1)
-            outcomes["only m(W_1) fails" if held[0] else "m(W_0) fails"] += 1
-            continue
-        out = graded_map(m, dom, 1, cod, 1)
-        dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
-                     if p not in sub_dom.pivots]
-        cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
-                     if p not in sub_cod.pivots]
-        assert (out.rows, out.cols) == (len(cod_basis), len(dom_basis))
-        for j, b in enumerate(dom_basis):
-            w = [x - sum(out.entries[i][j] * c[t] for i, c in enumerate(cod_basis))
-                 for t, x in enumerate(ref_matvec(m.entries, b))]
-            assert ref_in_span(sub_cod.basis.entries, w, e)
-        outcomes["maps"] += 1
+        outcomes[_check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod)] += 1
     assert min(outcomes[k] for k in ("maps", "m(W_0) fails", "only m(W_1) fails")) >= 50, \
         outcomes
 
@@ -363,6 +370,114 @@ def test_empty_shapes():
     assert (QMatrix.zero(3, 0) @ QMatrix.from_rows([], cols=5)).entries == \
         ((Fraction(0),) * 5,) * 3
     assert qlinalg.inverse(QMatrix.identity(0)).rows == 0
+
+
+# -- sparse operands ------------------------------------------------------------------
+# Products combine the lines of one side weighted by the nonzeros of the
+# other; a vector more than half nonzero takes dense dot products.  These
+# operands reach both sides of that threshold, and the shapes with no rows
+# or no columns.
+
+scalars = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+                           Fraction(3, 5), Fraction(-7, 4)])
+
+
+@st.composite
+def sparse_vectors(draw, n):
+    """A zero vector, a scaled unit vector, or one with exactly half (n even)
+    or just over half of its entries nonzero."""
+    count = draw(st.sampled_from([0, 1, n // 2, n // 2 + 1])) if n else 0
+    v = [Fraction(0)] * n
+    for k in draw(st.permutations(range(n)))[:count]:
+        v[k] = draw(scalars)
+    return v
+
+
+@st.composite
+def string_operators(draw, d):
+    """The 0/1 operator of Jordan strings of total length d: e_{i+1} -> e_i
+    inside each string."""
+    cuts = draw(st.sets(st.integers(1, d - 1))) if d > 1 else set()
+    return [[Fraction(int(j == i + 1 and j not in cuts)) for j in range(d)]
+            for i in range(d)]
+
+
+@st.composite
+def monomials(draw, n):
+    """A permutation matrix with its nonzeros replaced by drawn scalars."""
+    perm = draw(st.permutations(range(n)))
+    vals = draw(st.lists(scalars, min_size=n, max_size=n))
+    return [[vals[i] if j == perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def sparse_matrices(r, c):
+    rows = st.lists(sparse_vectors(c), min_size=r, max_size=r)
+    return st.one_of(rows, string_operators(r), monomials(r)) if r == c else rows
+
+
+SPARSE_DIMS = st.integers(0, 7)
+
+
+@EXAMPLES
+@given(st.tuples(SPARSE_DIMS, SPARSE_DIMS, SPARSE_DIMS).flatmap(
+    lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]),
+                        st.just(s))))
+def test_sparse_matmul(args):
+    a, b, (r, k, c) = args
+    prod = qmatrix(a, k) @ qmatrix(b, c)
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.entries == ref_matmul(a, b, k, c) and is_canonical(prod)
+
+
+@EXAMPLES
+@given(st.tuples(SPARSE_DIMS, SPARSE_DIMS).flatmap(
+    lambda rc: st.tuples(sparse_matrices(*rc), st.lists(sparse_vectors(rc[1]), max_size=3),
+                         st.lists(sparse_vectors(rc[0]), max_size=3), st.booleans(),
+                         st.just(rc))))
+def test_sparse_maps_into(args):
+    """maps_into(m, s, t) against the containment of ref_image(m, s); a
+    single spanning vector keeps its support in the RREF row of s."""
+    data, u, w, add_image, (r, c) = args
+    m = qmatrix(data, c)
+    s = Subspace.from_vectors(c, u)
+    image = ref_image(m, s)
+    t = Subspace.from_vectors(r, w) + (image if add_image else Subspace.zero(r))
+    assert qlinalg.maps_into(m, s, t) == t.contains(image)
+    assert qlinalg.maps_into(m, s, image)
+
+
+@EXAMPLES
+@given(st.tuples(SPARSE_DIMS, SPARSE_DIMS).flatmap(
+    lambda de: st.tuples(sparse_matrices(de[1], de[0]),
+                         st.lists(st.tuples(sparse_vectors(de[0]), st.booleans()), max_size=4),
+                         st.lists(sparse_vectors(de[1]), max_size=2),
+                         st.lists(sparse_vectors(de[1]), max_size=2),
+                         st.booleans(), st.booleans(), st.just(de))))
+def test_sparse_graded_map(args):
+    """graded_map on two-step filtrations spanned by sparse vectors; the
+    codomain steps hold the images of the domain steps when drawn so."""
+    data, q, w0, w1, img0, img1, (d, e) = args
+    m = qmatrix(data, d)
+    quot_dom = Subspace.from_vectors(d, [v for v, _ in q])
+    sub_dom = Subspace.from_vectors(d, [v for v, keep in q if keep])
+    zero = Subspace.zero(e)
+    sub_cod = Subspace.from_vectors(e, w0) + (ref_image(m, sub_dom) if img0 else zero)
+    quot_cod = (sub_cod + Subspace.from_vectors(e, w1)
+                + (ref_image(m, quot_dom) if img1 else zero))
+    _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod)
+
+
+@EXAMPLES
+@given(SPARSE_DIMS.flatmap(lambda d: st.tuples(
+    string_operators(d), monomials(d), st.integers(-2, 2), st.just(d))))
+def test_sparse_monodromy_filtration(args):
+    """The monodromy filtration of P S P^-1, S a 0/1 string operator and P
+    a monomial matrix, against the closed kernel/image formula."""
+    s_op, p, center, d = args
+    n = ref_matmul(ref_matmul(p, s_op, d, d), ref_inverse(p, d), d, d)
+    f = monodromy_filtration(qmatrix(n, d), center)
+    for k, rows in ref_monodromy_steps(n, d, center):
+        assert f.space_at(k).basis.entries == rows, k
 
 
 # -- sympy oracle -------------------------------------------------------------------

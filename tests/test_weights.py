@@ -32,6 +32,14 @@ class TestFiltration:
             (-1, span(2, [1, 0])), (0, span(2, [1, 0])), (1, Subspace.full(2))])
         assert f.weights == (-1, 1)
 
+    @pytest.mark.parametrize("first", [Subspace.zero(2), span(2, [0, 1])])
+    def test_repeated_weight_rejected(self, first):
+        """A weight given twice is refused, also when its first step equals
+        the step below it and would be dropped as a repeat."""
+        with pytest.raises(FiltrationError, match="^repeated weight$"):
+            WeightFiltration.from_spaces(2, [
+                (-1, first), (-1, span(2, [1, 0])), (1, Subspace.full(2))])
+
     def test_non_nested_rejected(self):
         with pytest.raises(FiltrationError):
             WeightFiltration.from_spaces(2, [
