@@ -71,19 +71,18 @@ def monodromy_filtration(n_op: QMatrix, center: int,
         level = [(n_op._apply(v), w - 2) for v, w in level]
         missing = kernels[k].dim - kernels[k - 1].dim - len(level)
         if missing:
-            rows = kernels[k - 1]._rows + tuple(v for v, _ in level)
-            below = Subspace.from_vectors(d, rows)
-            # the rows of ker N^k reduced modulo `below` span the heads' classes
-            heads = qlinalg._echelon([below._reduce(r)[0] for r in kernels[k]._rows])[0]
-            level += [(h, center + k - 1) for h in heads]
+            # the rows of ker N^k whose pivots are new over ker N^{k-1} + N(level)
+            # span the heads' classes
+            (_, below), (rows, pivots) = qlinalg._prefix_spans(
+                [kernels[k - 1]._rows + tuple(v for v, _ in level), kernels[k]._rows])
+            below = set(below)
+            level += [(h, center + k - 1) for h, p in zip(rows, pivots) if p not in below]
         chains += level
     # the chain vectors are a basis of Q^d, so the steps strictly grow up to Q^d
-    steps, span = [], Subspace.zero(d)
-    for w in sorted({u for _, u in chains}):
-        rows = span._rows + tuple(v for v, u in chains if u == w)
-        span = Subspace.from_vectors(d, rows)
-        steps.append((w, span))
-    return WeightFiltration(d, tuple(steps))
+    weights = sorted({u for _, u in chains})
+    spans = qlinalg._prefix_spans([v for v, u in chains if u == w] for w in weights)
+    return WeightFiltration(d, tuple((w, Subspace(d, rows))
+                                     for w, (rows, _) in zip(weights, spans)))
 
 
 def _spread(filt: WeightFiltration, center: int) -> int:

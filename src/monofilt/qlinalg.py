@@ -12,10 +12,15 @@ a row of A @ B is the sum of B's rows weighted by the nonzeros of A's row,
 and m v is the sum of m's columns, read from a transpose cached on m, weighted
 by the nonzeros of v; a vector more than half nonzero takes dense dot
 products instead.
-Elimination works fraction-free on primitive integer rows (each updated row
-is divided by the gcd of its entries).  An intersection takes one Zassenhaus
-elimination of the stacked rows, which yields its primitive RREF rows
-directly.
+All elimination is one fraction-free Gauss-Jordan pass (_prefix_spans) over
+ordered groups of integer vectors: each vector is reduced once against the
+rows so far, a new pivot row is cleared from the others, and each updated
+row is divided by the gcd of its entries.  The rows after each group are
+the primitive RREF rows of the span of that prefix, so a flag of nested
+spans takes one pass: the monodromy filtration and the filtrations induced
+on a subspace (one Zassenhaus pass against the flag) and on a quotient are
+built this way.  An intersection takes one Zassenhaus elimination of the
+stacked rows, which yields its primitive RREF rows directly.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -26,8 +31,9 @@ gives) is a matrix built on first read.
 Subquotient coordinates follow one rule (_coords): the coordinates of v in
 quot/sub are the entries of v reduced modulo sub, read at the pivots of quot
 that are not pivots of sub; sub = 0 gives coordinates in a subspace, quot =
-Q^d in a quotient.  subquotient, corestriction, quotient_projection and the
-induced map behind weights.graded_map all read coordinates this way.
+Q^d in a quotient.  The induced filtrations, corestriction,
+quotient_projection and the induced map behind weights.graded_map all read
+coordinates this way.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class AmbientMismatch(ValueError):
@@ -176,46 +182,52 @@ def _from_columns(cols: list, nrows: int) -> QMatrix:
     return QMatrix._make([[v[i] for v in vecs] for i in range(nrows)], den, len(cols))
 
 
-def _echelon(rows: list) -> tuple[list, list]:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
+def _primitive(v: list) -> tuple:
+    """The nonzero integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
-    Returns the nonzero rows of the reduced row echelon form, each scaled to
-    the primitive integer row with a positive pivot, and their pivot columns.
+
+def _prefix_spans(groups: Iterable[Iterable[Sequence]]) -> Iterator[tuple]:
+    """One fraction-free Gauss-Jordan pass over groups of integer vectors.
+
+    After each group, yields (rows, pivots): the primitive RREF rows (tuples,
+    positive pivots) of the span of every vector so far, in pivot order.  Each
+    vector is reduced once against the rows so far; a new pivot row is then
+    cleared from the others.  RREF rows are unique, so each prefix gives the
+    rows of Subspace.from_vectors of that prefix.
     """
-    rows = [r for r in rows if any(r)]
-    for i, row in enumerate(rows):
-        g = gcd(*row)
-        if g != 1:
-            rows[i] = [x // g for x in row]
-    n = len(rows)
-    pivots: list[int] = []
-    if not n:
-        return [], pivots
-    r = 0
-    for c in range(len(rows[0])):
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        rows[r] = prow
-        pv = prow[c]
-        for i in range(n):
-            f = rows[i][c]
-            if f and i != r:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                new = [a * x - b * y for x, y in zip(rows[i], prow)]
-                g = gcd(*new)
-                rows[i] = [x // g for x in new] if g > 1 else new
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    rows = [[-x for x in row] if row[p] < 0 else row for row, p in zip(rows, pivots)]
-    return rows, pivots
+    rows: list = []
+    pivots: list = []
+    for group in groups:
+        for v in group:
+            for row, p in zip(rows, pivots):
+                f = v[p]
+                if f:
+                    g = gcd(row[p], f)
+                    a, b = row[p] // g, f // g
+                    v = [a * x - b * y for x, y in zip(v, row)]
+            c = next((j for j, x in enumerate(v) if x), None)
+            if c is None:
+                continue
+            g = gcd(*v) if v[c] > 0 else -gcd(*v)
+            v = tuple(x // g for x in v) if g != 1 else tuple(v)
+            pv = v[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f:
+                    g = gcd(pv, f)
+                    a, b = pv // g, f // g
+                    rows[i] = _primitive([a * x - b * y for x, y in zip(row, v)])
+            i = bisect_left(pivots, c)
+            rows.insert(i, v)
+            pivots.insert(i, c)
+        yield tuple(rows), tuple(pivots)
+
+
+def _echelon(rows: Iterable[Sequence]) -> tuple:
+    """(primitive RREF rows, pivots) of the span of the integer rows."""
+    return next(_prefix_spans([rows]))
 
 
 def _rref_ints(rows: list, pivots: list) -> tuple[list, int]:
@@ -226,7 +238,7 @@ def _rref_ints(rows: list, pivots: list) -> tuple[list, int]:
 
 def rref(m: QMatrix) -> QMatrix:
     """Reduced row echelon form, same shape (zero rows at the bottom)."""
-    rows, den = _rref_ints(*_echelon(list(m._ints[0])))
+    rows, den = _rref_ints(*_echelon(m._ints[0]))
     return QMatrix._make(rows + [(0,) * m.cols] * (m.rows - len(rows)), den, m.cols)
 
 
@@ -242,7 +254,7 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
             rows.append(_int_row(v)[0])
-        return Subspace(ambient_dim, tuple(map(tuple, _echelon(rows)[0])))
+        return Subspace(ambient_dim, _echelon(rows)[0])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -297,7 +309,7 @@ class Subspace:
 
 def kernel(m: QMatrix) -> Subspace:
     """Null space {v : m v = 0} as a subspace of Q^cols."""
-    rows, pivots = _echelon(list(m._ints[0]))
+    rows, pivots = _echelon(m._ints[0])
     pivset = set(pivots)
     vecs = []
     for j in range(m.cols):
@@ -361,10 +373,38 @@ def _coords(quot: Subspace, sub: Subspace, vecs: Iterable[Sequence]) -> list:
     return [([w[p] for p in pos], s) for w, s in map(sub._reduce, vecs)]
 
 
-def subquotient(t: Subspace, quot: Subspace, sub: Subspace) -> Subspace:
-    """((t n quot) + sub)/sub in the coordinates of quot/sub, for sub in quot."""
-    return Subspace.from_vectors(quot.dim - sub.dim, [
-        w for w, _ in _coords(quot, sub, intersect(t, quot)._rows)])
+def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
+    """For each space of the nested sequence flag, its rows whose pivots are
+    not pivots of the space before; with that space they span it."""
+    below: set = set()
+    for t in flag:
+        yield [r for r, p in zip(t._rows, t.pivots) if p not in below]
+        below = set(t.pivots)
+
+
+def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
+    """[t n s for t in flag] in the coordinates of s, for a nested flag, by one
+    Zassenhaus pass: [r | r] for the rows of s, then [r | 0] for the new rows
+    of each t.  After t, the rows whose pivot lies in the right half are zero
+    in the left half, and their right halves are the RREF rows of t n s.  A
+    vector of s is zero before its entry at a pivot of s, so those entries,
+    divided by their gcd, are the RREF rows in the coordinates of s."""
+    d = s.ambient_dim
+    zeros = (0,) * d
+    spans = _prefix_spans([[r + r for r in s._rows]]
+                          + [[r + zeros for r in rows] for rows in _new_rows(flag)])
+    next(spans)
+    return [Subspace(s.dim, tuple(_primitive([r[d + p] for p in s.pivots])
+                                  for r in rows[bisect_left(pivots, d):]))
+            for rows, pivots in spans]
+
+
+def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:
+    """[(t + s)/s for t in flag] in the coordinates of Q^d/s, for a nested
+    flag, by one pass over the quotient coordinates of the new rows of each t."""
+    full = Subspace.full(s.ambient_dim)
+    return [Subspace(full.dim - s.dim, rows) for rows, _ in _prefix_spans(
+        [w for w, _ in _coords(full, s, rows)] for rows in _new_rows(flag))]
 
 
 def corestriction(m: QMatrix, s: Subspace) -> QMatrix:
@@ -414,11 +454,11 @@ def inverse(m: QMatrix) -> QMatrix:
     # [a / den | I] has the same row space as [a | den I]
     rows, pivots = _echelon([list(a[i]) + [den if i == j else 0 for j in range(n)]
                              for i in range(n)])
-    if pivots != list(range(n)):
+    if pivots != tuple(range(n)):
         raise SingularMatrix("matrix is singular")
     return QMatrix._make(*_over([row[n:] for row in rows],
                                 [row[i] for i, row in enumerate(rows)]), n)
 
 
 def rank(m: QMatrix) -> int:
-    return len(_echelon(list(m._ints[0]))[1])
+    return len(_echelon(m._ints[0])[1])

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .qlinalg import (NotCompatible, QMatrix, Subspace, _subquotient_map, maps_into,
-                      rank, subquotient)
+from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_in_quotient, _flag_in_sub,
+                      _subquotient_map, maps_into, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -284,25 +284,27 @@ def is_pure(filt: WeightFiltration, n: int) -> bool:
     return weights_at_most(filt, n) and weights_at_least(filt, n)
 
 
-def _induced(filt: WeightFiltration, quot: Subspace, sub: Subspace) -> WeightFiltration:
-    """((W_k n quot) + sub)/sub on quot/sub: nested and exhaustive because
-    filt is, so a step is only dropped when it equals the one below."""
-    if quot.ambient_dim != filt.ambient_dim:
+def _from_flag(filt: WeightFiltration, s: Subspace, flag_in) -> WeightFiltration:
+    """The filtration with the spaces flag_in(steps of filt, s), which one
+    elimination pass builds, at filt's weights.  They are nested and end in
+    the whole space because filt's steps do, so a step is only dropped when
+    it equals the one below."""
+    if s.ambient_dim != filt.ambient_dim:
         raise NotContained("subspace has wrong ambient dimension")
-    steps, below = [], Subspace.zero(quot.dim - sub.dim)
-    for w, wk in filt.steps:
-        s = subquotient(wk, quot, sub)
-        if s != below:
-            steps.append((w, s))
-            below = s
-    return WeightFiltration(below.ambient_dim, tuple(steps))
+    spaces = flag_in([t for _, t in filt.steps], s)
+    steps, below = [], 0
+    for w, t in zip(filt.weights, spaces):
+        if t.dim > below:
+            steps.append((w, t))
+            below = t.dim
+    return WeightFiltration(spaces[-1].ambient_dim if spaces else 0, tuple(steps))
 
 
 def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
     """W_k \\cap s, in the coordinates of s's RREF basis."""
-    return _induced(filt, s, Subspace.zero(s.ambient_dim))
+    return _from_flag(filt, s, _flag_in_sub)
 
 
 def induced_filtration_on_quotient(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
     """(W_k + s)/s in the coordinates of the quotient."""
-    return _induced(filt, Subspace.full(s.ambient_dim), s)
+    return _from_flag(filt, s, _flag_in_quotient)

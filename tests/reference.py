@@ -6,7 +6,9 @@ monofilt.qlinalg, and intersections are computed by a different method from
 the library's (a null space of stacked spanning sets).  The monodromy
 filtration is computed by the closed kernel/image formula, not from Jordan
 chains as the library builds it, and the filtration of a string model is
-written down from the string weights.
+written down from the string weights.  The filtrations induced on a subspace
+and on a quotient are taken step by step, by ref_intersect and by solving for
+coordinates, where the library takes one elimination pass.
 """
 from fractions import Fraction
 
@@ -124,3 +126,43 @@ def ref_is_strict(m, dom_dim, cod_dim, dom_steps, cod_steps, shift):
         if lhs != ref_intersect(img, at(cod_steps, k + shift, cod_dim), cod_dim):
             return False
     return True
+
+
+def ref_coords(basis, v):
+    """The coefficients c with v = sum of c_i basis[i], for independent rows
+    basis and v in their span, by elimination on the system they make."""
+    m = len(basis)
+    red, pivots = ref_rref([[b[i] for b in basis] + [v[i]] for i in range(len(v))], m + 1)
+    assert pivots == list(range(m)), "vector outside the span"
+    return [r[m] for r in red]
+
+
+def _ref_drop_repeats(steps):
+    out = []
+    for k, rows in steps:
+        if rows != (out[-1][1] if out else ()):
+            out.append((k, rows))
+    return out
+
+
+def ref_induced_on_sub(steps, s, dim):
+    """[(k, RREF rows)] of the filtration W_k n s, in the coordinates of the
+    RREF basis of the span of s, a step equal to the one below dropped.  A
+    filtration is a list of (weight, spanning vectors of W_weight), nested."""
+    basis = ref_span(s, dim)
+    return _ref_drop_repeats([
+        (k, ref_span([ref_coords(basis, v) for v in ref_intersect(ref_span(vs, dim), basis, dim)],
+                     len(basis)))
+        for k, vs in steps])
+
+
+def ref_induced_on_quotient(steps, s, dim):
+    """[(k, RREF rows)] of the filtration (W_k + s)/s in the coordinates of
+    Q^dim/s whose basis is the classes of the unit vectors e_j, j not a pivot
+    of the span of s: the coordinates of v are the first coefficients of v in
+    the basis of Q^dim made of those e_j and the RREF rows of s."""
+    red, pivots = ref_rref(s, dim)
+    unit = [[Fraction(int(i == j)) for i in range(dim)] for j in range(dim) if j not in pivots]
+    return _ref_drop_repeats([
+        (k, ref_span([ref_coords(unit + red, v)[:len(unit)] for v in vs], len(unit)))
+        for k, vs in steps])

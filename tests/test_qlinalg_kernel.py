@@ -303,32 +303,80 @@ def test_graded_map_raises_exactly_when_a_containment_fails():
         outcomes
 
 
-def test_subquotient_and_corestriction_read_the_subquotient_basis():
-    """subquotient(t, quot, sub), lifted through the basis of quot/sub (quot's
-    RREF rows at the pivots that are not pivots of sub), spans (t n quot) + sub
-    modulo sub with no redundancy; the oracle intersects with ref_intersect.
-    corestriction(inclusion(quot) a, quot) gives a back."""
+def test_corestriction_inverts_inclusion():
+    """corestriction(inclusion(s) a, s) gives a back: the columns of
+    inclusion(s) a lie in s, and their coordinates there are a's columns."""
     rng = random.Random(8)
     for _ in range(300):
         d = rng.randint(1, 5)
-        quot = _random_span(rng, d, rng.randint(1, d))
-        # random combinations of quot's rows, so that sub is rarely spanned by some of them
-        coeffs = [[rng.randint(-2, 2) for _ in range(quot.dim)]
-                  for _ in range(rng.randint(0, quot.dim))]
-        sub = Subspace.from_vectors(d, ref_matmul(coeffs, quot._rows, quot.dim, d))
-        t = _random_span(rng, d, rng.randint(1, d))
-        out = qlinalg.subquotient(t, quot, sub)
-        basis = [b for b, p in zip(quot.basis.entries, quot.pivots) if p not in sub.pivots]
-        assert out.ambient_dim == len(basis)
-        lifted = [[sum((c * b[i] for c, b in zip(row, basis)), Fraction(0)) for i in range(d)]
-                  for row in out.basis.entries]
-        want = ref_span(list(ref_intersect(t.basis.entries, quot.basis.entries, d))
-                        + list(sub.basis.entries), d)
-        assert ref_span(lifted + list(sub.basis.entries), d) == want
-        assert out.dim == len(want) - sub.dim
+        s = _random_span(rng, d, rng.randint(1, d))
         cols = rng.randint(0, 3)
-        a = qmatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(quot.dim)], cols)
-        assert qlinalg.corestriction(qlinalg.inclusion(quot) @ a, quot) == a
+        a = qmatrix([[rng.randint(-2, 2) for _ in range(cols)] for _ in range(s.dim)], cols)
+        assert qlinalg.corestriction(qlinalg.inclusion(s) @ a, s) == a
+
+
+# -- the prefix-span pass ------------------------------------------------------
+
+int_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def vector_groups(draw):
+    """(d, groups): groups of integer vectors of length d, among them zero
+    vectors, repeats scaled by -2, -1, 1 or 3 (so rows that are not primitive
+    and negative leading entries), and empty groups."""
+    d = draw(st.integers(0, 6))
+    groups, seen = [[]], []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["new", "new", "again", "zero", "cut"]))
+        if kind == "cut":
+            groups.append([])
+            continue
+        if kind == "again" and seen:
+            k = draw(st.sampled_from([-2, -1, 1, 3]))
+            v = [k * x for x in draw(st.sampled_from(seen))]
+        elif kind == "zero":
+            v = [0] * d
+        else:
+            v = draw(st.lists(int_entries, min_size=d, max_size=d))
+        seen.append(v)
+        groups[-1].append(v)
+    return d, groups
+
+
+def _check_prefix_spans(d, groups):
+    """Each snapshot of _prefix_spans is the span of its prefix: the rows and
+    pivots of Subspace.from_vectors, and the RREF of the Fraction oracle."""
+    spans = list(qlinalg._prefix_spans(groups))
+    assert len(spans) == len(groups)
+    prefix = []
+    for group, (rows, pivots) in zip(groups, spans):
+        prefix += group
+        want = Subspace.from_vectors(d, prefix)
+        assert rows == want._rows and pivots == want.pivots
+        assert Subspace(d, rows).basis.entries == ref_span(prefix, d)
+
+
+@EXAMPLES
+@given(vector_groups())
+def test_prefix_spans(args):
+    _check_prefix_spans(*args)
+
+
+def test_prefix_spans_on_dense_scrambled_rows():
+    """Dense rows of low rank with large entries, cut into random groups: the
+    rows of a product A B with A of width k < d, so most vectors reduce to zero
+    only after cancellation."""
+    rng = random.Random(17)
+    for _ in range(150):
+        d = rng.randint(1, 8)
+        k = rng.randint(0, d)
+        a = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(rng.randint(0, 2 * d))]
+        b = [[rng.randint(-60, 60) for _ in range(d)] for _ in range(k)]
+        rows = [[int(x) for x in r] for r in ref_matmul(a, b, k, d)]
+        cuts = sorted(rng.randint(0, len(rows)) for _ in range(rng.randint(0, 3)))
+        _check_prefix_spans(d, [rows[i:j] for i, j in zip([0] + cuts, cuts + [len(rows)])])
+
 
 @EXAMPLES
 @given(st.integers(0, 6).flatmap(lambda n: matrices(rows=n, cols=n)))

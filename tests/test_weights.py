@@ -1,7 +1,9 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from monofilt import qlinalg
 from monofilt.monodromy import JordanStringModel, monodromy_filtration
 from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
                               quotient_projection)
@@ -15,7 +17,8 @@ from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
                               weights_at_least, weights_at_most)
 
 from conftest import J2, random_subspace, span
-from reference import ref_apply, ref_in_span, ref_is_strict
+from reference import (ref_apply, ref_in_span, ref_induced_on_quotient, ref_induced_on_sub,
+                       ref_is_strict)
 
 
 def j2_filt():
@@ -277,6 +280,83 @@ class TestInducedFiltrations:
             q = induced_filtration_on_quotient(f, s)
             p = TwistedMap(quotient_projection(s), 0)
             assert check_strict(p, f, q, shift=0)
+
+
+def _assert_induced_match_the_oracle(f, s):
+    """Both induced filtrations against ref_induced_on_sub and
+    ref_induced_on_quotient, in RREF entries and in canonical rows."""
+    d, steps = f.ambient_dim, [(w, t.basis.entries) for w, t in f.steps]
+    for got, want, dim in (
+            (induced_filtration_on_sub(f, s), ref_induced_on_sub(steps, s.basis.entries, d),
+             s.dim),
+            (induced_filtration_on_quotient(f, s),
+             ref_induced_on_quotient(steps, s.basis.entries, d), d - s.dim)):
+        assert [(w, t.basis.entries) for w, t in got.steps] == want
+        assert got == WeightFiltration(dim, tuple(
+            (w, Subspace.from_vectors(dim, rows)) for w, rows in want))
+
+
+def _scrambled_filtration(rng, strings):
+    """The monodromy filtration of a string operator conjugated by a random
+    unimodular matrix, so its steps have dense rows."""
+    n_op = JordanStringModel(strings, 0).operator_and_grading()[0]
+    u = random_unimodular(rng, n_op.rows)
+    return monodromy_filtration(u @ n_op @ inverse(u), rng.randint(-2, 2))
+
+
+class TestInducedAgainstOracle:
+    @pytest.mark.parametrize("kind", ["string", "scrambled", "random"])
+    def test_induced_filtrations(self, rng, kind):
+        for _ in range(40):
+            strings = tuple(("L", rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
+            if kind == "string":
+                f = JordanStringModel(strings, rng.randint(-1, 2)).to_nilpotent().space.filtration
+            elif kind == "scrambled":
+                f = _scrambled_filtration(rng, strings)
+            else:
+                f = _random_filtered_space(rng, rng.randint(1, 6))[0]
+            d = f.ambient_dim
+            step = rng.choice(f.steps)[1]
+            for s in (Subspace.zero(d), Subspace.full(d), random_subspace(rng, d),
+                      step + random_subspace(rng, d, 1)):
+                _assert_induced_match_the_oracle(f, s)
+
+    def test_coordinates_divided_by_their_gcd(self):
+        """In s = span((1, 1/2, 0), (0, 0, 1)) the vector (2, 1, 4) has the
+        entries 2 and 4 at the pivots of s: its coordinate row is (1, 2)."""
+        s = span(3, [1, Fraction(1, 2), 0], [0, 0, 1])
+        for first in ([1, Fraction(1, 2), 0], [2, 1, 4], [0, 0, 3]):
+            f = WeightFiltration.from_spaces(3, [(-1, span(3, first)), (1, Subspace.full(3))])
+            _assert_induced_match_the_oracle(f, s)
+            _assert_induced_match_the_oracle(f, span(3, [1, Fraction(1, 2), 0]))
+        f = WeightFiltration.from_spaces(3, [(-1, span(3, [2, 1, 4])), (1, Subspace.full(3))])
+        assert induced_filtration_on_sub(f, s).steps[0] == (-1, Subspace(2, ((1, 2),)))
+
+    def test_one_pass_and_no_intersection(self, monkeypatch):
+        """Each induced filtration makes one _prefix_spans pass, which takes
+        the rows of s (on a subspace only) and d rows of the flag, and calls
+        qlinalg.intersect for none of its steps."""
+        passes = []
+        real = qlinalg._prefix_spans
+
+        def counted(groups):
+            groups = [list(g) for g in groups]
+            passes.append(sum(map(len, groups)))
+            return real(groups)
+
+        def refused(*args):
+            raise AssertionError("intersect called")
+
+        monkeypatch.setattr(qlinalg, "_prefix_spans", counted)
+        monkeypatch.setattr(qlinalg, "intersect", refused)
+        f = JordanStringModel((("L", 4), ("L", 3), ("L", 1)), 1).to_nilpotent().space.filtration
+        s = span(8, [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, 0])
+        assert len(f.steps) > 3
+        for induced, rows in ((induced_filtration_on_sub, s.dim + 8),
+                              (induced_filtration_on_quotient, 8)):
+            passes.clear()
+            induced(f, s)
+            assert passes == [rows]
 
 
 class TestGrading:
