@@ -328,7 +328,7 @@ def _model_reports(model: NilpotentModel) -> list:
                verify_prop_2_3(model)]
     if model.space.dim:
         reports.append(monodromy.check_monodromy_axioms(
-            model.monodromy_filtration, model.N.matrix, model.center, model.powers))
+            model.monodromy_filtration, model.N.matrix, model.center))
     hl = verify_hard_lefschetz(model)
     reports.append(hl)
     if hl.passed:

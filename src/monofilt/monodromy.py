@@ -2,8 +2,10 @@
 
 The filtration is read off a basis of Jordan chains of N built along the
 kernel flag ker N c ker N^2 c ... c ker N^e.  check_monodromy_axioms and a
-model's hard Lefschetz report verify it without the chains, by the graded
-maps of weights.graded_map.
+model's hard Lefschetz report verify it without the chains: each writes N
+once in the basis adapted to the filtration (weights.AdaptedMap), reads the
+N-shift off its zero pattern and each N^k: Gr_{c+k} -> Gr_{c-k} off a block
+of its k-th power.  The graded kernel reads Gr N off the same matrix.
 """
 from __future__ import annotations
 
@@ -11,12 +13,11 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 from . import qlinalg
-from .qlinalg import QMatrix, Subspace, maps_into
+from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
-from .weights import (LABEL_DEFAULT, LabeledGrading, TwistedLabel, TwistedMap,
-                      WeightFiltration, WeightedSpace, check_filtered,
-                      default_grading, graded_map, induced_filtration_on_quotient,
-                      induced_filtration_on_sub, tate_twist)
+from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel, TwistedMap,
+                      WeightFiltration, WeightedSpace, default_grading,
+                      induced_filtration_on_quotient, induced_filtration_on_sub, tate_twist)
 
 
 class NotNilpotent(ValueError):
@@ -89,20 +90,22 @@ def _spread(filt: WeightFiltration, center: int) -> int:
     return max((abs(w - center) for w in filt.weights), default=0)
 
 
-def _check_graded_powers(rb: ReportBuilder, filt: WeightFiltration, powers: list,
-                         center: int, arrow: str) -> None:
-    """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}.
+def _check_graded_powers(rb: ReportBuilder, n_adapted: AdaptedMap, center: int,
+                         arrow: str) -> None:
+    """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}, read as a
+    block of A^k, A being N in the basis adapted to the filtration.
 
-    powers[k] is N^k; a k past the end of the list reads its last entry,
-    which is the zero matrix when the list ends at the first zero power.
     N^k fails to respect the filtration only when N W_j is not in W_{j-2}
     for some j, which a NilpotentModel refuses at construction.
     """
+    filt = n_adapted.dom
+    power = AdaptedMap(QMatrix.identity(filt.ambient_dim), filt, filt)
     for k in range(_spread(filt, center) + 1):
         name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
+        if k:
+            power = power @ n_adapted
         try:
-            g = graded_map(powers[min(k, len(powers) - 1)], filt, center + k,
-                           filt, center - k)
+            g = power.graded(center + k, center - k)
         except qlinalg.NotCompatible:
             rb.check(name, False, "power of N does not respect the filtration")
             continue
@@ -111,22 +114,19 @@ def _check_graded_powers(rb: ReportBuilder, filt: WeightFiltration, powers: list
                  f"dims {g.cols} -> {g.rows}, rank {r}")
 
 
-def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix,
-                           center: int, powers: list | None = None) -> Report:
+def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -> Report:
     """Independent verification of the two defining axioms of the filtration,
-    reading N^k from `powers` (as a model keeps them) when given."""
+    from N written in the basis adapted to filt: no chain, kernel or power
+    that a model keeps is read."""
     rb = ReportBuilder(f"monodromy axioms (center {center})")
+    a = AdaptedMap.of(n_op, filt, filt)
     shift_ok = True
-    for w, s in filt.steps:
-        if not maps_into(n_op, s, filt.space_at(w - 2)):
+    for w in filt.weights:
+        if not a.sends(w, w - 2):
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
-    if powers is None:
-        powers = [QMatrix.identity(n_op.rows)]
-        for _ in range(_spread(filt, center)):
-            powers.append(powers[-1] @ n_op)
-    _check_graded_powers(rb, filt, powers, center, "~")
+    _check_graded_powers(rb, a, center, "~")
     return rb.build()
 
 
@@ -140,9 +140,10 @@ class NilpotentModel:
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
     N^e = 0; `known_powers` if the caller has taken them), their kernels,
-    im N, V(-1), the filtrations induced on ker N and coker N, the monodromy
-    filtration, the hard Lefschetz report, the graded kernel and the gluing
-    extensions (gluing.extension).  Equality and hashing read the fields only."""
+    N in the basis adapted to the filtration, im N, V(-1), the filtrations
+    induced on ker N and coker N, the monodromy filtration, the hard
+    Lefschetz report, the graded kernel and the gluing extensions
+    (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
     N: TwistedMap
@@ -152,8 +153,7 @@ class NilpotentModel:
         if self.N.twist != -1:
             raise ValueError("monodromy operator must carry twist -1")
         self.__dict__["powers"] = known_powers or _powers(self.N.matrix)
-        filt = self.space.filtration
-        if not check_filtered(self.N, filt, filt, -2):
+        if not self.adapted_n.filtered(-2):
             raise ValueError("N does not shift the filtration by -2")
 
     @staticmethod
@@ -181,6 +181,13 @@ class NilpotentModel:
     def kernels(self) -> list:
         """The kernel flag [ker N^0, ..., ker N^e] of the chain builder."""
         return _kernel_flag(self.powers)
+
+    @cached_property
+    def adapted_n(self) -> AdaptedMap:
+        """N in the basis adapted to the filtration, built at construction for
+        the N-shift test; hard Lefschetz and the graded kernel read it."""
+        filt = self.space.filtration
+        return AdaptedMap.of(self.N.matrix, filt, filt)
 
     @cached_property
     def im_n(self) -> Subspace:
@@ -218,10 +225,9 @@ class NilpotentModel:
         if self.space.dim == 0:
             rb.check("zero space", True, "vacuous")
             return rb.build()
-        filt = self.space.filtration
-        _check_graded_powers(rb, filt, self.powers, self.center, "->")
+        _check_graded_powers(rb, self.adapted_n, self.center, "->")
         rb.check("weight filtration equals monodromy filtration",
-                 filt == self.monodromy_filtration)
+                 self.space.filtration == self.monodromy_filtration)
         return rb.build()
 
     @cached_property
@@ -230,7 +236,7 @@ class NilpotentModel:
         dims = []
         for k in filt.weights:  # the filtration induced on ker N has no other weights
             sub_side = ker_filt.graded_dim(k)
-            g = graded_map(self.N.matrix, filt, k, filt, k - 2)
+            g = self.adapted_n.graded(k, k - 2)
             map_side = g.cols - qlinalg.rank(g)
             if sub_side != map_side:
                 raise GradedKernelMismatch(

@@ -28,12 +28,19 @@ pivot.  These rows are unique in the same way.  The RREF ``basis`` (each
 integer row divided by its pivot, exactly the basis rational elimination
 gives) is a matrix built on first read.
 
-Subquotient coordinates follow one rule (_coords): the coordinates of v in
-quot/sub are the entries of v reduced modulo sub, read at the pivots of quot
-that are not pivots of sub; sub = 0 gives coordinates in a subspace, quot =
-Q^d in a quotient.  The induced filtrations, corestriction,
-quotient_projection and the induced map behind weights.graded_map all read
-coordinates this way.
+Coordinates follow two rules.  In a subspace (corestriction) they are the
+entries of v at the pivots of its RREF rows; in Q^d/s (_quotient_coords,
+behind quotient_projection and the filtration induced on a quotient) they
+are the entries of v reduced modulo s at the columns that are not pivots of
+s.  A nested flag that ends in Q^d has an adapted basis (_flag_basis): the
+RREF rows of each space whose pivots are new over the space before, each
+divided by its pivot entry.  Its d pivots are distinct, so the coordinates
+of v in it come from one forward reduction in pivot order (_basis_coords),
+and a map is written once in the adapted bases of two flags (_in_bases).
+The new rows of one space, read modulo the space before, are the canonical
+basis of that subquotient, so every graded map of weights is a block of
+that one matrix (_submatrix), and filteredness is a zero pattern
+(_zero_corner).
 """
 from __future__ import annotations
 
@@ -349,28 +356,12 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(d, tuple(tuple(r[d:]) for r in rows[bisect_left(pivots, d):]))
 
 
-def maps_into(m: QMatrix, s: Subspace, t: Subspace) -> bool:
-    """True iff m(s) is contained in t: each m r, r a row of s, reduces to
-    zero modulo t, so m(s) is never eliminated."""
-    if m.cols != s.ambient_dim:
-        raise AmbientMismatch("matrix columns do not match ambient dimension")
-    if m.rows != t.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    return not any(any(t._reduce(m._apply(r))[0]) for r in s._rows)
-
-
-def _coord_positions(quot: Subspace, sub: Subspace) -> list:
-    """The pivots of quot that are not pivots of sub, for sub in quot; quot/sub
-    has the classes of quot's RREF rows at them as its basis."""
-    sub_piv = set(sub.pivots)
-    return [p for p in quot.pivots if p not in sub_piv]
-
-
-def _coords(quot: Subspace, sub: Subspace, vecs: Iterable[Sequence]) -> list:
-    """[(w, s)] with w / s the coordinates in quot/sub of each integer vector
-    of vecs, taken in quot, by the rule of the module docstring."""
-    pos = _coord_positions(quot, sub)
-    return [([w[p] for p in pos], s) for w, s in map(sub._reduce, vecs)]
+def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
+    """[(w, t)] with w / t the coordinates in Q^d/s of each integer vector of
+    vecs, by the rule of the module docstring."""
+    piv = set(s.pivots)
+    pos = [j for j in range(s.ambient_dim) if j not in piv]
+    return [([w[j] for j in pos], t) for w, t in map(s._reduce, vecs)]
 
 
 def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
@@ -402,9 +393,70 @@ def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
 def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:
     """[(t + s)/s for t in flag] in the coordinates of Q^d/s, for a nested
     flag, by one pass over the quotient coordinates of the new rows of each t."""
-    full = Subspace.full(s.ambient_dim)
-    return [Subspace(full.dim - s.dim, rows) for rows, _ in _prefix_spans(
-        [w for w, _ in _coords(full, s, rows)] for rows in _new_rows(flag))]
+    return [Subspace(s.ambient_dim - s.dim, rows) for rows, _ in _prefix_spans(
+        [w for w, _ in _quotient_coords(s, rows)] for rows in _new_rows(flag))]
+
+
+def _flag_basis(flag: Iterable[Subspace]) -> tuple:
+    """The basis of Q^d adapted to a nested flag that ends in Q^d: the new
+    rows of each space (_new_rows) in flag order, each divided by its entry
+    at its pivot, so the vectors up to each space span it.  The d pivots are
+    distinct.  As (rows, table): rows lists (row, pivot) in that order, and
+    table[p] is (index, row[p], nonzeros (j, row[j]) after p) for the row
+    with pivot p."""
+    rows = [(r, next(j for j, x in enumerate(r) if x)) for new in _new_rows(flag) for r in new]
+    table = [None] * len(rows)
+    for i, (r, p) in enumerate(rows):
+        table[p] = (i, r[p], [(j, r[j]) for j in range(p + 1, len(r)) if r[j]])
+    return rows, table
+
+
+def _basis_coords(table: Sequence, v: Sequence) -> tuple[list, int]:
+    """(c, s) with c / s the coordinates of the integer vector v in the basis
+    whose _flag_basis table is `table`, by one forward reduction in pivot
+    order that keeps its multipliers: the basis vector with pivot p is zero
+    before p and 1 at p, so its coordinate is the entry at p of what is left
+    of v when p is reached."""
+    v = list(v)
+    found, s = [], 1
+    for p, (i, piv, tail) in enumerate(table):
+        f = v[p]
+        if f:
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            found.append((i, f, s))
+            if a != 1:
+                v = [a * x for x in v]
+                s *= a
+            for j, x in tail:
+                v[j] -= b * x
+    c = [0] * len(table)
+    for i, f, t in found:
+        c[i] = f * (s // t)
+    return c, s
+
+
+def _in_bases(m: QMatrix, dom: tuple, cod: tuple) -> QMatrix:
+    """The matrix of m from the basis dom to the basis cod (each a
+    _flag_basis): column i holds the coordinates in cod of m applied to the
+    i-th vector of dom."""
+    da = m._ints[1]
+    cols = []
+    for row, p in dom[0]:
+        c, s = _basis_coords(cod[1], m._apply(row))
+        cols.append((c, da * row[p] * s))  # the basis vector is row / row[p]
+    return _from_columns(cols, len(cod[1]))
+
+
+def _zero_corner(a: QMatrix, r: int, c: int) -> bool:
+    """True iff every row of a from row r on is zero in its first c columns."""
+    return not c or not any(any(row[:c]) for row in a._ints[0][r:])
+
+
+def _submatrix(a: QMatrix, r0: int, r1: int, c0: int, c1: int) -> QMatrix:
+    """The block of rows r0 .. r1-1 and columns c0 .. c1-1 of a."""
+    rows, den = a._ints
+    return QMatrix._make([row[c0:c1] for row in rows[r0:r1]], den, c1 - c0)
 
 
 def corestriction(m: QMatrix, s: Subspace) -> QMatrix:
@@ -412,25 +464,6 @@ def corestriction(m: QMatrix, s: Subspace) -> QMatrix:
     of s, which (sub = 0) are their entries at the pivots of s."""
     rows, den = m._ints
     return QMatrix._make([rows[p] for p in s.pivots], den, m.cols)
-
-
-def _subquotient_map(m: QMatrix, sub_dom: Subspace, sub_cod: Subspace,
-                     quot_dom: Subspace, quot_cod: Subspace) -> QMatrix:
-    """Matrix of quot_dom/sub_dom -> quot_cod/sub_cod induced by m, for sub in
-    quot on both sides.  Raises NotCompatible unless the map is well defined:
-    m(sub_dom) in sub_cod and m(quot_dom) in quot_cod."""
-    if not maps_into(m, sub_dom, sub_cod):
-        raise NotCompatible("map does not send sub_dom into sub_cod")
-    da = m._ints[1]
-    piv = _coord_positions(quot_dom, sub_dom)
-    rows = dict(zip(quot_dom.pivots, quot_dom._rows))
-    # m sends the basis vector rows[p] / rows[p][p] of quot_dom/sub_dom to v / (da rows[p][p])
-    images = [m._apply(rows[p]) for p in piv]
-    if any(any(quot_cod._reduce(v)[0]) for v in images):
-        raise NotCompatible("map does not send quot_dom into quot_cod")
-    return _from_columns([(w, da * rows[p][p] * s) for p, (w, s)
-                          in zip(piv, _coords(quot_cod, sub_cod, images))],
-                         quot_cod.dim - sub_cod.dim)
 
 
 def inclusion(s: Subspace) -> QMatrix:
@@ -443,7 +476,7 @@ def quotient_projection(s: Subspace) -> QMatrix:
     coordinates of e_j in Q^d / s."""
     d = s.ambient_dim
     unit = [[int(i == j) for i in range(d)] for j in range(d)]
-    return _from_columns(_coords(Subspace.full(d), s, unit), d - s.dim)
+    return _from_columns(_quotient_coords(s, unit), d - s.dim)
 
 
 def inverse(m: QMatrix) -> QMatrix:

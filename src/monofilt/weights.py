@@ -9,14 +9,24 @@ lowers every weight by 2d.  A map carrying twist t is a filtration-
 preserving morphism exactly when it is filtered with raw shift 2t
 against the stored (untwisted) filtrations; all callers go through
 the helpers here rather than re-deriving signs.
+
+A filtration caches its adapted basis: for each step, its RREF rows whose
+pivots are new over the step below, tagged with the step's weight, so W_k
+is spanned by the basis vectors of weight <= k.  An AdaptedMap writes a map
+once in the adapted bases of its two filtrations.  Whether it sends W_k
+into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
+canonical subquotient bases, is one of its blocks.  check_filtered,
+check_strict and graded_map read them there, as do the monodromy checks.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_in_quotient, _flag_in_sub,
-                      _subquotient_map, maps_into, rank)
+from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_basis, _flag_in_quotient,
+                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -101,14 +111,35 @@ class WeightFiltration:
         return tuple(w for w, _ in self.steps)
 
     def graded_dim(self, k: int) -> int:
-        return self.space_at(k).dim - self.space_at(k - 1).dim
+        return self._dim_at(k) - self._dim_at(k - 1)
 
     def graded_dims(self) -> dict:
         return {w: self.graded_dim(w) for w in self.weights}
 
     def shifted(self, delta: int) -> "WeightFiltration":
-        return WeightFiltration(self.ambient_dim,
-                                tuple((w + delta, s) for w, s in self.steps))
+        out = WeightFiltration(self.ambient_dim,
+                               tuple((w + delta, s) for w, s in self.steps))
+        if "_basis" in vars(self):  # the same spaces: the basis, not its weights
+            vars(out)["_basis"] = self._basis
+        return out
+
+    @cached_property
+    def _basis(self) -> tuple:
+        """The adapted basis of Q^d, by ascending weight (qlinalg._flag_basis)."""
+        return _flag_basis([s for _, s in self.steps])
+
+    @cached_property
+    def _basis_weights(self) -> tuple:
+        """The weight of each adapted basis vector, ascending."""
+        out, below = [], 0
+        for w, s in self.steps:
+            out += [w] * (s.dim - below)
+            below = s.dim
+        return tuple(out)
+
+    def _dim_at(self, k: int) -> int:
+        """dim W_k: the number of adapted basis vectors of weight <= k."""
+        return bisect_right(self._basis_weights, k)
 
 
 @dataclass(frozen=True)
@@ -223,6 +254,47 @@ def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:
     return WeightedSpace(ws.dim, filt, ws.grading.twisted(d))
 
 
+@dataclass(frozen=True)
+class AdaptedMap:
+    """A map between filtered spaces as its matrix in the adapted bases of
+    dom and cod: column i holds the coordinates, in cod's basis, of the image
+    of dom's i-th basis vector.  Both bases run by ascending weight, so the
+    map sends W_k into W'_j exactly when the columns of weight <= k are zero
+    in the rows of weight > j."""
+    matrix: QMatrix
+    dom: WeightFiltration
+    cod: WeightFiltration
+
+    @staticmethod
+    def of(m: QMatrix, dom: WeightFiltration, cod: WeightFiltration) -> "AdaptedMap":
+        if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
+            raise ShapeMismatch("matrix shape does not match the filtered spaces")
+        return AdaptedMap(_in_bases(m, dom._basis, cod._basis), dom, cod)
+
+    def __matmul__(self, other: "AdaptedMap") -> "AdaptedMap":
+        """self after other, for other.cod == self.dom."""
+        return AdaptedMap(self.matrix @ other.matrix, other.dom, self.cod)
+
+    def sends(self, k: int, j: int) -> bool:
+        """True iff the map sends W_k(dom) into W_j(cod)."""
+        return _zero_corner(self.matrix, self.cod._dim_at(j), self.dom._dim_at(k))
+
+    def filtered(self, shift: int) -> bool:
+        """True iff the map sends W_k(dom) into W_{k+shift}(cod) for all k."""
+        return all(self.sends(w, w + shift) for w in self.dom.weights)
+
+    def graded(self, k: int, j: int) -> QMatrix:
+        """Matrix of Gr_k(dom) -> Gr_j(cod) in the canonical subquotient
+        bases: the block of the rows of weight j and the columns of weight k.
+        NotCompatible unless the map sends W_{k-1} into W'_{j-1} and W_k
+        into W'_j."""
+        c0, c1 = self.dom._dim_at(k - 1), self.dom._dim_at(k)
+        r0, r1 = self.cod._dim_at(j - 1), self.cod._dim_at(j)
+        if not (_zero_corner(self.matrix, r0, c0) and _zero_corner(self.matrix, r1, c1)):
+            raise NotCompatible("map does not respect the filtrations at these weights")
+        return _submatrix(self.matrix, r0, r1, c0, c1)
+
+
 def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
                    shift: int) -> bool:
     """True iff matrix . W_k(dom) is contained in W_{k+shift}(cod) for all k.
@@ -230,13 +302,7 @@ def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
     `shift` is the raw shift against the stored filtrations; a twist-t
     morphism between untwisted storages corresponds to shift 2t.
     """
-    m = tm.matrix
-    if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
-        raise ShapeMismatch("matrix shape does not match the filtered spaces")
-    for w, s in dom.steps:
-        if not maps_into(m, s, cod.space_at(w + shift)):
-            return False
-    return True
+    return AdaptedMap.of(tm.matrix, dom, cod).filtered(shift)
 
 
 def graded_map(m: QMatrix, dom: WeightFiltration, k: int,
@@ -244,8 +310,7 @@ def graded_map(m: QMatrix, dom: WeightFiltration, k: int,
     """Matrix of Gr_k(dom) -> Gr_j(cod) induced by m, in the canonical
     subquotient bases; NotCompatible unless m W_{k-1} in W'_{j-1} and
     m W_k in W'_j."""
-    return _subquotient_map(m, dom.space_at(k - 1), cod.space_at(j - 1),
-                            dom.space_at(k), cod.space_at(j))
+    return AdaptedMap.of(m, dom, cod).graded(k, j)
 
 
 def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
@@ -256,19 +321,18 @@ def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
     G_k = image(m) \\cap W_{k+shift}, rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
     <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
     iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is F = G.
-    The graded maps exist iff m is filtered, so a map that is not filtered
-    raises NotFiltered from the same loop.
+    The graded maps are blocks of one adapted matrix, and they exist iff m
+    is filtered, so a map that is not filtered raises NotFiltered from the
+    same loop.
     """
     if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
         shift = 2 * tm.twist
-    m = tm.matrix
-    if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
-        raise ShapeMismatch("matrix shape does not match the filtered spaces")
+    a = AdaptedMap.of(tm.matrix, dom, cod)
     try:
-        graded = sum(rank(graded_map(m, dom, k, cod, k + shift)) for k in dom.weights)
+        graded = sum(rank(a.graded(k, k + shift)) for k in dom.weights)
     except NotCompatible:
         raise NotFiltered("map is not filtered with the given shift") from None
-    return graded == rank(m)
+    return graded == rank(tm.matrix)
 
 
 def weights_at_most(filt: WeightFiltration, n: int) -> bool:

@@ -8,7 +8,10 @@ filtration is computed by the closed kernel/image formula, not from Jordan
 chains as the library builds it, and the filtration of a string model is
 written down from the string weights.  The filtrations induced on a subspace
 and on a quotient are taken step by step, by ref_intersect and by solving for
-coordinates, where the library takes one elimination pass.
+coordinates, where the library takes one elimination pass.  A graded map is
+built from its subquotients, by solving for the coordinates of each image,
+where the library reads it as a block of one matrix in adapted bases; the
+monodromy axioms are decided by containments and the ranks of images.
 """
 from fractions import Fraction
 
@@ -166,3 +169,90 @@ def ref_induced_on_quotient(steps, s, dim):
     return _ref_drop_repeats([
         (k, ref_span([ref_coords(unit + red, v)[:len(unit)] for v in vs], len(unit)))
         for k, vs in steps])
+
+
+def _ref_step(steps, k, dim):
+    """RREF rows of W_k for a filtration given as [(weight, spanning vectors)]."""
+    return ref_span([v for w, vs in steps if w <= k for v in vs], dim)
+
+
+def _ref_sends(m, lo, hi, dim):
+    """True iff m maps the span of the rows lo into the span of the rows hi."""
+    return all(ref_in_span(hi, ref_matvec(m, v), dim) for v in lo)
+
+
+def ref_filtered(m, dom_dim, cod_dim, dom_steps, cod_steps, shift):
+    """True iff m(W_k) lies in W'_{k+shift} for every weight k of dom."""
+    return all(_ref_sends(m, _ref_step(dom_steps, k, dom_dim),
+                          _ref_step(cod_steps, k + shift, cod_dim), cod_dim)
+               for k, _ in dom_steps)
+
+
+def ref_graded_map(m, dom_dim, cod_dim, dom_steps, k, cod_steps, j):
+    """The matrix of Gr_k -> Gr_j induced by m, or None unless m W_{k-1} lies
+    in W'_{j-1} and m W_k in W'_j.  The basis of a graded piece W_k/W_{k-1}
+    is the classes of the RREF rows of W_k whose pivots are not pivots of
+    W_{k-1}; column i holds the coordinates of the image of the i-th
+    domain basis vector, solved for in the basis of W'_j made of the
+    codomain basis vectors and the RREF rows of W'_{j-1}."""
+    dom_lo, dom_hi = _ref_step(dom_steps, k - 1, dom_dim), _ref_step(dom_steps, k, dom_dim)
+    cod_lo, cod_hi = _ref_step(cod_steps, j - 1, cod_dim), _ref_step(cod_steps, j, cod_dim)
+    if not (_ref_sends(m, dom_lo, cod_lo, cod_dim) and _ref_sends(m, dom_hi, cod_hi, cod_dim)):
+        return None
+
+    def new_rows(lo, hi):
+        below = {next(i for i, x in enumerate(r) if x) for r in lo}
+        return [r for r in hi if next(i for i, x in enumerate(r) if x) not in below]
+
+    dom_basis, cod_basis = new_rows(dom_lo, dom_hi), new_rows(cod_lo, cod_hi)
+    cols = [ref_coords(cod_basis + list(cod_lo), ref_matvec(m, b))[:len(cod_basis)]
+            for b in dom_basis]
+    return tuple(tuple(c[i] for c in cols) for i in range(len(cod_basis)))
+
+
+def ref_adapted_matrix(m, dom_dim, cod_dim, dom_steps, cod_steps):
+    """The matrix of m in the adapted bases: a filtration's basis lists, by
+    ascending weight, the RREF rows of each W_k whose pivots are not pivots
+    of the step below; column i holds the coordinates, in the codomain's
+    basis, of the image of the domain's i-th basis vector."""
+    def basis(steps, dim):
+        out, below = [], ()
+        for k, _ in steps:
+            rows = _ref_step(steps, k, dim)
+            lead = {next(i for i, x in enumerate(r) if x) for r in below}
+            out += [r for r in rows if next(i for i, x in enumerate(r) if x) not in lead]
+            below = rows
+        return out
+
+    cod_basis = basis(cod_steps, cod_dim)
+    cols = [ref_coords(cod_basis, ref_matvec(m, b)) for b in basis(dom_steps, dom_dim)]
+    return tuple(tuple(c[i] for c in cols) for i in range(cod_dim))
+
+
+def ref_monodromy_axioms(m, d, steps, center):
+    """[(name, passed, detail)]: the checks of the monodromy axioms of the
+    filtration steps = [(weight, spanning vectors)] for the d x d matrix m,
+    centered at center.  First each step weight w with N W_w not in W_{w-2},
+    then the N-shift summary, then for k = 0 .. max |w - center| whether
+    N^k: Gr_{c+k} -> Gr_{c-k} is an isomorphism.  Its rank is
+    dim(N^k W_{c+k} + W_{c-k-1}) - dim W_{c-k-1}."""
+    out = []
+    for w, _ in steps:
+        if not _ref_sends(m, _ref_step(steps, w, d), _ref_step(steps, w - 2, d), d):
+            out.append((f"N W_{w} in W_{w - 2}", False, ""))
+    out.append(("N-shift: N M_k in M_{k-2}", not out, ""))
+    power = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for k in range(max((abs(w - center) for w, _ in steps), default=0) + 1):
+        name = f"N^{k}: Gr_{center + k} ~ Gr_{center - k}"
+        if k:
+            power = ref_matmul(power, m, d, d)
+        hi, lo = center + k, center - k
+        src_lo, src_hi = _ref_step(steps, hi - 1, d), _ref_step(steps, hi, d)
+        dst_lo, dst_hi = _ref_step(steps, lo - 1, d), _ref_step(steps, lo, d)
+        if not (_ref_sends(power, src_lo, dst_lo, d) and _ref_sends(power, src_hi, dst_hi, d)):
+            out.append((name, False, "power of N does not respect the filtration"))
+            continue
+        cols, rows = len(src_hi) - len(src_lo), len(dst_hi) - len(dst_lo)
+        r = len(ref_span([ref_matvec(power, v) for v in src_hi] + list(dst_lo), d)) - len(dst_lo)
+        out.append((name, rows == cols and r == rows, f"dims {cols} -> {rows}, rank {r}"))
+    return out

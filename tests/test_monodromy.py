@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from monofilt import monodromy, qlinalg
+from monofilt import monodromy, qlinalg, weights
 from monofilt.gluing import extension, verify_sequence_2
 from monofilt.monodromy import (GradedKernel, GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
@@ -18,7 +18,8 @@ from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_strict)
 
 from conftest import J2, J3, qm, span
-from reference import ref_apply, ref_monodromy_steps, ref_string_steps
+from reference import (ref_apply, ref_matvec, ref_monodromy_axioms, ref_monodromy_steps,
+                       ref_string_steps)
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -201,8 +202,8 @@ def test_filtration_takes_no_intersection_or_image(monkeypatch):
 
 
 def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
-    """check_strict, hard Lefschetz and the graded kernel take every graded
-    map through weights.graded_map, whose steps are nested by construction:
+    """check_strict, hard Lefschetz and the graded kernel read every graded
+    map as a block of a matrix in adapted bases, which test no containment:
     on seeded string and scrambled models, and on N, the inclusion of ker N
     and the projection onto coker N, none of them calls Subspace.contains."""
     rng = random.Random(31)
@@ -405,6 +406,27 @@ class TestOperatorContext:
         assert primitive_decomposition(model).passed
         assert calls == [J3, J3 @ J3]
 
+    def test_one_adapted_basis_per_filtration(self, monkeypatch):
+        """Construction, hard Lefschetz, the graded kernel and the primitive
+        decomposition together build one adapted basis of the filtration and
+        one adapted N per model: string, filtrationless and scrambled."""
+        bases, maps = [], []
+        flag_basis, in_bases = weights._flag_basis, weights._in_bases
+        monkeypatch.setattr(weights, "_flag_basis",
+                            lambda flag: bases.append(1) or flag_basis(flag))
+        monkeypatch.setattr(weights, "_in_bases",
+                            lambda m, dom, cod: maps.append(m) or in_bases(m, dom, cod))
+        for build in (lambda: JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent(),
+                      lambda: NilpotentModel.on_monodromy_filtration(J3, 1),
+                      lambda: generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3)):
+            bases.clear()
+            maps.clear()
+            model = build()
+            assert verify_hard_lefschetz(model).passed
+            assert primitive_decomposition(model).passed
+            assert graded_kernel(model).dims
+            assert len(bases) == 1 and maps == [model.N.matrix]
+
     def test_on_monodromy_filtration_takes_the_powers_once(self, monkeypatch):
         calls = []
         powers = monodromy._powers
@@ -416,20 +438,38 @@ class TestOperatorContext:
             assert len(calls) == i and model.powers == powers(mat)
             assert verify_hard_lefschetz(model).passed and len(calls) == i
 
-    def test_axioms_read_the_models_powers(self, monkeypatch):
-        """Given the model's powers, check_monodromy_axioms multiplies no
-        matrix and reports what it reports when it takes the powers itself."""
-        rng = random.Random(6)
+    def test_axioms_take_no_powers_and_match_the_oracle(self, monkeypatch):
+        """check_monodromy_axioms reads each N^k off a power of N written in
+        the basis adapted to the filtration, so it never calls
+        monodromy._powers.  Over 20 seeded operators its report equals
+        ref_monodromy_axioms on M(N), on M(N) with a wrong center, and on a
+        full flag of random vectors, weighted 0 .. d-1, that fails the N-shift
+        at two or more steps."""
+        rng, flags = random.Random(6), random.Random(60)
+        failing_steps = Counter()
         for _ in range(20):
             mat = random_nilpotent(rng, max_dim=6)
-            model = NilpotentModel.on_monodromy_filtration(mat, rng.randint(-1, 2))
-            filt, c = model.monodromy_filtration, model.center
-            own = check_monodromy_axioms(filt, mat, c)
-            matmul = QMatrix.__matmul__
-            with monkeypatch.context() as mp:
-                mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product"))
-                assert check_monodromy_axioms(filt, mat, c, model.powers) == own
-            assert QMatrix.__matmul__ is matmul and own.passed
+            center, d = rng.randint(-1, 2) - 1, mat.rows
+            filt = monodromy_filtration(mat, center)
+            # a first vector outside ker N fails the N-shift at weights 0 and 1
+            vecs = sorted(random_unimodular(flags, d).entries,
+                          key=lambda v: not any(ref_matvec(mat.entries, v)))
+            flag = WeightFiltration.from_spaces(d, [(w, Subspace.from_vectors(d, vecs[:w + 1]))
+                                                    for w in range(d)])
+            for f, c, passes in ((filt, center, True), (filt, center + 1, False),
+                                 (flag, center, None)):
+                with monkeypatch.context() as mp:
+                    mp.setattr(monodromy, "_powers", lambda m: pytest.fail("powers taken"))
+                    report = check_monodromy_axioms(f, mat, c)
+                assert report.title == f"monodromy axioms (center {c})"
+                steps = [(w, s.basis.entries) for w, s in f.steps]
+                assert [(r.name, r.passed, r.detail) for r in report.checks] == \
+                    ref_monodromy_axioms(mat.entries, d, steps, c)
+                if passes is not None:
+                    assert report.passed == passes
+            if not mat.is_zero():
+                failing_steps[sum(r.name.startswith("N W_") for r in report.checks) >= 2] += 1
+        assert failing_steps[True] >= 10 and not failing_steps[False], failing_steps
 
     def test_powers_end_at_the_first_zero_power(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()

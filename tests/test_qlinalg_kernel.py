@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import monodromy_filtration
-from monofilt.weights import WeightFiltration, graded_map
+from monofilt.weights import (ShapeMismatch, TwistedMap, WeightFiltration, check_filtered,
+                              graded_map)
 
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
                        ref_monodromy_steps, ref_null, ref_rref, ref_span)
@@ -210,11 +211,21 @@ def test_intersect_negative_pivots():
 
 
 def _outcome(f):
-    """f() or the name of the AmbientMismatch it raises."""
+    """f() or the name of the AmbientMismatch it raises; ShapeMismatch, the
+    same error of a filtered map, reads as AmbientMismatch."""
     try:
         return f()
-    except qlinalg.AmbientMismatch:
+    except (qlinalg.AmbientMismatch, ShapeMismatch):
         return "AmbientMismatch"
+
+
+def _maps_into(m, s, t) -> bool:
+    """check_filtered of m from W_0 = s c W_1 = Q^d to W'_0 = t c W'_1 = Q^e
+    with shift 0: a filtration drops a step equal to the one below, so s or
+    t zero or full leaves one step, and m(s) < t is all that can fail."""
+    dom = WeightFiltration.from_spaces(s.ambient_dim, [(0, s), (1, Subspace.full(s.ambient_dim))])
+    cod = WeightFiltration.from_spaces(t.ambient_dim, [(0, t), (1, Subspace.full(t.ambient_dim))])
+    return check_filtered(TwistedMap(m, 0), dom, cod, 0)
 
 
 @EXAMPLES
@@ -225,8 +236,9 @@ def _outcome(f):
                          st.sampled_from(("drawn", "zero", "full", "holds m(s)")),
                          st.sampled_from((None, None, None, "s", "t")))))
 def test_maps_into(args):
-    """maps_into(m, s, t) decides m(s) < t as t.contains(ref_image(m, s))
-    does, and raises AmbientMismatch when that pair of calls does."""
+    """check_filtered(m, s c Q^d, t c Q^e, 0) decides m(s) < t as
+    t.contains(ref_image(m, s)) does, and raises ShapeMismatch exactly when
+    that pair of calls raises AmbientMismatch."""
     (data, r, c), (u, _, _), (w, _, _), s_kind, t_kind, off = args
     m = qmatrix(data, c)
     ds, dt = c + (off == "s"), r + (off == "t")
@@ -238,7 +250,7 @@ def test_maps_into(args):
     else:
         t = {"drawn": drawn_t, "zero": Subspace.zero(dt), "full": Subspace.full(dt)}[t_kind]
     want = _outcome(lambda: t.contains(ref_image(m, s)))
-    assert _outcome(lambda: qlinalg.maps_into(m, s, t)) == want
+    assert _outcome(lambda: _maps_into(m, s, t)) == want
     assert (want == "AmbientMismatch") == (off is not None)
 
 
@@ -483,15 +495,16 @@ def test_sparse_matmul(args):
                          st.lists(sparse_vectors(rc[0]), max_size=3), st.booleans(),
                          st.just(rc))))
 def test_sparse_maps_into(args):
-    """maps_into(m, s, t) against the containment of ref_image(m, s); a
-    single spanning vector keeps its support in the RREF row of s."""
+    """check_filtered on the two-step filtrations s c Q^d and t c Q^e (see
+    _maps_into) against the containment of ref_image(m, s); a single
+    spanning vector keeps its support in the RREF row of s."""
     data, u, w, add_image, (r, c) = args
     m = qmatrix(data, c)
     s = Subspace.from_vectors(c, u)
     image = ref_image(m, s)
     t = Subspace.from_vectors(r, w) + (image if add_image else Subspace.zero(r))
-    assert qlinalg.maps_into(m, s, t) == t.contains(image)
-    assert qlinalg.maps_into(m, s, image)
+    assert _maps_into(m, s, t) == t.contains(image)
+    assert _maps_into(m, s, image)
 
 
 @EXAMPLES

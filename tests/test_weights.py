@@ -8,17 +8,17 @@ from monofilt.monodromy import JordanStringModel, monodromy_filtration
 from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
                               quotient_projection)
 from monofilt.theorems import random_unimodular
-from monofilt.weights import (FiltrationError, LabeledGrading, NotFiltered,
+from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_filtered,
-                              check_strict, default_grading,
+                              check_strict, default_grading, graded_map,
                               induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
 
 from conftest import J2, random_subspace, span
-from reference import (ref_apply, ref_in_span, ref_induced_on_quotient, ref_induced_on_sub,
-                       ref_is_strict)
+from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map, ref_in_span,
+                       ref_induced_on_quotient, ref_induced_on_sub, ref_is_strict)
 
 
 def j2_filt():
@@ -231,6 +231,169 @@ class TestStrictnessOracle:
                     check_strict(tm, dom, cod, shift)
             verdicts[filtered] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
+
+
+def _gapped_filtration(rng, dim, dense):
+    """(filtration, [(w, spanning rows of W_w)]): up to four steps at weights
+    drawn with gaps from -6 .. 6, W_w spanned by the rows of weight <= w of a
+    random unimodular basis (dense) or of the unit vectors in random order,
+    every step weight taking at least one row."""
+    count = min(dim, rng.choice((1, 2, 3, 4, 4)))
+    weights = sorted(rng.sample(range(-6, 7), count))
+    tags = sorted(weights + [rng.choice(weights) for _ in range(dim - count)])
+    basis = [list(r) for r in random_unimodular(rng, dim, passes=2 if dense else 0).entries]
+    steps = [(w, [b for b, u in zip(basis, tags) if u <= w]) for w in weights]
+    return WeightFiltration.from_spaces(
+        dim, [(w, Subspace.from_vectors(dim, rows)) for w, rows in steps]), steps
+
+
+def _map_between(rng, dom, cod, shift):
+    """A map sending W_k into W'_{k+shift} (each adapted basis vector of
+    weight w to a combination of those of weight <= w + shift), or, half of
+    the time, a random rational matrix, which mostly is not filtered."""
+    if rng.random() < 0.5:
+        return QMatrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+                                   for _ in range(dom.ambient_dim)]
+                                  for _ in range(cod.ambient_dim)], cols=dom.ambient_dim)
+    dom_b = [list(r) for r in _adapted_rows(dom)]
+    cod_b = [list(r) for r in _adapted_rows(cod)]
+    dom_w, cod_w = _adapted_weights(dom), _adapted_weights(cod)
+    coeffs = QMatrix.from_rows([[rng.choice((-1, 0, 1, 2)) if v <= u + shift else 0
+                                 for u in dom_w] for v in cod_w], cols=dom.ambient_dim)
+    e = QMatrix.from_rows(dom_b, cols=dom.ambient_dim)
+    f = QMatrix.from_rows(cod_b, cols=cod.ambient_dim)
+    return _transpose(f) @ coeffs @ inverse(_transpose(e))
+
+
+def _adapted_rows(filt):
+    """Rows of weight w spanning W_w over W_{w-1}: the RREF rows of W_w whose
+    pivots are new, read off the Fraction bases."""
+    out, below = [], set()
+    for _, s in filt.steps:
+        out += [r for r, p in zip(s.basis.entries, s.pivots) if p not in below]
+        below = set(s.pivots)
+    return out
+
+
+def _adapted_weights(filt):
+    return [w for w in filt.weights for _ in range(filt.graded_dim(w))]
+
+
+def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
+    """graded_map(m, dom, k, cod, j) for each (k, j) of pairs against
+    ref_graded_map: NotCompatible exactly when the oracle finds a
+    containment that fails, and otherwise the same matrix."""
+    rows = [list(r) for r in m.entries]
+    for k, j in pairs:
+        want = ref_graded_map(rows, dom.ambient_dim, cod.ambient_dim, dom_steps, k,
+                              cod_steps, j)
+        if want is None:
+            with pytest.raises(qlinalg.NotCompatible):
+                graded_map(m, dom, k, cod, j)
+            outcomes["not compatible"] += 1
+            continue
+        got = graded_map(m, dom, k, cod, j)
+        assert (got.rows, got.cols) == (cod.graded_dim(j), dom.graded_dim(k))
+        assert got.entries == want
+        outcomes["maps"] += 1
+        outcomes["j not a step weight"] += j not in cod.weights
+        outcomes["nonzero block"] += not got.is_zero()
+
+
+class TestAdaptedBasesOracle:
+    """graded_map, check_filtered and check_strict read every graded map as
+    a block of one matrix in the bases adapted to the two filtrations; the
+    oracles in reference.py build each subquotient map on its own."""
+
+    def test_adapted_matrix_matches_the_oracle(self, rng):
+        """The matrix of an AdaptedMap against ref_adapted_matrix, on dense
+        and sparse filtrations with gaps, between spaces of different
+        dimensions; the adapted bases need not be integral, so coordinates
+        with denominators occur."""
+        denominators = 0
+        for _ in range(150):
+            dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
+            cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.8)
+            m = _map_between(rng, dom, cod, rng.randint(-3, 3))
+            got = AdaptedMap.of(m, dom, cod)
+            assert (got.dom, got.cod) == (dom, cod)
+            assert got.matrix.entries == ref_adapted_matrix(
+                [list(r) for r in m.entries], dom.ambient_dim, cod.ambient_dim,
+                dom_steps, cod_steps)
+            denominators += any(x.denominator > 1 for r in got.matrix.entries for x in r)
+        assert denominators >= 20, denominators
+
+    def test_graded_maps_match_the_subquotient_oracle(self, rng):
+        """Filtrations with up to four steps and gaps in the weights, dense
+        or sparse, between spaces of different dimensions; every domain
+        weight, a weight in a gap, and codomain weights around k + shift,
+        steps or not."""
+        outcomes = Counter()
+        for _ in range(120):
+            dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 6), rng.random() < 0.6)
+            cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
+            shift = rng.randint(-3, 3)
+            m = _map_between(rng, dom, cod, shift)
+            ks = sorted(set(dom.weights) | {rng.randint(-7, 7)})
+            pairs = [(k, k + shift + t) for k in ks for t in (-1, 0, 1)]
+            pairs += [(k, j) for k in dom.weights for j in cod.weights]
+            _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes)
+            outcomes["three or more steps"] += len(dom.weights) >= 3
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_filtered_and_strict_match_the_oracle(self, rng):
+        """check_filtered against ref_filtered, and check_strict against
+        ref_is_strict when the map is filtered and NotFiltered otherwise,
+        for every shift from -3 to 3."""
+        outcomes = Counter()
+        for _ in range(80):
+            dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
+            cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
+            m = _map_between(rng, dom, cod, rng.randint(-3, 3))
+            rows, tm = [list(r) for r in m.entries], TwistedMap(m, 0)
+            dims = (dom.ambient_dim, cod.ambient_dim)
+            for shift in range(-3, 4):
+                filtered = ref_filtered(rows, *dims, dom_steps, cod_steps, shift)
+                assert check_filtered(tm, dom, cod, shift) == filtered
+                if not filtered:
+                    with pytest.raises(NotFiltered):
+                        check_strict(tm, dom, cod, shift)
+                    outcomes["not filtered"] += 1
+                    continue
+                strict = ref_is_strict(rows, *dims, dom_steps, cod_steps, shift)
+                assert check_strict(tm, dom, cod, shift) == strict
+                outcomes[f"strict {strict}"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_tate_twist_carries_the_adapted_basis(self, rng):
+        """A Tate twist moves every weight of the adapted basis by -2d,
+        whether the basis was built before the twist (and carried) or after;
+        the graded maps of the twisted filtrations match the oracle on the
+        shifted steps."""
+        outcomes = Counter()
+        for i in range(60):
+            dom, dom_steps = _gapped_filtration(rng, rng.randint(1, 5), rng.random() < 0.6)
+            cod, cod_steps = _gapped_filtration(rng, rng.randint(1, 5), rng.random() < 0.6)
+            d, shift = rng.randint(-2, 2), rng.randint(-2, 2)
+            m = _map_between(rng, dom, cod, shift)
+            if i % 2:  # build both bases before twisting
+                check_filtered(TwistedMap(m, 0), dom, cod, shift)
+            tw_dom = tate_twist(WeightedSpace.from_filtration(dom), d).filtration
+            tw_cod = tate_twist(WeightedSpace.from_filtration(cod), d).filtration
+            assert tw_dom.weights == tuple(w - 2 * d for w in dom.weights)
+            ident = QMatrix.identity(dom.ambient_dim)
+            for k in dom.weights:
+                g = graded_map(ident, dom, k, tw_dom, k - 2 * d)
+                assert g == QMatrix.identity(dom.graded_dim(k))
+            tw_dom_steps = [(w - 2 * d, vs) for w, vs in dom_steps]
+            tw_cod_steps = [(w - 2 * d, vs) for w, vs in cod_steps]
+            for f, f_steps, g, g_steps in ((tw_dom, tw_dom_steps, cod, cod_steps),
+                                           (dom, dom_steps, tw_cod, tw_cod_steps),
+                                           (tw_dom, tw_dom_steps, tw_cod, tw_cod_steps)):
+                pairs = [(k, j) for k in f.weights for j in g.weights]
+                _assert_graded_maps(m, f, f_steps, g, g_steps, pairs, outcomes)
+        assert min(outcomes["maps"], outcomes["not compatible"],
+                   outcomes["nonzero block"]) >= 30, outcomes
 
 
 class TestPurityPredicates:
