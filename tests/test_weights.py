@@ -247,36 +247,31 @@ def _gapped_filtration(rng, dim, dense):
         dim, [(w, Subspace.from_vectors(dim, rows)) for w, rows in steps]), steps
 
 
-def _map_between(rng, dom, cod, shift):
-    """A map sending W_k into W'_{k+shift} (each adapted basis vector of
-    weight w to a combination of those of weight <= w + shift), or, half of
-    the time, a random rational matrix, which mostly is not filtered."""
+def _tagged(steps):
+    """The basis rows of _gapped_filtration's steps, each with its weight."""
+    out, below = [], 0
+    for w, rows in steps:
+        out += [(r, w) for r in rows[below:]]
+        below = len(rows)
+    return out
+
+
+def _map_between(rng, dom, dom_steps, cod, cod_steps, shift):
+    """A map sending W_k into W'_{k+shift}: each basis row of weight w of
+    dom's steps goes to a combination of those of weight <= w + shift of
+    cod's steps.  Half of the time a random rational matrix instead, which
+    mostly is not filtered."""
     if rng.random() < 0.5:
         return QMatrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
                                    for _ in range(dom.ambient_dim)]
                                   for _ in range(cod.ambient_dim)], cols=dom.ambient_dim)
-    dom_b = [list(r) for r in _adapted_rows(dom)]
-    cod_b = [list(r) for r in _adapted_rows(cod)]
-    dom_w, cod_w = _adapted_weights(dom), _adapted_weights(cod)
+    e, f = _tagged(dom_steps), _tagged(cod_steps)
     coeffs = QMatrix.from_rows([[rng.choice((-1, 0, 1, 2)) if v <= u + shift else 0
-                                 for u in dom_w] for v in cod_w], cols=dom.ambient_dim)
-    e = QMatrix.from_rows(dom_b, cols=dom.ambient_dim)
-    f = QMatrix.from_rows(cod_b, cols=cod.ambient_dim)
-    return _transpose(f) @ coeffs @ inverse(_transpose(e))
-
-
-def _adapted_rows(filt):
-    """Rows of weight w spanning W_w over W_{w-1}: the RREF rows of W_w whose
-    pivots are new, read off the Fraction bases."""
-    out, below = [], set()
-    for _, s in filt.steps:
-        out += [r for r, p in zip(s.basis.entries, s.pivots) if p not in below]
-        below = set(s.pivots)
-    return out
-
-
-def _adapted_weights(filt):
-    return [w for w in filt.weights for _ in range(filt.graded_dim(w))]
+                                 for _, u in e] for _, v in f], cols=dom.ambient_dim)
+    # m e_i = sum_j coeffs[j][i] f_j, so m E^T = F^T coeffs
+    e_mat = QMatrix.from_rows([r for r, _ in e], cols=dom.ambient_dim)
+    f_mat = QMatrix.from_rows([r for r, _ in f], cols=cod.ambient_dim)
+    return _transpose(f_mat) @ coeffs @ inverse(_transpose(e_mat))
 
 
 def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
@@ -314,7 +309,7 @@ class TestAdaptedBasesOracle:
         for _ in range(150):
             dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.8)
-            m = _map_between(rng, dom, cod, rng.randint(-3, 3))
+            m = _map_between(rng, dom, dom_steps, cod, cod_steps, rng.randint(-3, 3))
             got = AdaptedMap.of(m, dom, cod)
             assert (got.dom, got.cod) == (dom, cod)
             assert got.matrix.entries == ref_adapted_matrix(
@@ -333,7 +328,7 @@ class TestAdaptedBasesOracle:
             dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 6), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             shift = rng.randint(-3, 3)
-            m = _map_between(rng, dom, cod, shift)
+            m = _map_between(rng, dom, dom_steps, cod, cod_steps, shift)
             ks = sorted(set(dom.weights) | {rng.randint(-7, 7)})
             pairs = [(k, k + shift + t) for k in ks for t in (-1, 0, 1)]
             pairs += [(k, j) for k in dom.weights for j in cod.weights]
@@ -349,7 +344,7 @@ class TestAdaptedBasesOracle:
         for _ in range(80):
             dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
-            m = _map_between(rng, dom, cod, rng.randint(-3, 3))
+            m = _map_between(rng, dom, dom_steps, cod, cod_steps, rng.randint(-3, 3))
             rows, tm = [list(r) for r in m.entries], TwistedMap(m, 0)
             dims = (dom.ambient_dim, cod.ambient_dim)
             for shift in range(-3, 4):
@@ -375,7 +370,7 @@ class TestAdaptedBasesOracle:
             dom, dom_steps = _gapped_filtration(rng, rng.randint(1, 5), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(1, 5), rng.random() < 0.6)
             d, shift = rng.randint(-2, 2), rng.randint(-2, 2)
-            m = _map_between(rng, dom, cod, shift)
+            m = _map_between(rng, dom, dom_steps, cod, cod_steps, shift)
             if i % 2:  # build both bases before twisting
                 check_filtered(TwistedMap(m, 0), dom, cod, shift)
             tw_dom = tate_twist(WeightedSpace.from_filtration(dom), d).filtration
