@@ -45,17 +45,20 @@ class GluingDatum:
             raise ValueError("can is not filtered")
         if not check_filtered(self.var, phi, psi, -2):
             raise ValueError("var is not filtered")
-        self.__dict__["_var_can"] = self.var.matrix @ self.can.matrix
 
     @staticmethod
     def _trusted(psi, phi, can, var) -> GluingDatum:
         """The datum (psi, phi, can, var) without the construction checks."""
         g = object.__new__(GluingDatum)
-        g.__dict__.update(psi=psi, phi=phi, can=can, var=var, _var_can=var.matrix @ can.matrix)
+        g.__dict__.update(psi=psi, phi=phi, can=can, var=var)
         return g
 
+    @cached_property
+    def _var_can(self) -> QMatrix:
+        return self.var.matrix @ self.can.matrix
+
     def monodromy_matrix(self) -> QMatrix:
-        """N = var . can, computed once at construction."""
+        """N = var . can, computed once, when first read."""
         return self._var_can
 
     @cached_property

@@ -1,14 +1,17 @@
 """Monodromy filtrations of nilpotent operators and their graded structure.
 
 The filtration is read off a basis of Jordan chains of N built along the
-kernel flag ker N c ker N^2 c ... c ker N^e.  check_monodromy_axioms and a
-model's hard Lefschetz report verify it without the chains: each writes N
-once in the basis adapted to the filtration (weights.AdaptedMap), reads the
-N-shift off its zero pattern and each N^k: Gr_{c+k} -> Gr_{c-k} off a block
-of its k-th power.  The graded kernel reads Gr N off the same matrix.
+kernel flag ker N c ker N^2 c ... c ker N^e, which one Zassenhaus pass builds
+with no power of N (_kernel_flag); it is also the nilpotency check.
+check_monodromy_axioms and a model's hard Lefschetz report verify it without
+the chains: each writes N once in the basis adapted to the filtration
+(weights.AdaptedMap), reads the N-shift off its zero pattern and each
+N^k: Gr_{c+k} -> Gr_{c-k} off a block of its k-th power.  The graded kernel
+reads Gr N off the same matrix.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -32,27 +35,35 @@ class GradedKernelMismatch(ValueError):
     """The two computations of the graded kernel disagree (non-strict input)."""
 
 
-def _powers(m: QMatrix) -> list:
-    """[m^0, ..., m^e] with m^e the first zero power; raises NotNilpotent."""
+def _kernel_flag(m: QMatrix) -> list:
+    """[ker N^k for k = 0 .. max(e, 1)], e the nilpotency index of N = m, by
+    one Zassenhaus pass and no power of N.  The pass takes the rows [N e_j | e_j],
+    then [r | 0] for the rows of ker N^k whose pivots are new over ker N^{k-1};
+    its rows with a zero left half then hold the RREF rows of ker N^{k+1} =
+    {c : N c in ker N^k}.  Raises NotNilpotent if the dimension stalls."""
     if m.rows != m.cols:
         raise NotNilpotent("operator is not square")
-    powers = [QMatrix.identity(m.rows)]
-    while not powers[-1].is_zero():
-        if len(powers) > m.rows:
+    d, new, seen, flag = m.rows, [], set(), [Subspace.zero(m.rows)]
+
+    def groups():
+        yield [c + tuple(int(i == j) for i in range(d)) for j, c in enumerate(m._cols)]
+        while True:
+            yield new
+
+    for rows, pivots in qlinalg._prefix_spans(groups()):
+        i = bisect_left(pivots, d)
+        if len(rows) - i == flag[-1].dim < d:
             raise NotNilpotent("operator is not nilpotent")
-        powers.append(powers[-1] @ m)
-    return powers
+        flag.append(Subspace(d, tuple(r[d:] for r in rows[i:])))
+        if flag[-1].dim == d:
+            return flag
+        new = [r[d:] + (0,) * d for r, p in zip(rows[i:], pivots[i:]) if p not in seen]
+        seen.update(pivots[i:])
 
 
 def nilpotency_index(m: QMatrix) -> int:
-    """Least e with m^e = 0; raises NotNilpotent otherwise."""
-    return len(_powers(m)) - 1
-
-
-def _kernel_flag(powers: list) -> list:
-    """[ker N^k for k = 0 .. max(e, 1)] from powers = [N^0, ..., N^e], N^e = 0."""
-    zero, full = Subspace.zero(powers[0].rows), Subspace.full(powers[0].rows)
-    return [zero] + [qlinalg.kernel(p) for p in powers[1:-1]] + [full]
+    """Least e with m^e = 0 (at most d), off the kernel flag; raises NotNilpotent."""
+    return min(len(_kernel_flag(m)) - 1, m.rows)
 
 
 def monodromy_filtration(n_op: QMatrix, center: int,
@@ -61,10 +72,10 @@ def monodromy_filtration(n_op: QMatrix, center: int,
 
     M_w is spanned by the vectors of weight <= w in a basis of Jordan chains
     h, N h, ..., N^m h, N^i h of weight c + m - 2i (Deligne, Weil II 1.6),
-    built top-down along the kernel flag `kernels` (taken from the powers of
-    n_op when not given).  check_monodromy_axioms verifies M without chains.
+    built top-down along the kernel flag `kernels` (built from n_op when not
+    given).  check_monodromy_axioms verifies M without chains.
     """
-    kernels = kernels or _kernel_flag(_powers(n_op))
+    kernels = kernels or _kernel_flag(n_op)
     d = n_op.rows
     chains, level = [], []  # (integer vector, weight): all, and those at level k
     for k in range(len(kernels) - 1, 0, -1):
@@ -90,8 +101,8 @@ def _spread(filt: WeightFiltration, center: int) -> int:
     return max((abs(w - center) for w in filt.weights), default=0)
 
 
-def _check_graded_powers(rb: ReportBuilder, n_adapted: AdaptedMap, center: int,
-                         arrow: str) -> None:
+def _check_lefschetz_blocks(rb: ReportBuilder, n_adapted: AdaptedMap, center: int,
+                            arrow: str) -> None:
     """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}, read as a
     block of A^k, A being N in the basis adapted to the filtration.
 
@@ -126,7 +137,7 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
-    _check_graded_powers(rb, a, center, "~")
+    _check_lefschetz_blocks(rb, a, center, "~")
     return rb.build()
 
 
@@ -138,21 +149,21 @@ class NilpotentModel:
     pure model is the monodromy filtration centered at n-1.
 
     The quantities the verifiers share are computed once per instance and
-    kept beside the fields: the powers N^0..N^e (e the nilpotency index, so
-    N^e = 0; `known_powers` if the caller has taken them), their kernels,
-    N in the basis adapted to the filtration, im N, V(-1), the filtrations
-    induced on ker N and coker N, the monodromy filtration, the hard
-    Lefschetz report, the graded kernel and the gluing extensions
+    kept beside the fields: the kernel flag ker N^0 c ... c ker N^e = Q^d
+    (`kernels`, built at construction as the nilpotency check, or
+    `known_kernels`), N in the basis adapted to the filtration, im N, V(-1),
+    the filtrations induced on ker N and coker N, the monodromy filtration,
+    the hard Lefschetz report, the graded kernel and the gluing extensions
     (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
     N: TwistedMap
-    known_powers: InitVar[list | None] = None
+    known_kernels: InitVar[list | None] = None
 
-    def __post_init__(self, known_powers):
+    def __post_init__(self, known_kernels):
         if self.N.twist != -1:
             raise ValueError("monodromy operator must carry twist -1")
-        self.__dict__["powers"] = known_powers or _powers(self.N.matrix)
+        self.__dict__["kernels"] = known_kernels or _kernel_flag(self.N.matrix)
         if not self.adapted_n.filtered(-2):
             raise ValueError("N does not shift the filtration by -2")
 
@@ -163,24 +174,18 @@ class NilpotentModel:
         filtration centered at n-1, which is built once and kept as the
         model's monodromy_filtration.  The grading defaults to the string
         grading of default_grading at that center."""
-        powers = _powers(n_op)
-        kernels = _kernel_flag(powers)
+        kernels = _kernel_flag(n_op)
         filt = monodromy_filtration(n_op, n - 1, kernels=kernels)
         if grading is None:
             grading = default_grading(filt, center=n - 1)
         model = NilpotentModel(WeightedSpace(n_op.rows, filt, grading), n,
-                               TwistedMap(n_op, -1), powers)
-        model.__dict__.update(kernels=kernels, monodromy_filtration=filt)
+                               TwistedMap(n_op, -1), kernels)
+        model.__dict__["monodromy_filtration"] = filt
         return model
 
     @property
     def center(self) -> int:
         return self.n - 1
-
-    @cached_property
-    def kernels(self) -> list:
-        """The kernel flag [ker N^0, ..., ker N^e] of the chain builder."""
-        return _kernel_flag(self.powers)
 
     @cached_property
     def adapted_n(self) -> AdaptedMap:
@@ -225,7 +230,7 @@ class NilpotentModel:
         if self.space.dim == 0:
             rb.check("zero space", True, "vacuous")
             return rb.build()
-        _check_graded_powers(rb, self.adapted_n, self.center, "->")
+        _check_lefschetz_blocks(rb, self.adapted_n, self.center, "->")
         rb.check("weight filtration equals monodromy filtration",
                  self.space.filtration == self.monodromy_filtration)
         return rb.build()

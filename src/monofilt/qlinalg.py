@@ -17,10 +17,11 @@ ordered groups of integer vectors: each vector is reduced once against the
 rows so far, a new pivot row is cleared from the others, and each updated
 row is divided by the gcd of its entries.  The rows after each group are
 the primitive RREF rows of the span of that prefix, so a flag of nested
-spans takes one pass: the monodromy filtration and the filtrations induced
-on a subspace (one Zassenhaus pass against the flag) and on a quotient are
-built this way.  An intersection takes one Zassenhaus elimination of the
-stacked rows, which yields its primitive RREF rows directly.
+spans takes one pass: the monodromy filtration, the kernel flag of N (a
+Zassenhaus pass from the rows [N e_j | e_j], each group built from the last
+yield) and the filtrations induced on a subspace (a Zassenhaus pass against
+the flag) and on a quotient.  An intersection takes one Zassenhaus
+elimination of the stacked rows, which yields its primitive RREF rows.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -201,7 +202,8 @@ def _prefix_spans(groups: Iterable[Iterable[Sequence]]) -> Iterator[tuple]:
     After each group, yields (rows, pivots): the primitive RREF rows (tuples,
     positive pivots) of the span of every vector so far, in pivot order.  Each
     vector is reduced once against the rows so far; a new pivot row is then
-    cleared from the others.  RREF rows are unique, so each prefix gives the
+    cleared from the others.  Groups are read lazily, so a group may be built
+    from the last yield.  RREF rows are unique, so each prefix gives the
     rows of Subspace.from_vectors of that prefix.
     """
     rows: list = []

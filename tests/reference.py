@@ -5,8 +5,9 @@ it: spans, null spaces, products and intersections.  It shares no code with
 monofilt.qlinalg, and intersections are computed by a different method from
 the library's (a null space of stacked spanning sets).  The monodromy
 filtration is computed by the closed kernel/image formula, not from Jordan
-chains as the library builds it, and the filtration of a string model is
-written down from the string weights.  The filtrations induced on a subspace
+chains as the library builds it; the kernel flag of N is taken from the
+powers of N, where the library takes one pass and no power; and the
+filtration of a string model is written down from the string weights.  The filtrations induced on a subspace
 and on a quotient are taken step by step, by ref_intersect and by solving for
 coordinates, where the library takes one elimination pass.  A graded map is
 built from its subquotients, by solving for the coordinates of each image,
@@ -55,6 +56,19 @@ def ref_null(rows, ncols):
 def ref_matmul(a, b, inner, ncols):
     return tuple(tuple(sum((r[k] * b[k][j] for k in range(inner)), Fraction(0))
                        for j in range(ncols)) for r in a)
+
+
+def ref_kernel_flag(m, d):
+    """[RREF rows of ker m^k for k = 0 .. max(e, 1)], m^e the first zero power,
+    from the powers of m and their null spaces; None when m^d is not zero."""
+    flag, power = [()], m
+    for k in range(1, max(d, 1) + 1):
+        if k > 1:
+            power = ref_matmul(power, m, d, d)
+        flag.append(ref_span(ref_null(power, d), d))
+        if len(flag[-1]) == d:
+            return flag
+    return None
 
 
 def ref_intersect(u, w, dim):

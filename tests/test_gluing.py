@@ -140,15 +140,20 @@ def test_datum_refused_exactly_when_the_construction_checks_fail():
 
 
 def test_extensions_take_no_powers(monkeypatch):
-    """The three extensions of a built model take no power of any operator:
-    the datum's construction checks imply that var . can is nilpotent."""
-    model = string_model((("L", 3), ("P", 2)))
-    calls = []
-    powers = monodromy._powers
-    monkeypatch.setattr(monodromy, "_powers", lambda m: calls.append(m) or powers(m))
-    for kind in EXTENSIONS:
-        extension(model, kind)
-    assert calls == []
+    """Building a string, filtrationless or scrambled model, and its three
+    extensions, multiplies no matrices: the kernel flag takes no power of N,
+    and a datum forms var . can, which the model's checks make nilpotent,
+    only when it is read."""
+    scrambled = generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3).N.matrix
+    builders = (lambda: string_model((("L", 3), ("P", 2))),
+                lambda: raw_model(QMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), 1),
+                lambda: raw_model(scrambled, 1))
+    for build in builders:
+        with monkeypatch.context() as mp:
+            mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product taken"))
+            model = build()
+            data = [extension(model, kind) for kind in EXTENSIONS]
+        assert all(g.monodromy_matrix() == model.N.matrix for g in data)
 
 
 def test_model_built_extensions_pass_the_public_checks():

@@ -18,8 +18,8 @@ from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_strict)
 
 from conftest import J2, J3, qm, span
-from reference import (ref_apply, ref_matvec, ref_monodromy_axioms, ref_monodromy_steps,
-                       ref_string_steps)
+from reference import (ref_apply, ref_kernel_flag, ref_matvec, ref_monodromy_axioms,
+                       ref_monodromy_steps, ref_string_steps)
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -340,6 +340,52 @@ class TestNilpotentModel:
             nilpotency_index(qm([[1, 0], [0, 1]]))
 
 
+def jordan_block(k: int) -> QMatrix:
+    return QMatrix.from_rows([[int(j == i + 1) for j in range(k)] for i in range(k)], cols=k)
+
+
+def test_kernel_flag_matches_the_oracle():
+    """The one-pass kernel flag equals the oracle's null spaces of the powers
+    of N step by step, ends in Q^d, and nilpotency_index is its length less
+    one (0 on Q^0): over 300 random nilpotent operators, scrambled string
+    operators, the zero operator on Q^0 .. Q^4 and J_1 .. J_8."""
+    rng = random.Random(19)
+    ops = [random_nilpotent(rng, max_dim=9) for _ in range(300)]
+    ops += [generate_scrambled(generate_model(seed, 3, 4, 1, ["L", "P"]), seed).N.matrix
+            for seed in range(40)]
+    ops += [QMatrix.zero(d, d) for d in range(5)] + [jordan_block(k) for k in range(1, 9)]
+    indices = Counter()
+    for m in ops:
+        flag = monodromy._kernel_flag(m)
+        assert [k.basis.entries for k in flag] == ref_kernel_flag(m.entries, m.rows)
+        assert flag[-1] == Subspace.full(m.rows)
+        assert nilpotency_index(m) == (len(flag) - 1 if m.rows else 0)
+        indices[nilpotency_index(m)] += 1
+    assert set(indices) == set(range(10)), indices
+
+
+@pytest.mark.parametrize("m, message", [
+    (qm([[1, 0], [0, 1]]), "operator is not nilpotent"),  # invertible
+    (qm([[2, 1], [1, 1]]), "operator is not nilpotent"),  # invertible, dense
+    (qm([[0, 1], [1, 0]]), "operator is not nilpotent"),
+    (qm([[1, 0], [0, 0]]), "operator is not nilpotent"),  # idempotent
+    (qm([[1, 1], [0, 0]]), "operator is not nilpotent"),  # idempotent
+    (qm([[0, 1, 0], [0, 0, 1], [0, 0, 1]]), "operator is not nilpotent"),  # stalls at dim 2
+    (qm([[0, 1]]), "operator is not square"),
+    (QMatrix.zero(0, 3), "operator is not square"),
+    (QMatrix.zero(3, 2), "operator is not square"),
+])
+def test_not_nilpotent(m, message):
+    """The flag stops with NotNilpotent when its dimension stalls below d,
+    after the check that N is square."""
+    for build in (monodromy._kernel_flag, nilpotency_index,
+                  lambda m: NilpotentModel.on_monodromy_filtration(m, 1)):
+        with pytest.raises(NotNilpotent, match=f"^{message}$"):
+            build(m)
+    if m.rows == m.cols:
+        assert ref_kernel_flag(m.entries, m.rows) is None
+
+
 def test_zero_space_takes_the_general_path():
     """The constructors and readers have no zero-space branch: on Q^0 the
     general path gives the zero space and the empty graded kernel."""
@@ -360,7 +406,7 @@ def wrong_center_model() -> NilpotentModel:
 
 
 class TestOperatorContext:
-    """A model computes its powers, filtration, hard Lefschetz and graded kernel once."""
+    """A model computes its kernel flag, filtration, hard Lefschetz and graded kernel once."""
 
     @pytest.fixture
     def filtration_calls(self, monkeypatch):
@@ -391,20 +437,29 @@ class TestOperatorContext:
         assert len(ranks) == first
 
     def test_one_kernel_flag_per_model(self, monkeypatch):
-        """The chain builder and the graded kernel read ker N^k, 0 < k < e,
-        from one kernel flag per model, also when the model is built on the
-        monodromy filtration of its operator."""
-        calls = []
-        kernel = qlinalg.kernel
-        monkeypatch.setattr(qlinalg, "kernel", lambda m: calls.append(m) or kernel(m))
-        model = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent()
-        assert verify_hard_lefschetz(model).passed
-        assert primitive_decomposition(model).passed
-        assert calls == model.powers[1:-1]
-        calls.clear()
-        model = NilpotentModel.on_monodromy_filtration(J3, 1)
-        assert primitive_decomposition(model).passed
-        assert calls == [J3, J3 @ J3]
+        """Construction, the chain builder, hard Lefschetz, the graded kernel
+        and the primitive decomposition read one kernel flag per model, built
+        at construction without qlinalg.kernel: string, filtrationless,
+        scrambled and given-filtration models.  The flag equals the Fraction
+        oracle's flag of null spaces of the powers of N."""
+        flags = []
+        kernel_flag = monodromy._kernel_flag
+        monkeypatch.setattr(monodromy, "_kernel_flag",
+                            lambda m: flags.append(m) or kernel_flag(m))
+        monkeypatch.setattr(qlinalg, "kernel", lambda m: pytest.fail("kernel taken"))
+        for build in (lambda: JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent(),
+                      lambda: NilpotentModel.on_monodromy_filtration(J3, 1),
+                      lambda: generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3),
+                      wrong_center_model):
+            flags.clear()
+            model = build()
+            assert model.monodromy_filtration.weights
+            if verify_hard_lefschetz(model).passed:
+                assert primitive_decomposition(model).passed
+                assert graded_kernel(model).dims
+            assert flags == [model.N.matrix]
+            assert [k.basis.entries for k in model.kernels] == \
+                ref_kernel_flag(model.N.matrix.entries, model.space.dim)
 
     def test_one_adapted_basis_per_filtration(self, monkeypatch):
         """Construction, hard Lefschetz, the graded kernel and the primitive
@@ -427,21 +482,22 @@ class TestOperatorContext:
             assert graded_kernel(model).dims
             assert len(bases) == 1 and maps == [model.N.matrix]
 
-    def test_on_monodromy_filtration_takes_the_powers_once(self, monkeypatch):
+    def test_on_monodromy_filtration_builds_the_flag_once(self, monkeypatch):
         calls = []
-        powers = monodromy._powers
-        monkeypatch.setattr(monodromy, "_powers", lambda m: calls.append(m) or powers(m))
+        kernel_flag = monodromy._kernel_flag
+        monkeypatch.setattr(monodromy, "_kernel_flag",
+                            lambda m: calls.append(m) or kernel_flag(m))
         rng = random.Random(5)
         for i in range(1, 21):
             mat = random_nilpotent(rng, max_dim=6)
             model = NilpotentModel.on_monodromy_filtration(mat, rng.randint(-1, 2))
-            assert len(calls) == i and model.powers == powers(mat)
+            assert len(calls) == i and model.kernels == kernel_flag(mat)
             assert verify_hard_lefschetz(model).passed and len(calls) == i
 
     def test_axioms_take_no_powers_and_match_the_oracle(self, monkeypatch):
         """check_monodromy_axioms reads each N^k off a power of N written in
-        the basis adapted to the filtration, so it never calls
-        monodromy._powers.  Over 20 seeded operators its report equals
+        the basis adapted to the filtration, so it never builds the kernel
+        flag that a model and the chain builder read.  Over 20 seeded operators its report equals
         ref_monodromy_axioms on M(N), on M(N) with a wrong center, and on a
         full flag of random vectors, weighted 0 .. d-1, that fails the N-shift
         at two or more steps."""
@@ -459,7 +515,7 @@ class TestOperatorContext:
             for f, c, passes in ((filt, center, True), (filt, center + 1, False),
                                  (flag, center, None)):
                 with monkeypatch.context() as mp:
-                    mp.setattr(monodromy, "_powers", lambda m: pytest.fail("powers taken"))
+                    mp.setattr(monodromy, "_kernel_flag", lambda m: pytest.fail("flag built"))
                     report = check_monodromy_axioms(f, mat, c)
                 assert report.title == f"monodromy axioms (center {c})"
                 steps = [(w, s.basis.entries) for w, s in f.steps]
@@ -471,11 +527,11 @@ class TestOperatorContext:
                 failing_steps[sum(r.name.startswith("N W_") for r in report.checks) >= 2] += 1
         assert failing_steps[True] >= 10 and not failing_steps[False], failing_steps
 
-    def test_powers_end_at_the_first_zero_power(self):
+    def test_flag_ends_at_the_first_full_kernel(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
-        n_mat = model.N.matrix
-        assert model.powers == [QMatrix.identity(4), n_mat, n_mat @ n_mat,
-                                QMatrix.zero(4, 4)]
+        assert model.kernels == [Subspace.zero(4), span(4, [1, 0, 0, 0], [0, 0, 0, 1]),
+                                 span(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]),
+                                 Subspace.full(4)]
 
     def test_no_memo_across_instances(self, filtration_calls):
         strings = (("L", 3), ("P", 2))
