@@ -7,12 +7,13 @@ the library's (a null space of stacked spanning sets).  The monodromy
 filtration is computed by the closed kernel/image formula, not from Jordan
 chains as the library builds it; the kernel flag of N is taken from the
 powers of N, where the library takes one pass and no power; and the
-filtration of a string model is written down from the string weights.  The filtrations induced on a subspace
-and on a quotient are taken step by step, by ref_intersect and by solving for
-coordinates, where the library takes one elimination pass.  A graded map is
-built from its subquotients, by solving for the coordinates of each image,
-where the library reads it as a block of one matrix in adapted bases; the
-monodromy axioms are decided by containments and the ranks of images.
+filtration of a string model is written down from the string weights.  The
+filtrations induced on a subspace and on a quotient are taken step by step,
+by ref_intersect and by solving for coordinates, where the library takes one
+elimination pass.  A graded map is built from its subquotients, by solving
+for the coordinates of each image, where the library reads it as a block of
+one matrix in adapted bases; the monodromy axioms are decided by
+containments and the ranks of images.
 """
 from fractions import Fraction
 

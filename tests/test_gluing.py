@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from monofilt import monodromy, qlinalg
+from monofilt import qlinalg
 from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
                              verify_prop_2_3, verify_roundtrip,

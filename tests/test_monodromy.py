@@ -497,10 +497,10 @@ class TestOperatorContext:
     def test_axioms_take_no_powers_and_match_the_oracle(self, monkeypatch):
         """check_monodromy_axioms reads each N^k off a power of N written in
         the basis adapted to the filtration, so it never builds the kernel
-        flag that a model and the chain builder read.  Over 20 seeded operators its report equals
-        ref_monodromy_axioms on M(N), on M(N) with a wrong center, and on a
-        full flag of random vectors, weighted 0 .. d-1, that fails the N-shift
-        at two or more steps."""
+        flag that a model and the chain builder read.  Over 20 seeded
+        operators its report equals ref_monodromy_axioms on M(N), on M(N)
+        with a wrong center, and on a full flag of random vectors, weighted
+        0 .. d-1, that fails the N-shift at two or more steps."""
         rng, flags = random.Random(6), random.Random(60)
         failing_steps = Counter()
         for _ in range(20):
