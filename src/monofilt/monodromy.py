@@ -2,7 +2,8 @@
 
 The filtration is read off a basis of Jordan chains of N built along the
 kernel flag ker N c ker N^2 c ... c ker N^e, which one Zassenhaus pass builds
-with no power of N (_kernel_flag); it is also the nilpotency check.
+with no power of N; it is also the nilpotency check (_kernel_flag).  The pass
+lives in qlinalg (_kernels), and qlinalg.kernel is its first step.
 check_monodromy_axioms and a model's hard Lefschetz report verify it without
 the chains: each writes N once in the basis adapted to the filtration
 (weights.AdaptedMap), reads the N-shift off its zero pattern and each
@@ -11,7 +12,6 @@ reads Gr N off the same matrix.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -36,29 +36,18 @@ class GradedKernelMismatch(ValueError):
 
 
 def _kernel_flag(m: QMatrix) -> list:
-    """[ker N^k for k = 0 .. max(e, 1)], e the nilpotency index of N = m, by
-    one Zassenhaus pass and no power of N.  The pass takes the rows [N e_j | e_j],
-    then [r | 0] for the rows of ker N^k whose pivots are new over ker N^{k-1};
-    its rows with a zero left half then hold the RREF rows of ker N^{k+1} =
-    {c : N c in ker N^k}.  Raises NotNilpotent if the dimension stalls."""
+    """[ker N^k for k = 0 .. max(e, 1)], e the nilpotency index of N = m, off
+    the one-pass flag of qlinalg._kernels.  Raises NotNilpotent if the
+    dimension stalls."""
     if m.rows != m.cols:
         raise NotNilpotent("operator is not square")
-    d, new, seen, flag = m.rows, [], set(), [Subspace.zero(m.rows)]
-
-    def groups():
-        yield [c + tuple(int(i == j) for i in range(d)) for j, c in enumerate(m._cols)]
-        while True:
-            yield new
-
-    for rows, pivots in qlinalg._prefix_spans(groups()):
-        i = bisect_left(pivots, d)
-        if len(rows) - i == flag[-1].dim < d:
+    flag = [Subspace.zero(m.rows)]
+    for k in qlinalg._kernels(m):
+        if k.dim == flag[-1].dim < m.rows:
             raise NotNilpotent("operator is not nilpotent")
-        flag.append(Subspace(d, tuple(r[d:] for r in rows[i:])))
-        if flag[-1].dim == d:
+        flag.append(k)
+        if k.is_full():
             return flag
-        new = [r[d:] + (0,) * d for r, p in zip(rows[i:], pivots[i:]) if p not in seen]
-        seen.update(pivots[i:])
 
 
 def nilpotency_index(m: QMatrix) -> int:

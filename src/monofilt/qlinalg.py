@@ -12,16 +12,16 @@ a row of A @ B is the sum of B's rows weighted by the nonzeros of A's row,
 and m v is the sum of m's columns, read from a transpose cached on m, weighted
 by the nonzeros of v; a vector more than half nonzero takes dense dot
 products instead.
-All elimination is one fraction-free Gauss-Jordan pass (_prefix_spans) over
-ordered groups of integer vectors: each vector is reduced once against the
-rows so far, a new pivot row is cleared from the others, and each updated
-row is divided by the gcd of its entries.  The rows after each group are
-the primitive RREF rows of the span of that prefix, so a flag of nested
-spans takes one pass: the monodromy filtration, the kernel flag of N (a
-Zassenhaus pass from the rows [N e_j | e_j], each group built from the last
-yield) and the filtrations induced on a subspace (a Zassenhaus pass against
-the flag) and on a quotient.  An intersection takes one Zassenhaus
-elimination of the stacked rows, which yields its primitive RREF rows.
+Two primitives do all elimination.  _prefix_spans is one fraction-free
+Gauss-Jordan pass over ordered groups of integer vectors: each vector is
+reduced once against the rows so far, a new pivot row is cleared from the
+others, and each updated row is divided by the gcd of its entries.  The rows
+after each group are the primitive RREF rows of the span of that prefix, so a
+nested flag (the monodromy filtration, one induced on a quotient) takes one
+pass.  _zassenhaus runs it over rows [x | y] and keeps the y whose x is zero:
+the kernel flag of m (_kernels, whose first step is kernel) and the meets of a
+subspace with a flag (_meets, behind intersect and the filtration induced on
+a subspace) are each one such pass.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -234,6 +234,16 @@ def _prefix_spans(groups: Iterable[Iterable[Sequence]]) -> Iterator[tuple]:
         yield tuple(rows), tuple(pivots)
 
 
+def _zassenhaus(groups: Iterable[Iterable[Sequence]], d: int) -> Iterator[tuple]:
+    """One _prefix_spans pass over integer rows [x | y], x of length d.  After
+    each group, yields (rows, pivots in y) of the y whose x is zero: the right
+    halves of the rows whose pivot lies in the right half.  Their left halves
+    are zero, so they are the primitive RREF rows of that space."""
+    for rows, pivots in _prefix_spans(groups):
+        i = bisect_left(pivots, d)
+        yield tuple(r[d:] for r in rows[i:]), tuple(p - d for p in pivots[i:])
+
+
 def _echelon(rows: Iterable[Sequence]) -> tuple:
     """(primitive RREF rows, pivots) of the span of the integer rows."""
     return next(_prefix_spans([rows]))
@@ -316,23 +326,27 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self._rows + other._rows)
 
 
+def _kernels(m: QMatrix) -> Iterator[Subspace]:
+    """ker m, then (m square) ker m^2, ker m^3, ... without end, by one
+    Zassenhaus pass and no power of m.  The first group is [m e_j | e_j];
+    after ker m^k the pass takes [r | 0] for its rows whose pivots are new,
+    so the next yield is {c : m c in ker m^k} = ker m^{k+1}."""
+    d, new, seen = m.rows, [], set()
+
+    def groups():
+        yield [c + tuple(int(i == j) for i in range(m.cols)) for j, c in enumerate(m._cols)]
+        while True:
+            yield new
+
+    for rows, pivots in _zassenhaus(groups(), d):
+        yield Subspace(m.cols, rows)
+        new = [r + (0,) * d for r, p in zip(rows, pivots) if p not in seen]
+        seen.update(pivots)
+
+
 def kernel(m: QMatrix) -> Subspace:
-    """Null space {v : m v = 0} as a subspace of Q^cols."""
-    rows, pivots = _echelon(m._ints[0])
-    pivset = set(pivots)
-    vecs = []
-    for j in range(m.cols):
-        if j in pivset:
-            continue
-        # v_j = 1 and v_p = -row[j] / row[p] at each pivot p, scaled to integers
-        used = [(row, p) for row, p in zip(rows, pivots) if row[j]]
-        scale = lcm(*[row[p] for row, p in used])
-        v = [0] * m.cols
-        v[j] = scale
-        for row, p in used:
-            v[p] = -row[j] * (scale // row[p])
-        vecs.append(v)
-    return Subspace.from_vectors(m.cols, vecs)
+    """Null space {v : m v = 0} as a subspace of Q^cols: the first step of _kernels."""
+    return next(_kernels(m))
 
 
 def image(m: QMatrix) -> Subspace:
@@ -341,21 +355,10 @@ def image(m: QMatrix) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a n b by one Zassenhaus elimination of the stacked rows [a | a] and [b | 0].
-
-    The echelon rows whose pivot lies in the right half are zero in the left
-    half; their right halves are the primitive RREF rows of a n b.
-    """
+    """a n b, the one-space case of _meets."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    if a.is_full() or b.is_zero():
-        return b
-    if b.is_full() or a.is_zero():
-        return a
-    d = a.ambient_dim
-    zeros = (0,) * d
-    rows, pivots = _echelon([r + r for r in a._rows] + [r + zeros for r in b._rows])
-    return Subspace(d, tuple(tuple(r[d:]) for r in rows[bisect_left(pivots, d):]))
+    return Subspace(a.ambient_dim, next(_meets(a, [b])))
 
 
 def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
@@ -375,21 +378,24 @@ def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
         below = set(t.pivots)
 
 
-def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
-    """[t n s for t in flag] in the coordinates of s, for a nested flag, by one
-    Zassenhaus pass: [r | r] for the rows of s, then [r | 0] for the new rows
-    of each t.  After t, the rows whose pivot lies in the right half are zero
-    in the left half, and their right halves are the RREF rows of t n s.  A
-    vector of s is zero before its entry at a pivot of s, so those entries,
-    divided by their gcd, are the RREF rows in the coordinates of s."""
+def _meets(s: Subspace, flag: Iterable[Subspace]) -> Iterator[tuple]:
+    """For each space t of the nested flag, the primitive RREF rows of t n s,
+    by one Zassenhaus pass: [r | r] for the rows of s, then [r | 0] for the
+    new rows of each t, so a y whose x is zero lies in s and in t."""
     d = s.ambient_dim
     zeros = (0,) * d
-    spans = _prefix_spans([[r + r for r in s._rows]]
-                          + [[r + zeros for r in rows] for rows in _new_rows(flag)])
+    spans = _zassenhaus([[r + r for r in s._rows]]
+                        + [[r + zeros for r in rows] for rows in _new_rows(flag)], d)
     next(spans)
-    return [Subspace(s.dim, tuple(_primitive([r[d + p] for p in s.pivots])
-                                  for r in rows[bisect_left(pivots, d):]))
-            for rows, pivots in spans]
+    return (rows for rows, _ in spans)
+
+
+def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
+    """[t n s for t in flag] in the coordinates of s, for a nested flag, by
+    _meets.  A vector of s is zero before its entry at a pivot of s, so those
+    entries, divided by their gcd, are the RREF rows in the coordinates of s."""
+    return [Subspace(s.dim, tuple(_primitive([r[p] for p in s.pivots]) for r in rows))
+            for rows in _meets(s, flag)]
 
 
 def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:

@@ -15,8 +15,8 @@ pivots are new over the step below, tagged with the step's weight, so W_k
 is spanned by the basis vectors of weight <= k.  An AdaptedMap writes a map
 once in the adapted bases of its two filtrations.  Whether it sends W_k
 into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
-canonical subquotient bases, is one of its blocks.  check_filtered,
-check_strict and graded_map read them there, as do the monodromy checks.
+canonical subquotient bases, is one of its blocks.  check_filtered and
+check_strict read them there, as do the monodromy checks.
 """
 from __future__ import annotations
 
@@ -166,9 +166,6 @@ class LabeledGrading:
     def single(weight: int, label: str, mult: int, twist: int = 0) -> "LabeledGrading":
         return LabeledGrading.from_dict({weight: {TwistedLabel(label, twist): mult}})
 
-    def as_dict(self) -> dict:
-        return {w: dict(terms) for w, terms in self.entries}
-
     def at(self, k: int) -> dict:
         return dict(dict(self.entries).get(k, ()))
 
@@ -303,14 +300,6 @@ def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
     morphism between untwisted storages corresponds to shift 2t.
     """
     return AdaptedMap.of(tm.matrix, dom, cod).filtered(shift)
-
-
-def graded_map(m: QMatrix, dom: WeightFiltration, k: int,
-               cod: WeightFiltration, j: int) -> QMatrix:
-    """Matrix of Gr_k(dom) -> Gr_j(cod) induced by m, in the canonical
-    subquotient bases; NotCompatible unless m W_{k-1} in W'_{j-1} and
-    m W_k in W'_j."""
-    return AdaptedMap.of(m, dom, cod).graded(k, j)
 
 
 def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,

@@ -261,12 +261,12 @@ class TestGradedKernel:
     def test_j2(self):
         model = JordanStringModel((("L", 2),), 1).to_nilpotent()
         gk = graded_kernel(model)
-        assert gk.grading.as_dict() == {-1: {TwistedLabel("L"): 1}}
+        assert {w: dict(t) for w, t in gk.grading.entries} == {-1: {TwistedLabel("L"): 1}}
 
     def test_j3_plus_j1(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
         gk = graded_kernel(model)
-        assert gk.grading.as_dict() == {
+        assert {w: dict(t) for w, t in gk.grading.entries} == {
             -2: {TwistedLabel("L"): 1}, 0: {TwistedLabel("P"): 1}}
 
     def test_per_string_bottom_entries(self, rng):
@@ -283,7 +283,7 @@ class TestGradedKernel:
                 expected.setdefault(w, {})
                 key = TwistedLabel(lbl)
                 expected[w][key] = expected[w].get(key, 0) + 1
-            assert gk.grading.as_dict() == expected
+            assert {w: dict(t) for w, t in gk.grading.entries} == expected
 
     def test_mismatch_on_non_strict_input(self):
         filt = WeightFiltration.from_spaces(2, [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from monofilt.qlinalg import (AmbientMismatch, NotCompatible, QMatrix,
                               Subspace, image, intersect, inverse, kernel,
                               quotient_projection, rank, rref)
-from monofilt.weights import WeightFiltration, graded_map
+from monofilt.weights import AdaptedMap, WeightFiltration
 
 from conftest import J2, J3, qm, random_matrix, random_subspace, span
 from reference import ref_matvec
@@ -113,22 +113,22 @@ def _filtration(d, *spaces):
 class TestInducedMap:
     def test_identity_on_quotient(self):
         f = _filtration(3, span(3, [1, 0, 0]))
-        assert graded_map(QMatrix.identity(3), f, 1, f, 1) == QMatrix.identity(2)
+        assert AdaptedMap.of(QMatrix.identity(3), f, f).graded(1, 1) == QMatrix.identity(2)
 
     def test_zero_map(self):
         f = _filtration(3, span(3, [1, 0, 0]))
-        assert graded_map(QMatrix.zero(3, 3), f, 1, f, 1) == QMatrix.zero(2, 2)
+        assert AdaptedMap.of(QMatrix.zero(3, 3), f, f).graded(1, 1) == QMatrix.zero(2, 2)
 
     def test_jordan_kernel_powers(self):
         f = _filtration(3, kernel(J3), kernel(J3 @ J3))
         # Gr_1 = ker J3^2 / ker J3 -> Gr_0 = ker J3, and Gr_2 = Q^3 / ker J3^2 -> Gr_1
-        assert graded_map(J3, f, 1, f, 0) == qm([[1]])
-        assert graded_map(J3, f, 2, f, 1) == qm([[1]])
+        assert AdaptedMap.of(J3, f, f).graded(1, 0) == qm([[1]])
+        assert AdaptedMap.of(J3, f, f).graded(2, 1) == qm([[1]])
 
     def test_incompatible(self):
         with pytest.raises(NotCompatible):
             # J2 does not map W_0 = Q^2 into W'_0 = 0
-            graded_map(J2, _filtration(2), 0, _filtration(2, Subspace.zero(2)), 0)
+            AdaptedMap.of(J2, _filtration(2), _filtration(2, Subspace.zero(2))).graded(0, 0)
 
 
 class TestMisc:

@@ -12,15 +12,17 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import monodromy_filtration
-from monofilt.weights import (ShapeMismatch, TwistedMap, WeightFiltration, check_filtered,
-                              graded_map)
+from monofilt.theorems import generate_model, generate_scrambled
+from monofilt.weights import (AdaptedMap, ShapeMismatch, TwistedMap, WeightFiltration,
+                              check_filtered)
 
+from conftest import random_subspace
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
                        ref_monodromy_steps, ref_null, ref_rref, ref_span)
 
@@ -101,6 +103,9 @@ def test_rref_and_rank(mc):
 
 @EXAMPLES
 @given(matrices())
+@example(([], 0, 0))
+@example(([], 0, 3))
+@example(([[], [], []], 3, 0))
 def test_kernel_and_image(mc):
     data, r, c = mc
     m = qmatrix(data, c)
@@ -201,6 +206,32 @@ def test_intersect_shortcuts(d):
         qlinalg.intersect(a, Subspace.zero(d + 1))
 
 
+def test_kernel_and_intersect_take_one_pass(monkeypatch):
+    """kernel and intersect each run one _prefix_spans pass and build no
+    Subspace.from_vectors: the kernel of a scrambled string operator, and the
+    meets of drawn subspaces, zero and full ones among them."""
+    rng = random.Random(11)
+    model = generate_model(rng.getrandbits(32), 3, 4, 1, ["L"])
+    n_op = generate_scrambled(model, rng.getrandbits(32)).N.matrix
+    pairs = [(random_subspace(rng, d), random_subspace(rng, d))
+             for d in (1, 3, 4, 5, 6) for _ in range(4)]
+    pairs += [(Subspace.zero(3), pairs[4][0]), (Subspace.full(3), pairs[5][1]),
+              (pairs[6][0], Subspace.full(3))]
+    passes = []
+    prefix_spans = qlinalg._prefix_spans
+    monkeypatch.setattr(qlinalg, "_prefix_spans", lambda g: passes.append(1) or prefix_spans(g))
+    monkeypatch.setattr(Subspace, "from_vectors", lambda *a: pytest.fail("from_vectors"))
+    k = qlinalg.kernel(n_op)
+    assert len(passes) == 1
+    assert k.basis.entries == ref_span(ref_null(n_op.entries, n_op.cols), n_op.cols)
+    assert k.dim == len(model.strings)
+    for i, (a, b) in enumerate(pairs, 2):
+        meet = qlinalg.intersect(a, b)
+        assert len(passes) == i
+        assert meet.basis.entries == ref_intersect(a.basis.entries, b.basis.entries,
+                                                   a.ambient_dim)
+
+
 def test_intersect_negative_pivots():
     # stacked rows whose elimination meets negative pivots in both halves
     a = Subspace.from_vectors(3, [[-2, 4, -6], [0, -3, 5]])
@@ -266,16 +297,17 @@ def _two_step(d, sub, quot):
 
 
 def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
-    """graded_map(m, dom, 1, cod, 1) on the two-step filtrations sub c quot,
-    against containments computed with ref_image; returns the case met."""
+    """AdaptedMap.of(m, dom, cod).graded(1, 1) on the two-step filtrations
+    sub c quot, against containments computed with ref_image; returns the
+    case met."""
     d, e = m.cols, m.rows
     dom, cod = _two_step(d, sub_dom, quot_dom), _two_step(e, sub_cod, quot_cod)
     held = (sub_cod.contains(ref_image(m, sub_dom)), quot_cod.contains(ref_image(m, quot_dom)))
     if not all(held):
         with pytest.raises(qlinalg.NotCompatible):
-            graded_map(m, dom, 1, cod, 1)
+            AdaptedMap.of(m, dom, cod).graded(1, 1)
         return "only m(W_1) fails" if held[0] else "m(W_0) fails"
-    out = graded_map(m, dom, 1, cod, 1)
+    out = AdaptedMap.of(m, dom, cod).graded(1, 1)
     dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
                  if p not in sub_dom.pivots]
     cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
@@ -289,8 +321,8 @@ def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
 
 
 def test_graded_map_raises_exactly_when_a_containment_fails():
-    """On random two-step filtrations, graded_map(m, dom, 1, cod, 1) raises
-    NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
+    """On random two-step filtrations, AdaptedMap.of(m, dom, cod).graded(1, 1)
+    raises NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
     otherwise each column is the class of m b mod W'_0 in the basis of
     Gr_1.  The containments are computed here with ref_image and contains.
     A filtration is nested, so W_0 in W_1 needs no test."""
@@ -515,7 +547,7 @@ def test_sparse_maps_into(args):
                          st.lists(sparse_vectors(de[1]), max_size=2),
                          st.booleans(), st.booleans(), st.just(de))))
 def test_sparse_graded_map(args):
-    """graded_map on two-step filtrations spanned by sparse vectors; the
+    """The graded map on two-step filtrations spanned by sparse vectors; the
     codomain steps hold the images of the domain steps when drawn so."""
     data, q, w0, w1, img0, img1, (d, e) = args
     m = qmatrix(data, d)

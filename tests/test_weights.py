@@ -11,7 +11,7 @@ from monofilt.theorems import random_unimodular
 from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel, TwistedMap,
                               WeightFiltration, WeightedSpace, check_filtered,
-                              check_strict, default_grading, graded_map,
+                              check_strict, default_grading,
                               induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
@@ -275,8 +275,8 @@ def _map_between(rng, dom, dom_steps, cod, cod_steps, shift):
 
 
 def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
-    """graded_map(m, dom, k, cod, j) for each (k, j) of pairs against
-    ref_graded_map: NotCompatible exactly when the oracle finds a
+    """AdaptedMap.of(m, dom, cod).graded(k, j) for each (k, j) of pairs
+    against ref_graded_map: NotCompatible exactly when the oracle finds a
     containment that fails, and otherwise the same matrix."""
     rows = [list(r) for r in m.entries]
     for k, j in pairs:
@@ -284,10 +284,10 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
                               cod_steps, j)
         if want is None:
             with pytest.raises(qlinalg.NotCompatible):
-                graded_map(m, dom, k, cod, j)
+                AdaptedMap.of(m, dom, cod).graded(k, j)
             outcomes["not compatible"] += 1
             continue
-        got = graded_map(m, dom, k, cod, j)
+        got = AdaptedMap.of(m, dom, cod).graded(k, j)
         assert (got.rows, got.cols) == (cod.graded_dim(j), dom.graded_dim(k))
         assert got.entries == want
         outcomes["maps"] += 1
@@ -296,9 +296,9 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
 
 
 class TestAdaptedBasesOracle:
-    """graded_map, check_filtered and check_strict read every graded map as
-    a block of one matrix in the bases adapted to the two filtrations; the
-    oracles in reference.py build each subquotient map on its own."""
+    """AdaptedMap.graded, check_filtered and check_strict read every graded
+    map as a block of one matrix in the bases adapted to the two filtrations;
+    the oracles in reference.py build each subquotient map on its own."""
 
     def test_adapted_matrix_matches_the_oracle(self, rng):
         """The matrix of an AdaptedMap against ref_adapted_matrix, on dense
@@ -378,7 +378,7 @@ class TestAdaptedBasesOracle:
             assert tw_dom.weights == tuple(w - 2 * d for w in dom.weights)
             ident = QMatrix.identity(dom.ambient_dim)
             for k in dom.weights:
-                g = graded_map(ident, dom, k, tw_dom, k - 2 * d)
+                g = AdaptedMap.of(ident, dom, tw_dom).graded(k, k - 2 * d)
                 assert g == QMatrix.identity(dom.graded_dim(k))
             tw_dom_steps = [(w - 2 * d, vs) for w, vs in dom_steps]
             tw_cod_steps = [(w - 2 * d, vs) for w, vs in cod_steps]
