@@ -5,7 +5,7 @@ monodromy (Deligne filtration, hard Lefschetz), kgroup (formal classes),
 gluing (disk six-functor model), theorems (end-to-end verifiers), cli.
 """
 from .qlinalg import QMatrix, Subspace
-from .weights import (LabeledGrading, TwistedLabel, TwistedMap,
+from .weights import (AdaptedMap, LabeledGrading, TwistedLabel,
                       WeightFiltration, WeightedSpace)
 from .monodromy import JordanStringModel, NilpotentModel
 from .kgroup import KClass
@@ -13,7 +13,7 @@ from .gluing import GluingDatum
 from .theorems import DiskModel
 
 __all__ = [
-    "QMatrix", "Subspace", "LabeledGrading", "TwistedLabel", "TwistedMap",
+    "QMatrix", "Subspace", "LabeledGrading", "TwistedLabel", "AdaptedMap",
     "WeightFiltration", "WeightedSpace", "JordanStringModel", "NilpotentModel",
     "KClass", "GluingDatum", "DiskModel",
 ]

@@ -27,7 +27,7 @@ from .gluing import GluingDatum, psi_u, verify_prop_2_3, verify_sequence_2
 from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
 from .theorems import DiskModel, verify_local_invariant_cycles, verify_weight_mechanics
-from .weights import (LabeledGrading, TwistedLabel, TwistedMap, WeightFiltration,
+from .weights import (LabeledGrading, TwistedLabel, WeightFiltration,
                       WeightedSpace)
 
 EXIT_OK = 0
@@ -207,7 +207,7 @@ def _nilpotent_from_json(data) -> NilpotentModel:
         return NilpotentModel.on_monodromy_filtration(mat, n, grading)
     if grading is None:
         grading = weights.default_grading(filt, center=n - 1)
-    return NilpotentModel(WeightedSpace(dim, filt, grading), n, TwistedMap(mat, -1))
+    return NilpotentModel.of(WeightedSpace(dim, filt, grading), n, mat)
 
 
 def _strings_from_json(data) -> JordanStringModel:
@@ -238,7 +238,7 @@ def _gluing_from_json(data) -> GluingDatum:
     phi = _space_from_json(data["phi"])
     can = _matrix_from_json(data["can"], cols=psi.dim)
     var = _matrix_from_json(data["var"], cols=phi.dim)
-    return GluingDatum(psi, phi, TwistedMap(can, 0), TwistedMap(var, -1))
+    return GluingDatum.of(psi, phi, can, var)
 
 
 def _gluing_to_json(g: GluingDatum) -> dict:
@@ -430,10 +430,10 @@ def cmd_monodromy(args, out) -> int:
     model = _doc_model(doc)
     center = args.center if args.center is not None else model.center
     # M(N, c) is the model's M(N, c0) with every weight moved by c - c0
-    filt = model.monodromy_filtration.shifted(center - model.center)
+    filt, delta = model.monodromy_filtration, center - model.center
     out.write(f"monodromy filtration centered at {center}\n")
     for w, s in filt.steps:
-        out.write(f"  W_{w}: dim {s.dim}, graded dim {filt.graded_dim(w)}\n")
+        out.write(f"  W_{w + delta}: dim {s.dim}, graded dim {filt.graded_dim(w)}\n")
         for row in _matrix_to_json(s.basis):
             out.write("    [" + ", ".join(row) + "]\n")
     return EXIT_OK

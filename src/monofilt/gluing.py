@@ -1,9 +1,11 @@
 """Gluing quadruples modeling unipotent perverse sheaves on the disk.
 
 A GluingDatum is (psi, phi, can: psi -> phi, var: phi -> psi(-1)) with
-N = var . can nilpotent.  The extension functors j_!, j_*, j_!* and the
-restrictions i^*, i^! are realized concretely so the exact sequence and
-kernel/cokernel identities become subspace computations.
+N = var . can nilpotent.  can and var are weights.AdaptedMap morphisms, so
+each carries its two filtrations, and var's twist is its codomain psi(-1).
+The extension functors j_!, j_*, j_!* and the restrictions i^*, i^! are
+realized concretely so the exact sequence and kernel/cokernel identities
+become subspace computations.
 
 Degree conventions: perverse objects sit in degree 0, i^* lands in
 degrees (-1, 0) and i^! in degrees (0, 1).
@@ -17,40 +19,35 @@ from . import qlinalg
 from .monodromy import NilpotentModel
 from .qlinalg import QMatrix, Subspace, image, kernel
 from .report import Report, ReportBuilder
-from .weights import (TwistedMap, WeightedSpace, WeightFiltration, check_filtered,
-                      check_strict, induced_filtration_on_quotient,
-                      induced_filtration_on_sub)
+from .weights import (AdaptedMap, WeightedSpace, WeightFiltration,
+                      induced_filtration_on_quotient, induced_filtration_on_sub)
 
 
 @dataclass(frozen=True)
 class GluingDatum:
-    """Checked at construction: twists, shapes, and can and var filtered,
-    which makes var . can nilpotent.  gluing.extension skips the checks
-    (_trusted), which a model's nilpotency and N-shift checks imply."""
+    """The plain constructor checks nothing: gluing.extension builds a
+    model's data with it, since the model's nilpotency and N-shift checks
+    imply the datum's.  GluingDatum.of checks a datum from matrices."""
     psi: WeightedSpace
     phi: WeightedSpace
-    can: TwistedMap  # psi -> phi, twist 0
-    var: TwistedMap  # phi -> psi(-1), twist -1
-
-    def __post_init__(self):
-        if self.can.twist != 0 or self.var.twist != -1:
-            raise ValueError("can must have twist 0 and var twist -1")
-        if self.can.matrix.cols != self.psi.dim or self.can.matrix.rows != self.phi.dim:
-            raise ValueError("can has the wrong shape")
-        if self.var.matrix.cols != self.phi.dim or self.var.matrix.rows != self.psi.dim:
-            raise ValueError("var has the wrong shape")
-        # filtered can and var make var . can lower psi's filtration by 2: nilpotent
-        psi, phi = self.psi.filtration, self.phi.filtration
-        if not check_filtered(self.can, psi, phi, 0):
-            raise ValueError("can is not filtered")
-        if not check_filtered(self.var, phi, psi, -2):
-            raise ValueError("var is not filtered")
+    can: AdaptedMap  # psi -> phi
+    var: AdaptedMap  # phi -> psi(-1)
 
     @staticmethod
-    def _trusted(psi, phi, can, var) -> GluingDatum:
-        """The datum (psi, phi, can, var) without the construction checks."""
-        g = object.__new__(GluingDatum)
-        g.__dict__.update(psi=psi, phi=phi, can=can, var=var)
+    def of(psi: WeightedSpace, phi: WeightedSpace, can: QMatrix, var: QMatrix) -> GluingDatum:
+        """The datum with these matrices, checked: shapes, and can and var
+        filtered, which makes var . can nilpotent (it lowers psi's filtration
+        by 2)."""
+        if can.cols != psi.dim or can.rows != phi.dim:
+            raise ValueError("can has the wrong shape")
+        if var.cols != phi.dim or var.rows != psi.dim:
+            raise ValueError("var has the wrong shape")
+        p, f = psi.filtration, phi.filtration
+        g = GluingDatum(psi, phi, AdaptedMap(can, p, f), AdaptedMap(var, f, p.shifted(2)))
+        if not g.can.filtered():
+            raise ValueError("can is not filtered")
+        if not g.var.filtered():
+            raise ValueError("var is not filtered")
         return g
 
     @cached_property
@@ -64,38 +61,36 @@ class GluingDatum:
     @cached_property
     def i_upper_star(self) -> TwoTermComplex:
         """i^*: [psi --can--> phi] in degrees (-1, 0), built once per datum."""
-        return TwoTermComplex(-1, self.psi.filtration, self.phi.filtration, self.can)
+        return TwoTermComplex(-1, self.can)
 
     @cached_property
     def i_upper_shriek(self) -> TwoTermComplex:
         """i^!: [phi --var--> psi(-1)] in degrees (0, 1), built once per datum."""
-        return TwoTermComplex(0, self.phi.filtration, self.psi.filtration.shifted(2),
-                              TwistedMap(self.var.matrix, 0))
+        return TwoTermComplex(0, self.var)
 
 
 def psi_u(g: GluingDatum) -> NilpotentModel:
     """The nearby-cycles model (psi, var . can) of a gluing datum, with
     purity weight 0: a datum does not record one."""
-    return NilpotentModel(g.psi, 0, TwistedMap(g.monodromy_matrix(), -1))
+    return NilpotentModel.of(g.psi, 0, g.monodromy_matrix())
 
 
 def _shriek(model: NilpotentModel) -> tuple:
-    V = model.space
-    return V, V, TwistedMap(QMatrix.identity(V.dim), 0), TwistedMap(model.N.matrix, -1)
+    V, N = model.space, model.N
+    return V, V, AdaptedMap(QMatrix.identity(V.dim), N.dom, N.dom), N
 
 
 def _star(model: NilpotentModel) -> tuple:
-    V = model.space
-    return (V, model.twisted, TwistedMap(model.N.matrix, 0),
-            TwistedMap(QMatrix.identity(V.dim), -1))
+    V, N = model.space, model.N
+    return V, model.twisted, N, AdaptedMap(QMatrix.identity(V.dim), N.cod, N.cod)
 
 
 def _intermediate(model: NilpotentModel) -> tuple:
-    V, n_mat, img = model.space, model.N.matrix, model.im_n
-    phi = WeightedSpace.from_filtration(
-        induced_filtration_on_sub(model.twisted.filtration, img))
-    return (V, phi, TwistedMap(qlinalg.corestriction(n_mat, img), 0),
-            TwistedMap(qlinalg.inclusion(img), -1))
+    V, N, img = model.space, model.N, model.im_n
+    phi = induced_filtration_on_sub(N.cod, img)
+    return (V, WeightedSpace.from_filtration(phi),
+            AdaptedMap(qlinalg.corestriction(N.matrix, img), N.dom, phi),
+            AdaptedMap(qlinalg.inclusion(img), phi, N.cod))
 
 
 # the fields (psi, phi, can, var) of each extension kind of a model, whose
@@ -108,24 +103,24 @@ def extension(model: NilpotentModel, kind: str) -> GluingDatum:
     once per model, kept in its context and not re-checked (see GluingDatum)."""
     built = model.extensions
     if kind not in built:
-        built[kind] = GluingDatum._trusted(*EXTENSIONS[kind](model))
+        built[kind] = GluingDatum(*EXTENSIONS[kind](model))
     return built[kind]
 
 
-# one extension of a bare (V, N), checked as a model (twist -1, nilpotent,
-# N-shift; the purity weight plays no part) and then as a GluingDatum
+# one extension of a bare (V, N), checked as a model (N: V -> V(-1), nilpotent,
+# N-shift; the purity weight plays no part), which implies the datum's checks
 
-def j_lower_shriek(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+def j_lower_shriek(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
     """j_! presentation: (V, V, id, N)."""
     return GluingDatum(*_shriek(NilpotentModel(V, 0, N)))
 
 
-def j_lower_star(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+def j_lower_star(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
     """j_* presentation: (V, V(-1), N, id)."""
     return GluingDatum(*_star(NilpotentModel(V, 0, N)))
 
 
-def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
+def j_intermediate(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
     """j_!* presentation: phi = im(N) inside V(-1), can = N corestricted,
     var = the inclusion."""
     return GluingDatum(*_intermediate(NilpotentModel(V, 0, N)))
@@ -133,12 +128,11 @@ def j_intermediate(V: WeightedSpace, N: TwistedMap) -> GluingDatum:
 
 @dataclass(frozen=True)
 class TwoTermComplex:
-    """A complex [dom --d--> cod] of filtered spaces concentrated in degrees
-    (deg_low, deg_low+1).  Its cohomologies are taken once per complex."""
+    """A complex [d.dom --d--> d.cod] of filtered spaces concentrated in
+    degrees (deg_low, deg_low+1).  Its cohomologies are taken once per
+    complex."""
     deg_low: int
-    dom: WeightFiltration
-    cod: WeightFiltration
-    d: TwistedMap
+    d: AdaptedMap
 
     @cached_property
     def h_low_space(self) -> Subspace:
@@ -147,7 +141,7 @@ class TwoTermComplex:
     @cached_property
     def h_low(self) -> WeightFiltration:
         """ker(d) with the induced filtration, in its intrinsic coordinates."""
-        return induced_filtration_on_sub(self.dom, self.h_low_space)
+        return induced_filtration_on_sub(self.d.dom, self.h_low_space)
 
     @cached_property
     def h_high_denominator(self) -> Subspace:
@@ -156,7 +150,7 @@ class TwoTermComplex:
     @cached_property
     def h_high(self) -> WeightFiltration:
         """coker(d) with the quotient filtration, in complement coordinates."""
-        return induced_filtration_on_quotient(self.cod, self.h_high_denominator)
+        return induced_filtration_on_quotient(self.d.cod, self.h_high_denominator)
 
 
 def verify_sequence_2(model: NilpotentModel) -> Report:
@@ -183,11 +177,10 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
     rb.check("right exactness: projection onto coker N is surjective",
              image(proj).is_full())
     rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
-    filt, phi = V.filtration, g.phi.filtration
     rb.check("all structural maps are strict",
-             check_strict(TwistedMap(incl, 0), model.ker_filtration, filt, shift=0)
-             and check_strict(g.can, filt, phi, shift=0)
-             and check_strict(TwistedMap(proj, 0), phi, model.coker_filtration, shift=0))
+             AdaptedMap(incl, model.ker_filtration, V.filtration).strict()
+             and g.can.strict()
+             and AdaptedMap(proj, model.N.cod, model.coker_filtration).strict())
     rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
     return rb.build()
 

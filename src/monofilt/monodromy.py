@@ -5,10 +5,10 @@ kernel flag ker N c ker N^2 c ... c ker N^e, which one Zassenhaus pass builds
 with no power of N; it is also the nilpotency check (_kernel_flag).  The pass
 lives in qlinalg (_kernels), and qlinalg.kernel is its first step.
 check_monodromy_axioms and a model's hard Lefschetz report verify it without
-the chains: each writes N once in the basis adapted to the filtration
-(weights.AdaptedMap), reads the N-shift off its zero pattern and each
-N^k: Gr_{c+k} -> Gr_{c-k} off a block of its k-th power.  The graded kernel
-reads Gr N off the same matrix.
+the chains: each writes N: V -> V(-1) once in the bases adapted to the
+filtration (weights.AdaptedMap), reads the N-shift off its zero pattern and
+each N^k: Gr_{c+k} -> Gr_{c-k} off a block of the k-th power of that
+matrix.  The graded kernel reads Gr N off the same matrix.
 """
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from functools import cached_property
 from . import qlinalg
 from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
-from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel, TwistedMap,
-                      WeightFiltration, WeightedSpace, default_grading,
+from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel,
+                      WeightFiltration, WeightedSpace, _block, default_grading,
                       induced_filtration_on_quotient, induced_filtration_on_sub, tate_twist)
 
 
@@ -90,22 +90,23 @@ def _spread(filt: WeightFiltration, center: int) -> int:
     return max((abs(w - center) for w in filt.weights), default=0)
 
 
-def _check_lefschetz_blocks(rb: ReportBuilder, n_adapted: AdaptedMap, center: int,
+def _check_lefschetz_blocks(rb: ReportBuilder, n: AdaptedMap, center: int,
                             arrow: str) -> None:
     """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}, read as a
-    block of A^k, A being N in the basis adapted to the filtration.
+    block of A^k, A = n.adapted being N: V -> V(-1) in the bases adapted to
+    the filtration, which both filtrations share.
 
     N^k fails to respect the filtration only when N W_j is not in W_{j-2}
     for some j, which a NilpotentModel refuses at construction.
     """
-    filt = n_adapted.dom
-    power = AdaptedMap(QMatrix.identity(filt.ambient_dim), filt, filt)
+    filt = n.dom
+    power = QMatrix.identity(filt.ambient_dim)
     for k in range(_spread(filt, center) + 1):
         name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
         if k:
-            power = power @ n_adapted
+            power = power @ n.adapted
         try:
-            g = power.graded(center + k, center - k)
+            g = _block(power, filt, filt, center + k, center - k)
         except qlinalg.NotCompatible:
             rb.check(name, False, "power of N does not respect the filtration")
             continue
@@ -119,10 +120,10 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -
     from N written in the basis adapted to filt: no chain, kernel or power
     that a model keeps is read."""
     rb = ReportBuilder(f"monodromy axioms (center {center})")
-    a = AdaptedMap.of(n_op, filt, filt)
+    a = AdaptedMap(n_op, filt, filt.shifted(2))
     shift_ok = True
     for w in filt.weights:
-        if not a.sends(w, w - 2):
+        if not a.sends(w, w):
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
@@ -132,29 +133,41 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -
 
 @dataclass(frozen=True)
 class NilpotentModel:
-    """A weight-filtered space with a nilpotent twist-(-1) operator.
+    """A weight-filtered space V with a nilpotent operator N: V -> V(-1).
 
     n is the purity weight of the underlying object, so the filtration of a
-    pure model is the monodromy filtration centered at n-1.
+    pure model is the monodromy filtration centered at n-1.  N is an
+    AdaptedMap from V's filtration to V(-1)'s, that filtration shifted by 2;
+    NilpotentModel.of builds it from a matrix.
 
     The quantities the verifiers share are computed once per instance and
     kept beside the fields: the kernel flag ker N^0 c ... c ker N^e = Q^d
     (`kernels`, built at construction as the nilpotency check, or
-    `known_kernels`), N in the basis adapted to the filtration, im N, V(-1),
-    the filtrations induced on ker N and coker N, the monodromy filtration,
-    the hard Lefschetz report, the graded kernel and the gluing extensions
-    (gluing.extension).  Equality and hashing read the fields only."""
+    `known_kernels`), N in the adapted bases (N.adapted, written at
+    construction for the N-shift test), im N, V(-1), the filtrations induced
+    on ker N and coker N, the monodromy filtration, the hard Lefschetz
+    report, the graded kernel and the gluing extensions (gluing.extension).
+    Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
-    N: TwistedMap
+    N: AdaptedMap
     known_kernels: InitVar[list | None] = None
 
     def __post_init__(self, known_kernels):
-        if self.N.twist != -1:
-            raise ValueError("monodromy operator must carry twist -1")
+        filt = self.space.filtration
+        if self.N.dom != filt or self.N.cod != filt.shifted(2):
+            raise ValueError("monodromy operator must map V to V(-1)")
         self.__dict__["kernels"] = known_kernels or _kernel_flag(self.N.matrix)
-        if not self.adapted_n.filtered(-2):
+        if not self.N.filtered():
             raise ValueError("N does not shift the filtration by -2")
+
+    @staticmethod
+    def of(space: WeightedSpace, n: int, n_op: QMatrix,
+           known_kernels: list | None = None) -> NilpotentModel:
+        """The model of N = n_op: V -> V(-1) on V = space."""
+        filt = space.filtration
+        return NilpotentModel(space, n, AdaptedMap(n_op, filt, filt.shifted(2)),
+                              known_kernels)
 
     @staticmethod
     def on_monodromy_filtration(n_op: QMatrix, n: int,
@@ -167,8 +180,7 @@ class NilpotentModel:
         filt = monodromy_filtration(n_op, n - 1, kernels=kernels)
         if grading is None:
             grading = default_grading(filt, center=n - 1)
-        model = NilpotentModel(WeightedSpace(n_op.rows, filt, grading), n,
-                               TwistedMap(n_op, -1), kernels)
+        model = NilpotentModel.of(WeightedSpace(n_op.rows, filt, grading), n, n_op, kernels)
         model.__dict__["monodromy_filtration"] = filt
         return model
 
@@ -177,20 +189,13 @@ class NilpotentModel:
         return self.n - 1
 
     @cached_property
-    def adapted_n(self) -> AdaptedMap:
-        """N in the basis adapted to the filtration, built at construction for
-        the N-shift test; hard Lefschetz and the graded kernel read it."""
-        filt = self.space.filtration
-        return AdaptedMap.of(self.N.matrix, filt, filt)
-
-    @cached_property
     def im_n(self) -> Subspace:
         """im N, a subspace of V(-1)."""
         return qlinalg.image(self.N.matrix)
 
     @cached_property
     def twisted(self) -> WeightedSpace:
-        """V(-1), the codomain of N as a morphism."""
+        """V(-1), the codomain of N, with its grading."""
         return tate_twist(self.space, -1)
 
     @cached_property
@@ -201,7 +206,7 @@ class NilpotentModel:
     @cached_property
     def coker_filtration(self) -> WeightFiltration:
         """The filtration V(-1) induces on coker N = V(-1)/im N, in complement coords."""
-        return induced_filtration_on_quotient(self.twisted.filtration, self.im_n)
+        return induced_filtration_on_quotient(self.N.cod, self.im_n)
 
     @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
@@ -219,7 +224,7 @@ class NilpotentModel:
         if self.space.dim == 0:
             rb.check("zero space", True, "vacuous")
             return rb.build()
-        _check_lefschetz_blocks(rb, self.adapted_n, self.center, "->")
+        _check_lefschetz_blocks(rb, self.N, self.center, "->")
         rb.check("weight filtration equals monodromy filtration",
                  self.space.filtration == self.monodromy_filtration)
         return rb.build()
@@ -230,7 +235,7 @@ class NilpotentModel:
         dims = []
         for k in filt.weights:  # the filtration induced on ker N has no other weights
             sub_side = ker_filt.graded_dim(k)
-            g = self.adapted_n.graded(k, k - 2)
+            g = self.N.graded(k, k)  # Gr_k V -> Gr_k V(-1) = Gr_{k-2} V
             map_side = g.cols - qlinalg.rank(g)
             if sub_side != map_side:
                 raise GradedKernelMismatch(

@@ -147,7 +147,7 @@ def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
     n = dm.n
     # the !-restriction's H^1 is coker(var) inside psi(-1)
     ishk = g.i_upper_shriek
-    twisted, img_var = ishk.cod, ishk.h_high_denominator
+    twisted, img_var = ishk.d.cod, ishk.h_high_denominator
     claims = {}
     # (3) H^1 of the !-restriction has weights >= n+1
     if not img_var.is_full():

@@ -5,18 +5,17 @@ indexed by integers, plus a labeled grading recording which (twisted)
 simple constituents make up each graded piece.
 
 Twist convention, fixed once for the whole library: twisting by (d)
-lowers every weight by 2d.  A map carrying twist t is a filtration-
-preserving morphism exactly when it is filtered with raw shift 2t
-against the stored (untwisted) filtrations; all callers go through
-the helpers here rather than re-deriving signs.
+lowers every weight by 2d, and a morphism of twist t maps into the
+twisted codomain.  So every morphism is an AdaptedMap filtered with
+shift 0: N: V -> V(-1) has codomain V's filtration shifted by 2.
 
 A filtration caches its adapted basis: for each step, its RREF rows whose
 pivots are new over the step below, tagged with the step's weight, so W_k
-is spanned by the basis vectors of weight <= k.  An AdaptedMap writes a map
-once in the adapted bases of its two filtrations.  Whether it sends W_k
-into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
-canonical subquotient bases, is one of its blocks.  check_filtered and
-check_strict read them there, as do the monodromy checks.
+is spanned by the basis vectors of weight <= k.  An AdaptedMap writes its
+matrix once in the adapted bases of its two filtrations.  Whether it sends
+W_k into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
+canonical subquotient bases, is one of its blocks.  Filteredness,
+strictness and the monodromy checks read them there.
 """
 from __future__ import annotations
 
@@ -119,8 +118,7 @@ class WeightFiltration:
     def shifted(self, delta: int) -> "WeightFiltration":
         out = WeightFiltration(self.ambient_dim,
                                tuple((w + delta, s) for w, s in self.steps))
-        if "_basis" in vars(self):  # the same spaces: the basis, not its weights
-            vars(out)["_basis"] = self._basis
+        vars(out)["_basis"] = self._basis  # the same spaces: the basis, not its weights
         return out
 
     @cached_property
@@ -240,88 +238,74 @@ class WeightedSpace:
         return WeightedSpace(0, WeightFiltration(0, ()), LabeledGrading.empty())
 
 
-@dataclass(frozen=True)
-class TwistedMap:
-    matrix: QMatrix
-    twist: int = 0
-
-
 def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:
     filt = ws.filtration.shifted(-2 * d)
     return WeightedSpace(ws.dim, filt, ws.grading.twisted(d))
 
 
+def _block(a: QMatrix, dom: WeightFiltration, cod: WeightFiltration,
+           k: int, j: int) -> QMatrix:
+    """Gr_k(dom) -> Gr_j(cod) of the map a written in the adapted bases of
+    dom and cod: the block of the rows of weight j and the columns of
+    weight k.  NotCompatible unless a sends W_{k-1} into W'_{j-1} and W_k
+    into W'_j."""
+    c0, c1 = dom._dim_at(k - 1), dom._dim_at(k)
+    r0, r1 = cod._dim_at(j - 1), cod._dim_at(j)
+    if not (_zero_corner(a, r0, c0) and _zero_corner(a, r1, c1)):
+        raise NotCompatible("map does not respect the filtrations at these weights")
+    return _submatrix(a, r0, r1, c0, c1)
+
+
 @dataclass(frozen=True)
 class AdaptedMap:
-    """A map between filtered spaces as its matrix in the adapted bases of
-    dom and cod: column i holds the coordinates, in cod's basis, of the image
-    of dom's i-th basis vector.  Both bases run by ascending weight, so the
-    map sends W_k into W'_j exactly when the columns of weight <= k are zero
-    in the rows of weight > j."""
+    """A morphism dom -> cod of filtered spaces: `matrix` in standard
+    coordinates, and `adapted` the same map in the adapted bases of dom and
+    cod (column i holds the coordinates, in cod's basis, of the image of
+    dom's i-th basis vector).  Both bases run by ascending weight, so the
+    map sends W_k into W'_j exactly when the columns of weight <= k of
+    `adapted` are zero in the rows of weight > j."""
     matrix: QMatrix
     dom: WeightFiltration
     cod: WeightFiltration
 
-    @staticmethod
-    def of(m: QMatrix, dom: WeightFiltration, cod: WeightFiltration) -> "AdaptedMap":
-        if m.cols != dom.ambient_dim or m.rows != cod.ambient_dim:
+    def __post_init__(self):
+        if self.matrix.cols != self.dom.ambient_dim or self.matrix.rows != self.cod.ambient_dim:
             raise ShapeMismatch("matrix shape does not match the filtered spaces")
-        return AdaptedMap(_in_bases(m, dom._basis, cod._basis), dom, cod)
 
-    def __matmul__(self, other: "AdaptedMap") -> "AdaptedMap":
-        """self after other, for other.cod == self.dom."""
-        return AdaptedMap(self.matrix @ other.matrix, other.dom, self.cod)
+    @cached_property
+    def adapted(self) -> QMatrix:
+        """The matrix in the adapted bases, written when first read."""
+        return _in_bases(self.matrix, self.dom._basis, self.cod._basis)
 
     def sends(self, k: int, j: int) -> bool:
         """True iff the map sends W_k(dom) into W_j(cod)."""
-        return _zero_corner(self.matrix, self.cod._dim_at(j), self.dom._dim_at(k))
+        return _zero_corner(self.adapted, self.cod._dim_at(j), self.dom._dim_at(k))
 
-    def filtered(self, shift: int) -> bool:
-        """True iff the map sends W_k(dom) into W_{k+shift}(cod) for all k."""
-        return all(self.sends(w, w + shift) for w in self.dom.weights)
+    def filtered(self) -> bool:
+        """True iff the map sends W_k(dom) into W_k(cod) for all k."""
+        return all(self.sends(w, w) for w in self.dom.weights)
 
     def graded(self, k: int, j: int) -> QMatrix:
-        """Matrix of Gr_k(dom) -> Gr_j(cod) in the canonical subquotient
-        bases: the block of the rows of weight j and the columns of weight k.
-        NotCompatible unless the map sends W_{k-1} into W'_{j-1} and W_k
-        into W'_j."""
-        c0, c1 = self.dom._dim_at(k - 1), self.dom._dim_at(k)
-        r0, r1 = self.cod._dim_at(j - 1), self.cod._dim_at(j)
-        if not (_zero_corner(self.matrix, r0, c0) and _zero_corner(self.matrix, r1, c1)):
-            raise NotCompatible("map does not respect the filtrations at these weights")
-        return _submatrix(self.matrix, r0, r1, c0, c1)
+        """Matrix of Gr_k(dom) -> Gr_j(cod) in the canonical subquotient bases
+        (see _block)."""
+        return _block(self.adapted, self.dom, self.cod, k, j)
 
+    def strict(self) -> bool:
+        """Strict compatibility: image(m) \\cap W_k(cod) = m(W_k(dom)) for all k.
 
-def check_filtered(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
-                   shift: int) -> bool:
-    """True iff matrix . W_k(dom) is contained in W_{k+shift}(cod) for all k.
-
-    `shift` is the raw shift against the stored filtrations; a twist-t
-    morphism between untwisted storages corresponds to shift 2t.
-    """
-    return AdaptedMap.of(tm.matrix, dom, cod).filtered(shift)
-
-
-def check_strict(tm: TwistedMap, dom: WeightFiltration, cod: WeightFiltration,
-                 shift: int | None = None) -> bool:
-    """Strict compatibility: image(m) \\cap W_{k+shift}(cod) = m(W_k(dom)) for all k.
-
-    Decided by graded ranks (Deligne, Hodge II, 1.1): with F_k = m(W_k) and
-    G_k = image(m) \\cap W_{k+shift}, rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
-    <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
-    iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is F = G.
-    The graded maps are blocks of one adapted matrix, and they exist iff m
-    is filtered, so a map that is not filtered raises NotFiltered from the
-    same loop.
-    """
-    if shift is None:  # a twist-t morphism shifts the stored filtrations by 2t
-        shift = 2 * tm.twist
-    a = AdaptedMap.of(tm.matrix, dom, cod)
-    try:
-        graded = sum(rank(a.graded(k, k + shift)) for k in dom.weights)
-    except NotCompatible:
-        raise NotFiltered("map is not filtered with the given shift") from None
-    return graded == rank(tm.matrix)
+        Decided by graded ranks (Deligne, Hodge II, 1.1): with F_k = m(W_k)
+        and G_k = image(m) \\cap W_k(cod), rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
+        <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
+        iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is
+        F = G.  The graded maps are blocks of the adapted matrix, and they
+        exist iff m is filtered, so a map that is not filtered raises
+        NotFiltered from the same loop.
+        """
+        try:
+            graded = sum(rank(self.graded(k, k)) for k in self.dom.weights)
+        except NotCompatible:
+            raise NotFiltered("map is not filtered") from None
+        return graded == rank(self.matrix)
 
 
 def weights_at_most(filt: WeightFiltration, n: int) -> bool:

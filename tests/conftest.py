@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from monofilt.qlinalg import QMatrix, Subspace
+from monofilt.weights import AdaptedMap
 
 
 def qm(rows):
@@ -12,6 +13,12 @@ def qm(rows):
 
 def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, vectors)
+
+
+def _map(m, dom, cod, shift):
+    """m: dom -> cod as a morphism into cod shifted by -shift: it is
+    filtered exactly when m(W_k(dom)) lies in W_{k+shift}(cod) for all k."""
+    return AdaptedMap(m, dom, cod.shifted(-shift))
 
 
 J2 = qm([[0, 1], [0, 0]])

@@ -613,7 +613,7 @@ class TestDefaultGrading:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of extension builds by kind, checked GluingDatum constructions
+    """Counts of extension builds by kind, checked GluingDatum.of constructions
     ("datum") and monodromy filtrations ("filtration")."""
     counts = Counter()
     for kind, build in list(gluing.EXTENSIONS.items()):
@@ -621,13 +621,13 @@ def builds(monkeypatch):
             counts[kind] += 1
             return build(model)
         monkeypatch.setitem(gluing.EXTENSIONS, kind, counting)
-    post_init = gluing.GluingDatum.__post_init__
+    checked = gluing.GluingDatum.of
 
-    def counting_post_init(self):
+    def counting_of(*args):
         counts["datum"] += 1
-        post_init(self)
+        return checked(*args)
 
-    monkeypatch.setattr(gluing.GluingDatum, "__post_init__", counting_post_init)
+    monkeypatch.setattr(gluing.GluingDatum, "of", staticmethod(counting_of))
     filtration = monodromy.monodromy_filtration
 
     def counting_filtration(n_op, center, *args, **kwargs):

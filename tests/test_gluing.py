@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from monofilt import qlinalg
+from monofilt import qlinalg, weights
 from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
                              verify_prop_2_3, verify_roundtrip,
                              verify_sequence_2)
 from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
-                                nilpotency_index)
+                                graded_kernel, nilpotency_index, primitive_decomposition,
+                                verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, image, kernel
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
-from monofilt.weights import TwistedMap, WeightFiltration, WeightedSpace
+from monofilt.weights import AdaptedMap, WeightFiltration, WeightedSpace
 
 from conftest import span
 
@@ -71,10 +72,10 @@ class TestExtensions:
 
     def test_invalid_datum_rejected(self):
         V = WeightedSpace.pure(1, 0)
-        ident = TwistedMap(QMatrix.identity(1), 0)
+        ident = QMatrix.identity(1)
         with pytest.raises(Exception):
             # var . can = identity is not nilpotent
-            GluingDatum(V, V, ident, TwistedMap(QMatrix.identity(1), -1))
+            GluingDatum.of(V, V, ident, ident)
 
 
 def _adapted_space(rng, d):
@@ -105,10 +106,10 @@ def _adapted_map(rng, src, tgt, shift):
 
 
 def test_datum_refused_exactly_when_the_construction_checks_fail():
-    """GluingDatum refuses a datum exactly when a shape is wrong, var . can
-    is not nilpotent, or can or var is not filtered.  Its constructor no
-    longer tests nilpotency: filtered can and var imply it.  Filteredness is
-    read here off the adapted bases, not from check_filtered."""
+    """GluingDatum.of refuses a datum exactly when a shape is wrong, var . can
+    is not nilpotent, or can or var is not filtered.  It does not test
+    nilpotency: filtered can and var imply it.  Filteredness is read here
+    off the adapted bases, not from AdaptedMap.filtered."""
     rng = random.Random(11)
     outcomes = {"accepted": 0, "shape": 0, "not nilpotent": 0, "not filtered": 0}
     for _ in range(400):
@@ -130,7 +131,7 @@ def test_datum_refused_exactly_when_the_construction_checks_fail():
                 assert not (can_ok and var_ok)
         outcomes[verdict] += 1
         try:
-            g = GluingDatum(psi, phi, TwistedMap(can, 0), TwistedMap(var, -1))
+            g = GluingDatum.of(psi, phi, can, var)
         except ValueError:
             assert verdict != "accepted"
             continue
@@ -156,8 +157,35 @@ def test_extensions_take_no_powers(monkeypatch):
         assert all(g.monodromy_matrix() == model.N.matrix for g in data)
 
 
+def test_a_model_writes_n_in_adapted_bases_once(monkeypatch):
+    """On a string model and a scrambled model, construction, hard
+    Lefschetz, the graded kernel, the primitive decomposition and the three
+    gluing verifiers write N in the adapted bases once: they all read the
+    model's N, which j_* takes as its can and j_! as its var.
+    NilpotentModel.of keeps the matrix it is given, which a document of the
+    model records."""
+    strings = generate_model(3, 3, 4, 1, ["L", "P"])
+    written = []
+    in_bases = weights._in_bases
+    monkeypatch.setattr(weights, "_in_bases",
+                        lambda m, *bases: written.append(m) or in_bases(m, *bases))
+    for build in (strings.to_nilpotent, lambda: generate_scrambled(strings, 3)):
+        written.clear()
+        model = build()
+        assert verify_hard_lefschetz(model).passed
+        assert graded_kernel(model).dims
+        assert primitive_decomposition(model).passed
+        for verify in (verify_roundtrip, verify_sequence_2, verify_prop_2_3):
+            assert verify(model).passed
+        assert sum(m is model.N.matrix for m in written) == 1
+        assert extension(model, "star").can is model.N
+        assert extension(model, "shriek").var is model.N
+        mat = model.N.matrix
+        assert NilpotentModel.of(model.space, model.n, mat).N.matrix is mat
+
+
 def test_model_built_extensions_pass_the_public_checks():
-    """gluing.extension builds a datum without GluingDatum's checks, since the
+    """gluing.extension builds a datum without GluingDatum.of's checks, since the
     model's checks imply them.  On the acceptance corpora (the random
     nilpotent models of criteria 3 and 4, and the string models and their
     scrambles of criterion 7) every datum it builds passes them."""
@@ -170,7 +198,8 @@ def test_model_built_extensions_pass_the_public_checks():
     for model in models:
         for kind in EXTENSIONS:
             g = extension(model, kind)
-            GluingDatum(g.psi, g.phi, g.can, g.var)  # raises ValueError on a failed check
+            # raises ValueError on a failed check
+            assert GluingDatum.of(g.psi, g.phi, g.can.matrix, g.var.matrix) == g
 
 
 class TestExtensionContext:
@@ -200,13 +229,14 @@ class TestExtensionContext:
 
     def test_constructors_validate_like_a_model(self):
         V, N = string_vn((("L", 2),))
+        pure = WeightedSpace.pure(2, 0).filtration
         for ctor in (j_intermediate, j_lower_shriek, j_lower_star):
-            with pytest.raises(ValueError, match="twist -1"):
-                ctor(V, TwistedMap(N.matrix, 0))
+            with pytest.raises(ValueError, match=r"V\(-1\)"):  # N into V, not V(-1)
+                ctor(V, AdaptedMap(N.matrix, N.dom, N.dom))
             with pytest.raises(ValueError, match="not nilpotent"):
-                ctor(V, TwistedMap(QMatrix.identity(2), -1))
+                ctor(V, AdaptedMap(QMatrix.identity(2), N.dom, N.cod))
             with pytest.raises(ValueError, match="shift the filtration"):
-                ctor(WeightedSpace.pure(2, 0), N)
+                ctor(WeightedSpace.pure(2, 0), AdaptedMap(N.matrix, pure, pure.shifted(2)))
 
     def test_psi_u_is_a_model(self):
         model = string_model((("L", 3), ("L", 1)), 0)

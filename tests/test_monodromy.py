@@ -14,10 +14,10 @@ from monofilt.qlinalg import QMatrix, Subspace, inverse
 from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
-from monofilt.weights import (LabeledGrading, TwistedLabel, TwistedMap,
-                              WeightFiltration, WeightedSpace, check_strict)
+from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
+                              WeightFiltration, WeightedSpace)
 
-from conftest import J2, J3, qm, span
+from conftest import J2, J3, _map, qm, span
 from reference import (ref_apply, ref_kernel_flag, ref_matvec, ref_monodromy_axioms,
                        ref_monodromy_steps, ref_string_steps)
 
@@ -202,7 +202,7 @@ def test_filtration_takes_no_intersection_or_image(monkeypatch):
 
 
 def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
-    """check_strict, hard Lefschetz and the graded kernel read every graded
+    """AdaptedMap.strict, hard Lefschetz and the graded kernel read every graded
     map as a block of a matrix in adapted bases, which test no containment:
     on seeded string and scrambled models, and on N, the inclusion of ker N
     and the projection onto coker N, none of them calls Subspace.contains."""
@@ -219,11 +219,10 @@ def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
         filt, ker, img = model.space.filtration, model.kernels[1], model.im_n
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
-        assert check_strict(model.N, filt, filt)  # the twist -1 gives shift -2
-        assert check_strict(TwistedMap(qlinalg.inclusion(ker), 0), model.ker_filtration,
-                            filt, shift=0)
-        assert check_strict(TwistedMap(qlinalg.quotient_projection(img), 0),
-                            model.twisted.filtration, model.coker_filtration, shift=0)
+        assert model.N.strict() and _map(model.N.matrix, filt, filt, -2).strict()
+        assert AdaptedMap(qlinalg.inclusion(ker), model.ker_filtration, filt).strict()
+        assert AdaptedMap(qlinalg.quotient_projection(img), model.twisted.filtration,
+                          model.coker_filtration).strict()
     assert calls == []
     Subspace.zero(1).contains(Subspace.zero(1))
     assert calls == [1]
@@ -240,8 +239,7 @@ class TestHardLefschetz:
         # shift-compatible but off-center filtration on J2: fails at k = 1
         filt = WeightFiltration.from_spaces(2, [
             (-2, span(2, [1, 0])), (1, Subspace.full(2))])
-        model = NilpotentModel(WeightedSpace.from_filtration(filt), 1,
-                               TwistedMap(J2, -1))
+        model = NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
         rep = verify_hard_lefschetz(model)
         assert not rep.passed
         failing = [c.name for c in rep.checks if not c.passed]
@@ -288,8 +286,7 @@ class TestGradedKernel:
     def test_mismatch_on_non_strict_input(self):
         filt = WeightFiltration.from_spaces(2, [
             (-2, span(2, [1, 0])), (1, Subspace.full(2))])
-        model = NilpotentModel(WeightedSpace.from_filtration(filt), 1,
-                               TwistedMap(J2, -1))
+        model = NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
         with pytest.raises(GradedKernelMismatch):
             graded_kernel(model)
 
@@ -317,21 +314,21 @@ class TestPrimitiveDecomposition:
     def test_impure_rejected(self):
         filt = WeightFiltration.from_spaces(2, [
             (-2, span(2, [1, 0])), (1, Subspace.full(2))])
-        model = NilpotentModel(WeightedSpace.from_filtration(filt), 1,
-                               TwistedMap(J2, -1))
+        model = NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
         with pytest.raises(NotPure):
             primitive_decomposition(model)
 
 
 class TestNilpotentModel:
     def test_rejects_wrong_twist(self):
-        with pytest.raises(ValueError):
-            NilpotentModel(JordanStringModel((("L", 2),), 1).to_nilpotent().space,
-                           1, TwistedMap(J2, 0))
+        # N must map V into V(-1), not into V
+        space = JordanStringModel((("L", 2),), 1).to_nilpotent().space
+        with pytest.raises(ValueError, match=r"V\(-1\)"):
+            NilpotentModel(space, 1, AdaptedMap(J2, space.filtration, space.filtration))
 
     def test_rejects_unshifted_filtration(self):
         with pytest.raises(ValueError):
-            NilpotentModel(WeightedSpace.pure(2, 0), 1, TwistedMap(J2, -1))
+            NilpotentModel.of(WeightedSpace.pure(2, 0), 1, J2)
 
     def test_nilpotency_index(self):
         assert nilpotency_index(QMatrix.zero(3, 3)) == 1
@@ -402,7 +399,7 @@ def wrong_center_model() -> NilpotentModel:
     """J2 with an N-shift compatible filtration off the monodromy one."""
     filt = WeightFiltration.from_spaces(2, [
         (-2, span(2, [1, 0])), (1, Subspace.full(2))])
-    return NilpotentModel(WeightedSpace.from_filtration(filt), 1, TwistedMap(J2, -1))
+    return NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
 
 
 class TestOperatorContext:

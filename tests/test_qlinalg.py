@@ -113,22 +113,22 @@ def _filtration(d, *spaces):
 class TestInducedMap:
     def test_identity_on_quotient(self):
         f = _filtration(3, span(3, [1, 0, 0]))
-        assert AdaptedMap.of(QMatrix.identity(3), f, f).graded(1, 1) == QMatrix.identity(2)
+        assert AdaptedMap(QMatrix.identity(3), f, f).graded(1, 1) == QMatrix.identity(2)
 
     def test_zero_map(self):
         f = _filtration(3, span(3, [1, 0, 0]))
-        assert AdaptedMap.of(QMatrix.zero(3, 3), f, f).graded(1, 1) == QMatrix.zero(2, 2)
+        assert AdaptedMap(QMatrix.zero(3, 3), f, f).graded(1, 1) == QMatrix.zero(2, 2)
 
     def test_jordan_kernel_powers(self):
         f = _filtration(3, kernel(J3), kernel(J3 @ J3))
         # Gr_1 = ker J3^2 / ker J3 -> Gr_0 = ker J3, and Gr_2 = Q^3 / ker J3^2 -> Gr_1
-        assert AdaptedMap.of(J3, f, f).graded(1, 0) == qm([[1]])
-        assert AdaptedMap.of(J3, f, f).graded(2, 1) == qm([[1]])
+        assert AdaptedMap(J3, f, f).graded(1, 0) == qm([[1]])
+        assert AdaptedMap(J3, f, f).graded(2, 1) == qm([[1]])
 
     def test_incompatible(self):
         with pytest.raises(NotCompatible):
             # J2 does not map W_0 = Q^2 into W'_0 = 0
-            AdaptedMap.of(J2, _filtration(2), _filtration(2, Subspace.zero(2))).graded(0, 0)
+            AdaptedMap(J2, _filtration(2), _filtration(2, Subspace.zero(2))).graded(0, 0)
 
 
 class TestMisc:

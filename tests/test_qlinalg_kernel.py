@@ -19,8 +19,7 @@ from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
-from monofilt.weights import (AdaptedMap, ShapeMismatch, TwistedMap, WeightFiltration,
-                              check_filtered)
+from monofilt.weights import AdaptedMap, ShapeMismatch, WeightFiltration
 
 from conftest import random_subspace
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
@@ -251,12 +250,12 @@ def _outcome(f):
 
 
 def _maps_into(m, s, t) -> bool:
-    """check_filtered of m from W_0 = s c W_1 = Q^d to W'_0 = t c W'_1 = Q^e
-    with shift 0: a filtration drops a step equal to the one below, so s or
+    """AdaptedMap(m, dom, cod).filtered() from W_0 = s c W_1 = Q^d to
+    W'_0 = t c W'_1 = Q^e: a filtration drops a step equal to the one below, so s or
     t zero or full leaves one step, and m(s) < t is all that can fail."""
     dom = WeightFiltration.from_spaces(s.ambient_dim, [(0, s), (1, Subspace.full(s.ambient_dim))])
     cod = WeightFiltration.from_spaces(t.ambient_dim, [(0, t), (1, Subspace.full(t.ambient_dim))])
-    return check_filtered(TwistedMap(m, 0), dom, cod, 0)
+    return AdaptedMap(m, dom, cod).filtered()
 
 
 @EXAMPLES
@@ -267,7 +266,7 @@ def _maps_into(m, s, t) -> bool:
                          st.sampled_from(("drawn", "zero", "full", "holds m(s)")),
                          st.sampled_from((None, None, None, "s", "t")))))
 def test_maps_into(args):
-    """check_filtered(m, s c Q^d, t c Q^e, 0) decides m(s) < t as
+    """AdaptedMap(m, s c Q^d, t c Q^e).filtered() decides m(s) < t as
     t.contains(ref_image(m, s)) does, and raises ShapeMismatch exactly when
     that pair of calls raises AmbientMismatch."""
     (data, r, c), (u, _, _), (w, _, _), s_kind, t_kind, off = args
@@ -297,7 +296,7 @@ def _two_step(d, sub, quot):
 
 
 def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
-    """AdaptedMap.of(m, dom, cod).graded(1, 1) on the two-step filtrations
+    """AdaptedMap(m, dom, cod).graded(1, 1) on the two-step filtrations
     sub c quot, against containments computed with ref_image; returns the
     case met."""
     d, e = m.cols, m.rows
@@ -305,9 +304,9 @@ def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
     held = (sub_cod.contains(ref_image(m, sub_dom)), quot_cod.contains(ref_image(m, quot_dom)))
     if not all(held):
         with pytest.raises(qlinalg.NotCompatible):
-            AdaptedMap.of(m, dom, cod).graded(1, 1)
+            AdaptedMap(m, dom, cod).graded(1, 1)
         return "only m(W_1) fails" if held[0] else "m(W_0) fails"
-    out = AdaptedMap.of(m, dom, cod).graded(1, 1)
+    out = AdaptedMap(m, dom, cod).graded(1, 1)
     dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
                  if p not in sub_dom.pivots]
     cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
@@ -321,7 +320,7 @@ def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
 
 
 def test_graded_map_raises_exactly_when_a_containment_fails():
-    """On random two-step filtrations, AdaptedMap.of(m, dom, cod).graded(1, 1)
+    """On random two-step filtrations, AdaptedMap(m, dom, cod).graded(1, 1)
     raises NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
     otherwise each column is the class of m b mod W'_0 in the basis of
     Gr_1.  The containments are computed here with ref_image and contains.
@@ -527,7 +526,7 @@ def test_sparse_matmul(args):
                          st.lists(sparse_vectors(rc[0]), max_size=3), st.booleans(),
                          st.just(rc))))
 def test_sparse_maps_into(args):
-    """check_filtered on the two-step filtrations s c Q^d and t c Q^e (see
+    """AdaptedMap.filtered on the two-step filtrations s c Q^d and t c Q^e (see
     _maps_into) against the containment of ref_image(m, s); a single
     spanning vector keeps its support in the RREF row of s."""
     data, u, w, add_image, (r, c) = args

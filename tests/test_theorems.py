@@ -42,14 +42,12 @@ class TestKClassIndependence:
 
     def test_impure_rejected(self):
         import monofilt.monodromy as M
-        from monofilt.weights import (TwistedMap, WeightFiltration,
-                                      WeightedSpace)
+        from monofilt.weights import WeightFiltration, WeightedSpace
         from monofilt.qlinalg import Subspace
         from conftest import J2, span
         filt = WeightFiltration.from_spaces(2, [
             (-2, span(2, [1, 0])), (1, Subspace.full(2))])
-        bad = M.NilpotentModel(WeightedSpace.from_filtration(filt), 1,
-                               TwistedMap(J2, -1))
+        bad = M.NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
         with pytest.raises(NotPure):
             verify_kclass_independence(bad, bad)
 

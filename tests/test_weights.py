@@ -9,14 +9,13 @@ from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
                               quotient_projection)
 from monofilt.theorems import random_unimodular
 from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
-                              ShapeMismatch, TwistedLabel, TwistedMap,
-                              WeightFiltration, WeightedSpace, check_filtered,
-                              check_strict, default_grading,
+                              ShapeMismatch, TwistedLabel,
+                              WeightFiltration, WeightedSpace, default_grading,
                               induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
 
-from conftest import J2, random_subspace, span
+from conftest import J2, _map, random_subspace, span
 from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map, ref_in_span,
                        ref_induced_on_quotient, ref_induced_on_sub, ref_is_strict)
 
@@ -98,52 +97,51 @@ class TestTateTwist:
 class TestCheckFiltered:
     def test_zero_map(self):
         f = j2_filt()
-        z = TwistedMap(QMatrix.zero(2, 2), 0)
-        assert check_filtered(z, f, f, -7)
+        assert _map(QMatrix.zero(2, 2), f, f, -7).filtered()
 
     def test_identity_shift_zero(self):
         f = j2_filt()
-        assert check_filtered(TwistedMap(QMatrix.identity(2), 0), f, f, 0)
+        assert AdaptedMap(QMatrix.identity(2), f, f).filtered()
 
     def test_monodromy_shift(self):
         # N sends the weight-1 line into the weight-(-1) line
         f = j2_filt()
-        n = TwistedMap(J2, -1)
-        assert check_filtered(n, f, f, -2)
-        assert not check_filtered(n, f, f, -3)
+        assert _map(J2, f, f, -2).filtered()
+        assert not _map(J2, f, f, -3).filtered()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            check_filtered(TwistedMap(QMatrix.zero(3, 3), 0), j2_filt(), j2_filt(), 0)
+            AdaptedMap(QMatrix.zero(3, 3), j2_filt(), j2_filt()).filtered()
 
 
 class TestCheckStrict:
     def test_one_step_filtrations(self):
         dom = WeightFiltration.single_step(2, 0)
         cod = WeightFiltration.single_step(2, 0)
-        assert check_strict(TwistedMap(J2, 0), dom, cod)
+        assert AdaptedMap(J2, dom, cod).strict()
 
     def test_finer_domain_fails(self):
         dom = WeightFiltration.single_step(1, 1)
         cod = WeightFiltration.single_step(1, 0)
         # identity: image meets W_0(cod) but W_0(dom) = 0
-        assert not check_strict(TwistedMap(QMatrix.identity(1), 0), dom, cod)
+        assert not AdaptedMap(QMatrix.identity(1), dom, cod).strict()
 
     def test_monodromy_operator_is_strict(self):
         for strings in [(("L", 2),), (("L", 3), ("L", 1)), (("L", 4), ("P", 2))]:
             m = JordanStringModel(strings, 1).to_nilpotent()
             f = m.space.filtration
-            assert check_strict(m.N, f, f)
+            assert m.N.strict()
+            assert _map(m.N.matrix, f, f, -2).strict()
 
     def test_not_filtered_precondition(self):
         dom = WeightFiltration.single_step(1, 0)
         cod = WeightFiltration.single_step(1, 5)
         with pytest.raises(NotFiltered):
-            check_strict(TwistedMap(QMatrix.identity(1), 0), dom, cod)
+            AdaptedMap(QMatrix.identity(1), dom, cod).strict()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            check_strict(TwistedMap(QMatrix.zero(3, 3), 0), j2_filt(), j2_filt(), 0)
+            AdaptedMap(QMatrix.zero(3, 3), j2_filt(), j2_filt()).strict()
 
     def test_strictness_matches_graded_dimension_oracle(self, rng):
         # strict iff the image filtration computed from the domain matches
@@ -158,7 +156,7 @@ class TestCheckStrict:
                 intersect(img, f.space_at(k - 2)).dim
                 == len(ref_apply(mat.entries, f.space_at(k).basis.entries, mat.rows))
                 for k in range(min(f.weights, default=0) - 2, max(f.weights, default=0) + 3))
-            assert check_strict(TwistedMap(mat, -1), f, f) == agree
+            assert _map(mat, f, f, -2).strict() == agree
 
 
 def _transpose(m: QMatrix) -> QMatrix:
@@ -197,38 +195,38 @@ def random_filtered_map(rng, filtered=True):
 
 class TestStrictnessOracle:
     def test_graded_ranks_match_the_definition(self, rng):
-        """check_strict against ref_is_strict, which shares no code with
+        """AdaptedMap.strict against ref_is_strict, which shares no code with
         qlinalg, on 300 filtered maps between random filtered spaces."""
         verdicts = Counter()
         for _ in range(300):
             m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng)
-            assert check_filtered(TwistedMap(m, 0), dom, cod, shift)
+            assert _map(m, dom, cod, shift).filtered()
             want = ref_is_strict([list(r) for r in m.entries], dom.ambient_dim,
                                  cod.ambient_dim, dom_steps, cod_steps, shift)
-            assert check_strict(TwistedMap(m, 0), dom, cod, shift) == want
+            assert _map(m, dom, cod, shift).strict() == want
             verdicts[want] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
     def test_not_filtered_exactly_when_check_filtered_fails(self, rng):
-        """check_strict has no filteredness pre-pass: NotFiltered is raised
-        exactly when check_filtered is false, which matches filteredness
-        read off the reference spans."""
+        """AdaptedMap.strict has no filteredness pre-pass: NotFiltered is
+        raised exactly when AdaptedMap.filtered is false, which matches
+        filteredness read off the reference spans."""
         verdicts = Counter()
         for _ in range(300):
             m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng, False)
-            rows, tm = [list(r) for r in m.entries], TwistedMap(m, 0)
+            rows, tm = [list(r) for r in m.entries], _map(m, dom, cod, shift)
             cod_at = {k: [v for w, vs in cod_steps if w <= k for v in vs]
                       for k in {w + shift for w, _ in dom_steps}}
             filtered = all(ref_in_span(cod_at[w + shift], v, cod.ambient_dim)
                            for w, vs in dom_steps
                            for v in ref_apply(rows, vs, cod.ambient_dim))
-            assert check_filtered(tm, dom, cod, shift) == filtered
+            assert tm.filtered() == filtered
             if filtered:
-                assert check_strict(tm, dom, cod, shift) == ref_is_strict(
+                assert tm.strict() == ref_is_strict(
                     rows, dom.ambient_dim, cod.ambient_dim, dom_steps, cod_steps, shift)
             else:
                 with pytest.raises(NotFiltered):
-                    check_strict(tm, dom, cod, shift)
+                    tm.strict()
             verdicts[filtered] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
@@ -275,7 +273,7 @@ def _map_between(rng, dom, dom_steps, cod, cod_steps, shift):
 
 
 def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
-    """AdaptedMap.of(m, dom, cod).graded(k, j) for each (k, j) of pairs
+    """AdaptedMap(m, dom, cod).graded(k, j) for each (k, j) of pairs
     against ref_graded_map: NotCompatible exactly when the oracle finds a
     containment that fails, and otherwise the same matrix."""
     rows = [list(r) for r in m.entries]
@@ -284,10 +282,10 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
                               cod_steps, j)
         if want is None:
             with pytest.raises(qlinalg.NotCompatible):
-                AdaptedMap.of(m, dom, cod).graded(k, j)
+                AdaptedMap(m, dom, cod).graded(k, j)
             outcomes["not compatible"] += 1
             continue
-        got = AdaptedMap.of(m, dom, cod).graded(k, j)
+        got = AdaptedMap(m, dom, cod).graded(k, j)
         assert (got.rows, got.cols) == (cod.graded_dim(j), dom.graded_dim(k))
         assert got.entries == want
         outcomes["maps"] += 1
@@ -296,12 +294,12 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
 
 
 class TestAdaptedBasesOracle:
-    """AdaptedMap.graded, check_filtered and check_strict read every graded
+    """AdaptedMap.graded, .filtered and .strict read every graded
     map as a block of one matrix in the bases adapted to the two filtrations;
     the oracles in reference.py build each subquotient map on its own."""
 
     def test_adapted_matrix_matches_the_oracle(self, rng):
-        """The matrix of an AdaptedMap against ref_adapted_matrix, on dense
+        """The adapted matrix of an AdaptedMap against ref_adapted_matrix, on dense
         and sparse filtrations with gaps, between spaces of different
         dimensions; the adapted bases need not be integral, so coordinates
         with denominators occur."""
@@ -310,12 +308,12 @@ class TestAdaptedBasesOracle:
             dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.8)
             m = _map_between(rng, dom, dom_steps, cod, cod_steps, rng.randint(-3, 3))
-            got = AdaptedMap.of(m, dom, cod)
-            assert (got.dom, got.cod) == (dom, cod)
-            assert got.matrix.entries == ref_adapted_matrix(
+            got = AdaptedMap(m, dom, cod)
+            assert (got.matrix, got.dom, got.cod) == (m, dom, cod)
+            assert got.adapted.entries == ref_adapted_matrix(
                 [list(r) for r in m.entries], dom.ambient_dim, cod.ambient_dim,
                 dom_steps, cod_steps)
-            denominators += any(x.denominator > 1 for r in got.matrix.entries for x in r)
+            denominators += any(x.denominator > 1 for r in got.adapted.entries for x in r)
         assert denominators >= 20, denominators
 
     def test_graded_maps_match_the_subquotient_oracle(self, rng):
@@ -337,32 +335,33 @@ class TestAdaptedBasesOracle:
         assert min(outcomes.values()) >= 30, outcomes
 
     def test_filtered_and_strict_match_the_oracle(self, rng):
-        """check_filtered against ref_filtered, and check_strict against
-        ref_is_strict when the map is filtered and NotFiltered otherwise,
-        for every shift from -3 to 3."""
+        """AdaptedMap.filtered against ref_filtered, and AdaptedMap.strict
+        against ref_is_strict when the map is filtered and NotFiltered
+        otherwise, for every shift from -3 to 3."""
         outcomes = Counter()
         for _ in range(80):
             dom, dom_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             cod, cod_steps = _gapped_filtration(rng, rng.randint(0, 5), rng.random() < 0.6)
             m = _map_between(rng, dom, dom_steps, cod, cod_steps, rng.randint(-3, 3))
-            rows, tm = [list(r) for r in m.entries], TwistedMap(m, 0)
+            rows = [list(r) for r in m.entries]
             dims = (dom.ambient_dim, cod.ambient_dim)
             for shift in range(-3, 4):
+                tm = _map(m, dom, cod, shift)
                 filtered = ref_filtered(rows, *dims, dom_steps, cod_steps, shift)
-                assert check_filtered(tm, dom, cod, shift) == filtered
+                assert tm.filtered() == filtered
                 if not filtered:
                     with pytest.raises(NotFiltered):
-                        check_strict(tm, dom, cod, shift)
+                        tm.strict()
                     outcomes["not filtered"] += 1
                     continue
                 strict = ref_is_strict(rows, *dims, dom_steps, cod_steps, shift)
-                assert check_strict(tm, dom, cod, shift) == strict
+                assert tm.strict() == strict
                 outcomes[f"strict {strict}"] += 1
         assert min(outcomes.values()) >= 30, outcomes
 
     def test_tate_twist_carries_the_adapted_basis(self, rng):
-        """A Tate twist moves every weight of the adapted basis by -2d,
-        whether the basis was built before the twist (and carried) or after;
+        """A Tate twist moves every weight of the adapted basis by -2d and
+        carries the basis, whether a map had read it before the twist or not;
         the graded maps of the twisted filtrations match the oracle on the
         shifted steps."""
         outcomes = Counter()
@@ -372,13 +371,13 @@ class TestAdaptedBasesOracle:
             d, shift = rng.randint(-2, 2), rng.randint(-2, 2)
             m = _map_between(rng, dom, dom_steps, cod, cod_steps, shift)
             if i % 2:  # build both bases before twisting
-                check_filtered(TwistedMap(m, 0), dom, cod, shift)
+                _map(m, dom, cod, shift).filtered()
             tw_dom = tate_twist(WeightedSpace.from_filtration(dom), d).filtration
             tw_cod = tate_twist(WeightedSpace.from_filtration(cod), d).filtration
             assert tw_dom.weights == tuple(w - 2 * d for w in dom.weights)
             ident = QMatrix.identity(dom.ambient_dim)
             for k in dom.weights:
-                g = AdaptedMap.of(ident, dom, tw_dom).graded(k, k - 2 * d)
+                g = AdaptedMap(ident, dom, tw_dom).graded(k, k - 2 * d)
                 assert g == QMatrix.identity(dom.graded_dim(k))
             tw_dom_steps = [(w - 2 * d, vs) for w, vs in dom_steps]
             tw_cod_steps = [(w - 2 * d, vs) for w, vs in cod_steps]
@@ -436,8 +435,7 @@ class TestInducedFiltrations:
             if s.is_full():
                 continue
             q = induced_filtration_on_quotient(f, s)
-            p = TwistedMap(quotient_projection(s), 0)
-            assert check_strict(p, f, q, shift=0)
+            assert AdaptedMap(quotient_projection(s), f, q).strict()
 
 
 def _assert_induced_match_the_oracle(f, s):
