@@ -332,8 +332,7 @@ def _model_reports(model: NilpotentModel) -> list:
     hl = verify_hard_lefschetz(model)
     reports.append(hl)
     if hl.passed:
-        pd = primitive_decomposition(model)
-        reports.append(pd.report)
+        reports.append(primitive_decomposition(model))
         gk = graded_kernel(model)
         rb = ReportBuilder("class identity from the kernel grading")
         ks = kgroup.kclass_of_space(model.space)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .weights import LabeledGrading, TwistedLabel, WeightedSpace
+from .weights import LabeledGrading, TwistedLabel, WeightedSpace, lefschetz_spread
 
 
 class BadSupport(ValueError):
@@ -36,28 +36,20 @@ class KClass:
 def kclass_of_space(ws: WeightedSpace) -> KClass:
     """The class of the grading, which WeightedSpace keeps consistent with the
     graded dimensions."""
-    acc: dict[TwistedLabel, int] = {}
-    for _, terms in ws.grading.entries:
-        for lbl, m in terms:
-            acc[lbl] = acc.get(lbl, 0) + m
-    return KClass.from_dict(acc)
+    return _sum_labels(ws.grading.terms())
 
 
 def kclass_psi_from_kernel(kernel_grading: LabeledGrading, n: int) -> KClass:
-    """Assemble the class of the full nearby-cycles space from its N-kernel grading.
+    """Assemble the class of the full nearby-cycles space from its N-kernel
+    grading, whose constituents are primitive about n-1 (lefschetz_spread)."""
+    bad = next((w for w in kernel_grading.weights if w > n - 1), None)
+    if bad is not None:
+        raise BadSupport(f"kernel grading has weight {bad} > {n - 1}")
+    return _sum_labels(lefschetz_spread(kernel_grading.terms(), n - 1))
 
-    A kernel constituent at weight n-1-m spreads over weights
-    n-1-m, n-1-m+2, ..., n-1+m, picking up the Tate twist (n-1-m-k)/2 at
-    weight k.
-    """
+
+def _sum_labels(terms) -> KClass:
     acc: dict[TwistedLabel, int] = {}
-    for w, terms in kernel_grading.entries:
-        m = (n - 1) - w
-        if m < 0:
-            raise BadSupport(f"kernel grading has weight {w} > {n - 1}")
-        for lbl, mult in terms:
-            for k in range(n - 1 - m, n - 1 + m + 1, 2):
-                tw = (n - 1 - m - k) // 2
-                key = lbl.twisted(tw)
-                acc[key] = acc.get(key, 0) + mult
+    for _, lbl, m in terms:
+        acc[lbl] = acc.get(lbl, 0) + m
     return KClass.from_dict(acc)

@@ -20,7 +20,8 @@ from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
 from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel,
                       WeightFiltration, WeightedSpace, _block, default_grading,
-                      induced_filtration_on_quotient, induced_filtration_on_sub, tate_twist)
+                      induced_filtration_on_quotient, induced_filtration_on_sub,
+                      lefschetz_spread, tate_twist)
 
 
 class NotNilpotent(ValueError):
@@ -234,16 +235,15 @@ class NilpotentModel:
         filt, ker_filt = self.space.filtration, self.ker_filtration
         dims = []
         for k in filt.weights:  # the filtration induced on ker N has no other weights
-            sub_side = ker_filt.graded_dim(k)
+            dim = ker_filt.graded_dim(k)
             g = self.N.graded(k, k)  # Gr_k V -> Gr_k V(-1) = Gr_{k-2} V
             map_side = g.cols - qlinalg.rank(g)
-            if sub_side != map_side:
+            if dim != map_side:
                 raise GradedKernelMismatch(
-                    f"weight {k}: Gr(ker N) has dim {sub_side} but graded kernel "
+                    f"weight {k}: Gr(ker N) has dim {dim} but graded kernel "
                     f"has dim {map_side}")
-            dims.append((k, sub_side, map_side))
-        kernel_dims = {k: d for k, d, _ in dims if d}
-        return GradedKernel(_kernel_labels(self, kernel_dims), tuple(dims))
+            dims.append((k, dim))
+        return GradedKernel(_kernel_labels(self, {k: d for k, d in dims if d}), tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -265,22 +265,18 @@ class JordanStringModel:
         return sum(length for _, length in self.strings)
 
     def operator_and_grading(self) -> tuple:
-        """(N, grading): N e_i = e_{i-1} along each string, and the string grading."""
-        d = self.dim
+        """(N, grading): N e_i = e_{i-1} along each string, and the string
+        grading, the lefschetz_spread of each string's bottom vector."""
+        d, c = self.dim, self.n - 1
         rows = [[0] * d for _ in range(d)]
-        grading: dict[int, dict[TwistedLabel, int]] = {}
         offset = 0
-        for label, length in self.strings:
-            m = length - 1
-            for i in range(length):
-                idx = offset + i
-                if i > 0:
-                    rows[idx - 1][idx] = 1  # N e_i = e_{i-1}
-                piece = grading.setdefault(self.n - 1 + 2 * i - m, {})
-                lbl = TwistedLabel(label, -i)
-                piece[lbl] = piece.get(lbl, 0) + 1
+        for _, length in self.strings:
+            for idx in range(offset + 1, offset + length):
+                rows[idx - 1][idx] = 1  # N e_i = e_{i-1}
             offset += length
-        return QMatrix.from_rows(rows, cols=d), LabeledGrading.from_dict(grading)
+        grading = LabeledGrading.from_terms(lefschetz_spread(
+            ((c + 1 - length, TwistedLabel(label), 1) for label, length in self.strings), c))
+        return QMatrix.from_rows(rows, cols=d), grading
 
     def to_nilpotent(self) -> NilpotentModel:
         """The model on N and the string grading; its filtration is the
@@ -302,12 +298,11 @@ def verify_hard_lefschetz(model: NilpotentModel) -> Report:
 @dataclass(frozen=True)
 class GradedKernel:
     grading: LabeledGrading
-    # per weight: (dim of Gr_k(ker N), dim of ker(Gr N at k)); the two agree
-    dims: tuple
+    dims: tuple  # per weight k: (k, dim Gr_k(ker N) = dim ker(Gr N at k))
 
 
 def graded_kernel(model: NilpotentModel) -> GradedKernel:
-    """Both sides of Gr_k ker(N) ~ ker(N: Gr_k -> Gr_{k-2}), per weight.
+    """dim Gr_k ker(N) per weight, checked against ker(N: Gr_k -> Gr_{k-2}).
 
     Raises GradedKernelMismatch if the dimensions disagree, which signals a
     non-strict input and cannot happen for valid pure models.  Labels are
@@ -327,44 +322,26 @@ def _kernel_labels(model: NilpotentModel, kernel_dims: dict) -> LabeledGrading:
     return LabeledGrading.from_dict(out)
 
 
-@dataclass(frozen=True)
-class PrimitiveDecomposition:
-    # per (k, m): twist and dimension contributed to Gr_k by the weight-(n-1-m)
-    # part of ker(N)
-    contributions: tuple  # tuple of (k, m, twist, dim)
-    report: Report
-
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
-
-
-def primitive_decomposition(model: NilpotentModel) -> PrimitiveDecomposition:
-    """Per-weight Lefschetz decomposition of the graded pieces by kernel parts."""
+def primitive_decomposition(model: NilpotentModel) -> Report:
+    """Per-weight Lefschetz decomposition of the graded pieces: dim Gr_k is
+    the total that the graded kernel's constituents spread to at k."""
     hl = verify_hard_lefschetz(model)
     if not hl.passed:
         raise NotPure("model is not pure:\n" + hl.to_text())
-    gk = graded_kernel(model)
-    kernel_dim = {k: d for k, d, _ in gk.dims if d}
+    kernel = graded_kernel(model).grading
     filt = model.space.filtration
     c = model.center
     rb = ReportBuilder(f"primitive decomposition (center {c})")
-    contributions = []
     if model.space.dim == 0:
         rb.check("zero space", True, "vacuous")
-        return PrimitiveDecomposition((), rb.build())
-    spread = _spread(filt, c)
-    max_m = max(((c - k) for k in kernel_dim), default=0)
-    for k in range(c - max(spread, max_m), c + max(spread, max_m) + 1):
+        return rb.build()
+    rhs: dict[int, int] = {}
+    for k, _, d in lefschetz_spread(kernel.terms(), c):
+        rhs[k] = rhs.get(k, 0) + d
+    reach = _spread(filt, c)  # the kernel's weights are weights of filt
+    for k in range(c - reach, c + reach + 1):
         lhs = filt.graded_dim(k)
-        rhs = 0
-        for m in range(abs(c - k), max_m + 1, 2):
-            d = kernel_dim.get(c - m, 0)
-            if d:
-                tw = (c - m - k) // 2
-                contributions.append((k, m, tw, d))
-                rhs += d
-        if lhs or rhs:
-            rb.check(f"dim Gr_{k} = sum of primitive contributions", lhs == rhs,
-                     f"{lhs} vs {rhs}")
-    return PrimitiveDecomposition(tuple(contributions), rb.build())
+        if lhs or k in rhs:
+            rb.check(f"dim Gr_{k} = sum of primitive contributions", lhs == rhs.get(k, 0),
+                     f"{lhs} vs {rhs.get(k, 0)}")
+    return rb.build()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_basis, _flag_in_quotient,
                       _flag_in_sub, _in_bases, _submatrix, _zero_corner, rank)
@@ -157,12 +157,25 @@ class LabeledGrading:
         return LabeledGrading(tuple(out))
 
     @staticmethod
+    def from_terms(terms: Iterable[tuple]) -> "LabeledGrading":
+        """The grading of (weight, TwistedLabel, multiplicity) terms, summed."""
+        d: dict[int, dict[TwistedLabel, int]] = {}
+        for w, lbl, m in terms:
+            piece = d.setdefault(w, {})
+            piece[lbl] = piece.get(lbl, 0) + m
+        return LabeledGrading.from_dict(d)
+
+    @staticmethod
     def empty() -> "LabeledGrading":
         return LabeledGrading(())
 
     @staticmethod
     def single(weight: int, label: str, mult: int, twist: int = 0) -> "LabeledGrading":
         return LabeledGrading.from_dict({weight: {TwistedLabel(label, twist): mult}})
+
+    def terms(self) -> list:
+        """The (weight, TwistedLabel, multiplicity) terms, in order."""
+        return [(w, lbl, m) for w, terms in self.entries for lbl, m in terms]
 
     def at(self, k: int) -> dict:
         return dict(dict(self.entries).get(k, ()))
@@ -180,13 +193,23 @@ class LabeledGrading:
             for w, terms in self.entries})
 
 
+def lefschetz_spread(primitive: Iterable[tuple], center: int) -> Iterator[tuple]:
+    """The Lefschetz rule (Deligne, Weil II 1.6; Schmid 1973): a primitive
+    constituent L at weight c-m spreads to L(-i) at weight c-m+2i, i = 0..m.
+    Yields the (weight, label, multiplicity) triples that the (weight,
+    TwistedLabel, multiplicity) triples of `primitive` spread to about
+    c = center; a constituent above the center yields nothing."""
+    for w, lbl, mult in primitive:
+        for i in range(center - w + 1):
+            yield w + 2 * i, TwistedLabel(lbl.label, lbl.twist - i), mult
+
+
 def default_grading(filt: WeightFiltration, center: int | None = None) -> LabeledGrading:
     """Every graded piece as copies of LABEL_DEFAULT.
 
     Given a center c at which the graded dimensions g are Lefschetz-symmetric
     (g(c+k) = g(c-k), and p_m = g(c-m) - g(c-m-2) >= 0 for m >= 0), the
-    pieces are read as p_m strings of length m+1 centered at c, the vector at
-    weight c-m+2i carrying twist -i (the JordanStringModel convention).
+    pieces are the lefschetz_spread of p_m primitive copies at weight c-m.
     Otherwise every piece has twist 0.
     """
     g = filt.graded_dims()
@@ -196,13 +219,9 @@ def default_grading(filt: WeightFiltration, center: int | None = None) -> Labele
                 for m in range(spread + 1)]
         if min(prim) >= 0 and all(g.get(center + k, 0) == g.get(center - k, 0)
                                   for k in range(1, spread + 1)):
-            out: dict[int, dict[TwistedLabel, int]] = {}
-            for m, p in enumerate(prim):
-                for i in range(m + 1):
-                    piece = out.setdefault(center - m + 2 * i, {})
-                    lbl = TwistedLabel(LABEL_DEFAULT, -i)
-                    piece[lbl] = piece.get(lbl, 0) + p
-            return LabeledGrading.from_dict(out)
+            return LabeledGrading.from_terms(lefschetz_spread(
+                ((center - m, TwistedLabel(LABEL_DEFAULT), p)
+                 for m, p in enumerate(prim) if p), center))
     return LabeledGrading.from_dict({
         w: {TwistedLabel(LABEL_DEFAULT): dim} for w, dim in g.items() if dim > 0})
 

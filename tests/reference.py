@@ -123,6 +123,18 @@ def ref_string_steps(strings, n):
             for k in range(n - 2 - d, n + d)]
 
 
+def ref_string_grading(strings, n):
+    """{weight: {(label, twist): multiplicity}} of the string model with these
+    (label, length) strings: e_i of a string of length m+1 lies at weight
+    n-1-m+2i and carries label(-i)."""
+    out = {}
+    for label, length in strings:
+        for i in range(length):
+            piece = out.setdefault(n - 1 - (length - 1) + 2 * i, {})
+            piece[(label, -i)] = piece.get((label, -i), 0) + 1
+    return out
+
+
 def ref_in_span(vectors, v, dim):
     """True iff v lies in the span of `vectors`: adding it leaves the rank alone."""
     return len(ref_rref(list(vectors) + [v], dim)[1]) == len(ref_rref(vectors, dim)[1])

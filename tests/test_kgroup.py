@@ -4,8 +4,10 @@ import pytest
 
 from monofilt.kgroup import (BadSupport, KClass, kclass_of_space,
                              kclass_psi_from_kernel)
-from monofilt.monodromy import JordanStringModel, graded_kernel
-from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
+from monofilt.monodromy import JordanStringModel, graded_kernel, monodromy_filtration
+from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace, default_grading
+
+from reference import ref_string_grading
 
 
 class TestKClass:
@@ -82,3 +84,30 @@ class TestKClassPsiFromKernel:
             gk = graded_kernel(model)
             assert kclass_of_space(model.space) == \
                 kclass_psi_from_kernel(gk.grading, n)
+
+
+def _as_ref(grading: LabeledGrading) -> dict:
+    return {w: {(lbl.label, lbl.twist): m for lbl, m in terms} for w, terms in grading.entries}
+
+
+def test_string_gradings_and_classes_match_the_oracle(rng):
+    """The Lefschetz rule, read three ways, against ref_string_grading, which
+    writes each string vector's weight and label down directly: the string
+    grading, the default grading of M(N) at the center on all-pt models, and
+    the class assembled from the graded kernel."""
+    for _ in range(60):
+        strings = tuple((rng.choice("LPQ"), rng.randint(1, 5))
+                        for _ in range(rng.randint(0, 4)))
+        n = rng.randint(-2, 3)
+        want = ref_string_grading(strings, n)
+        model = JordanStringModel(strings, n)
+        assert _as_ref(model.operator_and_grading()[1]) == want
+        cls = kclass_psi_from_kernel(graded_kernel(model.to_nilpotent()).grading, n)
+        total = Counter()
+        for piece in want.values():
+            total.update(piece)
+        assert {(lbl.label, lbl.twist): c for lbl, c in cls.terms} == dict(total)
+        pts = tuple(("pt", length) for _, length in strings)
+        n_op = JordanStringModel(pts, n).operator_and_grading()[0]
+        assert _as_ref(default_grading(monodromy_filtration(n_op, n - 1), n - 1)) == \
+            ref_string_grading(pts, n)

@@ -291,25 +291,31 @@ class TestGradedKernel:
             graded_kernel(model)
 
 
+def _decomposition_lines(strings, n) -> dict:
+    """The per-weight lines of the primitive decomposition report, which passes."""
+    report = primitive_decomposition(JordanStringModel(strings, n).to_nilpotent())
+    assert report.passed
+    return {c.name: c.detail for c in report.checks}
+
+
 class TestPrimitiveDecomposition:
     def test_single_j2_string(self):
-        model = JordanStringModel((("L", 2),), 1).to_nilpotent()
-        pd = primitive_decomposition(model)
-        assert pd.passed
-        assert set(pd.contributions) == {(-1, 1, 0, 1), (1, 1, -1, 1)}
+        # the primitive L at weight -1 spreads to weights -1 and 1
+        assert _decomposition_lines((("L", 2),), 1) == {
+            "dim Gr_-1 = sum of primitive contributions": "1 vs 1",
+            "dim Gr_1 = sum of primitive contributions": "1 vs 1"}
 
     def test_zero_operator(self):
-        model = JordanStringModel((("L", 1), ("L", 1)), 5).to_nilpotent()
-        pd = primitive_decomposition(model)
-        assert pd.passed
-        assert set(pd.contributions) == {(4, 0, 0, 2)}
+        # two primitive constituents at the center 4, spreading nowhere else
+        assert _decomposition_lines((("L", 1), ("L", 1)), 5) == {
+            "dim Gr_4 = sum of primitive contributions": "2 vs 2"}
 
     def test_j3_plus_j1_weight_zero_piece(self):
-        model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
-        pd = primitive_decomposition(model)
-        assert pd.passed
-        at_zero = [c for c in pd.contributions if c[0] == 0]
-        assert sorted(at_zero) == [(0, 0, 0, 1), (0, 2, -1, 1)]
+        # Gr_0 gets one dimension from P at weight 0 and one from L at weight -2
+        assert _decomposition_lines((("L", 3), ("P", 1)), 1) == {
+            "dim Gr_-2 = sum of primitive contributions": "1 vs 1",
+            "dim Gr_0 = sum of primitive contributions": "2 vs 2",
+            "dim Gr_2 = sum of primitive contributions": "1 vs 1"}
 
     def test_impure_rejected(self):
         filt = WeightFiltration.from_spaces(2, [
