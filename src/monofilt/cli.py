@@ -5,7 +5,8 @@ strings ("p/q" or "p"), never floats; serialization is canonical (sorted
 keys, fixed field order) so parse . serialize is the identity.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 parse error,
-3 validation error.  A document whose model would exceed MAX_DIM (in
+3 validation error; `main` lets a closed stdout end the process by SIGPIPE
+where the platform has one.  A document whose model would exceed MAX_DIM (in
 dimension, total string length or weight spread) is a validation error,
 raised before anything of that size is built.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,6 +308,8 @@ def parse(text: str) -> ModelDocument:
             from None
     except ValueError as e:  # an integer literal with more digits than int() converts
         raise ParseError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
     kind = data.get("kind")
@@ -403,7 +407,7 @@ def _load(path: str) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from None
     return parse(text)
 
@@ -545,4 +549,6 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process, as it ends cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())

@@ -17,10 +17,9 @@ from functools import cached_property
 
 from . import qlinalg
 from .monodromy import NilpotentModel
-from .qlinalg import QMatrix, Subspace, image, kernel
+from .qlinalg import QMatrix, image, kernel
 from .report import Report, ReportBuilder
-from .weights import (AdaptedMap, WeightedSpace, WeightFiltration,
-                      induced_filtration_on_quotient, induced_filtration_on_sub)
+from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, induced_filtration_on_sub
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,12 @@ class GluingDatum:
     @cached_property
     def i_upper_star(self) -> TwoTermComplex:
         """i^*: [psi --can--> phi] in degrees (-1, 0), built once per datum."""
-        return TwoTermComplex(-1, self.can)
+        return TwoTermComplex(self.can, kernel(self.can.matrix))
 
     @cached_property
     def i_upper_shriek(self) -> TwoTermComplex:
         """i^!: [phi --var--> psi(-1)] in degrees (0, 1), built once per datum."""
-        return TwoTermComplex(0, self.var)
+        return TwoTermComplex(self.var, kernel(self.var.matrix))
 
 
 def psi_u(g: GluingDatum) -> NilpotentModel:
@@ -86,7 +85,7 @@ def _star(model: NilpotentModel) -> tuple:
 
 
 def _intermediate(model: NilpotentModel) -> tuple:
-    V, N, img = model.space, model.N, model.im_n
+    V, N, img = model.space, model.N, model.n_complex.im
     phi = induced_filtration_on_sub(N.cod, img)
     return (V, WeightedSpace.from_filtration(phi),
             AdaptedMap(qlinalg.corestriction(N.matrix, img), N.dom, phi),
@@ -126,45 +125,17 @@ def j_intermediate(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
     return GluingDatum(*_intermediate(NilpotentModel(V, 0, N)))
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """A complex [d.dom --d--> d.cod] of filtered spaces concentrated in
-    degrees (deg_low, deg_low+1).  Its cohomologies are taken once per
-    complex."""
-    deg_low: int
-    d: AdaptedMap
-
-    @cached_property
-    def h_low_space(self) -> Subspace:
-        return kernel(self.d.matrix)
-
-    @cached_property
-    def h_low(self) -> WeightFiltration:
-        """ker(d) with the induced filtration, in its intrinsic coordinates."""
-        return induced_filtration_on_sub(self.d.dom, self.h_low_space)
-
-    @cached_property
-    def h_high_denominator(self) -> Subspace:
-        return image(self.d.matrix)
-
-    @cached_property
-    def h_high(self) -> WeightFiltration:
-        """coker(d) with the quotient filtration, in complement coordinates."""
-        return induced_filtration_on_quotient(self.d.cod, self.h_high_denominator)
-
-
 def verify_sequence_2(model: NilpotentModel) -> Report:
-    """Exactness of 0 -> ker N -> V --N--> V(-1) -> coker N -> 0, built from j_*.
+    """Exactness of 0 -> ker N -> V --N--> V(-1) -> coker N -> 0.
 
     The outer terms are the perverse cohomologies of the restriction of the
-    open pushforward to the origin; exactness at each slot is checked by
-    subspace equality and the structural maps are checked to be strict.
-    ker N, im N and the outer terms are the model's own.
+    open pushforward j_* to the origin, the model's complex [V --N--> V(-1)];
+    exactness at each slot is checked by subspace equality and the structural
+    maps are checked to be strict.
     """
-    V = model.space
-    g = extension(model, "star")  # its *-restriction is [V --N--> V(-1)]
+    V, cx = model.space, model.n_complex
     rb = ReportBuilder("exact sequence around N")
-    ker, img = model.kernels[1], model.im_n
+    ker, img = cx.ker, cx.im
     incl = qlinalg.inclusion(ker)
     proj = qlinalg.quotient_projection(img)
 
@@ -178,9 +149,9 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
              image(proj).is_full())
     rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
     rb.check("all structural maps are strict",
-             AdaptedMap(incl, model.ker_filtration, V.filtration).strict()
-             and g.can.strict()
-             and AdaptedMap(proj, model.N.cod, model.coker_filtration).strict())
+             AdaptedMap(incl, cx.ker_filtration, V.filtration).strict()
+             and model.N.strict()
+             and AdaptedMap(proj, model.N.cod, cx.coker_filtration).strict())
     rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
     return rb.build()
 
@@ -195,23 +166,18 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
     """
     g = extension(model, "intermediate")
     rb = ReportBuilder("intermediate-extension kernel/cokernel identities")
-    istar, ishk = g.i_upper_star, g.i_upper_shriek
-    ker_n, im_n = model.kernels[1], model.im_n
+    istar, ishk, cx = g.i_upper_star, g.i_upper_shriek, model.n_complex
 
-    rb.check("(i) H^{-1}(i^* j_!*) = ker N as subspaces of V",
-             istar.h_low_space == ker_n)
-    rb.check("(i) complementary vanishing: H^0(i^* j_!*) = 0",
-             istar.h_high_denominator.is_full())
-    if not ker_n.is_zero():
-        rb.check("(i) induced filtrations agree", istar.h_low == model.ker_filtration)
+    rb.check("(i) H^{-1}(i^* j_!*) = ker N as subspaces of V", istar.ker == cx.ker)
+    rb.check("(i) complementary vanishing: H^0(i^* j_!*) = 0", istar.im.is_full())
+    if not cx.ker.is_zero():
+        rb.check("(i) induced filtrations agree", istar.ker_filtration == cx.ker_filtration)
 
-    rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0",
-             ishk.h_low_space.is_zero())
-    rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)",
-             ishk.h_high_denominator == im_n)
-    if not im_n.is_full():
+    rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0", ishk.ker.is_zero())
+    rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)", ishk.im == cx.im)
+    if not cx.im.is_full():
         rb.check("(ii) quotient filtrations agree (with the twist)",
-                 ishk.h_high == model.coker_filtration)
+                 ishk.coker_filtration == cx.coker_filtration)
     return rb.build()
 
 

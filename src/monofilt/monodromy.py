@@ -19,9 +19,8 @@ from . import qlinalg
 from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
 from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel,
-                      WeightFiltration, WeightedSpace, _block, default_grading,
-                      induced_filtration_on_quotient, induced_filtration_on_sub,
-                      lefschetz_spread, tate_twist)
+                      TwoTermComplex, WeightFiltration, WeightedSpace, _block,
+                      default_grading, lefschetz_spread, tate_twist)
 
 
 class NotNilpotent(ValueError):
@@ -145,8 +144,9 @@ class NilpotentModel:
     kept beside the fields: the kernel flag ker N^0 c ... c ker N^e = Q^d
     (`kernels`, built at construction as the nilpotency check, or
     `known_kernels`), N in the adapted bases (N.adapted, written at
-    construction for the N-shift test), im N, V(-1), the filtrations induced
-    on ker N and coker N, the monodromy filtration, the hard Lefschetz
+    construction for the N-shift test), the complex [V --N--> V(-1)]
+    (`n_complex`: ker N off the flag, im N, and the filtrations induced on
+    ker N and coker N), V(-1), the monodromy filtration, the hard Lefschetz
     report, the graded kernel and the gluing extensions (gluing.extension).
     Equality and hashing read the fields only."""
     space: WeightedSpace
@@ -190,24 +190,15 @@ class NilpotentModel:
         return self.n - 1
 
     @cached_property
-    def im_n(self) -> Subspace:
-        """im N, a subspace of V(-1)."""
-        return qlinalg.image(self.N.matrix)
+    def n_complex(self) -> TwoTermComplex:
+        """[V --N--> V(-1)], the *-restriction of j_*, whose kernel is the
+        kernel flag's first step."""
+        return TwoTermComplex(self.N, self.kernels[1])
 
     @cached_property
     def twisted(self) -> WeightedSpace:
         """V(-1), the codomain of N, with its grading."""
         return tate_twist(self.space, -1)
-
-    @cached_property
-    def ker_filtration(self) -> WeightFiltration:
-        """The filtration V induces on ker N, in ker N's RREF coordinates."""
-        return induced_filtration_on_sub(self.space.filtration, self.kernels[1])
-
-    @cached_property
-    def coker_filtration(self) -> WeightFiltration:
-        """The filtration V(-1) induces on coker N = V(-1)/im N, in complement coords."""
-        return induced_filtration_on_quotient(self.N.cod, self.im_n)
 
     @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
@@ -232,7 +223,7 @@ class NilpotentModel:
 
     @cached_property
     def _graded_kernel(self) -> GradedKernel:
-        filt, ker_filt = self.space.filtration, self.ker_filtration
+        filt, ker_filt = self.space.filtration, self.n_complex.ker_filtration
         dims = []
         for k in filt.weights:  # the filtration induced on ker N has no other weights
             dim = ker_filt.graded_dim(k)

@@ -84,6 +84,9 @@ def _int_row(v: Sequence) -> tuple[list, int]:
     try:
         den = lcm(*[x.denominator for x in v])
     except AttributeError:  # entries that Fraction() still accepts, e.g. "1/2"
+        if any(isinstance(x, float) for x in v):
+            raise TypeError("float entries are not exact: use int, Fraction "
+                            "or 'p/q'") from None
         v = [Fraction(x) for x in v]
         den = lcm(*[x.denominator for x in v])
     if den == 1:

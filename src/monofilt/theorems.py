@@ -93,7 +93,7 @@ def verify_local_invariant_cycles(dm: DiskModel, k: int) -> Report:
     if k == -1:
         # source is ker(can) inside the nearby-cycles space; the map is the
         # inclusion, so its image is ker(can) itself
-        img, ker_n = dm.datum().i_upper_star.h_low_space, dm.open_part.kernels[1]
+        img, ker_n = dm.datum().i_upper_star.ker, dm.open_part.n_complex.ker
         rb.check("image of H^{-1}(i^*M) equals ker N", img == ker_n,
                  f"dims {img.dim} vs {ker_n.dim}")
     else:
@@ -112,7 +112,7 @@ WEIGHT_CLAIMS = ("monodromy_centered", "kernel_weight_bound",
 def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     n, psi = dm.n, g.psi
     # the image of H^{-1}(i^*M) is ker(can); var . can is the open model's N
-    img, ker_n = g.i_upper_star.h_low_space, dm.open_part.kernels[1]
+    img, ker_n = g.i_upper_star.ker, dm.open_part.n_complex.ker
     low_weights = psi.filtration.space_at(n - 1)
     claims = {}
     if psi.dim:
@@ -127,8 +127,8 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     # (3) H^0 of the !-restriction, ker(var) plus the point part, has weights >= n
     ishk = g.i_upper_shriek
     holds, detail = True, "vacuous"
-    if not ishk.h_low_space.is_zero():
-        holds = weights_at_least(ishk.h_low, n)
+    if not ishk.ker.is_zero():
+        holds = weights_at_least(ishk.ker_filtration, n)
         detail = f"ker(var) weights vs >= {n}"
     if dm.point_part.dim:
         holds = holds and weights_at_least(dm.point_part.filtration, n)
@@ -147,15 +147,16 @@ def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
     n = dm.n
     # the !-restriction's H^1 is coker(var) inside psi(-1)
     ishk = g.i_upper_shriek
-    twisted, img_var = ishk.d.cod, ishk.h_high_denominator
+    twisted, img_var = ishk.d.cod, ishk.im
     claims = {}
     # (3) H^1 of the !-restriction has weights >= n+1
     if not img_var.is_full():
         claims["i_shriek_lower_bound"] = (
-            weights_at_least(ishk.h_high, n + 1), f"coker(var) weights vs >= {n + 1}")
+            weights_at_least(ishk.coker_filtration, n + 1),
+            f"coker(var) weights vs >= {n + 1}")
     # (4) the low weights of coker N are reached from the central fibre:
     # target coker N in the twisted coordinates, image var(phi) mod im N
-    im_n = dm.open_part.im_n  # var . can is the open model's N
+    im_n = dm.open_part.n_complex.im  # var . can is the open model's N
     claims["surjective_on_low_weights"] = (
         (img_var + im_n).contains(twisted.space_at(n) + im_n),
         "low weights of coker N reached from the central fibre")

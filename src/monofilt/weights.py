@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_basis, _flag_in_quotient,
-                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, rank)
+                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, image, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -364,3 +364,28 @@ def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFilt
 def induced_filtration_on_quotient(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
     """(W_k + s)/s in the coordinates of the quotient."""
     return _from_flag(filt, s, _flag_in_quotient)
+
+
+@dataclass(frozen=True)
+class TwoTermComplex:
+    """A complex [d.dom --d--> d.cod] of filtered spaces, given with ker d by
+    whoever built d.  Its cohomologies ker d and coker d = d.cod/im d carry
+    the filtrations induced by d's two filtrations, and each is taken once
+    per complex (Beilinson, How to glue perverse sheaves, 1987)."""
+    d: AdaptedMap
+    ker: Subspace  # ker d, a subspace of d.dom's space
+
+    @cached_property
+    def ker_filtration(self) -> WeightFiltration:
+        """ker d with the induced filtration, in its RREF coordinates."""
+        return induced_filtration_on_sub(self.d.dom, self.ker)
+
+    @cached_property
+    def im(self) -> Subspace:
+        """im d, a subspace of d.cod's space."""
+        return image(self.d.matrix)
+
+    @cached_property
+    def coker_filtration(self) -> WeightFiltration:
+        """coker d with the quotient filtration, in complement coordinates."""
+        return induced_filtration_on_quotient(self.d.cod, self.im)

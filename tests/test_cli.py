@@ -113,6 +113,10 @@ class TestErrors:
             parse(json.dumps({"kind": "nilpotent", "n": 1,
                               "matrix": [[0.5, 0], [0, 0]]}))
 
+    def test_nesting_too_deep_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("[" * 100000)
+
     def test_non_nilpotent_rejected(self):
         with pytest.raises(ValidationError):
             parse(json.dumps({"kind": "nilpotent", "n": 1,
@@ -467,6 +471,17 @@ class TestCommands:
         rc, _ = run(["check", str(p)])
         assert rc == EXIT_PARSE
 
+    @pytest.mark.parametrize("data, message", [
+        (b'\xff\xfe{"kind":1}', "parse error: cannot read "),  # not UTF-8
+        (b"[" * 100000, "parse error: invalid JSON: nested too deeply"),
+    ], ids=["not_utf8", "too_deep"])
+    def test_unreadable_document_is_a_parse_error(self, data, message, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        rc, out = run(["check", str(p)])
+        assert (rc, out) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err.startswith(message)
+
     def test_check_validation_error_exit(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": "nilpotent", "n": 1,
@@ -733,3 +748,21 @@ class TestProcess:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip().endswith("PASS")
+
+    def test_closed_stdout_is_not_a_failed_check(self, tmp_path):
+        """A reader that has gone away (`monofilt check DOC | head -1`) ends
+        the run without a traceback, and never with the failed-check code."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "monofilt", "check",
+                 write_json(tmp_path, "m.json", README_EXAMPLE)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != EXIT_VERIFICATION
+        assert "Traceback" not in proc.stderr

@@ -248,22 +248,20 @@ class TestRestrictionFunctors:
     def test_i_star_of_j_star(self):
         V, N = string_vn((("L", 2),))
         cx = j_lower_star(V, N).i_upper_star
-        assert cx.deg_low == -1
-        assert cx.h_low_space == kernel(N.matrix)
-        assert cx.h_high.ambient_dim == 1  # coker N, twisted
+        assert cx.ker == kernel(N.matrix)
+        assert cx.coker_filtration.ambient_dim == 1  # coker N, twisted
 
     def test_i_star_of_intermediate(self):
         V, N = string_vn((("L", 2),))
         cx = j_intermediate(V, N).i_upper_star
-        assert cx.h_low_space == kernel(N.matrix)
-        assert cx.h_high.ambient_dim == 0
+        assert cx.ker == kernel(N.matrix)
+        assert cx.coker_filtration.ambient_dim == 0
 
     def test_i_shriek_of_intermediate(self):
         V, N = string_vn((("L", 2),))
         cx = j_intermediate(V, N).i_upper_shriek
-        assert cx.deg_low == 0
-        assert cx.h_low_space.is_zero()
-        assert cx.h_high.ambient_dim == 1  # coker N
+        assert cx.ker.is_zero()
+        assert cx.coker_filtration.ambient_dim == 1  # coker N
 
 
 class TestSequence2:
@@ -289,7 +287,7 @@ def test_zero_model_passes_every_gluing_verifier():
     model = JordanStringModel((), 1).to_nilpotent()
     for g in (extension(model, kind) for kind in EXTENSIONS):
         for cx in (g.i_upper_star, g.i_upper_shriek):
-            assert cx.h_low == cx.h_high == WeightFiltration(0, ())
+            assert cx.ker_filtration == cx.coker_filtration == WeightFiltration(0, ())
     seq = verify_sequence_2(model)
     assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
     assert verify_prop_2_3(model).passed
@@ -307,8 +305,8 @@ class TestProp23:
     def test_j3_plus_j1_dims(self):
         V, N = string_vn((("L", 3), ("P", 1)))
         g = j_intermediate(V, N)
-        assert g.i_upper_star.h_low_space.dim == 2
-        assert g.i_upper_shriek.h_high.ambient_dim == 2
+        assert g.i_upper_star.ker.dim == 2
+        assert g.i_upper_shriek.coker_filtration.ambient_dim == 2
         assert verify_prop_2_3(string_model((("L", 3), ("P", 1)))).passed
 
     def test_random_nilpotents(self, rng):

@@ -216,13 +216,13 @@ def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
     monkeypatch.setattr(Subspace, "contains",
                         lambda self, other: calls.append(1) or contains(self, other))
     for model in models:
-        filt, ker, img = model.space.filtration, model.kernels[1], model.im_n
+        filt, cx = model.space.filtration, model.n_complex
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
         assert model.N.strict() and _map(model.N.matrix, filt, filt, -2).strict()
-        assert AdaptedMap(qlinalg.inclusion(ker), model.ker_filtration, filt).strict()
-        assert AdaptedMap(qlinalg.quotient_projection(img), model.twisted.filtration,
-                          model.coker_filtration).strict()
+        assert AdaptedMap(qlinalg.inclusion(cx.ker), cx.ker_filtration, filt).strict()
+        assert AdaptedMap(qlinalg.quotient_projection(cx.im), model.twisted.filtration,
+                          cx.coker_filtration).strict()
     assert calls == []
     Subspace.zero(1).contains(Subspace.zero(1))
     assert calls == [1]

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,15 @@ class TestInducedMap:
 
 
 class TestMisc:
+    def test_float_entries_are_refused(self):
+        """A float is not an exact rational: 0.1 would become
+        3602879701896397/36028797018963968.  Strings Fraction() reads stay."""
+        with pytest.raises(TypeError):
+            Subspace.from_vectors(2, [[0.1, 1]])
+        with pytest.raises(TypeError):
+            QMatrix.from_rows([[0.5, 0]])
+        assert QMatrix.from_rows([["1/2", 0]]) == QMatrix.from_rows([[Fraction(1, 2), 0]])
+
     def test_inverse_roundtrip(self):
         rng = random.Random(9)
         for _ in range(30):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monofilt import gluing, qlinalg
+from monofilt import gluing, qlinalg, weights
 from monofilt.kgroup import kclass_of_space
 from monofilt.monodromy import JordanStringModel, NotPure, graded_kernel
 from monofilt.report import Report
@@ -83,8 +83,9 @@ def test_disk_reports_take_each_kernel_once(monkeypatch):
     kernels, images = [], []
     kernel, image = gluing.kernel, qlinalg.image
     monkeypatch.setattr(gluing, "kernel", lambda m: kernels.append(m) or kernel(m))
-    # the model takes im N through qlinalg; the datum its restrictions' images
-    for mod in (gluing, qlinalg):
+    # every two-term complex, the model's of N and the datum's restrictions,
+    # takes its image in weights
+    for mod in (gluing, qlinalg, weights):
         monkeypatch.setattr(mod, "image", lambda m: images.append(m) or image(m))
     for _ in range(3):
         for k in (-1, 0):
