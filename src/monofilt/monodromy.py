@@ -6,14 +6,18 @@ with no power of N; it is also the nilpotency check (_kernel_flag).  The pass
 lives in qlinalg (_kernels), and qlinalg.kernel is its first step.
 check_monodromy_axioms and a model's hard Lefschetz report verify it without
 the chains: each writes N: V -> V(-1) once in the bases adapted to the
-filtration (weights.AdaptedMap), reads the N-shift off its zero pattern and
-each N^k: Gr_{c+k} -> Gr_{c-k} off a block of the k-th power of that
-matrix.  The graded kernel reads Gr N off the same matrix.
+filtration (weights.AdaptedMap) and reads the N-shift off its zero pattern.
+Once that holds, each N^k: Gr_{c+k} -> Gr_{c-k} is the product of the k
+graded blocks of N along Gr_{c+k} -> Gr_{c+k-2} -> ... -> Gr_{c-k}, read from
+the map's one table of diagonal blocks (AdaptedMap.diagonal) with no power
+of N formed.  The graded kernel and the strictness of N read their ranks
+from the same table.
 """
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from . import qlinalg
 from .qlinalg import QMatrix, Subspace
@@ -90,35 +94,81 @@ def _spread(filt: WeightFiltration, center: int) -> int:
     return max((abs(w - center) for w in filt.weights), default=0)
 
 
-def _check_lefschetz_blocks(rb: ReportBuilder, n: AdaptedMap, center: int,
-                            arrow: str) -> None:
-    """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}, read as a
-    block of A^k, A = n.adapted being N: V -> V(-1) in the bases adapted to
-    the filtration, which both filtrations share.
+def _times(a: Sequence, b: Sequence, cols: int) -> list:
+    """The integer rows of the product of the rows a and the rows b, b having
+    cols columns, by qlinalg's one product rule."""
+    cross = tuple(zip(*b)) if b else ((),) * cols
+    return [qlinalg._combine(r, b, cross) for r in a]
 
-    N^k fails to respect the filtration only when N W_j is not in W_{j-2}
-    for some j, which a NilpotentModel refuses at construction.
-    """
+
+def _chained_ranks(n: AdaptedMap, center: int) -> Iterator[tuple]:
+    """(dim Gr_{c+k}, dim Gr_{c-k}, rank of N^k between them) for k = 0, 1, ...
+    up to the spread, c = center, for a filtered N = n: V -> V(-1).
+
+    N drops every weight by 2, so in the adapted bases the block of N^k from
+    Gr_{c+k} to Gr_{c-k} is the product B_{c-k+2} ... B_{c+k} of the blocks
+    B_j: Gr_j -> Gr_{j-2} of n's diagonal table, and the block P_k of N^k
+    grows to P_{k+2} = B_{c-k} P_k B_{c+k+2}.  Integer rows, whose
+    denominators a rank ignores, with no power of N formed."""
+    filt, table = n.dom, n.diagonal
+
+    def block(j: int) -> Sequence:  # B_j, with no columns where Gr_j = 0
+        return table[j] if j in table else [()] * filt.graded_dim(j - 2)
+
+    # P_k of the last even and the last odd k, where None is the identity of Gr_c
+    last = [None, block(center + 1)]
+    for k in range(_spread(filt, center) + 1):
+        cols, rows = filt.graded_dim(center + k), filt.graded_dim(center - k)
+        p = last[k % 2]
+        if k > 1:
+            p = block(center + k) if p is None else _times(p, block(center + k), cols)
+            p = last[k % 2] = _times(block(center - k + 2), p, cols)
+        yield cols, rows, cols if p is None else len(qlinalg._echelon(p)[1])
+
+
+def _power_ranks(n: AdaptedMap, center: int) -> Iterator[tuple | None]:
+    """As _chained_ranks, off a block of each full power of n.adapted, for
+    an N that fails the N-shift: None where the power does not respect the
+    filtration at those weights."""
     filt = n.dom
     power = QMatrix.identity(filt.ambient_dim)
     for k in range(_spread(filt, center) + 1):
-        name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
         if k:
             power = power @ n.adapted
         try:
             g = _block(power, filt, filt, center + k, center - k)
         except qlinalg.NotCompatible:
+            yield None
+            continue
+        yield g.cols, g.rows, qlinalg.rank(g)
+
+
+def _check_lefschetz_blocks(rb: ReportBuilder, ranks: Iterable, center: int,
+                            arrow: str) -> None:
+    """One check per k >= 0 that N^k induces Gr_{c+k} ~ Gr_{c-k}, off the
+    dims and rank of its block that `ranks` yields: the product of the k
+    graded blocks of N along Gr_{c+k} -> Gr_{c+k-2} -> ... -> Gr_{c-k}
+    (_chained_ranks) once N shifts the filtration by -2, which a model's N
+    always does because construction refuses any other, and a block of the
+    full power of N (_power_ranks) otherwise."""
+    for k, found in enumerate(ranks):
+        name = f"N^{k}: Gr_{center + k} {arrow} Gr_{center - k}"
+        if found is None:
             rb.check(name, False, "power of N does not respect the filtration")
             continue
-        r = qlinalg.rank(g)
-        rb.check(name, g.rows == g.cols and r == g.rows,
-                 f"dims {g.cols} -> {g.rows}, rank {r}")
+        cols, rows, r = found
+        rb.check(name, rows == cols and r == rows, f"dims {cols} -> {rows}, rank {r}")
 
 
 def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -> Report:
     """Independent verification of the two defining axioms of the filtration,
     from N written in the basis adapted to filt: no chain, kernel or power
-    that a model keeps is read."""
+    that a model keeps is read.
+
+    When N passes the N-shift, each N^k: Gr_{c+k} -> Gr_{c-k} is the chain
+    of graded blocks of N (_chained_ranks).  When it fails, the chain is not
+    the block of N^k: a power of N can respect a filtration that N does not,
+    so each line reads a block of the full power (_power_ranks)."""
     rb = ReportBuilder(f"monodromy axioms (center {center})")
     a = AdaptedMap(n_op, filt, filt.shifted(2))
     shift_ok = True
@@ -127,7 +177,8 @@ def check_monodromy_axioms(filt: WeightFiltration, n_op: QMatrix, center: int) -
             shift_ok = False
             rb.check(f"N W_{w} in W_{w - 2}", False)
     rb.check("N-shift: N M_k in M_{k-2}", shift_ok)
-    _check_lefschetz_blocks(rb, a, center, "~")
+    ranks = _chained_ranks(a, center) if shift_ok else _power_ranks(a, center)
+    _check_lefschetz_blocks(rb, ranks, center, "~")
     return rb.build()
 
 
@@ -216,7 +267,7 @@ class NilpotentModel:
         if self.space.dim == 0:
             rb.check("zero space", True, "vacuous")
             return rb.build()
-        _check_lefschetz_blocks(rb, self.N, self.center, "->")
+        _check_lefschetz_blocks(rb, _chained_ranks(self.N, self.center), self.center, "->")
         rb.check("weight filtration equals monodromy filtration",
                  self.space.filtration == self.monodromy_filtration)
         return rb.build()
@@ -227,8 +278,8 @@ class NilpotentModel:
         dims = []
         for k in filt.weights:  # the filtration induced on ker N has no other weights
             dim = ker_filt.graded_dim(k)
-            g = self.N.graded(k, k)  # Gr_k V -> Gr_k V(-1) = Gr_{k-2} V
-            map_side = g.cols - qlinalg.rank(g)
+            # the kernel of Gr_k V -> Gr_k V(-1) = Gr_{k-2} V
+            map_side = filt.graded_dim(k) - self.N.graded_ranks[k]
             if dim != map_side:
                 raise GradedKernelMismatch(
                     f"weight {k}: Gr(ker N) has dim {dim} but graded kernel "

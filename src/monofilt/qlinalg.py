@@ -464,10 +464,15 @@ def _zero_corner(a: QMatrix, r: int, c: int) -> bool:
     return not c or not any(any(row[:c]) for row in a._ints[0][r:])
 
 
+def _block_rows(a: QMatrix, r0: int, r1: int, c0: int, c1: int) -> list:
+    """The integer rows of the block of rows r0 .. r1-1 and columns
+    c0 .. c1-1 of a, over the denominator of a._ints."""
+    return [row[c0:c1] for row in a._ints[0][r0:r1]]
+
+
 def _submatrix(a: QMatrix, r0: int, r1: int, c0: int, c1: int) -> QMatrix:
     """The block of rows r0 .. r1-1 and columns c0 .. c1-1 of a."""
-    rows, den = a._ints
-    return QMatrix._make([row[c0:c1] for row in rows[r0:r1]], den, c1 - c0)
+    return QMatrix._make(_block_rows(a, r0, r1, c0, c1), a._ints[1], c1 - c0)
 
 
 def corestriction(m: QMatrix, s: Subspace) -> QMatrix:

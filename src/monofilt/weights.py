@@ -14,8 +14,9 @@ pivots are new over the step below, tagged with the step's weight, so W_k
 is spanned by the basis vectors of weight <= k.  An AdaptedMap writes its
 matrix once in the adapted bases of its two filtrations.  Whether it sends
 W_k into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
-canonical subquotient bases, is one of its blocks.  Filteredness,
-strictness and the monodromy checks read them there.
+canonical subquotient bases, is one of its blocks.  A filtered map slices
+its diagonal blocks Gr_k -> Gr_k once, into one table of integer rows;
+strictness, the graded kernel and the hard Lefschetz chains read it there.
 """
 from __future__ import annotations
 
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .qlinalg import (NotCompatible, QMatrix, Subspace, _flag_basis, _flag_in_quotient,
-                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, image, rank)
+from .qlinalg import (NotCompatible, QMatrix, Subspace, _block_rows, _echelon, _flag_basis,
+                      _flag_in_quotient, _flag_in_sub, _in_bases, _submatrix, _zero_corner,
+                      image, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -309,6 +311,23 @@ class AdaptedMap:
         (see _block)."""
         return _block(self.adapted, self.dom, self.cod, k, j)
 
+    @cached_property
+    def diagonal(self) -> dict:
+        """The table of the diagonal graded blocks of a filtered map: for each
+        weight k of dom, the integer rows (over the denominator of `adapted`)
+        of Gr_k(dom) -> Gr_k(cod), sliced once from `adapted`.  Once the map
+        is filtered each is a block with no corner to test (_block), so read
+        the table only after filtered() holds."""
+        a, dom, cod = self.adapted, self.dom, self.cod
+        return {k: _block_rows(a, cod._dim_at(k - 1), cod._dim_at(k),
+                               dom._dim_at(k - 1), dom._dim_at(k)) for k in dom.weights}
+
+    @cached_property
+    def graded_ranks(self) -> dict:
+        """{k: rank of Gr_k(dom) -> Gr_k(cod)} off the diagonal table, for a
+        filtered map."""
+        return {k: len(_echelon(rows)[1]) for k, rows in self.diagonal.items()}
+
     def strict(self) -> bool:
         """Strict compatibility: image(m) \\cap W_k(cod) = m(W_k(dom)) for all k.
 
@@ -316,15 +335,12 @@ class AdaptedMap:
         and G_k = image(m) \\cap W_k(cod), rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
         <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
         iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is
-        F = G.  The graded maps are blocks of the adapted matrix, and they
-        exist iff m is filtered, so a map that is not filtered raises
-        NotFiltered from the same loop.
+        F = G.  The graded maps are the diagonal blocks, which exist iff m
+        is filtered; a map that is not filtered raises NotFiltered.
         """
-        try:
-            graded = sum(rank(self.graded(k, k)) for k in self.dom.weights)
-        except NotCompatible:
-            raise NotFiltered("map is not filtered") from None
-        return graded == rank(self.matrix)
+        if not self.filtered():
+            raise NotFiltered("map is not filtered")
+        return sum(self.graded_ranks.values()) == rank(self.matrix)
 
 
 def weights_at_most(filt: WeightFiltration, n: int) -> bool:

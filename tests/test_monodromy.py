@@ -18,8 +18,8 @@ from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
                               WeightFiltration, WeightedSpace)
 
 from conftest import J2, J3, _map, qm, span
-from reference import (ref_apply, ref_kernel_flag, ref_matvec, ref_monodromy_axioms,
-                       ref_monodromy_steps, ref_string_steps)
+from reference import (ref_apply, ref_kernel_flag, ref_matmul, ref_matvec,
+                       ref_monodromy_axioms, ref_monodromy_steps, ref_span, ref_string_steps)
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -408,6 +408,54 @@ def wrong_center_model() -> NilpotentModel:
     return NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
 
 
+def _filtrations_n_respects(mat: QMatrix, center: int) -> list:
+    """[(filtration, center)] on which N = mat shifts the filtration by -2 and
+    which need not be M(N): the kernel filtration W_{2k} = ker N^{k+1} and the
+    image filtration W_{-2k} = im N^k, both from the Fraction oracle, at the
+    center, and M(N) built at the center but read at the center moved by
+    -2, -1, 1 and 2."""
+    d, m = mat.rows, mat.entries
+    kernels = ref_kernel_flag(m, d)
+    images, power = [], tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    for k in range(len(kernels)):
+        images.append((-2 * k, Subspace.from_vectors(d, ref_span(list(zip(*power)), d))))
+        power = ref_matmul(power, m, d, d)
+    out = [(WeightFiltration.from_spaces(d, [(2 * k, Subspace.from_vectors(d, rows))
+                                             for k, rows in enumerate(kernels[1:])]), center),
+           (WeightFiltration.from_spaces(d, images), center)]
+    return out + [(monodromy_filtration(mat, center), center + delta) for delta in (-2, -1, 1, 2)]
+
+
+def test_lefschetz_chain_matches_the_oracle_off_the_monodromy_filtration(monkeypatch):
+    """On filtrations that N shifts by -2 but that need not be M(N), the
+    axiom check and a model's hard Lefschetz read each N^k off the chain of
+    graded blocks of N, with no product of matrices and no block of a power,
+    and their N^k lines equal ref_monodromy_axioms (with its ~ read as ->
+    for hard Lefschetz): 40 random nilpotent operators and 6 scrambled
+    string operators, each on the filtrations of _filtrations_n_respects."""
+    rng = random.Random(24)
+    ops = [random_nilpotent(rng, max_dim=8, entry_bound=1) for _ in range(40)]
+    ops += [generate_scrambled(generate_model(seed, 3, 3, 1, ["L", "P"]), seed).N.matrix
+            for seed in range(6)]
+    verdicts = Counter()
+    for mat in ops:
+        for filt, center in _filtrations_n_respects(mat, rng.randint(-2, 2)):
+            steps = [(w, s.basis.entries) for w, s in filt.steps]
+            want = ref_monodromy_axioms(mat.entries, mat.rows, steps, center)
+            assert want[0] == ("N-shift: N M_k in M_{k-2}", True, "")
+            with monkeypatch.context() as mp:
+                mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product taken"))
+                mp.setattr(monodromy, "_block", lambda *a: pytest.fail("block read"))
+                report = check_monodromy_axioms(filt, mat, center)
+                model = NilpotentModel.of(WeightedSpace.from_filtration(filt), center + 1, mat)
+                hl = verify_hard_lefschetz(model)
+            assert [(r.name, r.passed, r.detail) for r in report.checks] == want
+            assert [(r.name, r.passed, r.detail) for r in hl.checks if r.name.startswith("N^")] \
+                == [(name.replace("~", "->"), p, detail) for name, p, detail in want[1:]]
+            verdicts[report.passed] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 class TestOperatorContext:
     """A model computes its kernel flag, filtration, hard Lefschetz and graded kernel once."""
 
@@ -498,12 +546,14 @@ class TestOperatorContext:
             assert verify_hard_lefschetz(model).passed and len(calls) == i
 
     def test_axioms_take_no_powers_and_match_the_oracle(self, monkeypatch):
-        """check_monodromy_axioms reads each N^k off a power of N written in
-        the basis adapted to the filtration, so it never builds the kernel
-        flag that a model and the chain builder read.  Over 20 seeded
-        operators its report equals ref_monodromy_axioms on M(N), on M(N)
-        with a wrong center, and on a full flag of random vectors, weighted
-        0 .. d-1, that fails the N-shift at two or more steps."""
+        """check_monodromy_axioms reads each N^k off N written in the basis
+        adapted to the filtration (the chain of its graded blocks once the
+        N-shift holds, a block of the full power otherwise), so it never
+        builds the kernel flag that a model and the chain builder read.
+        Over 20 seeded operators its report equals ref_monodromy_axioms on
+        M(N), on M(N) with a wrong center, and on a full flag of random
+        vectors, weighted 0 .. d-1, that fails the N-shift at two or more
+        steps."""
         rng, flags = random.Random(6), random.Random(60)
         failing_steps = Counter()
         for _ in range(20):
@@ -529,6 +579,40 @@ class TestOperatorContext:
             if not mat.is_zero():
                 failing_steps[sum(r.name.startswith("N W_") for r in report.checks) >= 2] += 1
         assert failing_steps[True] >= 10 and not failing_steps[False], failing_steps
+
+    def test_filtered_n_takes_no_power_and_slices_each_weight_once(self, monkeypatch):
+        """Once N shifts the filtration by -2, the axiom check on M(N), hard
+        Lefschetz, the graded kernel, the primitive decomposition and the
+        strictness of the model's N form no product of matrices and read no
+        block through weights._block: each reads the diagonal table of its
+        adapted N, which slices every weight of that map once.  String,
+        filtrationless, scrambled and given-filtration models."""
+        slices = []
+        block_rows = weights._block_rows
+        for build in (lambda: JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent(),
+                      lambda: NilpotentModel.on_monodromy_filtration(J3, 1),
+                      lambda: generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3),
+                      wrong_center_model):
+            model = build()
+            slices.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product taken"))
+                for module in (weights, monodromy):
+                    mp.setattr(module, "_block", lambda *a: pytest.fail("block read"))
+                mp.setattr(weights, "_block_rows",
+                           lambda a, *corners: slices.append((id(a), corners))
+                           or block_rows(a, *corners))
+                axioms = check_monodromy_axioms(model.monodromy_filtration, model.N.matrix,
+                                                model.center)
+                assert axioms.passed
+                if verify_hard_lefschetz(model).passed:
+                    assert primitive_decomposition(model).passed
+                    assert graded_kernel(model).dims
+                model.N.strict()
+            assert len(set(slices)) == len(slices)
+            counts = Counter(a for a, _ in slices)  # the axiom check's N and the model's
+            assert counts.pop(id(model.N.adapted)) == len(model.space.filtration.weights)
+            assert list(counts.values()) == [len(model.monodromy_filtration.weights)]
 
     def test_flag_ends_at_the_first_full_kernel(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
