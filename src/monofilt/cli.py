@@ -5,15 +5,17 @@ strings ("p/q" or "p"), never floats; serialization is canonical (sorted
 keys, fixed field order) so parse . serialize is the identity.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 parse error,
-3 validation error; `main` lets a closed stdout end the process by SIGPIPE
-where the platform has one.  A document whose model would exceed MAX_DIM (in
-dimension, total string length or weight spread) is a validation error,
-raised before anything of that size is built.
+3 validation error, 4 output error (`main` only: stdout could not be
+written, say on a full disk); `main` lets a closed stdout end the process by
+SIGPIPE where the platform has one.  A document whose model would exceed
+MAX_DIM (in dimension, total string length or weight spread) is a
+validation error, raised before anything of that size is built.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import signal
 import sys
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_OUTPUT = 4
 
 # the largest dimension, total string length, point multiplicity or distance
 # of a weight from the center that a document or `gen` may ask for: the
@@ -551,4 +554,12 @@ def run(argv=None, out=None) -> int:
 def main() -> None:
     if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process, as it ends cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as e:  # _load reports a document it cannot read, so this is stdout
+        # the flush at exit would fail again and make the status 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"output error: {e.strerror}", file=sys.stderr)
+        code = EXIT_OUTPUT
+    sys.exit(code)

@@ -66,28 +66,36 @@ def monodromy_filtration(n_op: QMatrix, center: int,
     M_w is spanned by the vectors of weight <= w in a basis of Jordan chains
     h, N h, ..., N^m h, N^i h of weight c + m - 2i (Deligne, Weil II 1.6),
     built top-down along the kernel flag `kernels` (built from n_op when not
-    given).  check_monodromy_axioms verifies M without chains.
+    given).  The heads of level k are the rows of ker N^k whose pivots are
+    new over ker N^{k-1} + N(level k+1).  When no chain reaches level k from
+    above, they are the rows of ker N^k new over ker N^{k-1}, read off the
+    flag with no pass; otherwise one pass takes ker N^{k-1}, the images and
+    those new rows.  One more pass builds the steps.  check_monodromy_axioms
+    verifies M without chains.
     """
     kernels = kernels or _kernel_flag(n_op)
     d = n_op.rows
+    new = list(qlinalg._new_rows(kernels))  # rows of ker N^k new over ker N^{k-1}
     chains, level = [], []  # (integer vector, weight): all, and those at level k
     for k in range(len(kernels) - 1, 0, -1):
         # N is injective from ker N^{k+1}/ker N^k to ker N^k/ker N^{k-1}
         level = [(n_op._apply(v), w - 2) for v, w in level]
-        missing = kernels[k].dim - kernels[k - 1].dim - len(level)
-        if missing:
-            # the rows of ker N^k whose pivots are new over ker N^{k-1} + N(level)
-            # span the heads' classes
-            (_, below), (rows, pivots) = qlinalg._prefix_spans(
-                [kernels[k - 1]._rows + tuple(v for v, _ in level), kernels[k]._rows])
-            below = set(below)
-            level += [(h, center + k - 1) for h, p in zip(rows, pivots) if p not in below]
+        if len(new[k]) > len(level):
+            heads = [r for r, _ in new[k]]
+            if level:
+                # the rows of ker N^k whose pivots are new over ker N^{k-1} + N(level)
+                # span the heads' classes; ker N^{k-1} and its new rows span ker N^k
+                (_, below), (rows, pivots) = qlinalg._prefix_spans(
+                    [kernels[k - 1]._rows + tuple(v for v, _ in level), heads])
+                below = set(below)
+                heads = [h for h, p in zip(rows, pivots) if p not in below]
+            level += [(h, center + k - 1) for h in heads]
         chains += level
     # the chain vectors are a basis of Q^d, so the steps strictly grow up to Q^d
     weights = sorted({u for _, u in chains})
     spans = qlinalg._prefix_spans([v for v, u in chains if u == w] for w in weights)
-    return WeightFiltration(d, tuple((w, Subspace(d, rows))
-                                     for w, (rows, _) in zip(weights, spans)))
+    return WeightFiltration(d, tuple((w, Subspace._of(d, *span))
+                                     for w, span in zip(weights, spans)))
 
 
 def _spread(filt: WeightFiltration, center: int) -> int:

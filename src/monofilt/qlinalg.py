@@ -18,10 +18,15 @@ reduced once against the rows so far, a new pivot row is cleared from the
 others, and each updated row is divided by the gcd of its entries.  The rows
 after each group are the primitive RREF rows of the span of that prefix, so a
 nested flag (the monodromy filtration, one induced on a quotient) takes one
-pass.  _zassenhaus runs it over rows [x | y] and keeps the y whose x is zero:
-the kernel flag of m (_kernels, whose first step is kernel) and the meets of a
-subspace with a flag (_meets, behind intersect and the filtration induced on
-a subspace) are each one such pass.
+pass.  From a start column, a new pivot is cleared only from the rows whose
+pivots lie between the start and it: the rows from the start on are RREF
+rows and those before it only echelon rows.  _zassenhaus runs it over rows
+[x | y] from the start of y and keeps the y whose x is zero, the RREF rows,
+which are all it reads: the kernel flag of m (_kernels, whose first step is
+kernel) and the meets of a subspace with a flag (_meets, behind intersect
+and the filtration induced on a subspace) are each one such pass.  Every
+other pass starts at column 0.  A subspace built from a pass keeps the
+pivots the pass found.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -199,15 +204,19 @@ def _primitive(v: list) -> tuple:
     return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
-def _prefix_spans(groups: Iterable[Iterable[Sequence]]) -> Iterator[tuple]:
+def _prefix_spans(groups: Iterable[Iterable[Sequence]], start: int = 0) -> Iterator[tuple]:
     """One fraction-free Gauss-Jordan pass over groups of integer vectors.
 
-    After each group, yields (rows, pivots): the primitive RREF rows (tuples,
-    positive pivots) of the span of every vector so far, in pivot order.  Each
-    vector is reduced once against the rows so far; a new pivot row is then
-    cleared from the others.  Groups are read lazily, so a group may be built
-    from the last yield.  RREF rows are unique, so each prefix gives the
-    rows of Subspace.from_vectors of that prefix.
+    After each group, yields (rows, pivots): primitive rows (tuples, positive
+    pivots) of the span of every vector so far, in pivot order.  Each vector
+    is reduced once against the rows so far, in pivot order; a new pivot at
+    or after column `start` is then cleared from the rows whose pivots lie in
+    [start, c), and a new pivot before `start` from none.  So the rows are in
+    echelon form, and those with pivots from `start` on are the primitive
+    RREF rows of the span's vectors that are zero before `start`; with
+    start = 0 every row is an RREF row.  Groups are read lazily, so a group
+    may be built from the last yield.  RREF rows are unique, so each prefix
+    gives the rows of Subspace.from_vectors of that prefix.
     """
     rows: list = []
     pivots: list = []
@@ -225,24 +234,28 @@ def _prefix_spans(groups: Iterable[Iterable[Sequence]]) -> Iterator[tuple]:
             g = gcd(*v) if v[c] > 0 else -gcd(*v)
             v = tuple(x // g for x in v) if g != 1 else tuple(v)
             pv = v[c]
-            for i, row in enumerate(rows):
-                f = row[c]
+            i = bisect_left(pivots, c)
+            # the rows with pivots in [start, c), none if c < start: a row
+            # with a later pivot is zero at c
+            for j in range(bisect_left(pivots, start), i):
+                f = rows[j][c]
                 if f:
                     g = gcd(pv, f)
                     a, b = pv // g, f // g
-                    rows[i] = _primitive([a * x - b * y for x, y in zip(row, v)])
-            i = bisect_left(pivots, c)
+                    rows[j] = _primitive([a * x - b * y for x, y in zip(rows[j], v)])
             rows.insert(i, v)
             pivots.insert(i, c)
         yield tuple(rows), tuple(pivots)
 
 
 def _zassenhaus(groups: Iterable[Iterable[Sequence]], d: int) -> Iterator[tuple]:
-    """One _prefix_spans pass over integer rows [x | y], x of length d.  After
-    each group, yields (rows, pivots in y) of the y whose x is zero: the right
-    halves of the rows whose pivot lies in the right half.  Their left halves
-    are zero, so they are the primitive RREF rows of that space."""
-    for rows, pivots in _prefix_spans(groups):
+    """One _prefix_spans pass from column d over integer rows [x | y], x of
+    length d: the rows with pivots in x, which nothing reads, stay in echelon
+    form.  After each group, yields (rows, pivots in y) of the y whose x is
+    zero: the right halves of the rows whose pivot lies in the right half.
+    Those rows are RREF rows with zero left halves, so their right halves
+    are the primitive RREF rows of that space."""
+    for rows, pivots in _prefix_spans(groups, d):
         i = bisect_left(pivots, d)
         yield tuple(r[d:] for r in rows[i:]), tuple(p - d for p in pivots[i:])
 
@@ -270,22 +283,30 @@ class Subspace:
     _rows: tuple  # primitive integer RREF rows (tuples of int), pivots positive
 
     @staticmethod
+    def _of(ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
+        """The subspace with these RREF rows and the pivots a pass found."""
+        s = Subspace(ambient_dim, rows)
+        vars(s)["pivots"] = pivots
+        return s
+
+    @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = []
         for v in vectors:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
             rows.append(_int_row(v)[0])
-        return Subspace(ambient_dim, _echelon(rows)[0])
+        return Subspace._of(ambient_dim, *_echelon(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        return Subspace._of(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(
-            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
+        return Subspace._of(ambient_dim, tuple(
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
+            tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -342,7 +363,7 @@ def _kernels(m: QMatrix) -> Iterator[Subspace]:
             yield new
 
     for rows, pivots in _zassenhaus(groups(), d):
-        yield Subspace(m.cols, rows)
+        yield Subspace._of(m.cols, rows, pivots)
         new = [r + (0,) * d for r, p in zip(rows, pivots) if p not in seen]
         seen.update(pivots)
 
@@ -361,7 +382,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a n b, the one-space case of _meets."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return Subspace(a.ambient_dim, next(_meets(a, [b])))
+    return Subspace._of(a.ambient_dim, *next(_meets(a, [b])))
 
 
 def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
@@ -374,38 +395,44 @@ def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
 
 def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
     """For each space of the nested sequence flag, its rows whose pivots are
-    not pivots of the space before; with that space they span it."""
+    not pivots of the space before, as (row, pivot) pairs; with that space
+    they span it."""
     below: set = set()
     for t in flag:
-        yield [r for r, p in zip(t._rows, t.pivots) if p not in below]
+        yield [(r, p) for r, p in zip(t._rows, t.pivots) if p not in below]
         below = set(t.pivots)
 
 
 def _meets(s: Subspace, flag: Iterable[Subspace]) -> Iterator[tuple]:
-    """For each space t of the nested flag, the primitive RREF rows of t n s,
-    by one Zassenhaus pass: [r | r] for the rows of s, then [r | 0] for the
-    new rows of each t, so a y whose x is zero lies in s and in t."""
+    """For each space t of the nested flag, (primitive RREF rows, pivots) of
+    t n s, by one Zassenhaus pass: [r | r] for the rows of s, then [r | 0]
+    for the new rows of each t, so a y whose x is zero lies in s and in t."""
     d = s.ambient_dim
     zeros = (0,) * d
     spans = _zassenhaus([[r + r for r in s._rows]]
-                        + [[r + zeros for r in rows] for rows in _new_rows(flag)], d)
+                        + [[r + zeros for r, _ in new] for new in _new_rows(flag)], d)
     next(spans)
-    return (rows for rows, _ in spans)
+    return spans
 
 
 def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
     """[t n s for t in flag] in the coordinates of s, for a nested flag, by
     _meets.  A vector of s is zero before its entry at a pivot of s, so those
-    entries, divided by their gcd, are the RREF rows in the coordinates of s."""
-    return [Subspace(s.dim, tuple(_primitive([r[p] for p in s.pivots]) for r in rows))
-            for rows in _meets(s, flag)]
+    entries, divided by their gcd, are the RREF rows in the coordinates of s,
+    and a row's pivot is a pivot of s, whose index is its pivot there."""
+    sp = s.pivots
+    return [Subspace._of(s.dim, tuple(_primitive([r[p] for p in sp]) for r in rows),
+                         tuple(bisect_left(sp, p) for p in pivots))
+            for rows, pivots in _meets(s, flag)]
 
 
 def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:
     """[(t + s)/s for t in flag] in the coordinates of Q^d/s, for a nested
     flag, by one pass over the quotient coordinates of the new rows of each t."""
-    return [Subspace(s.ambient_dim - s.dim, rows) for rows, _ in _prefix_spans(
-        [w for w, _ in _quotient_coords(s, rows)] for rows in _new_rows(flag))]
+    return [Subspace._of(s.ambient_dim - s.dim, rows, pivots)
+            for rows, pivots in _prefix_spans(
+                [w for w, _ in _quotient_coords(s, [r for r, _ in new])]
+                for new in _new_rows(flag))]
 
 
 def _flag_basis(flag: Iterable[Subspace]) -> tuple:
@@ -415,7 +442,7 @@ def _flag_basis(flag: Iterable[Subspace]) -> tuple:
     distinct.  As (rows, table): rows lists (row, pivot) in that order, and
     table[p] is (index, row[p], nonzeros (j, row[j]) after p) for the row
     with pivot p."""
-    rows = [(r, next(j for j, x in enumerate(r) if x)) for new in _new_rows(flag) for r in new]
+    rows = [rp for new in _new_rows(flag) for rp in new]
     table = [None] * len(rows)
     for i, (r, p) in enumerate(rows):
         table[p] = (i, r[p], [(j, r[j]) for j in range(p + 1, len(r)) if r[j]])

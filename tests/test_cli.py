@@ -728,6 +728,14 @@ def test_monodromy_center_prints_the_filtration_at_that_center(seed, tmp_path):
                 (EXIT_OK, "\n".join(want) + "\n")
 
 
+def _child_env() -> dict:
+    """The environment of a `python -m monofilt` child that imports this
+    checkout's monofilt."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 class TestProcess:
     def test_parser_built_once(self, monkeypatch):
         calls = []
@@ -739,9 +747,7 @@ class TestProcess:
         assert len(calls) == 1
 
     def test_python_m_monofilt(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _child_env()
         proc = subprocess.run(
             [sys.executable, "-m", "monofilt", "check",
              write_json(tmp_path, "m.json", README_EXAMPLE)],
@@ -752,9 +758,7 @@ class TestProcess:
     def test_closed_stdout_is_not_a_failed_check(self, tmp_path):
         """A reader that has gone away (`monofilt check DOC | head -1`) ends
         the run without a traceback, and never with the failed-check code."""
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _child_env()
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -766,3 +770,19 @@ class TestProcess:
             os.close(write_end)
         assert proc.returncode != EXIT_VERIFICATION
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_is_an_output_error(self, tmp_path):
+        """A stdout that cannot be written (`monofilt check DOC > /dev/full`)
+        ends in exit 4 and one `output error:` line, not in a traceback or
+        the failed-check code."""
+        env = _child_env()
+        path = write_json(tmp_path, "m.json", README_EXAMPLE)
+        for argv in (["check", path], ["check", path, "--format", "json"],
+                     ["kclass", path], ["monodromy", path]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "monofilt", *argv], stdout=full,
+                                      stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+            assert proc.returncode == 4, (argv, proc.stderr)
+            assert proc.stderr.startswith("output error: "), argv
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

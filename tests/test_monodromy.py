@@ -512,6 +512,25 @@ class TestOperatorContext:
             assert [k.basis.entries for k in model.kernels] == \
                 ref_kernel_flag(model.N.matrix.entries, model.space.dim)
 
+    @pytest.mark.parametrize("lengths, passes", [((8,), 1), ((4, 4), 1), ((3, 3, 2, 1), 3)])
+    def test_chain_heads_come_off_the_kernel_flag(self, monkeypatch, lengths, passes):
+        """Where no chain reaches a level from above, its heads are the new
+        rows of the kernel flag and take no pass; elsewhere one pass takes
+        only those rows after ker N^{k-1} and the images.  So a scrambled
+        J_8 or J_4+J_4 makes one pass (the steps) and J_3+J_3+J_2+J_1 three,
+        and M(N) equals the closed formula's."""
+        model = JordanStringModel(tuple(("L", m) for m in lengths), 1)
+        n_op = generate_scrambled(model, 7).N.matrix
+        flag = monodromy._kernel_flag(n_op)
+        calls = []
+        prefix_spans = qlinalg._prefix_spans
+        monkeypatch.setattr(qlinalg, "_prefix_spans",
+                            lambda *args: calls.append(1) or prefix_spans(*args))
+        f = monodromy_filtration(n_op, 0, kernels=flag)
+        assert len(calls) == passes
+        for k, rows in ref_monodromy_steps(n_op.entries, n_op.rows, 0):
+            assert f.space_at(k).basis.entries == rows, k
+
     def test_one_adapted_basis_per_filtration(self, monkeypatch):
         """Construction, hard Lefschetz, the graded kernel and the primitive
         decomposition together build one adapted basis of the filtration and

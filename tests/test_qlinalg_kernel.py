@@ -7,6 +7,7 @@ different method from the library's.  sympy's Matrix.rref, when sympy is
 installed, is a second oracle.
 """
 import random
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
-from monofilt.monodromy import monodromy_filtration
+from monofilt.monodromy import _kernel_flag, monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
-from monofilt.weights import AdaptedMap, ShapeMismatch, WeightFiltration
+from monofilt.weights import (AdaptedMap, ShapeMismatch, WeightFiltration,
+                              induced_filtration_on_quotient, induced_filtration_on_sub)
 
 from conftest import random_subspace
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
@@ -218,7 +220,8 @@ def test_kernel_and_intersect_take_one_pass(monkeypatch):
               (pairs[6][0], Subspace.full(3))]
     passes = []
     prefix_spans = qlinalg._prefix_spans
-    monkeypatch.setattr(qlinalg, "_prefix_spans", lambda g: passes.append(1) or prefix_spans(g))
+    monkeypatch.setattr(qlinalg, "_prefix_spans",
+                        lambda *args: passes.append(1) or prefix_spans(*args))
     monkeypatch.setattr(Subspace, "from_vectors", lambda *a: pytest.fail("from_vectors"))
     k = qlinalg.kernel(n_op)
     assert len(passes) == 1
@@ -229,6 +232,33 @@ def test_kernel_and_intersect_take_one_pass(monkeypatch):
         assert len(passes) == i
         assert meet.basis.entries == ref_intersect(a.basis.entries, b.basis.entries,
                                                    a.ambient_dim)
+
+
+def _first_nonzeros(s: Subspace) -> tuple:
+    return tuple(next(j for j, x in enumerate(r) if x) for r in s._rows)
+
+
+def test_pass_built_subspaces_carry_their_pivots():
+    """A Subspace built from a pass's (rows, pivots) holds those pivots from
+    the start, and they are the first nonzero columns of its rows:
+    from_vectors, kernel, intersect, the kernel flag, the steps of the
+    monodromy filtration and of both induced filtrations, and full."""
+    rng = random.Random(29)
+    for _ in range(30):
+        model = generate_model(rng.getrandbits(32), 3, 4, 1, ["L"])
+        n_op = generate_scrambled(model, rng.getrandbits(32)).N.matrix
+        d = n_op.rows
+        flag = _kernel_flag(n_op)
+        filt = monodromy_filtration(n_op, rng.randint(-1, 1), kernels=flag)
+        s = random_subspace(rng, d)
+        built = [Subspace.from_vectors(d, n_op.entries), qlinalg.kernel(n_op),
+                 qlinalg.intersect(s, flag[1]), Subspace.full(d), *flag]
+        for f in (filt, induced_filtration_on_sub(filt, s),
+                  induced_filtration_on_quotient(filt, s)):
+            built += [t for _, t in f.steps]
+        for t in built:
+            assert "pivots" in vars(t)
+            assert t.pivots == _first_nonzeros(t)
 
 
 def test_intersect_negative_pivots():
@@ -389,7 +419,9 @@ def vector_groups(draw):
 
 def _check_prefix_spans(d, groups):
     """Each snapshot of _prefix_spans is the span of its prefix: the rows and
-    pivots of Subspace.from_vectors, and the RREF of the Fraction oracle."""
+    pivots of Subspace.from_vectors, and the RREF of the Fraction oracle.  A
+    pass from any column `start` gives the same pivots, the same rows from
+    start on (those with pivots at or after start), and the same span."""
     spans = list(qlinalg._prefix_spans(groups))
     assert len(spans) == len(groups)
     prefix = []
@@ -398,6 +430,13 @@ def _check_prefix_spans(d, groups):
         want = Subspace.from_vectors(d, prefix)
         assert rows == want._rows and pivots == want.pivots
         assert Subspace(d, rows).basis.entries == ref_span(prefix, d)
+    for start in range(d + 1):
+        echelon = list(qlinalg._prefix_spans(groups, start))
+        assert len(echelon) == len(spans)
+        for (rows, pivots), (got, got_pivots) in zip(spans, echelon):
+            i = bisect_left(pivots, start)
+            assert got_pivots == pivots and got[i:] == rows[i:]
+            assert Subspace.from_vectors(d, got) == Subspace(d, rows)
 
 
 @EXAMPLES

@@ -495,7 +495,7 @@ class TestInducedAgainstOracle:
         passes = []
         real = qlinalg._prefix_spans
 
-        def counted(groups):
+        def counted(groups, *args):
             # rows are counted as the pass reads them: a group may be built
             # from the pass's last yield
             i = len(passes)
@@ -505,7 +505,7 @@ class TestInducedAgainstOracle:
                 for v in group:
                     passes[i] += 1
                     yield v
-            return real(map(read, groups))
+            return real(map(read, groups), *args)
 
         def refused(*args):
             raise AssertionError("intersect called")
