@@ -333,10 +333,10 @@ def parse(text: str) -> ModelDocument:
 def _model_reports(model: NilpotentModel) -> list:
     reports = [gluing.verify_roundtrip(model), verify_sequence_2(model),
                verify_prop_2_3(model)]
-    if model.space.dim:
+    hl = verify_hard_lefschetz(model)
+    if not hl.passed:  # the diagnosis: a passing hl is the axioms on W = M(N)
         reports.append(monodromy.check_monodromy_axioms(
             model.monodromy_filtration, model.N.matrix, model.center))
-    hl = verify_hard_lefschetz(model)
     reports.append(hl)
     if hl.passed:
         reports.append(primitive_decomposition(model))

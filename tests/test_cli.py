@@ -96,7 +96,7 @@ def test_rational_document_check_output_is_unchanged(tmp_path):
     digest = [hashlib.sha256(t.encode()).hexdigest() for t in (text, out)]
     assert digest == [
         "acc155ca26055e7bd251b9a4589331c6b0794122c960969cb9b4b18856dd8477",
-        "75d274dc96d00e8864bdad87b8b5bd57a9d0c9d6c2e808d0b40f65069d79c719"]
+        "6a9e8067d34d7b2fca88ffe3841c9ec3054cbb1f489230967ebb483b977295e1"]
 
 
 class TestErrors:
@@ -667,18 +667,21 @@ def _disk_doc(open_data, pure=True):
 
 
 class TestExtensionContext:
-    """One check builds each extension, and each filtration, once per model."""
+    """One check builds each extension once per model, and a monodromy
+    filtration only for a model built on it: a passing hard Lefschetz on a
+    document's own filtration builds none."""
 
     def test_model_check_builds_each_extension_once(self, builds, tmp_path):
         strings = json.loads(serialize(ModelDocument(
             "pure_strings", generate_model(5, 3, 4, 1, ["L", "P"]))))
-        for data in (strings, _nilpotent_doc(), _nilpotent_doc(("grading",))):
+        for data, filtrations in ((strings, 1), (_nilpotent_doc(), 0),
+                                  (_nilpotent_doc(("grading",)), 0)):
             builds.clear()
             rc, _ = run(["check", write_json(tmp_path, "m.json", data)])
             assert rc == EXIT_OK
             # a model's extensions take their checks from the model
             assert builds == Counter(intermediate=1, shriek=1, star=1,
-                                     datum=0, filtration=1)
+                                     datum=0, filtration=filtrations)
 
     def test_disk_check_builds_datum_and_filtration_once(self, builds, tmp_path):
         for data in (_disk_doc(_nilpotent_doc()),
@@ -688,7 +691,7 @@ class TestExtensionContext:
             rc, _ = run(["check", write_json(tmp_path, "d.json", data)])
             assert rc == (EXIT_OK if data["pure"] else EXIT_VERIFICATION)
             assert builds[data["extension"]] == 1 and builds["datum"] == 0
-            assert builds["filtration"] == 1
+            assert builds["filtration"] == ("filtration" not in data["open"])
 
     def test_filtrationless_nilpotent_builds_one_filtration(self, builds, tmp_path):
         path = write_json(tmp_path, "m.json", _nilpotent_doc(("filtration",)))

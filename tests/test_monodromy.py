@@ -431,8 +431,10 @@ def test_lefschetz_chain_matches_the_oracle_off_the_monodromy_filtration(monkeyp
     axiom check and a model's hard Lefschetz read each N^k off the chain of
     graded blocks of N, with no product of matrices and no block of a power,
     and their N^k lines equal ref_monodromy_axioms (with its ~ read as ->
-    for hard Lefschetz): 40 random nilpotent operators and 6 scrambled
-    string operators, each on the filtrations of _filtrations_n_respects."""
+    for hard Lefschetz).  Hard Lefschetz passes exactly on M(N), the
+    uniqueness that lets it stand for the axioms on M(N).  40 random
+    nilpotent operators and 6 scrambled string operators, each on the
+    filtrations of _filtrations_n_respects."""
     rng = random.Random(24)
     ops = [random_nilpotent(rng, max_dim=8, entry_bound=1) for _ in range(40)]
     ops += [generate_scrambled(generate_model(seed, 3, 3, 1, ["L", "P"]), seed).N.matrix
@@ -452,6 +454,8 @@ def test_lefschetz_chain_matches_the_oracle_off_the_monodromy_filtration(monkeyp
             assert [(r.name, r.passed, r.detail) for r in report.checks] == want
             assert [(r.name, r.passed, r.detail) for r in hl.checks if r.name.startswith("N^")] \
                 == [(name.replace("~", "->"), p, detail) for name, p, detail in want[1:]]
+            # Deligne's uniqueness: on an N-shifted filtration, hl passes iff it is M(N)
+            assert hl.passed == (filt == monodromy_filtration(mat, center))
             verdicts[report.passed] += 1
     assert verdicts[True] and verdicts[False], verdicts
 

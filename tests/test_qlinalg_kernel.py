@@ -20,10 +20,10 @@ from monofilt import qlinalg
 from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import _kernel_flag, monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
-from monofilt.weights import (AdaptedMap, ShapeMismatch, WeightFiltration,
+from monofilt.weights import (AdaptedMap, ShapeMismatch, WeightFiltration, _block,
                               induced_filtration_on_quotient, induced_filtration_on_sub)
 
-from conftest import random_subspace
+from conftest import random_subspace, rref_basis
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
                        ref_monodromy_steps, ref_null, ref_rref, ref_span)
 
@@ -96,8 +96,8 @@ def test_rref_and_rank(mc):
     data, r, c = mc
     m = qmatrix(data, c)
     red, pivots = ref_rref(data, c)
-    out = qlinalg.rref(m)
-    assert out.entries == tuple(red) + ((Fraction(0),) * c,) * (r - len(red))
+    out = rref_basis(m)
+    assert out.entries == tuple(red)
     assert is_canonical(out)
     assert qlinalg.rank(m) == len(pivots)
 
@@ -180,9 +180,9 @@ def test_matrix_equality_and_hash_agree_with_the_entries(x, y, k):
         a @ QMatrix.identity(c),
         QMatrix.identity(r) @ a,
     ]
-    # the RREF depends only on the row space and the row count
-    rrefs = [qlinalg.rref(a), qlinalg.rref(qmatrix(ku[::-1], c)), qlinalg.rref(qlinalg.rref(a))]
-    forms = [a, *same_as_a, *rrefs, qmatrix(w, c2), qlinalg.rref(qmatrix(w, c2))]
+    # the RREF depends only on the row space
+    rrefs = [rref_basis(a), rref_basis(qmatrix(ku[::-1], c)), rref_basis(rref_basis(a))]
+    forms = [a, *same_as_a, *rrefs, qmatrix(w, c2), rref_basis(qmatrix(w, c2))]
     assert all(m == a for m in same_as_a) and all(m == rrefs[0] for m in rrefs)
     for m in forms:
         assert is_canonical(m)
@@ -326,7 +326,7 @@ def _two_step(d, sub, quot):
 
 
 def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
-    """AdaptedMap(m, dom, cod).graded(1, 1) on the two-step filtrations
+    """_block(AdaptedMap(m, dom, cod).adapted, dom, cod, 1, 1) on the two-step filtrations
     sub c quot, against containments computed with ref_image; returns the
     case met."""
     d, e = m.cols, m.rows
@@ -334,9 +334,9 @@ def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
     held = (sub_cod.contains(ref_image(m, sub_dom)), quot_cod.contains(ref_image(m, quot_dom)))
     if not all(held):
         with pytest.raises(qlinalg.NotCompatible):
-            AdaptedMap(m, dom, cod).graded(1, 1)
+            _block(AdaptedMap(m, dom, cod).adapted, dom, cod, 1, 1)
         return "only m(W_1) fails" if held[0] else "m(W_0) fails"
-    out = AdaptedMap(m, dom, cod).graded(1, 1)
+    out = _block(AdaptedMap(m, dom, cod).adapted, dom, cod, 1, 1)
     dom_basis = [b for b, p in zip(quot_dom.basis.entries, quot_dom.pivots)
                  if p not in sub_dom.pivots]
     cod_basis = [c for c, p in zip(quot_cod.basis.entries, quot_cod.pivots)
@@ -350,7 +350,7 @@ def _check_graded_map(m, sub_dom, quot_dom, sub_cod, quot_cod) -> str:
 
 
 def test_graded_map_raises_exactly_when_a_containment_fails():
-    """On random two-step filtrations, AdaptedMap(m, dom, cod).graded(1, 1)
+    """On random two-step filtrations, _block(AdaptedMap(m, dom, cod).adapted, ..., 1, 1)
     raises NotCompatible exactly when m(W_0) in W'_0 or m(W_1) in W'_1 fails;
     otherwise each column is the class of m b mod W'_0 in the basis of
     Gr_1.  The containments are computed here with ref_image and contains.
@@ -486,8 +486,7 @@ def test_matmul(args):
 def test_negative_pivots_and_zero_rows():
     data = [[0, 0, 0], [-2, 4, -6], [0, 0, 0], [3, -6, 10]]
     m = qmatrix([[Fraction(x) for x in r] for r in data], 3)
-    assert qlinalg.rref(m).entries == (
-        (1, -2, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0))
+    assert rref_basis(m).entries == ((1, -2, 0), (0, 0, 1))
     assert qlinalg.kernel(m).basis.entries == ((1, Fraction(1, 2), 0),)
 
 
@@ -624,5 +623,5 @@ def test_rref_matches_sympy(mc):
     red, pivots = sympy.Matrix(data).rref()
     expected = tuple(tuple(Fraction(int(x.p), int(x.q)) for x in red.row(i))
                      for i in range(r))
-    assert qlinalg.rref(qmatrix(data, c)).entries == expected
+    assert rref_basis(qmatrix(data, c)).entries == expected[:len(pivots)]
     assert qlinalg.rank(qmatrix(data, c)) == len(pivots)

@@ -1,11 +1,13 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 from monofilt import gluing, qlinalg, weights
 from monofilt.kgroup import kclass_of_space
-from monofilt.monodromy import JordanStringModel, NotPure, graded_kernel
+from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotPure, graded_kernel,
+                                monodromy_filtration)
 from monofilt.report import Report
 from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
                                random_nilpotent,
@@ -123,17 +125,31 @@ class TestWeightMechanics:
         assert not rep.result("surjective_on_low_weights").passed
 
     def test_implication_holds_on_mixed_corpus(self, rng):
+        """Each disk, and an impure twin whose open part carries M(N) read
+        one weight up.  monodromy_centered, read off the open part's hard
+        Lefschetz, gives the verdict of comparing psi's filtration with
+        M(N, n-1) built afresh."""
+        centered = Counter()
         for i in range(80):
             strings = tuple(("L", rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3)))
             ext = rng.choice(["intermediate", "shriek", "star"])
             dm = disk(strings, n=rng.randint(0, 2),
                       pure=(ext == "intermediate"), extension=ext)
-            for k in (-1, 0):
-                wm = verify_weight_mechanics(dm, k)
-                lic = verify_local_invariant_cycles(dm, k)
-                if wm.passed:
-                    assert lic.passed
+            n, mat = dm.n, dm.open_part.N.matrix
+            off = NilpotentModel.of(WeightedSpace.from_filtration(
+                monodromy_filtration(mat, n)), n, mat)
+            for dm in (dm, DiskModel(off, WeightedSpace.zero(), pure=False, extension=ext)):
+                for k in (-1, 0):
+                    wm = verify_weight_mechanics(dm, k)
+                    lic = verify_local_invariant_cycles(dm, k)
+                    if wm.passed:
+                        assert lic.passed
+                verdict = verify_weight_mechanics(dm, -1).result("monodromy_centered").passed
+                assert verdict == \
+                    (dm.datum().psi.filtration == monodromy_filtration(mat, n - 1))
+                centered[verdict] += 1
+        assert centered[True] and centered[False], centered
 
     def test_pure_models_never_fail(self, rng):
         for i in range(40):

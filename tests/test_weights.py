@@ -10,7 +10,7 @@ from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
 from monofilt.theorems import random_unimodular
 from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel,
-                              WeightFiltration, WeightedSpace, default_grading,
+                              WeightFiltration, WeightedSpace, _block, default_grading,
                               induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
@@ -273,7 +273,7 @@ def _map_between(rng, dom, dom_steps, cod, cod_steps, shift):
 
 
 def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
-    """AdaptedMap(m, dom, cod).graded(k, j) for each (k, j) of pairs
+    """_block(AdaptedMap(m, dom, cod).adapted, dom, cod, k, j) for each (k, j) of pairs
     against ref_graded_map: NotCompatible exactly when the oracle finds a
     containment that fails, and otherwise the same matrix."""
     rows = [list(r) for r in m.entries]
@@ -282,10 +282,10 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
                               cod_steps, j)
         if want is None:
             with pytest.raises(qlinalg.NotCompatible):
-                AdaptedMap(m, dom, cod).graded(k, j)
+                _block(AdaptedMap(m, dom, cod).adapted, dom, cod, k, j)
             outcomes["not compatible"] += 1
             continue
-        got = AdaptedMap(m, dom, cod).graded(k, j)
+        got = _block(AdaptedMap(m, dom, cod).adapted, dom, cod, k, j)
         assert (got.rows, got.cols) == (cod.graded_dim(j), dom.graded_dim(k))
         assert got.entries == want
         outcomes["maps"] += 1
@@ -294,7 +294,7 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
 
 
 class TestAdaptedBasesOracle:
-    """AdaptedMap.graded, .filtered and .strict read every graded
+    """_block of AdaptedMap.adapted, .filtered and .strict read every graded
     map as a block of one matrix in the bases adapted to the two filtrations;
     the oracles in reference.py build each subquotient map on its own."""
 
@@ -377,7 +377,7 @@ class TestAdaptedBasesOracle:
             assert tw_dom.weights == tuple(w - 2 * d for w in dom.weights)
             ident = QMatrix.identity(dom.ambient_dim)
             for k in dom.weights:
-                g = AdaptedMap(ident, dom, tw_dom).graded(k, k - 2 * d)
+                g = _block(AdaptedMap(ident, dom, tw_dom).adapted, dom, tw_dom, k, k - 2 * d)
                 assert g == QMatrix.identity(dom.graded_dim(k))
             tw_dom_steps = [(w - 2 * d, vs) for w, vs in dom_steps]
             tw_cod_steps = [(w - 2 * d, vs) for w, vs in cod_steps]
