@@ -196,7 +196,7 @@ def _nilpotent_to_json(m: NilpotentModel) -> dict:
 def _nilpotent_from_json(data) -> NilpotentModel:
     if "matrix" not in data or "n" not in data:
         raise ParseError("nilpotent payload needs matrix and n")
-    mat = _matrix_from_json(data["matrix"])
+    mat = _matrix_from_json(data["matrix"], cols=0)  # [] is the 0 x 0 matrix
     if mat.rows != mat.cols:
         raise ValidationError("nilpotent matrix must be square")
     n = _parse_int(data["n"], "n")
@@ -406,6 +406,21 @@ def _emit(report: Report, fmt: str, out) -> None:
         out.write(report.to_text() + "\n")
 
 
+def _emit_all(title: str, reports: list, fmt: str, out) -> bool:
+    """Writes the reports, as one JSON document in json format; returns
+    whether they all passed."""
+    passed = all(r.passed for r in reports)
+    if fmt == "json":
+        payload = {"title": title,
+                   "passed": passed,
+                   "reports": [r.to_dict() for r in reports]}
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        for r in reports:
+            out.write(r.to_text() + "\n")
+    return passed
+
+
 def _load(path: str) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -417,16 +432,8 @@ def _load(path: str) -> ModelDocument:
 
 def cmd_check(args, out) -> int:
     doc = _load(args.file)
-    reports = _reports_for(doc)
-    passed = all(r.passed for r in reports)
-    if args.format == "json":
-        payload = {"title": f"check {doc.kind}",
-                   "passed": passed,
-                   "reports": [r.to_dict() for r in reports]}
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        for r in reports:
-            out.write(r.to_text() + "\n")
+    passed = _emit_all(f"check {doc.kind}", _reports_for(doc), args.format, out)
+    if args.format == "text":
         out.write(("PASS" if passed else "FAIL") + "\n")
     return EXIT_OK if passed else EXIT_VERIFICATION
 
@@ -486,9 +493,8 @@ def cmd_lic(args, out) -> int:
     if doc.kind != "disk":
         raise ValidationError("lic needs a disk document")
     reports = _disk_reports(doc.model, [args.k] if args.k is not None else (-1, 0))
-    for r in reports:
-        _emit(r, args.format, out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
+    passed = _emit_all(f"lic {doc.kind}", reports, args.format, out)
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,7 +97,7 @@ def monodromy_filtration(n_op: QMatrix, center: int,
     # the chain vectors are a basis of Q^d, so the steps strictly grow up to Q^d
     weights = sorted({u for _, u in chains})
     spans = qlinalg._prefix_spans([v for v, u in chains if u == w] for w in weights)
-    return WeightFiltration(d, tuple((w, Subspace._of(d, *span))
+    return WeightFiltration(d, tuple((w, Subspace(d, *span))
                                      for w, span in zip(weights, spans)))
 
 

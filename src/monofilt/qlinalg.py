@@ -25,8 +25,8 @@ rows and those before it only echelon rows.  _zassenhaus runs it over rows
 which are all it reads: the kernel flag of m (_kernels, whose first step is
 kernel) and the meets of a subspace with a flag (_meets, behind intersect
 and the filtration induced on a subspace) are each one such pass.  Every
-other pass starts at column 0.  A subspace built from a pass keeps the
-pivots the pass found.
+other pass starts at column 0.  Every subspace is built from a pass and
+holds, as a field, the pivots the pass found.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
 the reduced row echelon basis scaled to coprime integers with a positive
@@ -51,7 +51,7 @@ that one matrix (_submatrix), and filteredness is a zero pattern
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -269,13 +269,8 @@ def _echelon(rows: Iterable[Sequence]) -> tuple:
 class Subspace:
     ambient_dim: int
     _rows: tuple  # primitive integer RREF rows (tuples of int), pivots positive
-
-    @staticmethod
-    def _of(ambient_dim: int, rows: tuple, pivots: tuple) -> "Subspace":
-        """The subspace with these RREF rows and the pivots a pass found."""
-        s = Subspace(ambient_dim, rows)
-        vars(s)["pivots"] = pivots
-        return s
+    # the first nonzero column of each row, as the pass that built them found it
+    pivots: tuple = field(compare=False, repr=False)
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -284,25 +279,21 @@ class Subspace:
             if len(v) != ambient_dim:
                 raise AmbientMismatch("vector length does not match ambient dimension")
             rows.append(_int_row(v)[0])
-        return Subspace._of(ambient_dim, *_echelon(rows))
+        return Subspace(ambient_dim, *_echelon(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace._of(ambient_dim, (), ())
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace._of(ambient_dim, tuple(
+        return Subspace(ambient_dim, tuple(
             tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
             tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self._rows)
-
-    @cached_property
-    def pivots(self) -> tuple:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self._rows)
 
     @cached_property
     def basis(self) -> QMatrix:
@@ -354,7 +345,7 @@ def _kernels(m: QMatrix) -> Iterator[Subspace]:
             yield new
 
     for rows, pivots in _zassenhaus(groups(), d):
-        yield Subspace._of(m.cols, rows, pivots)
+        yield Subspace(m.cols, rows, pivots)
         new = [r + (0,) * d for r, p in zip(rows, pivots) if p not in seen]
         seen.update(pivots)
 
@@ -373,7 +364,7 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     """a n b, the one-space case of _meets."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return Subspace._of(a.ambient_dim, *next(_meets(a, [b])))
+    return Subspace(a.ambient_dim, *next(_meets(a, [b])))
 
 
 def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
@@ -412,15 +403,15 @@ def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
     entries, divided by their gcd, are the RREF rows in the coordinates of s,
     and a row's pivot is a pivot of s, whose index is its pivot there."""
     sp = s.pivots
-    return [Subspace._of(s.dim, tuple(_primitive([r[p] for p in sp]) for r in rows),
-                         tuple(bisect_left(sp, p) for p in pivots))
+    return [Subspace(s.dim, tuple(_primitive([r[p] for p in sp]) for r in rows),
+                     tuple(bisect_left(sp, p) for p in pivots))
             for rows, pivots in _meets(s, flag)]
 
 
 def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:
     """[(t + s)/s for t in flag] in the coordinates of Q^d/s, for a nested
     flag, by one pass over the quotient coordinates of the new rows of each t."""
-    return [Subspace._of(s.ambient_dim - s.dim, rows, pivots)
+    return [Subspace(s.ambient_dim - s.dim, rows, pivots)
             for rows, pivots in _prefix_spans(
                 [w for w, _ in _quotient_coords(s, [r for r, _ in new])]
                 for new in _new_rows(flag))]

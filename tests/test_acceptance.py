@@ -125,7 +125,10 @@ def test_criterion_3_sequence_2():
 
 def test_criterion_4_intermediate_restrictions():
     """Same corpus: H^-1(i* of the intermediate extension) is ker N and
-    H^1(i^!) is coker N with the correct twists; complementary slots vanish."""
+    H^1(i^!) is coker N; complementary slots vanish.  They carry the
+    correct filtrations and twists because can and var carry psi's and
+    psi(-1)'s (test_gluing.py,
+    test_can_and_var_carry_the_filtrations_of_psi_and_its_twist)."""
     ok = all(verify_prop_2_3(model).passed
              for model in _nilpotent_corpus(303, 1000, 6))
     record("criterion 4: i*/i^! of intermediate extension, 1000 models", ok)

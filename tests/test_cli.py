@@ -20,6 +20,7 @@ from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                           ValidationError, parse, serialize)
 from monofilt.monodromy import JordanStringModel, NilpotentModel
 from monofilt.qlinalg import QMatrix, inverse
+from monofilt.report import CheckResult, Report
 from monofilt.theorems import DiskModel, generate_model, generate_scrambled
 from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
 
@@ -71,6 +72,16 @@ class TestRoundTrip:
         assert json.loads(serialize(doc))["point"] == {"weight": 3, "labels": []}
         assert parse(serialize(doc)) == doc
 
+    def test_zero_dim_nilpotent(self):
+        """A dim-0 model is written with "matrix": [], the 0 x 0 matrix, and
+        read back: alone and as the open part of a disk on no strings."""
+        m = JordanStringModel((), 1).to_nilpotent()
+        for doc in (ModelDocument("nilpotent", m),
+                    parse(json.dumps({"kind": "disk", "open": {"n": 1, "strings": []}}))):
+            text = serialize(doc)
+            assert parse(text) == doc and serialize(parse(text)) == text
+        assert json.loads(serialize(ModelDocument("nilpotent", m)))["matrix"] == []
+
     def test_rational_entries(self):
         text = json.dumps({
             "kind": "nilpotent", "n": 1,
@@ -83,7 +94,8 @@ class TestRoundTrip:
 def test_rational_document_check_output_is_unchanged(tmp_path):
     """A scrambled nilpotent document conjugated by diag(1, 2, ...), so its
     matrix and filtration have p/q entries: its text and its `check --format
-    json` output are byte for byte what the Fraction-built boundary wrote."""
+    json` output are byte for byte what the Fraction-built boundary wrote,
+    less the two Prop 2.3 lines that compared induced filtrations."""
     m = generate_scrambled(generate_model(7, 3, 4, 1, ["L", "P"]), 8)
     d = m.space.dim
     scale = QMatrix.from_rows([[i + 1 if i == j else 0 for j in range(d)] for i in range(d)])
@@ -96,7 +108,7 @@ def test_rational_document_check_output_is_unchanged(tmp_path):
     digest = [hashlib.sha256(t.encode()).hexdigest() for t in (text, out)]
     assert digest == [
         "acc155ca26055e7bd251b9a4589331c6b0794122c960969cb9b4b18856dd8477",
-        "6a9e8067d34d7b2fca88ffe3841c9ec3054cbb1f489230967ebb483b977295e1"]
+        "ad7af2a90dc3281093a2e2229657411d6bca95f40445d3bbcfbe95286966d33f"]
 
 
 class TestErrors:
@@ -423,7 +435,8 @@ def _fuzz_documents(draw):
 
 class TestDocumentFuzz:
     """Every document, under every command that reads one, ends in exit 0 or 1
-    with nothing on stderr, or in exit 2 or 3 with one error line."""
+    with nothing on stderr, or in exit 2 or 3 with one error line.  A
+    `--format json` output that ends in exit 0 or 1 is one JSON document."""
 
     COMMANDS = [["check"], ["check", "--format", "json"], ["lic"],
                 ["lic", "--k", "-1", "--format", "json"], ["lic", "--k", "0"], ["kclass"],
@@ -443,10 +456,12 @@ class TestDocumentFuzz:
         for argv in argvs:
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
-                rc, _ = run(argv)
+                rc, out = run(argv)
             assert rc in self.PREFIX, argv
             prefix, err = self.PREFIX[rc], err.getvalue()
             assert err.startswith(prefix) and err.count("\n") == bool(prefix), (argv, err)
+            if "json" in argv and not prefix:
+                assert json.loads(out)["passed"] == (rc == EXIT_OK), argv
 
 
 class TestCommands:
@@ -560,6 +575,24 @@ class TestCommands:
         rc, out = run(["lic", write_doc(tmp_path, "d.json", doc)])
         assert rc == EXIT_VERIFICATION
         assert "surjective_on_low_weights" in out
+
+    def test_lic_json_is_one_document(self, tmp_path):
+        """`lic --format json` writes one document shaped like `check`'s,
+        whose reports are those `lic` prints as text, two for each k."""
+        m = JordanStringModel((("L", 1),), 1).to_nilpotent()
+        for pure, extension, rc_want in ((True, "intermediate", EXIT_OK),
+                                         (False, "shriek", EXIT_VERIFICATION)):
+            doc = ModelDocument("disk", DiskModel(m, WeightedSpace.zero(),
+                                                  pure=pure, extension=extension))
+            path = write_doc(tmp_path, "d.json", doc)
+            rc, out = run(["lic", path, "--format", "json"])
+            payload = json.loads(out)
+            assert rc == rc_want and payload["passed"] == (rc == EXIT_OK)
+            assert payload["title"] == "lic disk" and len(payload["reports"]) == 4
+            reports = [Report(r["title"], tuple(CheckResult(c["name"], c["passed"], c["detail"])
+                                                for c in r["checks"]), tuple(r["notes"]))
+                       for r in payload["reports"]]
+            assert run(["lic", path]) == (rc, "".join(r.to_text() + "\n" for r in reports))
 
     def test_check_disk_exit_matches_reports(self, tmp_path):
         m = JordanStringModel((("L", 2),), 1).to_nilpotent()

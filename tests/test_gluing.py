@@ -1,8 +1,9 @@
+import io
 import random
 
 import pytest
 
-from monofilt import qlinalg, weights
+from monofilt import cli, qlinalg, weights
 from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
                              verify_prop_2_3, verify_roundtrip,
@@ -292,6 +293,50 @@ def test_zero_model_passes_every_gluing_verifier():
     assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
     assert verify_prop_2_3(model).passed
     assert verify_roundtrip(model).passed
+
+
+def test_can_and_var_carry_the_filtrations_of_psi_and_its_twist():
+    """In each extension of a model, can.dom is psi's filtration and var.cod
+    is psi(-1)'s: the very objects N.dom and N.cod.  So i^* of the datum
+    induces its filtration on ker N from the model's V, and i^! its
+    filtration on coker N from the model's V(-1), with the twist.
+    verify_prop_2_3 therefore compares subspaces only; here the induced
+    filtrations are compared too, on string, scrambled and random models."""
+    rng = random.Random(27)
+    models = [string_model((("L", 3), ("P", 1))), string_model((), 2)]
+    for seed in range(20):
+        strings = generate_model(seed, 3, 4, seed % 3, ["L", "P"])
+        models += [strings.to_nilpotent(), generate_scrambled(strings, seed),
+                   raw_model(random_nilpotent(rng, max_dim=5), rng.randint(0, 2))]
+    for model in models:
+        psi, cx = model.space.filtration, model.n_complex
+        assert model.N.dom == psi and model.N.cod == psi.shifted(2)
+        for kind in EXTENSIONS:
+            g = extension(model, kind)
+            assert g.psi is model.space
+            assert g.can.dom is model.N.dom and g.var.cod is model.N.cod
+        g = extension(model, "intermediate")
+        assert g.i_upper_star.ker_filtration == cx.ker_filtration
+        assert g.i_upper_shriek.coker_filtration == cx.coker_filtration
+
+
+def test_check_of_a_string_model_takes_each_induced_filtration_once(monkeypatch, tmp_path):
+    """`check` of the J3+J1 pure_strings document induces two filtrations on
+    subspaces (ker N for the graded kernel, phi = im N of j_!*), none on a
+    quotient, and writes one map (N) in adapted bases: Prop 2.3 does not
+    rebuild the filtrations on ker N and coker N, and sequence 2 does not
+    write the inclusion of ker N or the projection onto coker N."""
+    calls = {"_flag_in_sub": 0, "_flag_in_quotient": 0, "_in_bases": 0}
+    for name in calls:
+        def counting(*args, name=name, f=getattr(weights, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(weights, name, counting)
+    path = tmp_path / "j3j1.json"
+    path.write_text('{"kind": "pure_strings", "n": 1, "strings": '
+                    '[{"label": "L", "length": 3}, {"label": "P", "length": 1}]}')
+    assert cli.run(["check", str(path)], io.StringIO()) == cli.EXIT_OK
+    assert calls == {"_flag_in_sub": 2, "_flag_in_quotient": 0, "_in_bases": 1}
 
 
 class TestProp23:

@@ -429,14 +429,14 @@ def _check_prefix_spans(d, groups):
         prefix += group
         want = Subspace.from_vectors(d, prefix)
         assert rows == want._rows and pivots == want.pivots
-        assert Subspace(d, rows).basis.entries == ref_span(prefix, d)
+        assert Subspace(d, rows, pivots).basis.entries == ref_span(prefix, d)
     for start in range(d + 1):
         echelon = list(qlinalg._prefix_spans(groups, start))
         assert len(echelon) == len(spans)
         for (rows, pivots), (got, got_pivots) in zip(spans, echelon):
             i = bisect_left(pivots, start)
             assert got_pivots == pivots and got[i:] == rows[i:]
-            assert Subspace.from_vectors(d, got) == Subspace(d, rows)
+            assert Subspace.from_vectors(d, got) == Subspace(d, rows, pivots)
 
 
 @EXAMPLES

@@ -486,7 +486,7 @@ class TestInducedAgainstOracle:
             _assert_induced_match_the_oracle(f, s)
             _assert_induced_match_the_oracle(f, span(3, [1, Fraction(1, 2), 0]))
         f = WeightFiltration.from_spaces(3, [(-1, span(3, [2, 1, 4])), (1, Subspace.full(3))])
-        assert induced_filtration_on_sub(f, s).steps[0] == (-1, Subspace(2, ((1, 2),)))
+        assert induced_filtration_on_sub(f, s).steps[0] == (-1, Subspace(2, ((1, 2),), (0,)))
 
     def test_one_pass_and_no_intersection(self, monkeypatch):
         """Each induced filtration makes one _prefix_spans pass, which takes
