@@ -29,7 +29,7 @@ from .monodromy import (JordanStringModel, NilpotentModel, graded_kernel,
                         primitive_decomposition, verify_hard_lefschetz)
 from .gluing import GluingDatum, psi_u, verify_prop_2_3, verify_sequence_2
 from .qlinalg import QMatrix, Subspace
-from .report import Report, ReportBuilder
+from .report import ReportBuilder
 from .theorems import DiskModel, verify_local_invariant_cycles, verify_weight_mechanics
 from .weights import (LabeledGrading, TwistedLabel, WeightFiltration,
                       WeightedSpace)
@@ -399,13 +399,6 @@ def _reports_for(doc: ModelDocument) -> list:
 # ---------------------------------------------------------------------------
 # commands
 
-def _emit(report: Report, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    else:
-        out.write(report.to_text() + "\n")
-
-
 def _emit_all(title: str, reports: list, fmt: str, out) -> bool:
     """Writes the reports, as one JSON document in json format; returns
     whether they all passed."""
@@ -484,8 +477,8 @@ def cmd_independence(args, out) -> int:
         report = theorems.verify_kclass_independence(a, b)
     except monodromy.NotPure as e:  # an impure model, or two weights n
         raise ValidationError(str(e)) from None
-    _emit(report, args.format, out)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    passed = _emit_all("independence", [report], args.format, out)
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def cmd_lic(args, out) -> int:

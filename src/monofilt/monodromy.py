@@ -14,7 +14,7 @@ Once that holds, each N^k: Gr_{c+k} -> Gr_{c-k} is the product of the k
 graded blocks of N along Gr_{c+k} -> Gr_{c+k-2} -> ... -> Gr_{c-k}, read from
 the map's one table of diagonal blocks (AdaptedMap.diagonal) with no power
 of N formed.  The graded kernel and the strictness of N read their ranks
-from the same table.
+from the same table, so no filtration is induced on ker N.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ class NotPure(ValueError):
 
 
 class GradedKernelMismatch(ValueError):
-    """The two computations of the graded kernel disagree (non-strict input)."""
+    """The kernels of Gr N do not add up to ker N: N is not strict."""
 
 
 def _kernel_flag(m: QMatrix) -> list:
@@ -208,10 +208,10 @@ class NilpotentModel:
     (`kernels`, built at construction as the nilpotency check, or
     `known_kernels`), N in the adapted bases (N.adapted, written at
     construction for the N-shift test), the complex [V --N--> V(-1)]
-    (`n_complex`: ker N off the flag, im N, and the filtrations induced on
-    ker N and coker N), V(-1), the monodromy filtration (built only when
-    read, or by on_monodromy_filtration), the hard Lefschetz report, the
-    graded kernel and the gluing extensions (gluing.extension).
+    (`n_complex`: ker N off the flag and im N), V(-1), the monodromy
+    filtration (built only when read, or by on_monodromy_filtration), the
+    hard Lefschetz report, the graded kernel and the gluing extensions
+    (gluing.extension).
     Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
@@ -285,18 +285,17 @@ class NilpotentModel:
 
     @cached_property
     def _graded_kernel(self) -> GradedKernel:
-        filt, ker_filt = self.space.filtration, self.n_complex.ker_filtration
-        dims = []
-        for k in filt.weights:  # the filtration induced on ker N has no other weights
-            dim = ker_filt.graded_dim(k)
-            # the kernel of Gr_k V -> Gr_k V(-1) = Gr_{k-2} V
-            map_side = filt.graded_dim(k) - self.N.graded_ranks[k]
-            if dim != map_side:
-                raise GradedKernelMismatch(
-                    f"weight {k}: Gr(ker N) has dim {dim} but graded kernel "
-                    f"has dim {map_side}")
-            dims.append((k, dim))
-        return GradedKernel(_kernel_labels(self, {k: d for k, d in dims if d}), tuple(dims))
+        filt = self.space.filtration
+        # the kernel of Gr_k N: Gr_k V -> Gr_k V(-1) = Gr_{k-2} V, at each weight
+        dims = tuple((k, filt.graded_dim(k) - self.N.graded_ranks[k]) for k in filt.weights)
+        # Gr_k(ker N) injects into ker(Gr_k N) at every k, and the two sum to
+        # dim ker N and d - sum_k rank Gr_k N: they agree at every k exactly
+        # when the sums agree, which is when N is strict (Deligne, Hodge II 1.1)
+        total, ker_dim = sum(d for _, d in dims), self.kernels[1].dim
+        if total != ker_dim:
+            raise GradedKernelMismatch(
+                f"ker N has dim {ker_dim} but the kernels of Gr N total {total}")
+        return GradedKernel(_kernel_labels(self, {k: d for k, d in dims if d}), dims)
 
 
 @dataclass(frozen=True)
@@ -352,14 +351,16 @@ def verify_hard_lefschetz(model: NilpotentModel) -> Report:
 @dataclass(frozen=True)
 class GradedKernel:
     grading: LabeledGrading
-    dims: tuple  # per weight k: (k, dim Gr_k(ker N) = dim ker(Gr N at k))
+    dims: tuple  # per weight k of V: (k, dim ker(Gr_k N) = dim Gr_k(ker N))
 
 
 def graded_kernel(model: NilpotentModel) -> GradedKernel:
-    """dim Gr_k ker(N) per weight, checked against ker(N: Gr_k -> Gr_{k-2}).
+    """dim ker(N: Gr_k -> Gr_{k-2}) per weight, off the graded ranks of the
+    model's N; no filtration is induced on ker N.
 
-    Raises GradedKernelMismatch if the dimensions disagree, which signals a
-    non-strict input and cannot happen for valid pure models.  Labels are
+    Each equals dim Gr_k(ker N) exactly when N is strict, which the total
+    decides: GradedKernelMismatch is raised when the dims do not sum to
+    dim ker N, which cannot happen for valid pure models.  Labels are
     taken from the twist-0 part of the model's grading when that accounts
     exactly for the kernel dimensions (true for string-propagated gradings),
     with a single-label fallback otherwise.  The result is computed once per

@@ -17,12 +17,12 @@ Gauss-Jordan pass over ordered groups of integer vectors: each vector is
 reduced once against the rows so far, a new pivot row is cleared from the
 others, and each updated row is divided by the gcd of its entries.  The rows
 after each group are the primitive RREF rows of the span of that prefix, so a
-nested flag (the monodromy filtration, one induced on a quotient) takes one
-pass.  From a start column, a new pivot is cleared only from the rows whose
-pivots lie between the start and it: the rows from the start on are RREF
-rows and those before it only echelon rows.  _zassenhaus runs it over rows
-[x | y] from the start of y and keeps the y whose x is zero, the RREF rows,
-which are all it reads: the kernel flag of m (_kernels, whose first step is
+nested flag (the steps of the monodromy filtration) takes one pass.  From a
+start column, a new pivot is cleared only from the rows whose pivots lie
+between the start and it: the rows from the start on are RREF rows and those
+before it only echelon rows.  _zassenhaus runs it over rows [x | y] from the
+start of y and keeps the y whose x is zero, the RREF rows, which are all it
+reads: the kernel flag of m (_kernels, whose first step is
 kernel) and the meets of a subspace with a flag (_meets, behind intersect
 and the filtration induced on a subspace) are each one such pass.  Every
 other pass starts at column 0.  Every subspace is built from a pass and
@@ -36,13 +36,13 @@ gives) is a matrix built on first read.
 
 Coordinates follow two rules.  In a subspace (corestriction) they are the
 entries of v at the pivots of its RREF rows; in Q^d/s (_quotient_coords,
-behind quotient_projection and the filtration induced on a quotient) they
-are the entries of v reduced modulo s at the columns that are not pivots of
-s.  A nested flag that ends in Q^d has an adapted basis (_flag_basis): the
-RREF rows of each space whose pivots are new over the space before, each
-divided by its pivot entry.  Its d pivots are distinct, so the coordinates
-of v in it come from one forward reduction in pivot order (_basis_coords),
-and a map is written once in the adapted bases of two flags (_in_bases).
+behind quotient_projection) they are the entries of v reduced modulo s at
+the columns that are not pivots of s.  A nested flag that ends in Q^d has an
+adapted basis (_flag_basis): the RREF rows of each space whose pivots are new
+over the space before, each divided by its pivot entry.  Its d pivots are
+distinct, so the coordinates of v in it come from one forward reduction in
+pivot order (_basis_coords), and a map is written once in the adapted bases
+of two flags (_in_bases).
 The new rows of one space, read modulo the space before, are the canonical
 basis of that subquotient, so every graded map of weights is a block of
 that one matrix (_submatrix), and filteredness is a zero pattern
@@ -406,15 +406,6 @@ def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
     return [Subspace(s.dim, tuple(_primitive([r[p] for p in sp]) for r in rows),
                      tuple(bisect_left(sp, p) for p in pivots))
             for rows, pivots in _meets(s, flag)]
-
-
-def _flag_in_quotient(flag: Iterable[Subspace], s: Subspace) -> list:
-    """[(t + s)/s for t in flag] in the coordinates of Q^d/s, for a nested
-    flag, by one pass over the quotient coordinates of the new rows of each t."""
-    return [Subspace(s.ambient_dim - s.dim, rows, pivots)
-            for rows, pivots in _prefix_spans(
-                [w for w, _ in _quotient_coords(s, [r for r, _ in new])]
-                for new in _new_rows(flag))]
 
 
 def _flag_basis(flag: Iterable[Subspace]) -> tuple:

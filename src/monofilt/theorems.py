@@ -124,11 +124,13 @@ def _weight_claims_at_minus_1(dm: DiskModel, g: GluingDatum) -> dict:
         # (2) ker(N) has weights <= n-1
         claims["kernel_weight_bound"] = (
             low_weights.contains(ker_n), f"ker N within W_{n - 1}")
-    # (3) H^0 of the !-restriction, ker(var) plus the point part, has weights >= n
+    # (3) H^0 of the !-restriction, ker(var) plus the point part, has weights >= n:
+    # the filtration induced on ker(var) has no weight below n iff ker(var)
+    # meets W_{n-1}(phi) in zero
     ishk = g.i_upper_shriek
     holds, detail = True, "vacuous"
     if not ishk.ker.is_zero():
-        holds = weights_at_least(ishk.ker_filtration, n)
+        holds = intersect(ishk.ker, ishk.d.dom.space_at(n - 1)).is_zero()
         detail = f"ker(var) weights vs >= {n}"
     if dm.point_part.dim:
         holds = holds and weights_at_least(dm.point_part.filtration, n)
@@ -149,10 +151,11 @@ def _weight_claims_at_0(dm: DiskModel, g: GluingDatum) -> dict:
     ishk = g.i_upper_shriek
     twisted, img_var = ishk.d.cod, ishk.im
     claims = {}
-    # (3) H^1 of the !-restriction has weights >= n+1
+    # (3) H^1 of the !-restriction has weights >= n+1: the quotient filtration
+    # on coker(var) has no weight below n+1 iff W_n(psi(-1)) lies in im var
     if not img_var.is_full():
         claims["i_shriek_lower_bound"] = (
-            weights_at_least(ishk.coker_filtration, n + 1),
+            img_var.contains(twisted.space_at(n)),
             f"coker(var) weights vs >= {n + 1}")
     # (4) the low weights of coker N are reached from the central fibre:
     # target coker N in the twisted coordinates, image var(phi) mod im N

@@ -26,8 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .qlinalg import (NotCompatible, QMatrix, Subspace, _block_rows, _echelon, _flag_basis,
-                      _flag_in_quotient, _flag_in_sub, _in_bases, _submatrix, _zero_corner,
-                      image, rank)
+                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, image, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -351,52 +350,32 @@ def is_pure(filt: WeightFiltration, n: int) -> bool:
     return weights_at_most(filt, n) and weights_at_least(filt, n)
 
 
-def _from_flag(filt: WeightFiltration, s: Subspace, flag_in) -> WeightFiltration:
-    """The filtration with the spaces flag_in(steps of filt, s), which one
-    elimination pass builds, at filt's weights.  They are nested and end in
-    the whole space because filt's steps do, so a step is only dropped when
-    it equals the one below."""
+def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
+    """W_k \\cap s, in the coordinates of s's RREF basis, at filt's weights,
+    by one elimination pass (qlinalg._flag_in_sub).  The spaces are nested
+    and end in s because filt's steps do, so a step is only dropped when it
+    equals the one below."""
     if s.ambient_dim != filt.ambient_dim:
         raise NotContained("subspace has wrong ambient dimension")
-    spaces = flag_in([t for _, t in filt.steps], s)
     steps, below = [], 0
-    for w, t in zip(filt.weights, spaces):
+    for w, t in zip(filt.weights, _flag_in_sub([t for _, t in filt.steps], s)):
         if t.dim > below:
             steps.append((w, t))
             below = t.dim
-    return WeightFiltration(spaces[-1].ambient_dim if spaces else 0, tuple(steps))
-
-
-def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
-    """W_k \\cap s, in the coordinates of s's RREF basis."""
-    return _from_flag(filt, s, _flag_in_sub)
-
-
-def induced_filtration_on_quotient(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
-    """(W_k + s)/s in the coordinates of the quotient."""
-    return _from_flag(filt, s, _flag_in_quotient)
+    return WeightFiltration(s.dim, tuple(steps))
 
 
 @dataclass(frozen=True)
 class TwoTermComplex:
     """A complex [d.dom --d--> d.cod] of filtered spaces, given with ker d by
-    whoever built d.  Its cohomologies ker d and coker d = d.cod/im d carry
-    the filtrations induced by d's two filtrations, and each is taken once
-    per complex (Beilinson, How to glue perverse sheaves, 1987)."""
+    whoever built d, and im d taken once per complex.  Its cohomologies are
+    compared as subspaces: ker d of d's domain and im d of its codomain,
+    whose quotient is coker d (Beilinson, How to glue perverse sheaves,
+    1987).  No filtration is induced on either."""
     d: AdaptedMap
     ker: Subspace  # ker d, a subspace of d.dom's space
-
-    @cached_property
-    def ker_filtration(self) -> WeightFiltration:
-        """ker d with the induced filtration, in its RREF coordinates."""
-        return induced_filtration_on_sub(self.d.dom, self.ker)
 
     @cached_property
     def im(self) -> Subspace:
         """im d, a subspace of d.cod's space."""
         return image(self.d.matrix)
-
-    @cached_property
-    def coker_filtration(self) -> WeightFiltration:
-        """coker d with the quotient filtration, in complement coordinates."""
-        return induced_filtration_on_quotient(self.d.cod, self.im)

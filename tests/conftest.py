@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from monofilt.monodromy import monodromy_filtration
 from monofilt.qlinalg import QMatrix, Subspace
-from monofilt.weights import AdaptedMap
+from monofilt.weights import AdaptedMap, WeightFiltration
+
+from reference import ref_kernel_flag, ref_matmul, ref_span
 
 
 def qm(rows):
@@ -28,6 +31,24 @@ def _map(m, dom, cod, shift):
 
 J2 = qm([[0, 1], [0, 0]])
 J3 = qm([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+
+def _filtrations_n_respects(mat: QMatrix, center: int) -> list:
+    """[(filtration, center)] on which N = mat shifts the filtration by -2 and
+    which need not be M(N): the kernel filtration W_{2k} = ker N^{k+1} and the
+    image filtration W_{-2k} = im N^k, both from the Fraction oracle, at the
+    center, and M(N) built at the center but read at the center moved by
+    -2, -1, 1 and 2."""
+    d, m = mat.rows, mat.entries
+    kernels = ref_kernel_flag(m, d)
+    images, power = [], tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    for k in range(len(kernels)):
+        images.append((-2 * k, Subspace.from_vectors(d, ref_span(list(zip(*power)), d))))
+        power = ref_matmul(power, m, d, d)
+    out = [(WeightFiltration.from_spaces(d, [(2 * k, Subspace.from_vectors(d, rows))
+                                             for k, rows in enumerate(kernels[1:])]), center),
+           (WeightFiltration.from_spaces(d, images), center)]
+    return out + [(monodromy_filtration(mat, center), center + delta) for delta in (-2, -1, 1, 2)]
 
 
 def random_matrix(rng: random.Random, rows, cols, bound=3):

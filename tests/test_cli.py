@@ -552,6 +552,17 @@ class TestCommands:
         assert rc == EXIT_OK
         assert "kernel gradings agree" in out
 
+    def test_independence_json_is_shaped_like_check(self, tmp_path):
+        """`independence --format json` writes one document with the title,
+        verdict and reports of `check --format json`."""
+        m = generate_model(11, 3, 3, 1, ["L", "P"])
+        a = write_doc(tmp_path, "a.json", ModelDocument("pure_strings", m))
+        rc, out = run(["independence", a, a, "--format", "json"])
+        assert rc == EXIT_OK
+        doc = json.loads(out)
+        assert doc["title"] == "independence" and doc["passed"] is True
+        assert doc["reports"][0]["title"] == "class independence of the defining equation"
+
     @pytest.mark.parametrize("docs, reason", [
         ((_doc("pure_strings"), _doc("pure_strings", n=2)),
          "models have different purity weights"),

@@ -15,11 +15,11 @@ from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
 from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
-                              WeightFiltration, WeightedSpace)
+                              WeightFiltration, WeightedSpace, induced_filtration_on_sub)
 
-from conftest import J2, J3, _map, qm, span
-from reference import (ref_apply, ref_kernel_flag, ref_matmul, ref_matvec,
-                       ref_monodromy_axioms, ref_monodromy_steps, ref_span, ref_string_steps)
+from conftest import J2, J3, _filtrations_n_respects, _map, qm, span
+from reference import (ref_apply, ref_induced_on_sub, ref_kernel_flag, ref_matvec,
+                       ref_monodromy_axioms, ref_monodromy_steps, ref_null, ref_string_steps)
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -204,8 +204,8 @@ def test_filtration_takes_no_intersection_or_image(monkeypatch):
 def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
     """AdaptedMap.strict, hard Lefschetz and the graded kernel read every graded
     map as a block of a matrix in adapted bases, which test no containment:
-    on seeded string and scrambled models, and on N, the inclusion of ker N
-    and the projection onto coker N, none of them calls Subspace.contains."""
+    on seeded string and scrambled models, and on N and the inclusion of
+    ker N, none of them calls Subspace.contains."""
     rng = random.Random(31)
     models = []
     for seed in range(30):
@@ -220,9 +220,8 @@ def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
         assert model.N.strict() and _map(model.N.matrix, filt, filt, -2).strict()
-        assert AdaptedMap(qlinalg.inclusion(cx.ker), cx.ker_filtration, filt).strict()
-        assert AdaptedMap(qlinalg.quotient_projection(cx.im), model.twisted.filtration,
-                          cx.coker_filtration).strict()
+        assert AdaptedMap(qlinalg.inclusion(cx.ker), induced_filtration_on_sub(filt, cx.ker),
+                          filt).strict()
     assert calls == []
     Subspace.zero(1).contains(Subspace.zero(1))
     assert calls == [1]
@@ -289,6 +288,78 @@ class TestGradedKernel:
         model = NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
         with pytest.raises(GradedKernelMismatch):
             graded_kernel(model)
+
+
+def _string_basis_model(rng: random.Random) -> NilpotentModel:
+    """A scrambled Jordan string operator on the filtration spanned by its
+    string basis, each chain step lowering the weight by 2 or more, as in
+    wrong_center_model: N shifts it by -2, and is strict exactly when every
+    chain step lowers the weight by exactly 2."""
+    lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    d = sum(lengths)
+    rows, weights = [[0] * d for _ in range(d)], []
+    for length in lengths:
+        w = rng.randint(-3, 1)
+        for i in range(length):
+            if i:
+                rows[len(weights) - 1][len(weights)] = 1  # N e_i = e_{i-1}
+                w += rng.choice((2, 2, 3, 4))
+            weights.append(w)
+    p = random_unimodular(rng, d)
+    n_op = p @ QMatrix.from_rows(rows, cols=d) @ inverse(p)
+    basis = [list(col) for col in zip(*p.entries)]
+    filt = WeightFiltration.from_spaces(d, [
+        (w, Subspace.from_vectors(d, [v for v, u in zip(basis, weights) if u <= w]))
+        for w in sorted(set(weights))])
+    return NilpotentModel.of(WeightedSpace.from_filtration(filt), rng.randint(-1, 2), n_op)
+
+
+def test_graded_kernel_reads_n_and_raises_exactly_when_n_is_not_strict(monkeypatch):
+    """On string-basis filtrations, the graded kernel raises exactly when N is
+    not strict, and otherwise its nonzero dims are those of the filtration
+    that ref_induced_on_sub induces on ker N; it induces no filtration."""
+    monkeypatch.setattr(weights, "_flag_in_sub",
+                        lambda *a: pytest.fail("a filtration was induced"))
+    rng = random.Random(28)
+    strict = Counter()
+    for _ in range(150):
+        model = _string_basis_model(rng)
+        strict[model.N.strict()] += 1
+        if not model.N.strict():
+            with pytest.raises(GradedKernelMismatch):
+                graded_kernel(model)
+            continue
+        d, filt = model.space.dim, model.space.filtration
+        ker = ref_null(model.N.matrix.entries, d)
+        induced = ref_induced_on_sub([(w, s.basis.entries) for w, s in filt.steps], ker, d)
+        want, below = {}, 0
+        for k, rows in induced:
+            want[k], below = len(rows) - below, len(rows)
+        assert {k: dim for k, dim in graded_kernel(model).dims if dim} == want
+    assert strict[True] >= 30 and strict[False] >= 30, strict
+
+
+def test_monodromy_filtration_matches_sympy_jordan_blocks():
+    """The graded dims of M(N, c) of scrambled operators are the string
+    weights c - m, c - m + 2, ..., c + m of the Jordan blocks, of size m + 1,
+    that sympy's jordan_form finds: runs of 1s on J's superdiagonal.  An
+    oracle that shares no code with the library; skipped without sympy."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for _ in range(60):
+        m = random_nilpotent(rng, max_dim=8)
+        center = rng.randint(-3, 3)
+        _, jordan = sympy.Matrix(m.entries).jordan_form()
+        sizes, run = [], 1
+        for i in range(1, m.rows):
+            if jordan[i - 1, i] == 1:
+                run += 1
+            else:
+                sizes.append(run)
+                run = 1
+        sizes.append(run)
+        want = Counter(center - size + 1 + 2 * i for size in sizes for i in range(size))
+        assert monodromy_filtration(m, center).graded_dims() == dict(want)
 
 
 def _decomposition_lines(strings, n) -> dict:
@@ -406,24 +477,6 @@ def wrong_center_model() -> NilpotentModel:
     filt = WeightFiltration.from_spaces(2, [
         (-2, span(2, [1, 0])), (1, Subspace.full(2))])
     return NilpotentModel.of(WeightedSpace.from_filtration(filt), 1, J2)
-
-
-def _filtrations_n_respects(mat: QMatrix, center: int) -> list:
-    """[(filtration, center)] on which N = mat shifts the filtration by -2 and
-    which need not be M(N): the kernel filtration W_{2k} = ker N^{k+1} and the
-    image filtration W_{-2k} = im N^k, both from the Fraction oracle, at the
-    center, and M(N) built at the center but read at the center moved by
-    -2, -1, 1 and 2."""
-    d, m = mat.rows, mat.entries
-    kernels = ref_kernel_flag(m, d)
-    images, power = [], tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    for k in range(len(kernels)):
-        images.append((-2 * k, Subspace.from_vectors(d, ref_span(list(zip(*power)), d))))
-        power = ref_matmul(power, m, d, d)
-    out = [(WeightFiltration.from_spaces(d, [(2 * k, Subspace.from_vectors(d, rows))
-                                             for k, rows in enumerate(kernels[1:])]), center),
-           (WeightFiltration.from_spaces(d, images), center)]
-    return out + [(monodromy_filtration(mat, center), center + delta) for delta in (-2, -1, 1, 2)]
 
 
 def test_lefschetz_chain_matches_the_oracle_off_the_monodromy_filtration(monkeypatch):

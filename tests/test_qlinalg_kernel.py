@@ -21,7 +21,7 @@ from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import _kernel_flag, monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
 from monofilt.weights import (AdaptedMap, ShapeMismatch, WeightFiltration, _block,
-                              induced_filtration_on_quotient, induced_filtration_on_sub)
+                              induced_filtration_on_sub)
 
 from conftest import random_subspace, rref_basis
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
@@ -242,7 +242,8 @@ def test_pass_built_subspaces_carry_their_pivots():
     """A Subspace built from a pass's (rows, pivots) holds those pivots from
     the start, and they are the first nonzero columns of its rows:
     from_vectors, kernel, intersect, the kernel flag, the steps of the
-    monodromy filtration and of both induced filtrations, and full."""
+    monodromy filtration and of the filtration induced on a subspace, and
+    full."""
     rng = random.Random(29)
     for _ in range(30):
         model = generate_model(rng.getrandbits(32), 3, 4, 1, ["L"])
@@ -253,8 +254,7 @@ def test_pass_built_subspaces_carry_their_pivots():
         s = random_subspace(rng, d)
         built = [Subspace.from_vectors(d, n_op.entries), qlinalg.kernel(n_op),
                  qlinalg.intersect(s, flag[1]), Subspace.full(d), *flag]
-        for f in (filt, induced_filtration_on_sub(filt, s),
-                  induced_filtration_on_quotient(filt, s)):
+        for f in (filt, induced_filtration_on_sub(filt, s)):
             built += [t for _, t in f.steps]
         for t in built:
             assert "pivots" in vars(t)

@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from monofilt import gluing, qlinalg, weights
+from monofilt.gluing import EXTENSIONS
 from monofilt.kgroup import kclass_of_space
 from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotPure, graded_kernel,
-                                monodromy_filtration)
+                                monodromy_filtration, verify_hard_lefschetz)
 from monofilt.report import Report
 from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
                                random_nilpotent,
@@ -15,6 +16,9 @@ from monofilt.theorems import (DiskModel, generate_model, generate_scrambled,
                                verify_local_invariant_cycles,
                                verify_weight_mechanics)
 from monofilt.weights import WeightedSpace
+
+from conftest import _filtrations_n_respects
+from reference import ref_induced_on_quotient, ref_induced_on_sub, ref_null
 
 
 def disk(strings, n=1, point_dim=0, **kw):
@@ -158,6 +162,53 @@ class TestWeightMechanics:
             for k in (-1, 0):
                 assert verify_weight_mechanics(dm, k).passed
                 assert verify_local_invariant_cycles(dm, k).passed
+
+
+def _lowest_weight(induced) -> int | None:
+    """The first weight of a reference induced filtration, None if it is zero."""
+    return induced[0][0] if induced else None
+
+
+def test_i_shriek_bounds_match_the_induced_filtrations():
+    """The i_shriek_lower_bound claims are subspace tests: at k = -1 that
+    ker(var) meets W_{n-1}(phi) in zero, at k = 0 that W_n(psi(-1)) lies in
+    im var.  Each equals the verdict read off the lowest weight of the
+    filtration that ref_induced_on_sub induces on ker(var), and that
+    ref_induced_on_quotient induces on coker(var), with the point part's
+    weight.  On disks whose open parts carry filtrations N shifts by -2
+    (_filtrations_n_respects and M(N) itself), with every extension, pure
+    and impure."""
+    rng = random.Random(2028)
+    outcomes = Counter()
+    for _ in range(60):
+        mat = random_nilpotent(rng, max_dim=6, entry_bound=1)
+        center = rng.randint(-2, 2)
+        filtrations = _filtrations_n_respects(mat, center)
+        for filt, c in filtrations + [(monodromy_filtration(mat, center), center)]:
+            n = c + 1
+            model = NilpotentModel.of(WeightedSpace.from_filtration(filt), n, mat)
+            for ext in EXTENSIONS:
+                pure = ext == "intermediate" and verify_hard_lefschetz(model).passed
+                weight = n if pure else n + rng.choice((-1, 0, 0, 1))
+                point = rng.choice((WeightedSpace.zero(), WeightedSpace.pure(1, weight, "P")))
+                dm = DiskModel(model, point, pure=pure, extension=ext)
+                g, point_ok = dm.datum(), not point.dim or weight >= n
+                var, phi, twisted = g.var.matrix.entries, g.var.dom, g.var.cod
+                ker = ref_null(var, phi.ambient_dim)
+                if ker:
+                    low = _lowest_weight(ref_induced_on_sub(
+                        [(w, s.basis.entries) for w, s in phi.steps], ker, phi.ambient_dim))
+                    got = verify_weight_mechanics(dm, -1).result("i_shriek_lower_bound")
+                    assert got.passed == (low >= n and point_ok)
+                    outcomes[-1, got.passed] += 1
+                low = _lowest_weight(ref_induced_on_quotient(
+                    [(w, s.basis.entries) for w, s in twisted.steps],
+                    [list(col) for col in zip(*var)], twisted.ambient_dim))
+                if low is not None:
+                    got = verify_weight_mechanics(dm, 0).result("i_shriek_lower_bound")
+                    assert got.passed == (low >= n + 1)
+                    outcomes[0, got.passed] += 1
+    assert min(outcomes[k, v] for k in (-1, 0) for v in (True, False)) >= 50, outcomes
 
 
 class TestDiskModel:

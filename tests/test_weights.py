@@ -5,19 +5,17 @@ import pytest
 
 from monofilt import qlinalg
 from monofilt.monodromy import JordanStringModel, monodromy_filtration
-from monofilt.qlinalg import (QMatrix, Subspace, image, intersect, inverse,
-                              quotient_projection)
+from monofilt.qlinalg import QMatrix, Subspace, image, intersect, inverse
 from monofilt.theorems import random_unimodular
 from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel,
                               WeightFiltration, WeightedSpace, _block, default_grading,
-                              induced_filtration_on_quotient,
                               induced_filtration_on_sub, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
 
 from conftest import J2, _map, random_subspace, span
 from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map, ref_in_span,
-                       ref_induced_on_quotient, ref_induced_on_sub, ref_is_strict)
+                       ref_induced_on_sub, ref_is_strict)
 
 
 def j2_filt():
@@ -416,9 +414,7 @@ class TestInducedFiltrations:
         assert induced_filtration_on_sub(f, Subspace.full(2)) == f
 
     def test_zero_subspace(self):
-        f = j2_filt()
-        assert induced_filtration_on_quotient(f, Subspace.zero(2)) == f
-        sub = induced_filtration_on_sub(f, Subspace.zero(2))
+        sub = induced_filtration_on_sub(j2_filt(), Subspace.zero(2))
         assert sub.ambient_dim == 0 and sub.steps == ()
 
     def test_kernel_of_j2(self):
@@ -426,30 +422,16 @@ class TestInducedFiltrations:
         assert f.weights == (-1,)
         assert f.graded_dim(-1) == 1
 
-    def test_quotient_projection_is_strict(self, rng):
-        for _ in range(60):
-            strings = tuple(("L", rng.randint(1, 3))
-                            for _ in range(rng.randint(1, 3)))
-            f = JordanStringModel(strings, 1).to_nilpotent().space.filtration
-            s = random_subspace(rng, f.ambient_dim)
-            if s.is_full():
-                continue
-            q = induced_filtration_on_quotient(f, s)
-            assert AdaptedMap(quotient_projection(s), f, q).strict()
-
 
 def _assert_induced_match_the_oracle(f, s):
-    """Both induced filtrations against ref_induced_on_sub and
-    ref_induced_on_quotient, in RREF entries and in canonical rows."""
-    d, steps = f.ambient_dim, [(w, t.basis.entries) for w, t in f.steps]
-    for got, want, dim in (
-            (induced_filtration_on_sub(f, s), ref_induced_on_sub(steps, s.basis.entries, d),
-             s.dim),
-            (induced_filtration_on_quotient(f, s),
-             ref_induced_on_quotient(steps, s.basis.entries, d), d - s.dim)):
-        assert [(w, t.basis.entries) for w, t in got.steps] == want
-        assert got == WeightFiltration(dim, tuple(
-            (w, Subspace.from_vectors(dim, rows)) for w, rows in want))
+    """The filtration induced on s against ref_induced_on_sub, in RREF
+    entries and in canonical rows."""
+    got = induced_filtration_on_sub(f, s)
+    want = ref_induced_on_sub([(w, t.basis.entries) for w, t in f.steps], s.basis.entries,
+                              f.ambient_dim)
+    assert [(w, t.basis.entries) for w, t in got.steps] == want
+    assert got == WeightFiltration(s.dim, tuple(
+        (w, Subspace.from_vectors(s.dim, rows)) for w, rows in want))
 
 
 def _scrambled_filtration(rng, strings):
@@ -489,9 +471,9 @@ class TestInducedAgainstOracle:
         assert induced_filtration_on_sub(f, s).steps[0] == (-1, Subspace(2, ((1, 2),), (0,)))
 
     def test_one_pass_and_no_intersection(self, monkeypatch):
-        """Each induced filtration makes one _prefix_spans pass, which takes
-        the rows of s (on a subspace only) and d rows of the flag, and calls
-        qlinalg.intersect for none of its steps."""
+        """The induced filtration makes one _prefix_spans pass, which takes
+        the rows of s and d rows of the flag, and calls qlinalg.intersect for
+        none of its steps."""
         passes = []
         real = qlinalg._prefix_spans
 
@@ -515,11 +497,9 @@ class TestInducedAgainstOracle:
         f = JordanStringModel((("L", 4), ("L", 3), ("L", 1)), 1).to_nilpotent().space.filtration
         s = span(8, [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, 0])
         assert len(f.steps) > 3
-        for induced, rows in ((induced_filtration_on_sub, s.dim + 8),
-                              (induced_filtration_on_quotient, 8)):
-            passes.clear()
-            induced(f, s)
-            assert passes == [rows]
+        passes.clear()
+        induced_filtration_on_sub(f, s)
+        assert passes == [s.dim + 8]
 
 
 class TestGrading:
