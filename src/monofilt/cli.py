@@ -108,6 +108,13 @@ def _parse_int(x, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {x!r}")
 
 
+def _parse_label(x) -> str:
+    """A label: a JSON string, kept as written."""
+    if not isinstance(x, str):
+        raise ParseError(f"label must be a string, got {x!r}")
+    return x
+
+
 def _matrix_to_json(m: QMatrix) -> list:
     rows, den = m._ints  # each entry x / den written as str(Fraction) writes it
     return [[str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
@@ -161,7 +168,7 @@ def _grading_from_json(data) -> LabeledGrading:
         entry = d.setdefault(w, {})  # keys such as "1" and "+1" name one weight
         count = len(entry) + len(terms)
         for label, twist, mult in terms:
-            entry[TwistedLabel(str(label), _parse_int(twist, "twist"))] = \
+            entry[TwistedLabel(_parse_label(label), _parse_int(twist, "twist"))] = \
                 _parse_int(mult, "mult")
         if len(entry) != count:
             raise ValidationError(f"grading terms must be distinct at weight {w}")
@@ -224,7 +231,7 @@ def _strings_from_json(data) -> JordanStringModel:
     for s in data["strings"]:
         if not isinstance(s, dict) or "label" not in s or "length" not in s:
             raise ParseError("each string needs label and length")
-        strings.append((str(s["label"]), _parse_int(s["length"], "length")))
+        strings.append((_parse_label(s["label"]), _parse_int(s["length"], "length")))
     model = JordanStringModel(tuple(strings), _parse_int(data["n"], "n"))
     _capped(model.dim, "total string length")
     return model
@@ -270,7 +277,7 @@ def _disk_from_json(data) -> DiskModel:
             not isinstance(t, list) or len(t) != 2 for t in pairs):
         raise ParseError("point labels must be [label, mult] pairs")
     pw = _parse_int(point_data.get("weight", open_model.n), "weight")
-    labels = {TwistedLabel(str(lbl)): _parse_int(m, "mult") for lbl, m in pairs}
+    labels = {TwistedLabel(_parse_label(lbl)): _parse_int(m, "mult") for lbl, m in pairs}
     if len(labels) != len(pairs):
         raise ValidationError("point labels must be distinct")
     grading = LabeledGrading.from_dict({pw: labels})  # refuses a negative multiplicity

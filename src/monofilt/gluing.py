@@ -19,7 +19,7 @@ from . import qlinalg
 from .monodromy import NilpotentModel
 from .qlinalg import QMatrix, image, kernel
 from .report import Report, ReportBuilder
-from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, induced_filtration_on_sub
+from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, image_filtration
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,15 @@ def _star(model: NilpotentModel) -> tuple:
 
 
 def _intermediate(model: NilpotentModel) -> tuple:
+    """phi = im N carries can(W_k V), pushed forward along can, which makes
+    can strict.  For a strict N this is the filtration im N n W_k V(-1) that
+    phi inherits from psi(-1) (Deligne, Hodge II 1.1), which makes var
+    strict.  For an N that is not strict no filtration of im N makes both
+    strict, and var is not."""
     V, N, img = model.space, model.N, model.n_complex.im
-    phi = induced_filtration_on_sub(N.cod, img)
-    return (V, WeightedSpace.from_filtration(phi),
-            AdaptedMap(qlinalg.corestriction(N.matrix, img), N.dom, phi),
+    can = qlinalg.corestriction(N.matrix, img)
+    phi = image_filtration(can, N.dom)
+    return (V, WeightedSpace.from_filtration(phi), AdaptedMap(can, N.dom, phi),
             AdaptedMap(qlinalg.inclusion(img), phi, N.cod))
 
 
@@ -120,8 +125,9 @@ def j_lower_star(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
 
 
 def j_intermediate(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
-    """j_!* presentation: phi = im(N) inside V(-1), can = N corestricted,
-    var = the inclusion."""
+    """j_!* presentation: phi = im(N) inside V(-1), filtered by can(W_k V),
+    can = N corestricted, var = the inclusion.  var is strict exactly when N
+    is (see _intermediate)."""
     return GluingDatum(*_intermediate(NilpotentModel(V, 0, N)))
 
 

@@ -23,9 +23,8 @@ between the start and it: the rows from the start on are RREF rows and those
 before it only echelon rows.  _zassenhaus runs it over rows [x | y] from the
 start of y and keeps the y whose x is zero, the RREF rows, which are all it
 reads: the kernel flag of m (_kernels, whose first step is
-kernel) and the meets of a subspace with a flag (_meets, behind intersect
-and the filtration induced on a subspace) are each one such pass.  Every
-other pass starts at column 0.  Every subspace is built from a pass and
+kernel) and the meet of two subspaces (intersect) are each one such pass.
+Every other pass starts at column 0.  Every subspace is built from a pass and
 holds, as a field, the pivots the pass found.
 
 A subspace of Q^d stores only its primitive integer RREF rows: each row of
@@ -361,10 +360,13 @@ def image(m: QMatrix) -> Subspace:
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """a n b, the one-space case of _meets."""
+    """a n b by one Zassenhaus pass: [r | r] for the rows of a, then [r | 0]
+    for the rows of b, so a y whose x is zero lies in a and in b."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    return Subspace(a.ambient_dim, *next(_meets(a, [b])))
+    d = a.ambient_dim
+    rows = [r + r for r in a._rows] + [r + (0,) * d for r in b._rows]
+    return Subspace(d, *next(_zassenhaus([rows], d)))
 
 
 def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
@@ -383,29 +385,6 @@ def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
     for t in flag:
         yield [(r, p) for r, p in zip(t._rows, t.pivots) if p not in below]
         below = set(t.pivots)
-
-
-def _meets(s: Subspace, flag: Iterable[Subspace]) -> Iterator[tuple]:
-    """For each space t of the nested flag, (primitive RREF rows, pivots) of
-    t n s, by one Zassenhaus pass: [r | r] for the rows of s, then [r | 0]
-    for the new rows of each t, so a y whose x is zero lies in s and in t."""
-    d = s.ambient_dim
-    zeros = (0,) * d
-    spans = _zassenhaus([[r + r for r in s._rows]]
-                        + [[r + zeros for r, _ in new] for new in _new_rows(flag)], d)
-    next(spans)
-    return spans
-
-
-def _flag_in_sub(flag: Iterable[Subspace], s: Subspace) -> list:
-    """[t n s for t in flag] in the coordinates of s, for a nested flag, by
-    _meets.  A vector of s is zero before its entry at a pivot of s, so those
-    entries, divided by their gcd, are the RREF rows in the coordinates of s,
-    and a row's pivot is a pivot of s, whose index is its pivot there."""
-    sp = s.pivots
-    return [Subspace(s.dim, tuple(_primitive([r[p] for p in sp]) for r in rows),
-                     tuple(bisect_left(sp, p) for p in pivots))
-            for rows, pivots in _meets(s, flag)]
 
 
 def _flag_basis(flag: Iterable[Subspace]) -> tuple:

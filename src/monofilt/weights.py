@@ -26,7 +26,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .qlinalg import (NotCompatible, QMatrix, Subspace, _block_rows, _echelon, _flag_basis,
-                      _flag_in_sub, _in_bases, _submatrix, _zero_corner, image, rank)
+                      _in_bases, _new_rows, _prefix_spans, _submatrix, _zero_corner, image,
+                      rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -41,10 +42,6 @@ class ShapeMismatch(ValueError):
 
 class NotFiltered(ValueError):
     """A strictness check was asked of a non-filtered map."""
-
-
-class NotContained(ValueError):
-    """The given subspace is not contained in the ambient space."""
 
 
 class InconsistentGrading(ValueError):
@@ -350,19 +347,19 @@ def is_pure(filt: WeightFiltration, n: int) -> bool:
     return weights_at_most(filt, n) and weights_at_least(filt, n)
 
 
-def induced_filtration_on_sub(filt: WeightFiltration, s: Subspace) -> WeightFiltration:
-    """W_k \\cap s, in the coordinates of s's RREF basis, at filt's weights,
-    by one elimination pass (qlinalg._flag_in_sub).  The spaces are nested
-    and end in s because filt's steps do, so a step is only dropped when it
-    equals the one below."""
-    if s.ambient_dim != filt.ambient_dim:
-        raise NotContained("subspace has wrong ambient dimension")
+def image_filtration(m: QMatrix, filt: WeightFiltration) -> WeightFiltration:
+    """m(W_k) at filt's weights, for a map m onto its codomain, by one
+    elimination pass over the images of filt's adapted basis vectors,
+    grouped by weight (qlinalg._new_rows).  The spaces are nested and end in
+    the codomain because filt's steps end in the domain, so a step is only
+    dropped when it equals the one below."""
     steps, below = [], 0
-    for w, t in zip(filt.weights, _flag_in_sub([t for _, t in filt.steps], s)):
-        if t.dim > below:
-            steps.append((w, t))
-            below = t.dim
-    return WeightFiltration(s.dim, tuple(steps))
+    groups = ([m._apply(r) for r, _ in new] for new in _new_rows(t for _, t in filt.steps))
+    for w, (rows, pivots) in zip(filt.weights, _prefix_spans(groups)):
+        if len(rows) > below:
+            steps.append((w, Subspace(m.rows, rows, pivots)))
+            below = len(rows)
+    return WeightFiltration(m.rows, tuple(steps))
 
 
 @dataclass(frozen=True)

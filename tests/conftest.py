@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from monofilt.monodromy import monodromy_filtration
-from monofilt.qlinalg import QMatrix, Subspace
-from monofilt.weights import AdaptedMap, WeightFiltration
+from monofilt.monodromy import NilpotentModel, monodromy_filtration
+from monofilt.qlinalg import QMatrix, Subspace, inverse
+from monofilt.theorems import random_unimodular
+from monofilt.weights import AdaptedMap, WeightedSpace, WeightFiltration
 
 from reference import ref_kernel_flag, ref_matmul, ref_span
 
@@ -49,6 +50,29 @@ def _filtrations_n_respects(mat: QMatrix, center: int) -> list:
                                              for k, rows in enumerate(kernels[1:])]), center),
            (WeightFiltration.from_spaces(d, images), center)]
     return out + [(monodromy_filtration(mat, center), center + delta) for delta in (-2, -1, 1, 2)]
+
+
+def _string_basis_model(rng: random.Random) -> NilpotentModel:
+    """A scrambled Jordan string operator on the filtration spanned by its
+    string basis, each chain step lowering the weight by 2 or more: N shifts it by -2, and is strict exactly when every
+    chain step lowers the weight by exactly 2."""
+    lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    d = sum(lengths)
+    rows, weights = [[0] * d for _ in range(d)], []
+    for length in lengths:
+        w = rng.randint(-3, 1)
+        for i in range(length):
+            if i:
+                rows[len(weights) - 1][len(weights)] = 1  # N e_i = e_{i-1}
+                w += rng.choice((2, 2, 3, 4))
+            weights.append(w)
+    p = random_unimodular(rng, d)
+    n_op = p @ QMatrix.from_rows(rows, cols=d) @ inverse(p)
+    basis = [list(col) for col in zip(*p.entries)]
+    filt = WeightFiltration.from_spaces(d, [
+        (w, Subspace.from_vectors(d, [v for v, u in zip(basis, weights) if u <= w]))
+        for w in sorted(set(weights))])
+    return NilpotentModel.of(WeightedSpace.from_filtration(filt), rng.randint(-1, 2), n_op)
 
 
 def random_matrix(rng: random.Random, rows, cols, bound=3):

@@ -186,6 +186,13 @@ def ref_induced_on_sub(steps, s, dim):
         for k, vs in steps])
 
 
+def ref_image_filtration(m, steps, dim):
+    """[(k, RREF rows)] of the filtration m(W_k), a step equal to the one
+    below dropped; m is the list of rows of a matrix with `dim` rows, and a
+    filtration is a list of (weight, spanning vectors of W_weight), nested."""
+    return _ref_drop_repeats([(k, ref_apply(m, vs, dim)) for k, vs in steps])
+
+
 def ref_induced_on_quotient(steps, s, dim):
     """[(k, RREF rows)] of the filtration (W_k + s)/s in the coordinates of
     Q^dim/s whose basis is the classes of the unit vectors e_j, j not a pivot

@@ -194,6 +194,10 @@ class TestDocumentBoundary:
         "point_mult_float": _doc("disk", point={"weight": 1, "labels": [["P", 1.5]]}),
         "strings_not_list": _doc("pure_strings", strings=5),
         "point_label_not_pair": _doc("disk", point={"weight": 1, "labels": ["P"]}),
+        "point_label_null": _doc("disk", point={"weight": 1, "labels": [[None, 1]]}),
+        "string_label_null": _doc("pure_strings", strings=[{"label": None, "length": 2}]),
+        "grading_label_list": _doc("nilpotent", grading={"-1": [[["L"], 0, 1]],
+                                                         "1": [["L", -1, 1]]}),
         "point_labels_not_list": _doc("disk", point={"weight": 1, "labels": 5}),
         "point_not_object": _doc("disk", point=[1]),
         "pure_string": _doc("disk", pure="no"),

@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from monofilt.theorems import (generate_model, generate_scrambled, random_nilpot
                                random_unimodular)
 from monofilt.weights import AdaptedMap, WeightFiltration, WeightedSpace
 
-from conftest import span
+from conftest import _filtrations_n_respects, _string_basis_model, span
+from reference import ref_induced_on_sub
 
 
 def string_model(strings, n=1):
@@ -316,23 +318,62 @@ def test_can_and_var_carry_the_filtrations_of_psi_and_its_twist():
             assert g.can.dom is model.N.dom and g.var.cod is model.N.cod
 
 
-def test_check_of_a_string_model_takes_each_induced_filtration_once(monkeypatch, tmp_path):
-    """`check` of the J3+J1 pure_strings document induces one filtration,
-    phi = im N of j_!*, and writes one map (N) in adapted bases: the graded
-    kernel reads N's graded ranks, Prop 2.3 compares subspaces, and
-    sequence 2 does not write the inclusion of ker N or the projection onto
-    coker N."""
-    calls = {"_flag_in_sub": 0, "_in_bases": 0}
-    for name in calls:
-        def counting(*args, name=name, f=getattr(weights, name)):
+def test_check_of_a_string_model_induces_no_filtration(monkeypatch, tmp_path):
+    """`check` of the J3+J1 pure_strings document runs five Zassenhaus
+    passes, one per kernel and meet it reads, and none for phi of j_!*,
+    which is pushed forward along can; it writes one map (N) in adapted
+    bases: the graded kernel reads N's graded ranks, Prop 2.3 compares
+    subspaces, and sequence 2 does not write the inclusion of ker N or the
+    projection onto coker N."""
+    calls = {"_zassenhaus": 0, "_in_bases": 0}
+    for module, name in ((qlinalg, "_zassenhaus"), (weights, "_in_bases")):
+        def counting(*args, name=name, f=getattr(module, name)):
             calls[name] += 1
             return f(*args)
-        monkeypatch.setattr(weights, name, counting)
+        monkeypatch.setattr(module, name, counting)
     path = tmp_path / "j3j1.json"
     path.write_text('{"kind": "pure_strings", "n": 1, "strings": '
                     '[{"label": "L", "length": 3}, {"label": "P", "length": 1}]}')
     assert cli.run(["check", str(path)], io.StringIO()) == cli.EXIT_OK
-    assert calls == {"_flag_in_sub": 1, "_in_bases": 1}
+    assert calls == {"_zassenhaus": 5, "_in_bases": 1}
+
+
+def _steps(filt: WeightFiltration) -> list:
+    return [(w, s.basis.entries) for w, s in filt.steps]
+
+
+def test_phi_of_j_intermediate_is_pushed_forward_along_can():
+    """phi = im N of j_!* carries can(W_k V).  Where N is strict, on string
+    models, scrambled models and the filtrations of _filtrations_n_respects,
+    that is the filtration ref_induced_on_sub induces on im N from V(-1).
+    On string-basis models, which are strict or not, can is always strict
+    and var is strict exactly when N is."""
+    rng = random.Random(29)
+    strict_models = Counter()
+    for seed in range(50):
+        strings = generate_model(seed, 3, 4, seed % 3, ["L", "P"])
+        mat = random_nilpotent(rng, max_dim=6, entry_bound=1)
+        families = [("string", strings.to_nilpotent()),
+                    ("scrambled", generate_scrambled(strings, seed))]
+        families += [("respected", NilpotentModel.of(WeightedSpace.from_filtration(filt),
+                                                     center + 1, mat))
+                     for filt, center in _filtrations_n_respects(mat, rng.randint(-2, 2))]
+        for family, model in families:
+            N, d = model.N, model.space.dim
+            assert N.strict()
+            phi = j_intermediate(model.space, N).phi.filtration
+            img = [list(col) for col in zip(*N.matrix.entries)]
+            assert _steps(phi) == ref_induced_on_sub(_steps(N.cod), img, d)
+            strict_models[family] += 1
+    assert min(strict_models.values()) >= 50, strict_models
+    verdicts = Counter()
+    for _ in range(200):
+        model = _string_basis_model(rng)
+        g = j_intermediate(model.space, model.N)
+        assert g.can.strict()
+        assert g.var.strict() == model.N.strict()
+        verdicts[model.N.strict()] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 class TestProp23:

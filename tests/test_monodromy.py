@@ -15,9 +15,9 @@ from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
 from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
-                              WeightFiltration, WeightedSpace, induced_filtration_on_sub)
+                              WeightFiltration, WeightedSpace)
 
-from conftest import J2, J3, _filtrations_n_respects, _map, qm, span
+from conftest import J2, J3, _filtrations_n_respects, _map, _string_basis_model, qm, span
 from reference import (ref_apply, ref_induced_on_sub, ref_kernel_flag, ref_matvec,
                        ref_monodromy_axioms, ref_monodromy_steps, ref_null, ref_string_steps)
 
@@ -220,8 +220,12 @@ def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
         assert model.N.strict() and _map(model.N.matrix, filt, filt, -2).strict()
-        assert AdaptedMap(qlinalg.inclusion(cx.ker), induced_filtration_on_sub(filt, cx.ker),
-                          filt).strict()
+        # ker N with the filtration it inherits from V, built without a test
+        induced = ref_induced_on_sub([(w, s.basis.entries) for w, s in filt.steps],
+                                     cx.ker.basis.entries, filt.ambient_dim)
+        ker_filt = WeightFiltration(cx.ker.dim, tuple(
+            (w, Subspace.from_vectors(cx.ker.dim, rows)) for w, rows in induced))
+        assert AdaptedMap(qlinalg.inclusion(cx.ker), ker_filt, filt).strict()
     assert calls == []
     Subspace.zero(1).contains(Subspace.zero(1))
     assert calls == [1]
@@ -290,36 +294,10 @@ class TestGradedKernel:
             graded_kernel(model)
 
 
-def _string_basis_model(rng: random.Random) -> NilpotentModel:
-    """A scrambled Jordan string operator on the filtration spanned by its
-    string basis, each chain step lowering the weight by 2 or more, as in
-    wrong_center_model: N shifts it by -2, and is strict exactly when every
-    chain step lowers the weight by exactly 2."""
-    lengths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
-    d = sum(lengths)
-    rows, weights = [[0] * d for _ in range(d)], []
-    for length in lengths:
-        w = rng.randint(-3, 1)
-        for i in range(length):
-            if i:
-                rows[len(weights) - 1][len(weights)] = 1  # N e_i = e_{i-1}
-                w += rng.choice((2, 2, 3, 4))
-            weights.append(w)
-    p = random_unimodular(rng, d)
-    n_op = p @ QMatrix.from_rows(rows, cols=d) @ inverse(p)
-    basis = [list(col) for col in zip(*p.entries)]
-    filt = WeightFiltration.from_spaces(d, [
-        (w, Subspace.from_vectors(d, [v for v, u in zip(basis, weights) if u <= w]))
-        for w in sorted(set(weights))])
-    return NilpotentModel.of(WeightedSpace.from_filtration(filt), rng.randint(-1, 2), n_op)
-
-
-def test_graded_kernel_reads_n_and_raises_exactly_when_n_is_not_strict(monkeypatch):
+def test_graded_kernel_reads_n_and_raises_exactly_when_n_is_not_strict():
     """On string-basis filtrations, the graded kernel raises exactly when N is
     not strict, and otherwise its nonzero dims are those of the filtration
-    that ref_induced_on_sub induces on ker N; it induces no filtration."""
-    monkeypatch.setattr(weights, "_flag_in_sub",
-                        lambda *a: pytest.fail("a filtration was induced"))
+    that ref_induced_on_sub induces on ker N."""
     rng = random.Random(28)
     strict = Counter()
     for _ in range(150):

@@ -21,7 +21,7 @@ from monofilt.qlinalg import QMatrix, SingularMatrix, Subspace
 from monofilt.monodromy import _kernel_flag, monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
 from monofilt.weights import (AdaptedMap, ShapeMismatch, WeightFiltration, _block,
-                              induced_filtration_on_sub)
+                              image_filtration)
 
 from conftest import random_subspace, rref_basis
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
@@ -242,8 +242,7 @@ def test_pass_built_subspaces_carry_their_pivots():
     """A Subspace built from a pass's (rows, pivots) holds those pivots from
     the start, and they are the first nonzero columns of its rows:
     from_vectors, kernel, intersect, the kernel flag, the steps of the
-    monodromy filtration and of the filtration induced on a subspace, and
-    full."""
+    monodromy filtration and of its image under a corestriction, and full."""
     rng = random.Random(29)
     for _ in range(30):
         model = generate_model(rng.getrandbits(32), 3, 4, 1, ["L"])
@@ -254,7 +253,8 @@ def test_pass_built_subspaces_carry_their_pivots():
         s = random_subspace(rng, d)
         built = [Subspace.from_vectors(d, n_op.entries), qlinalg.kernel(n_op),
                  qlinalg.intersect(s, flag[1]), Subspace.full(d), *flag]
-        for f in (filt, induced_filtration_on_sub(filt, s)):
+        onto = qlinalg.corestriction(n_op, qlinalg.image(n_op))
+        for f in (filt, image_filtration(onto, filt)):
             built += [t for _, t in f.steps]
         for t in built:
             assert "pivots" in vars(t)

@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from monofilt import qlinalg
+from monofilt import qlinalg, weights
 from monofilt.monodromy import JordanStringModel, monodromy_filtration
-from monofilt.qlinalg import QMatrix, Subspace, image, intersect, inverse
+from monofilt.qlinalg import QMatrix, Subspace, corestriction, image, intersect, inverse
 from monofilt.theorems import random_unimodular
 from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFiltered,
                               ShapeMismatch, TwistedLabel,
                               WeightFiltration, WeightedSpace, _block, default_grading,
-                              induced_filtration_on_sub, is_pure, tate_twist,
+                              image_filtration, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
 
-from conftest import J2, _map, random_subspace, span
-from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map, ref_in_span,
-                       ref_induced_on_sub, ref_is_strict)
+from conftest import J2, _map, random_matrix, span
+from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map,
+                       ref_image_filtration, ref_in_span, ref_is_strict)
 
 
 def j2_filt():
@@ -408,30 +408,31 @@ class TestPurityPredicates:
             assert is_pure(f, n)
 
 
-class TestInducedFiltrations:
-    def test_full_subspace(self):
+class TestImageFiltration:
+    def test_identity(self):
         f = j2_filt()
-        assert induced_filtration_on_sub(f, Subspace.full(2)) == f
+        assert image_filtration(QMatrix.identity(2), f) == f
 
-    def test_zero_subspace(self):
-        sub = induced_filtration_on_sub(j2_filt(), Subspace.zero(2))
-        assert sub.ambient_dim == 0 and sub.steps == ()
+    def test_zero_map_onto_zero(self):
+        f = image_filtration(QMatrix.zero(0, 2), j2_filt())
+        assert f.ambient_dim == 0 and f.steps == ()
 
-    def test_kernel_of_j2(self):
-        f = induced_filtration_on_sub(j2_filt(), span(2, [1, 0]))
-        assert f.weights == (-1,)
-        assert f.graded_dim(-1) == 1
+    def test_j2_onto_its_image(self):
+        """J2 kills W_{-1}, so its image is reached at weight 1 only."""
+        f = image_filtration(corestriction(J2, image(J2)), j2_filt())
+        assert f == WeightFiltration(1, ((1, Subspace.full(1)),))
 
 
-def _assert_induced_match_the_oracle(f, s):
-    """The filtration induced on s against ref_induced_on_sub, in RREF
-    entries and in canonical rows."""
-    got = induced_filtration_on_sub(f, s)
-    want = ref_induced_on_sub([(w, t.basis.entries) for w, t in f.steps], s.basis.entries,
-                              f.ambient_dim)
+def _assert_image_matches_the_oracle(m, f):
+    """m(W_k) against ref_image_filtration, in RREF entries and in canonical
+    rows, with the pivots each step's pass found."""
+    got = image_filtration(m, f)
+    want = ref_image_filtration(m.entries, [(w, t.basis.entries) for w, t in f.steps], m.rows)
     assert [(w, t.basis.entries) for w, t in got.steps] == want
-    assert got == WeightFiltration(s.dim, tuple(
-        (w, Subspace.from_vectors(s.dim, rows)) for w, rows in want))
+    assert got == WeightFiltration.from_spaces(m.rows, [
+        (w, Subspace.from_vectors(m.rows, rows)) for w, rows in want])
+    for _, t in got.steps:
+        assert t.pivots == tuple(next(j for j, x in enumerate(r) if x) for r in t._rows)
 
 
 def _scrambled_filtration(rng, strings):
@@ -442,9 +443,11 @@ def _scrambled_filtration(rng, strings):
     return monodromy_filtration(u @ n_op @ inverse(u), rng.randint(-2, 2))
 
 
-class TestInducedAgainstOracle:
+class TestImageAgainstOracle:
     @pytest.mark.parametrize("kind", ["string", "scrambled", "random"])
-    def test_induced_filtrations(self, rng, kind):
+    def test_image_filtrations(self, rng, kind):
+        """On maps onto their codomain: corestrictions of random matrices
+        onto their images, an invertible map, and the zero map onto Q^0."""
         for _ in range(40):
             strings = tuple(("L", rng.randint(1, 3)) for _ in range(rng.randint(1, 3)))
             if kind == "string":
@@ -454,32 +457,31 @@ class TestInducedAgainstOracle:
             else:
                 f = _random_filtered_space(rng, rng.randint(1, 6))[0]
             d = f.ambient_dim
-            step = rng.choice(f.steps)[1]
-            for s in (Subspace.zero(d), Subspace.full(d), random_subspace(rng, d),
-                      step + random_subspace(rng, d, 1)):
-                _assert_induced_match_the_oracle(f, s)
+            a = random_matrix(rng, rng.randint(1, d + 1), d)
+            for m in (corestriction(a, image(a)), random_unimodular(rng, d),
+                      QMatrix.zero(0, d)):
+                _assert_image_matches_the_oracle(m, f)
 
     def test_coordinates_divided_by_their_gcd(self):
-        """In s = span((1, 1/2, 0), (0, 0, 1)) the vector (2, 1, 4) has the
+        """Onto s = span((1, 1/2, 0), (0, 0, 1)) the vector (2, 1, 4) has the
         entries 2 and 4 at the pivots of s: its coordinate row is (1, 2)."""
         s = span(3, [1, Fraction(1, 2), 0], [0, 0, 1])
+        f = WeightFiltration.from_spaces(3, [(-1, span(3, [1, 0, 0])), (1, Subspace.full(3))])
         for first in ([1, Fraction(1, 2), 0], [2, 1, 4], [0, 0, 3]):
-            f = WeightFiltration.from_spaces(3, [(-1, span(3, first)), (1, Subspace.full(3))])
-            _assert_induced_match_the_oracle(f, s)
-            _assert_induced_match_the_oracle(f, span(3, [1, Fraction(1, 2), 0]))
-        f = WeightFiltration.from_spaces(3, [(-1, span(3, [2, 1, 4])), (1, Subspace.full(3))])
-        assert induced_filtration_on_sub(f, s).steps[0] == (-1, Subspace(2, ((1, 2),), (0,)))
+            a = QMatrix.from_rows(zip(first, [0, 0, 1], [1, Fraction(1, 2), 0]))
+            _assert_image_matches_the_oracle(corestriction(a, s), f)
+        a = QMatrix.from_rows(zip([2, 1, 4], [0, 0, 1], [0, 0, 1]))
+        assert image_filtration(corestriction(a, s), f).steps[0] \
+            == (-1, Subspace(2, ((1, 2),), (0,)))
 
     def test_one_pass_and_no_intersection(self, monkeypatch):
-        """The induced filtration makes one _prefix_spans pass, which takes
-        the rows of s and d rows of the flag, and calls qlinalg.intersect for
-        none of its steps."""
+        """The image filtration makes one _prefix_spans pass, which takes
+        the image of each of the d adapted basis vectors once, and calls
+        qlinalg.intersect for none of its steps."""
         passes = []
-        real = qlinalg._prefix_spans
+        real = weights._prefix_spans
 
         def counted(groups, *args):
-            # rows are counted as the pass reads them: a group may be built
-            # from the pass's last yield
             i = len(passes)
             passes.append(0)
 
@@ -492,14 +494,14 @@ class TestInducedAgainstOracle:
         def refused(*args):
             raise AssertionError("intersect called")
 
-        monkeypatch.setattr(qlinalg, "_prefix_spans", counted)
+        monkeypatch.setattr(weights, "_prefix_spans", counted)
         monkeypatch.setattr(qlinalg, "intersect", refused)
-        f = JordanStringModel((("L", 4), ("L", 3), ("L", 1)), 1).to_nilpotent().space.filtration
-        s = span(8, [1, 0, 0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0, 0])
+        model = JordanStringModel((("L", 4), ("L", 3), ("L", 1)), 1).to_nilpotent()
+        f = model.space.filtration
+        m = corestriction(model.N.matrix, image(model.N.matrix))
         assert len(f.steps) > 3
-        passes.clear()
-        induced_filtration_on_sub(f, s)
-        assert passes == [s.dim + 8]
+        image_filtration(m, f)
+        assert passes == [8]
 
 
 class TestGrading:
