@@ -44,7 +44,7 @@ pivot order (_basis_coords), and a map is written once in the adapted bases
 of two flags (_in_bases).
 The new rows of one space, read modulo the space before, are the canonical
 basis of that subquotient, so every graded map of weights is a block of
-that one matrix (_submatrix), and filteredness is a zero pattern
+that one matrix (_block_rows), and filteredness is a zero pattern
 (_zero_corner).
 """
 from __future__ import annotations
@@ -60,10 +60,6 @@ from typing import Iterable, Iterator, Sequence
 
 class AmbientMismatch(ValueError):
     """Operands live in spaces of different ambient dimension."""
-
-
-class NotCompatible(ValueError):
-    """A map does not respect the requested sub/quotient structure."""
 
 
 class SingularMatrix(ValueError):
@@ -447,11 +443,6 @@ def _block_rows(a: QMatrix, r0: int, r1: int, c0: int, c1: int) -> list:
     """The integer rows of the block of rows r0 .. r1-1 and columns
     c0 .. c1-1 of a, over the denominator of a._ints."""
     return [row[c0:c1] for row in a._ints[0][r0:r1]]
-
-
-def _submatrix(a: QMatrix, r0: int, r1: int, c0: int, c1: int) -> QMatrix:
-    """The block of rows r0 .. r1-1 and columns c0 .. c1-1 of a."""
-    return QMatrix._make(_block_rows(a, r0, r1, c0, c1), a._ints[1], c1 - c0)
 
 
 def corestriction(m: QMatrix, s: Subspace) -> QMatrix:

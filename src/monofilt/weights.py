@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .qlinalg import (NotCompatible, QMatrix, Subspace, _block_rows, _echelon, _flag_basis,
-                      _in_bases, _new_rows, _prefix_spans, _submatrix, _zero_corner, image,
-                      rank)
+from .qlinalg import (QMatrix, Subspace, _block_rows, _echelon, _flag_basis, _in_bases,
+                      _new_rows, _prefix_spans, _zero_corner, image, rank)
 
 LABEL_DEFAULT = "pt"
 
@@ -260,19 +259,6 @@ def tate_twist(ws: WeightedSpace, d: int) -> WeightedSpace:
     return WeightedSpace(ws.dim, filt, ws.grading.twisted(d))
 
 
-def _block(a: QMatrix, dom: WeightFiltration, cod: WeightFiltration,
-           k: int, j: int) -> QMatrix:
-    """Gr_k(dom) -> Gr_j(cod) of the map a written in the adapted bases of
-    dom and cod: the block of the rows of weight j and the columns of
-    weight k.  NotCompatible unless a sends W_{k-1} into W'_{j-1} and W_k
-    into W'_j."""
-    c0, c1 = dom._dim_at(k - 1), dom._dim_at(k)
-    r0, r1 = cod._dim_at(j - 1), cod._dim_at(j)
-    if not (_zero_corner(a, r0, c0) and _zero_corner(a, r1, c1)):
-        raise NotCompatible("map does not respect the filtrations at these weights")
-    return _submatrix(a, r0, r1, c0, c1)
-
-
 @dataclass(frozen=True)
 class AdaptedMap:
     """A morphism dom -> cod of filtered spaces: `matrix` in standard
@@ -298,17 +284,22 @@ class AdaptedMap:
         """True iff the map sends W_k(dom) into W_j(cod)."""
         return _zero_corner(self.adapted, self.cod._dim_at(j), self.dom._dim_at(k))
 
-    def filtered(self) -> bool:
-        """True iff the map sends W_k(dom) into W_k(cod) for all k."""
+    @cached_property
+    def _filtered(self) -> bool:
         return all(self.sends(w, w) for w in self.dom.weights)
+
+    def filtered(self) -> bool:
+        """True iff the map sends W_k(dom) into W_k(cod) for all k; decided
+        once per map."""
+        return self._filtered
 
     @cached_property
     def diagonal(self) -> dict:
         """The table of the diagonal graded blocks of a filtered map: for each
         weight k of dom, the integer rows (over the denominator of `adapted`)
-        of Gr_k(dom) -> Gr_k(cod), sliced once from `adapted`.  Once the map
-        is filtered each is a block with no corner to test (_block), so read
-        the table only after filtered() holds."""
+        of Gr_k(dom) -> Gr_k(cod), sliced once from `adapted`.  Each block is
+        that graded map only once the map is filtered, so read the table only
+        after filtered() holds."""
         a, dom, cod = self.adapted, self.dom, self.cod
         return {k: _block_rows(a, cod._dim_at(k - 1), cod._dim_at(k),
                                dom._dim_at(k - 1), dom._dim_at(k)) for k in dom.weights}

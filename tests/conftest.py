@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from monofilt.monodromy import NilpotentModel, monodromy_filtration
-from monofilt.qlinalg import QMatrix, Subspace, inverse
+from monofilt.qlinalg import QMatrix, Subspace, _block_rows, inverse
 from monofilt.theorems import random_unimodular
 from monofilt.weights import AdaptedMap, WeightedSpace, WeightFiltration
 
@@ -28,6 +28,21 @@ def _map(m, dom, cod, shift):
     """m: dom -> cod as a morphism into cod shifted by -shift: it is
     filtered exactly when m(W_k(dom)) lies in W_{k+shift}(cod) for all k."""
     return AdaptedMap(m, dom, cod.shifted(-shift))
+
+
+def graded_block(m, dom, cod, k, j):
+    """Gr_k(dom) -> Gr_j(cod) of m in the canonical subquotient bases: the
+    block of AdaptedMap(m, dom, cod).adapted in the rows of weight j and the
+    columns of weight k, or None unless m sends W_{k-1} into W'_{j-1} and
+    W_k into W'_j."""
+    a = AdaptedMap(m, dom, cod)
+    if not (a.sends(k - 1, j - 1) and a.sends(k, j)):
+        return None
+    rows = _block_rows(a.adapted, cod._dim_at(j - 1), cod._dim_at(j),
+                       dom._dim_at(k - 1), dom._dim_at(k))
+    den = a.adapted._ints[1]
+    return QMatrix.from_rows([[Fraction(x, den) for x in r] for r in rows],
+                             cols=dom.graded_dim(k))
 
 
 J2 = qm([[0, 1], [0, 0]])

@@ -64,9 +64,10 @@ class TestMonodromyFiltration:
         filt = WeightFiltration.from_spaces(2, [(-1, span(2, [0, 1])),
                                                 (1, Subspace.full(2))])
         rep = check_monodromy_axioms(filt, J2, 0)
-        assert not rep.result("N-shift: N M_k in M_{k-2}").passed
-        assert rep.result("N^1: Gr_1 ~ Gr_-1") == CheckResult(
-            "N^1: Gr_1 ~ Gr_-1", False, "power of N does not respect the filtration")
+        assert rep.checks == (CheckResult("N W_-1 in W_-3", False),
+                              CheckResult("N W_1 in W_-1", False),
+                              CheckResult("N-shift: N M_k in M_{k-2}", False))
+        assert rep.notes == ("N^k lines not evaluated: N does not lower the filtration by 2",)
 
     def test_axiom_checker_fails_off_center(self, rng):
         """The graded dims of M(N, c) on a nonzero space are symmetric about c,
@@ -478,7 +479,6 @@ def test_lefschetz_chain_matches_the_oracle_off_the_monodromy_filtration(monkeyp
             assert want[0] == ("N-shift: N M_k in M_{k-2}", True, "")
             with monkeypatch.context() as mp:
                 mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product taken"))
-                mp.setattr(monodromy, "_block", lambda *a: pytest.fail("block read"))
                 report = check_monodromy_axioms(filt, mat, center)
                 model = NilpotentModel.of(WeightedSpace.from_filtration(filt), center + 1, mat)
                 hl = verify_hard_lefschetz(model)
@@ -602,12 +602,12 @@ class TestOperatorContext:
     def test_axioms_take_no_powers_and_match_the_oracle(self, monkeypatch):
         """check_monodromy_axioms reads each N^k off N written in the basis
         adapted to the filtration (the chain of its graded blocks once the
-        N-shift holds, a block of the full power otherwise), so it never
-        builds the kernel flag that a model and the chain builder read.
-        Over 20 seeded operators its report equals ref_monodromy_axioms on
-        M(N), on M(N) with a wrong center, and on a full flag of random
-        vectors, weighted 0 .. d-1, that fails the N-shift at two or more
-        steps."""
+        N-shift holds; no N^k line otherwise), so it never builds the kernel
+        flag that a model and the chain builder read.  Over 20 seeded
+        operators its report equals ref_monodromy_axioms on M(N), on M(N)
+        with a wrong center, and on a full flag of random vectors, weighted
+        0 .. d-1, that fails the N-shift at two or more steps; only the last
+        carries the note that no N^k line was evaluated."""
         rng, flags = random.Random(6), random.Random(60)
         failing_steps = Counter()
         for _ in range(20):
@@ -630,6 +630,8 @@ class TestOperatorContext:
                     ref_monodromy_axioms(mat.entries, d, steps, c)
                 if passes is not None:
                     assert report.passed == passes
+                assert report.notes == (() if f is filt or mat.is_zero() else (
+                    "N^k lines not evaluated: N does not lower the filtration by 2",))
             if not mat.is_zero():
                 failing_steps[sum(r.name.startswith("N W_") for r in report.checks) >= 2] += 1
         assert failing_steps[True] >= 10 and not failing_steps[False], failing_steps
@@ -637,10 +639,10 @@ class TestOperatorContext:
     def test_filtered_n_takes_no_power_and_slices_each_weight_once(self, monkeypatch):
         """Once N shifts the filtration by -2, the axiom check on M(N), hard
         Lefschetz, the graded kernel, the primitive decomposition and the
-        strictness of the model's N form no product of matrices and read no
-        block through weights._block: each reads the diagonal table of its
-        adapted N, which slices every weight of that map once.  String,
-        filtrationless, scrambled and given-filtration models."""
+        strictness of the model's N form no product of matrices: each reads
+        the diagonal table of its adapted N, which slices every weight of
+        that map once.  String, filtrationless, scrambled and
+        given-filtration models."""
         slices = []
         block_rows = weights._block_rows
         for build in (lambda: JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent(),
@@ -651,8 +653,6 @@ class TestOperatorContext:
             slices.clear()
             with monkeypatch.context() as mp:
                 mp.setattr(QMatrix, "__matmul__", lambda a, b: pytest.fail("product taken"))
-                for module in (weights, monodromy):
-                    mp.setattr(module, "_block", lambda *a: pytest.fail("block read"))
                 mp.setattr(weights, "_block_rows",
                            lambda a, *corners: slices.append((id(a), corners))
                            or block_rows(a, *corners))
@@ -673,6 +673,17 @@ class TestOperatorContext:
         assert model.kernels == [Subspace.zero(4), span(4, [1, 0, 0, 0], [0, 0, 0, 1]),
                                  span(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]),
                                  Subspace.full(4)]
+
+    def test_strict_reads_the_filtered_verdict_of_construction(self, monkeypatch):
+        """A model's N is found filtered once, at construction; strict() reads
+        that verdict and scans no corner of the adapted matrix again."""
+        for model in (JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent(),
+                      generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3),
+                      wrong_center_model()):
+            with monkeypatch.context() as mp:
+                mp.setattr(weights, "_zero_corner", lambda *a: pytest.fail("corner scanned"))
+                assert model.N.filtered()
+                model.N.strict()
 
     def test_no_memo_across_instances(self, filtration_calls):
         strings = (("L", 3), ("P", 2))
