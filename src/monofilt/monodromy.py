@@ -1,9 +1,9 @@
 """Monodromy filtrations of nilpotent operators and their graded structure.
 
 The filtration is read off a basis of Jordan chains of N built along the
-kernel flag ker N c ker N^2 c ... c ker N^e, which one Zassenhaus pass builds
-with no power of N; it is also the nilpotency check (_kernel_flag).  The pass
-lives in qlinalg (_kernels), and qlinalg.kernel is its first step.
+kernel flag ker N c ker N^2 c ... c ker N^e, kept as the rows each step adds.
+One Zassenhaus pass builds it with no power of N and is the nilpotency check
+(_kernel_flag); it lives in qlinalg (_kernels), whose first step is kernel.
 A model's hard Lefschetz report is its one Lefschetz verdict: a model's N
 shifts its filtration by -2, so by Deligne's uniqueness (Weil II 1.6.1) the
 N^k lines pass exactly when that filtration is M(N), and no M(N) is built.
@@ -43,23 +43,24 @@ class GradedKernelMismatch(ValueError):
 
 
 def _kernel_flag(m: QMatrix) -> list:
-    """[ker N^k for k = 0 .. max(e, 1)], e the nilpotency index of N = m, off
-    the one-pass flag of qlinalg._kernels.  Raises NotNilpotent if the
-    dimension stalls."""
+    """[(rows, pivots) of ker N^k new over ker N^{k-1} for k = 1 .. max(e, 1)],
+    e the nilpotency index of N = m, off the one-pass flag of qlinalg._kernels.
+    Raises NotNilpotent if a step adds no row before Q^d."""
     if m.rows != m.cols:
         raise NotNilpotent("operator is not square")
-    flag = [Subspace.zero(m.rows)]
-    for k in qlinalg._kernels(m):
-        if k.dim == flag[-1].dim < m.rows:
+    flag, dim = [], 0
+    for rows, pivots in qlinalg._kernels(m):
+        if not rows and dim < m.rows:
             raise NotNilpotent("operator is not nilpotent")
-        flag.append(k)
-        if k.is_full():
+        flag.append((rows, pivots))
+        dim += len(rows)
+        if dim == m.rows:
             return flag
 
 
 def nilpotency_index(m: QMatrix) -> int:
     """Least e with m^e = 0 (at most d), off the kernel flag; raises NotNilpotent."""
-    return min(len(_kernel_flag(m)) - 1, m.rows)
+    return min(len(_kernel_flag(m)), m.rows)
 
 
 def monodromy_filtration(n_op: QMatrix, center: int,
@@ -68,28 +69,25 @@ def monodromy_filtration(n_op: QMatrix, center: int,
 
     M_w is spanned by the vectors of weight <= w in a basis of Jordan chains
     h, N h, ..., N^m h, N^i h of weight c + m - 2i (Deligne, Weil II 1.6),
-    built top-down along the kernel flag `kernels` (built from n_op when not
-    given).  The heads of level k are the rows of ker N^k whose pivots are
-    new over ker N^{k-1} + N(level k+1).  When no chain reaches level k from
-    above, they are the rows of ker N^k new over ker N^{k-1}, read off the
-    flag with no pass; otherwise one pass takes ker N^{k-1}, the images and
-    those new rows.  One more pass builds the steps.  check_monodromy_axioms
-    verifies M without chains.
-    """
+    built top-down along the kernel flag `kernels` (_kernel_flag, built from
+    n_op when not given).  The heads of level k are the rows of ker N^k whose
+    pivots are new over ker N^{k-1} + N(level k+1).  When no chain reaches
+    level k from above, they are the flag's step k, with no pass; otherwise one
+    pass takes the steps below k, the images and step k.  One more pass builds
+    the steps of M.  check_monodromy_axioms verifies M without chains."""
     kernels = kernels or _kernel_flag(n_op)
     d = n_op.rows
-    new = list(qlinalg._new_rows(kernels))  # rows of ker N^k new over ker N^{k-1}
     chains, level = [], []  # (integer vector, weight): all, and those at level k
-    for k in range(len(kernels) - 1, 0, -1):
+    for k in range(len(kernels), 0, -1):
         # N is injective from ker N^{k+1}/ker N^k to ker N^k/ker N^{k-1}
         level = [(n_op._apply(v), w - 2) for v, w in level]
-        if len(new[k]) > len(level):
-            heads = [r for r, _ in new[k]]
+        heads = kernels[k - 1][0]
+        if len(heads) > len(level):
             if level:
                 # the rows of ker N^k whose pivots are new over ker N^{k-1} + N(level)
-                # span the heads' classes; ker N^{k-1} and its new rows span ker N^k
-                (_, below), (rows, pivots) = qlinalg._prefix_spans(
-                    [kernels[k - 1]._rows + tuple(v for v, _ in level), heads])
+                # span the heads' classes; the steps up to k span ker N^k
+                below = [r for step, _ in kernels[:k - 1] for r in step] + [v for v, _ in level]
+                (_, below), (rows, pivots) = qlinalg._prefix_spans([below, heads])
                 below = set(below)
                 heads = [h for h, p in zip(rows, pivots) if p not in below]
             level += [(h, center + k - 1) for h in heads]
@@ -182,14 +180,13 @@ class NilpotentModel:
     NilpotentModel.of builds it from a matrix.
 
     The quantities the verifiers share are computed once per instance and
-    kept beside the fields: the kernel flag ker N^0 c ... c ker N^e = Q^d
-    (`kernels`, built at construction as the nilpotency check, or
-    `known_kernels`), N in the adapted bases (N.adapted, written at
+    kept beside the fields: the kernel flag ker N c ... c ker N^e = Q^d as the
+    rows each step adds (`kernels`, built at construction as the nilpotency
+    check, or `known_kernels`), N in the adapted bases (N.adapted, written at
     construction for the N-shift test), the complex [V --N--> V(-1)]
-    (`n_complex`: ker N off the flag and im N), V(-1), the monodromy
-    filtration (built only when read, or by on_monodromy_filtration), the
-    hard Lefschetz report, the graded kernel and the gluing extensions
-    (gluing.extension).
+    (`n_complex`: ker N, the flag's only Subspace, and im N), V(-1), M(N)
+    (built only when read, or by on_monodromy_filtration), the hard Lefschetz
+    report, the graded kernel and the gluing extensions (gluing.extension).
     Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
@@ -234,8 +231,8 @@ class NilpotentModel:
     @cached_property
     def n_complex(self) -> TwoTermComplex:
         """[V --N--> V(-1)], the *-restriction of j_*, whose kernel is the
-        kernel flag's first step."""
-        return TwoTermComplex(self.N, self.kernels[1])
+        kernel flag's first step, the one step kept as a Subspace."""
+        return TwoTermComplex(self.N, Subspace(self.space.dim, *self.kernels[0]))
 
     @cached_property
     def twisted(self) -> WeightedSpace:
@@ -269,7 +266,7 @@ class NilpotentModel:
         # Gr_k(ker N) injects into ker(Gr_k N) at every k, and the two sum to
         # dim ker N and d - sum_k rank Gr_k N: they agree at every k exactly
         # when the sums agree, which is when N is strict (Deligne, Hodge II 1.1)
-        total, ker_dim = sum(d for _, d in dims), self.kernels[1].dim
+        total, ker_dim = sum(d for _, d in dims), self.n_complex.ker.dim
         if total != ker_dim:
             raise GradedKernelMismatch(
                 f"ker N has dim {ker_dim} but the kernels of Gr N total {total}")

@@ -21,9 +21,9 @@ nested flag (the steps of the monodromy filtration) takes one pass.  From a
 start column, a new pivot is cleared only from the rows whose pivots lie
 between the start and it: the rows from the start on are RREF rows and those
 before it only echelon rows.  _zassenhaus runs it over rows [x | y] from the
-start of y and keeps the y whose x is zero, the RREF rows, which are all it
-reads: the kernel flag of m (_kernels, whose first step is
-kernel) and the meet of two subspaces (intersect) are each one such pass.
+start of y and yields after each group the y of the new rows whose x is zero:
+the kernel flag of m, as its adapted basis (_kernels, whose first step is
+kernel), and the meet of two subspaces (intersect) are each one such pass.
 Every other pass starts at column 0.  Every subspace is built from a pass and
 holds, as a field, the pivots the pass found.
 
@@ -172,8 +172,7 @@ class QMatrix:
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, (tuple(
-            tuple(int(i == j) for j in range(n)) for i in range(n)), 1))
+        return QMatrix(n, n, (tuple(_unit(i, n) for i in range(n)), 1))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -184,6 +183,10 @@ class QMatrix:
 
     def is_zero(self) -> bool:
         return not any(map(any, self._ints[0]))
+
+
+def _unit(j: int, n: int) -> tuple:
+    return (0,) * j + (1,) + (0,) * (n - j - 1)  # e_j in Z^n
 
 
 def _from_columns(cols: list, nrows: int) -> QMatrix:
@@ -245,14 +248,16 @@ def _prefix_spans(groups: Iterable[Iterable[Sequence]], start: int = 0) -> Itera
 
 def _zassenhaus(groups: Iterable[Iterable[Sequence]], d: int) -> Iterator[tuple]:
     """One _prefix_spans pass from column d over integer rows [x | y], x of
-    length d: the rows with pivots in x, which nothing reads, stay in echelon
-    form.  After each group, yields (rows, pivots in y) of the y whose x is
-    zero: the right halves of the rows whose pivot lies in the right half.
-    Those rows are RREF rows with zero left halves, so their right halves
-    are the primitive RREF rows of that space."""
+    length d.  After each group, yields (rows, pivots in y) of the y of the
+    rows with pivots in y, which have zero x, that are new since the last
+    yield, as the pass holds them: it adds to a row only multiples of newer
+    rows, so with the earlier yields they span the y whose x is zero.  The
+    first yield is the primitive RREF rows of its space."""
+    seen: set = set()
     for rows, pivots in _prefix_spans(groups, d):
-        i = bisect_left(pivots, d)
-        yield tuple(r[d:] for r in rows[i:]), tuple(p - d for p in pivots[i:])
+        new = [i for i in range(bisect_left(pivots, d), len(pivots)) if pivots[i] not in seen]
+        seen.update(pivots[i] for i in new)
+        yield tuple(rows[i][d:] for i in new), tuple(pivots[i] - d for i in new)
 
 
 def _echelon(rows: Iterable[Sequence]) -> tuple:
@@ -282,9 +287,8 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(
-            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)),
-            tuple(range(ambient_dim)))
+        return Subspace(ambient_dim, tuple(_unit(i, ambient_dim) for i in range(ambient_dim)),
+                        tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -327,27 +331,26 @@ class Subspace:
         return Subspace.from_vectors(self.ambient_dim, self._rows + other._rows)
 
 
-def _kernels(m: QMatrix) -> Iterator[Subspace]:
-    """ker m, then (m square) ker m^2, ker m^3, ... without end, by one
-    Zassenhaus pass and no power of m.  The first group is [m e_j | e_j];
-    after ker m^k the pass takes [r | 0] for its rows whose pivots are new,
-    so the next yield is {c : m c in ker m^k} = ker m^{k+1}."""
-    d, new, seen = m.rows, [], set()
+def _kernels(m: QMatrix) -> Iterator[tuple]:
+    """(rows, pivots) of the rows that ker m, then (m square) ker m^2, ...
+    without end, each add, by one Zassenhaus pass and no power of m.  The
+    first group is [m e_j | e_j]; after ker m^k the pass takes [r | 0] for
+    the rows it added, so the next yield adds {c : m c in ker m^k} = ker m^{k+1}."""
+    d, new = m.rows, []
 
     def groups():
-        yield [c + tuple(int(i == j) for i in range(m.cols)) for j, c in enumerate(m._cols)]
+        yield [c + _unit(j, m.cols) for j, c in enumerate(m._cols)]
         while True:
             yield new
 
     for rows, pivots in _zassenhaus(groups(), d):
-        yield Subspace(m.cols, rows, pivots)
-        new = [r + (0,) * d for r, p in zip(rows, pivots) if p not in seen]
-        seen.update(pivots)
+        yield rows, pivots
+        new = [r + (0,) * d for r in rows]
 
 
 def kernel(m: QMatrix) -> Subspace:
     """Null space {v : m v = 0} as a subspace of Q^cols: the first step of _kernels."""
-    return next(_kernels(m))
+    return Subspace(m.cols, *next(_kernels(m)))
 
 
 def image(m: QMatrix) -> Subspace:
@@ -461,8 +464,7 @@ def quotient_projection(s: Subspace) -> QMatrix:
     """Matrix of the projection Q^d -> Q^d / s: column j holds the
     coordinates of e_j in Q^d / s."""
     d = s.ambient_dim
-    unit = [[int(i == j) for i in range(d)] for j in range(d)]
-    return _from_columns(_quotient_coords(s, unit), d - s.dim)
+    return _from_columns(_quotient_coords(s, [_unit(j, d) for j in range(d)]), d - s.dim)
 
 
 def inverse(m: QMatrix) -> QMatrix:

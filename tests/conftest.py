@@ -24,6 +24,16 @@ def span(ambient, *vectors):
     return Subspace.from_vectors(ambient, vectors)
 
 
+def flag_spaces(flag, d):
+    """[ker N^k as a Subspace of Q^d for k = 0 .. len(flag)]: the span of
+    the steps <= k of a kernel flag (monodromy._kernel_flag)."""
+    rows, spaces = [], [Subspace.zero(d)]
+    for step, _ in flag:
+        rows += step
+        spaces.append(Subspace.from_vectors(d, rows))
+    return spaces
+
+
 def _map(m, dom, cod, shift):
     """m: dom -> cod as a morphism into cod shifted by -shift: it is
     filtered exactly when m(W_k(dom)) lies in W_{k+shift}(cod) for all k."""

@@ -146,6 +146,7 @@ class TestErrors:
 J2_DOC = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]],
           "filtration": {"-1": [["1", "0"]], "1": [["1", "0"], ["0", "1"]]},
           "grading": {"-1": [["L", 0, 1]], "1": [["L", -1, 1]]}}
+OVER = cli.MAX_DIM + 1  # one past the size cap
 PT_SPACE = {"dim": 1, "filtration": {"1": [["1"]]}, "grading": {"1": [["pt", 0, 1]]}}
 # the filtration of J2_DOC is M(N, 0), not M(N, 1), so this model is impure
 IMPURE_J2 = {**J2_DOC, "n": 2}
@@ -256,21 +257,22 @@ class TestDocumentBoundary:
         "disk_open_part_not_pure": _doc("disk", open=IMPURE_J2),
     }
 
-    # one past the size cap (128); parse refuses each before building its model
+    # one past the size cap (cli.MAX_DIM); parse refuses each before building its model
     SIZE_CASES = {
-        "string_length": _doc("pure_strings", strings=[{"label": "L", "length": 129}]),
+        "string_length": _doc("pure_strings", strings=[{"label": "L", "length": OVER}]),
         "total_string_length": _doc("pure_strings", strings=[
-            {"label": "L", "length": 100}, {"label": "P", "length": 29}]),
+            {"label": "L", "length": OVER - 29}, {"label": "P", "length": 29}]),
         "disk_open_strings": _doc("disk", pure=False, extension="shriek", open={
-            "n": 1, "strings": [{"label": "L", "length": 65}, {"label": "P", "length": 64}]}),
-        "space_dim": _doc("gluing", psi={**PT_SPACE, "dim": 129}),
-        "matrix_dimension": {"kind": "nilpotent", "n": 1, "matrix": [[0] * 129] * 129},
-        "point_multiplicity": _doc("disk", point={"weight": 1, "labels": [["P", 129]]}),
+            "n": 1, "strings": [{"label": "L", "length": OVER - OVER // 2},
+                                {"label": "P", "length": OVER // 2}]}),
+        "space_dim": _doc("gluing", psi={**PT_SPACE, "dim": OVER}),
+        "matrix_dimension": {"kind": "nilpotent", "n": 1, "matrix": [[0] * OVER] * OVER},
+        "point_multiplicity": _doc("disk", point={"weight": 1, "labels": [["P", OVER]]}),
         "point_multiplicity_sum": _doc(
-            "disk", point={"weight": 1, "labels": [["P", 100], ["Q", 29]]}),
+            "disk", point={"weight": 1, "labels": [["P", OVER - 29], ["Q", 29]]}),
         "filtration_weight": {"kind": "nilpotent", "n": 1, "matrix": [[0, 0], [0, 0]],
-                              "filtration": {"-129": [[1, 0]], "1": [[1, 0], [0, 1]]}},
-        "center": _doc("nilpotent", n=130),
+                              "filtration": {str(-OVER): [[1, 0]], "1": [[1, 0], [0, 1]]}},
+        "center": _doc("nilpotent", n=OVER + 1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -304,12 +306,12 @@ class TestDocumentBoundary:
 
     @pytest.mark.parametrize("case", sorted(SIZE_CASES))
     def test_size_cap(self, case):
-        with pytest.raises(ValidationError, match="above the size cap 128"):
+        with pytest.raises(ValidationError, match=f"above the size cap {cli.MAX_DIM}$"):
             parse(json.dumps(self.SIZE_CASES[case]))
 
     @pytest.mark.parametrize("flags", [
-        ["--strings", "0"], ["--maxlen", "0"], ["--strings", "129"], ["--maxlen", "129"],
-        ["--strings", "128", "--maxlen", "128"]])  # a model of dim 2613
+        ["--strings", "0"], ["--maxlen", "0"], ["--strings", str(OVER)], ["--maxlen", str(OVER)],
+        ["--strings", str(cli.MAX_DIM), "--maxlen", str(cli.MAX_DIM)]])  # a model far above the cap
     def test_gen_size_cap(self, flags, capsys):
         rc, out = run(["gen", "--seed", "1", *flags])
         assert rc == EXIT_VALIDATION and out == ""

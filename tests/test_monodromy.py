@@ -17,7 +17,8 @@ from monofilt.theorems import (generate_model, generate_scrambled, random_nilpot
 from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
                               WeightFiltration, WeightedSpace)
 
-from conftest import J2, J3, _filtrations_n_respects, _map, _string_basis_model, qm, span
+from conftest import (J2, J3, _filtrations_n_respects, _map, _string_basis_model, flag_spaces,
+                      qm, span)
 from reference import (ref_apply, ref_induced_on_sub, ref_kernel_flag, ref_matvec,
                        ref_monodromy_axioms, ref_monodromy_steps, ref_null, ref_string_steps)
 
@@ -400,8 +401,10 @@ def jordan_block(k: int) -> QMatrix:
 def test_kernel_flag_matches_the_oracle():
     """The one-pass kernel flag equals the oracle's null spaces of the powers
     of N step by step, ends in Q^d, and nilpotency_index is its length less
-    one (0 on Q^0): over 300 random nilpotent operators, scrambled string
-    operators, the zero operator on Q^0 .. Q^4 and J_1 .. J_8."""
+    one (0 on Q^0).  It is stored as an adapted basis: its steps hold d rows
+    in all, with d distinct pivots.  Over 300 random nilpotent operators,
+    scrambled string operators, the zero operator on Q^0 .. Q^4 and
+    J_1 .. J_8."""
     rng = random.Random(19)
     ops = [random_nilpotent(rng, max_dim=9) for _ in range(300)]
     ops += [generate_scrambled(generate_model(seed, 3, 4, 1, ["L", "P"]), seed).N.matrix
@@ -410,9 +413,12 @@ def test_kernel_flag_matches_the_oracle():
     indices = Counter()
     for m in ops:
         flag = monodromy._kernel_flag(m)
-        assert [k.basis.entries for k in flag] == ref_kernel_flag(m.entries, m.rows)
-        assert flag[-1] == Subspace.full(m.rows)
-        assert nilpotency_index(m) == (len(flag) - 1 if m.rows else 0)
+        spaces = flag_spaces(flag, m.rows)
+        assert [k.basis.entries for k in spaces] == ref_kernel_flag(m.entries, m.rows)
+        assert spaces[-1] == Subspace.full(m.rows)
+        assert nilpotency_index(m) == (len(spaces) - 1 if m.rows else 0)
+        pivots = {p for _, step in flag for p in step}
+        assert sum(len(rows) for rows, _ in flag) == len(pivots) == m.rows
         indices[nilpotency_index(m)] += 1
     assert set(indices) == set(range(10)), indices
 
@@ -544,7 +550,7 @@ class TestOperatorContext:
                 assert primitive_decomposition(model).passed
                 assert graded_kernel(model).dims
             assert flags == [model.N.matrix]
-            assert [k.basis.entries for k in model.kernels] == \
+            assert [k.basis.entries for k in flag_spaces(model.kernels, model.space.dim)] == \
                 ref_kernel_flag(model.N.matrix.entries, model.space.dim)
 
     @pytest.mark.parametrize("lengths, passes", [((8,), 1), ((4, 4), 1), ((3, 3, 2, 1), 3)])
@@ -553,16 +559,20 @@ class TestOperatorContext:
         rows of the kernel flag and take no pass; elsewhere one pass takes
         only those rows after ker N^{k-1} and the images.  So a scrambled
         J_8 or J_4+J_4 makes one pass (the steps) and J_3+J_3+J_2+J_1 three,
-        and M(N) equals the closed formula's."""
+        no new rows are re-derived from the flag (qlinalg._new_rows), and
+        M(N) equals the closed formula's."""
         model = JordanStringModel(tuple(("L", m) for m in lengths), 1)
         n_op = generate_scrambled(model, 7).N.matrix
         flag = monodromy._kernel_flag(n_op)
-        calls = []
-        prefix_spans = qlinalg._prefix_spans
+        calls, new_rows_calls = [], []
+        prefix_spans, new_rows = qlinalg._prefix_spans, qlinalg._new_rows
         monkeypatch.setattr(qlinalg, "_prefix_spans",
                             lambda *args: calls.append(1) or prefix_spans(*args))
+        monkeypatch.setattr(qlinalg, "_new_rows",
+                            lambda spaces: new_rows_calls.append(1) or new_rows(spaces))
         f = monodromy_filtration(n_op, 0, kernels=flag)
         assert len(calls) == passes
+        assert not new_rows_calls
         for k, rows in ref_monodromy_steps(n_op.entries, n_op.rows, 0):
             assert f.space_at(k).basis.entries == rows, k
 
@@ -670,9 +680,9 @@ class TestOperatorContext:
 
     def test_flag_ends_at_the_first_full_kernel(self):
         model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
-        assert model.kernels == [Subspace.zero(4), span(4, [1, 0, 0, 0], [0, 0, 0, 1]),
-                                 span(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]),
-                                 Subspace.full(4)]
+        assert flag_spaces(model.kernels, 4) == [
+            Subspace.zero(4), span(4, [1, 0, 0, 0], [0, 0, 0, 1]),
+            span(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]), Subspace.full(4)]
 
     def test_strict_reads_the_filtered_verdict_of_construction(self, monkeypatch):
         """A model's N is found filtered once, at construction; strict() reads

@@ -22,7 +22,7 @@ from monofilt.monodromy import _kernel_flag, monodromy_filtration
 from monofilt.theorems import generate_model, generate_scrambled
 from monofilt.weights import AdaptedMap, ShapeMismatch, WeightFiltration, image_filtration
 
-from conftest import graded_block, random_subspace, rref_basis
+from conftest import flag_spaces, graded_block, random_subspace, rref_basis
 from reference import (ref_apply, ref_in_span, ref_intersect, ref_matmul, ref_matvec,
                        ref_monodromy_steps, ref_null, ref_rref, ref_span)
 
@@ -240,8 +240,9 @@ def _first_nonzeros(s: Subspace) -> tuple:
 def test_pass_built_subspaces_carry_their_pivots():
     """A Subspace built from a pass's (rows, pivots) holds those pivots from
     the start, and they are the first nonzero columns of its rows:
-    from_vectors, kernel, intersect, the kernel flag, the steps of the
-    monodromy filtration and of its image under a corestriction, and full."""
+    from_vectors, kernel, intersect, each step of the kernel flag and its
+    spans, the steps of the monodromy filtration and of its image under a
+    corestriction, and full."""
     rng = random.Random(29)
     for _ in range(30):
         model = generate_model(rng.getrandbits(32), 3, 4, 1, ["L"])
@@ -249,9 +250,10 @@ def test_pass_built_subspaces_carry_their_pivots():
         d = n_op.rows
         flag = _kernel_flag(n_op)
         filt = monodromy_filtration(n_op, rng.randint(-1, 1), kernels=flag)
-        s = random_subspace(rng, d)
+        s, spaces = random_subspace(rng, d), flag_spaces(flag, d)
         built = [Subspace.from_vectors(d, n_op.entries), qlinalg.kernel(n_op),
-                 qlinalg.intersect(s, flag[1]), Subspace.full(d), *flag]
+                 qlinalg.intersect(s, spaces[1]), Subspace.full(d), *spaces,
+                 *(Subspace(d, *step) for step in flag)]
         onto = qlinalg.corestriction(n_op, qlinalg.image(n_op))
         for f in (filt, image_filtration(onto, filt)):
             built += [t for _, t in f.steps]
