@@ -4,6 +4,8 @@ The filtration is read off a basis of Jordan chains of N built along the
 kernel flag ker N c ker N^2 c ... c ker N^e, kept as the rows each step adds.
 One Zassenhaus pass builds it with no power of N and is the nilpotency check
 (_kernel_flag); it lives in qlinalg (_kernels), whose first step is kernel.
+A Jordan string model is its own chain basis: to_nilpotent writes N, the flag
+and M(N) off its strings with no pass, and its model checks them as any other.
 A model's hard Lefschetz report is its one Lefschetz verdict: a model's N
 shifts its filtration by -2, so by Deligne's uniqueness (Weil II 1.6.1) the
 N^k lines pass exactly when that filtration is M(N), and no M(N) is built.
@@ -185,9 +187,10 @@ class NilpotentModel:
     check, or `known_kernels`), N in the adapted bases (N.adapted, written at
     construction for the N-shift test), the complex [V --N--> V(-1)]
     (`n_complex`: ker N, the flag's only Subspace, and im N), V(-1), M(N)
-    (built only when read, or by on_monodromy_filtration), the hard Lefschetz
-    report, the graded kernel and the gluing extensions (gluing.extension).
-    Equality and hashing read the fields only."""
+    (built when read, or kept by on_monodromy_filtration and by a string
+    model's to_nilpotent, which writes it and the flag off the strings),
+    the hard Lefschetz report, the graded kernel and the gluing extensions
+    (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
     N: AdaptedMap
@@ -291,25 +294,42 @@ class JordanStringModel:
     def dim(self) -> int:
         return sum(length for _, length in self.strings)
 
-    def operator_and_grading(self) -> tuple:
-        """(N, grading): N e_i = e_{i-1} along each string, and the string
-        grading, the lefschetz_spread of each string's bottom vector."""
+    def _walk(self) -> tuple:
+        """(N, grading, vectors) off one walk: vectors lists (j, e_j, k, w) for
+        the k-th vector e_j of a string of length L, at w = c - L + 2k - 1 with
+        c = n-1.  N e_j = e_{j-1}: a string's rows of N are its e_j, k > 1, then 0."""
         d, c = self.dim, self.n - 1
-        rows = [[0] * d for _ in range(d)]
-        offset = 0
+        rows, vectors = [], []
         for _, length in self.strings:
-            for idx in range(offset + 1, offset + length):
-                rows[idx - 1][idx] = 1  # N e_i = e_{i-1}
-            offset += length
+            for k in range(1, length + 1):
+                j = len(vectors)
+                vectors.append((j, qlinalg._unit(j, d), k, c - length + 2 * k - 1))
+            rows += [u for _, u, _, _ in vectors[len(rows) + 1:]] + [(0,) * d]
         grading = LabeledGrading.from_terms(lefschetz_spread(
             ((c + 1 - length, TwistedLabel(label), 1) for label, length in self.strings), c))
-        return QMatrix.from_rows(rows, cols=d), grading
+        return QMatrix(d, d, (tuple(rows), 1)), grading, vectors
+
+    def operator_and_grading(self) -> tuple:
+        """(N, grading): N e_i = e_{i-1} along each string, as integer rows,
+        and the string grading, the lefschetz_spread of each bottom vector."""
+        return self._walk()[:2]
 
     def to_nilpotent(self) -> NilpotentModel:
-        """The model on N and the string grading; its filtration is the
-        monodromy filtration of N."""
-        n_op, grading = self.operator_and_grading()
-        return NilpotentModel.on_monodromy_filtration(n_op, self.n, grading)
+        """The model on N and the string grading.  The strings are a Jordan
+        chain basis, so with no elimination pass the flag's step k is the
+        k-th vector of every string of length >= k, and M(N)_w, centered at
+        n-1, is spanned by the vectors of weight <= w (Deligne, Weil II
+        1.6); construction still runs the N-shift test on it."""
+        n_op, grading, vectors = self._walk()
+        d, e = n_op.rows, max((length for _, length in self.strings), default=1)
+        kernels = [tuple(zip(*[(u, j) for j, u, i, _ in vectors if i == k])) or ((), ())
+                   for k in range(1, e + 1)]
+        filt = WeightFiltration(d, tuple(
+            (w, Subspace(d, *zip(*[(u, j) for j, u, _, x in vectors if x <= w])))
+            for w in sorted({w for *_, w in vectors})))
+        model = NilpotentModel.of(WeightedSpace(d, filt, grading), self.n, n_op, kernels)
+        model.__dict__["monodromy_filtration"] = filt
+        return model
 
 
 def verify_hard_lefschetz(model: NilpotentModel) -> Report:

@@ -150,7 +150,7 @@ class TestFiltrationOracle:
 
 
 class TestStringFiltrationOracle:
-    """A string model's filtration, built by the chain builder, against the
+    """A string model's filtration, written off its strings, against the
     string weights written down by a reference that shares no code with
     qlinalg, and a scrambled model's against their image under P."""
 
@@ -179,6 +179,62 @@ class TestStringFiltrationOracle:
     def test_empty_model(self):
         for n in range(-1, 4):
             self.check((), n, 3)
+
+
+def _string_operator_rows(strings) -> list:
+    """The d x d rows of N e_i = e_{i-1} along each string, entry by entry."""
+    d = sum(length for _, length in strings)
+    rows = [[0] * d for _ in range(d)]
+    offset = 0
+    for _, length in strings:
+        for idx in range(offset + 1, offset + length):
+            rows[idx - 1][idx] = 1
+        offset += length
+    return rows
+
+
+def _on_strings(strings: JordanStringModel) -> NilpotentModel:
+    """The model that on_monodromy_filtration builds on the strings' N and
+    grading, through the kernel flag pass and the chain builder."""
+    n_op, grading = strings.operator_and_grading()
+    return NilpotentModel.on_monodromy_filtration(n_op, strings.n, grading)
+
+
+class TestStringModelClosedForm:
+    """A string model writes N, its kernel flag and M(N) off its strings,
+    with no kernel pass and no chain builder, and gets the model that
+    on_monodromy_filtration builds on the same N and grading: every field,
+    the flag's rows and pivots, M(N) and the pivots of every step, which
+    Subspace equality ignores.  Its steps are the string weights of the
+    Fraction reference, and N is the matrix written entry by entry."""
+
+    def check(self, monkeypatch, model):
+        with monkeypatch.context() as mp:
+            mp.setattr(qlinalg, "_kernels", lambda m: pytest.fail("kernel pass"))
+            mp.setattr(monodromy, "monodromy_filtration",
+                       lambda *args, **kwargs: pytest.fail("chain builder"))
+            got = model.to_nilpotent()
+        n_op = model.operator_and_grading()[0]
+        assert n_op == QMatrix.from_rows(_string_operator_rows(model.strings), cols=model.dim)
+        want = _on_strings(model)
+        assert (got.space, got.n, got.N) == (want.space, want.n, want.N) and got == want
+        assert got.kernels == want.kernels
+        assert got.monodromy_filtration is got.space.filtration
+        assert got.monodromy_filtration == want.monodromy_filtration
+        assert [(w, s._rows, s.pivots) for w, s in got.space.filtration.steps] == \
+            [(w, s._rows, s.pivots) for w, s in want.space.filtration.steps]
+        for k, rows in ref_string_steps(model.strings, model.n):
+            assert got.space.filtration.space_at(k).basis.entries == rows, k
+
+    def test_seeded_models(self, monkeypatch):
+        for seed in range(300):
+            self.check(monkeypatch, generate_model(seed, 5, 6, seed % 5 - 1, ["L", "P", "Q"]))
+
+    @pytest.mark.parametrize("strings", [(), (("L", 1),), (("L", 3), ("P", 1)),
+                                         (("L", 3), ("L", 3), ("P", 2), ("L", 1), ("P", 1))])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_edge_and_repeated_strings(self, monkeypatch, strings, n):
+        self.check(monkeypatch, JordanStringModel(strings, n))
 
 
 def test_filtration_takes_no_intersection_or_image(monkeypatch):
@@ -512,12 +568,29 @@ class TestOperatorContext:
         monkeypatch.setattr(monodromy, "monodromy_filtration", counting)
         return calls
 
-    def test_verifiers_build_one_filtration(self, filtration_calls, monkeypatch):
+    @pytest.fixture
+    def flag_calls(self, monkeypatch):
+        calls = []
+        kernel_flag = monodromy._kernel_flag
+        monkeypatch.setattr(monodromy, "_kernel_flag",
+                            lambda m: calls.append(m) or kernel_flag(m))
+        return calls
+
+    def test_verifiers_build_one_filtration(self, filtration_calls, flag_calls, monkeypatch):
+        """A string model writes M(N) off its strings and builds none; the
+        model on_monodromy_filtration builds on the same N and grading builds
+        one, and the verifiers build none and take every rank once."""
         ranks = []
         original_rank = monodromy.qlinalg.rank
         monkeypatch.setattr(monodromy.qlinalg, "rank",
                             lambda m: ranks.append(m) or original_rank(m))
-        model = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent()
+        strings = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1)
+        closed = strings.to_nilpotent()
+        assert verify_hard_lefschetz(closed).passed and primitive_decomposition(closed).passed
+        assert closed.monodromy_filtration.weights and graded_kernel(closed).dims
+        assert filtration_calls == [] and flag_calls == []
+        model = _on_strings(strings)
+        assert model == closed
         assert verify_hard_lefschetz(model).passed
         assert primitive_decomposition(model).passed
         gk = graded_kernel(model)
@@ -528,30 +601,37 @@ class TestOperatorContext:
         assert filtration_calls == [model.center]
         assert len(ranks) == first
 
-    def test_one_kernel_flag_per_model(self, monkeypatch):
+    def test_one_kernel_flag_per_model(self, monkeypatch, flag_calls, filtration_calls):
         """Construction, the chain builder, hard Lefschetz, the graded kernel
         and the primitive decomposition read one kernel flag per model, built
-        at construction without qlinalg.kernel: string, filtrationless,
-        scrambled and given-filtration models.  The flag equals the Fraction
-        oracle's flag of null spaces of the powers of N."""
-        flags = []
-        kernel_flag = monodromy._kernel_flag
-        monkeypatch.setattr(monodromy, "_kernel_flag",
-                            lambda m: flags.append(m) or kernel_flag(m))
+        at construction without qlinalg.kernel: on_monodromy_filtration of a
+        string operator, filtrationless, scrambled and given-filtration
+        models.  A string model's to_nilpotent builds no flag and no
+        filtration: both come off its strings.  Every flag equals the
+        Fraction oracle's flag of null spaces of the powers of N."""
         monkeypatch.setattr(qlinalg, "kernel", lambda m: pytest.fail("kernel taken"))
-        for build in (lambda: JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1).to_nilpotent(),
+        strings = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1)
+        for build in (lambda: _on_strings(strings),
                       lambda: NilpotentModel.on_monodromy_filtration(J3, 1),
                       lambda: generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3),
                       wrong_center_model):
-            flags.clear()
+            flag_calls.clear()
             model = build()
             assert model.monodromy_filtration.weights
             if verify_hard_lefschetz(model).passed:
                 assert primitive_decomposition(model).passed
                 assert graded_kernel(model).dims
-            assert flags == [model.N.matrix]
+            assert flag_calls == [model.N.matrix]
             assert [k.basis.entries for k in flag_spaces(model.kernels, model.space.dim)] == \
                 ref_kernel_flag(model.N.matrix.entries, model.space.dim)
+        flag_calls.clear()
+        filtration_calls.clear()
+        model = strings.to_nilpotent()
+        assert model.monodromy_filtration.weights and verify_hard_lefschetz(model).passed
+        assert primitive_decomposition(model).passed and graded_kernel(model).dims
+        assert flag_calls == [] and filtration_calls == []
+        assert [k.basis.entries for k in flag_spaces(model.kernels, model.space.dim)] == \
+            ref_kernel_flag(model.N.matrix.entries, model.space.dim)
 
     @pytest.mark.parametrize("lengths, passes", [((8,), 1), ((4, 4), 1), ((3, 3, 2, 1), 3)])
     def test_chain_heads_come_off_the_kernel_flag(self, monkeypatch, lengths, passes):
@@ -695,15 +775,22 @@ class TestOperatorContext:
                 assert model.N.filtered()
                 model.N.strict()
 
-    def test_no_memo_across_instances(self, filtration_calls):
-        strings = (("L", 3), ("P", 2))
-        a = JordanStringModel(strings, 2).to_nilpotent()
-        b = JordanStringModel(strings, 2).to_nilpotent()
-        assert a == b and a is not b
-        hl_a, hl_b = verify_hard_lefschetz(a), verify_hard_lefschetz(b)
-        assert hl_a == hl_b and hl_a is not hl_b
-        assert graded_kernel(a) is not graded_kernel(b)
-        assert filtration_calls == [1, 1]
+    def test_no_memo_across_instances(self, filtration_calls, flag_calls):
+        """Equal models share no report: two to_nilpotent models of the same
+        strings, which build no flag and no filtration, and two models that
+        on_monodromy_filtration builds on their N and grading, which build
+        one flag and one filtration each."""
+        strings = JordanStringModel((("L", 3), ("P", 2)), 2)
+        pairs = [(strings.to_nilpotent(), strings.to_nilpotent())]
+        assert filtration_calls == [] and flag_calls == []
+        pairs.append((_on_strings(strings), _on_strings(strings)))
+        for a, b in pairs:
+            assert a == b and a is not b
+            hl_a, hl_b = verify_hard_lefschetz(a), verify_hard_lefschetz(b)
+            assert hl_a == hl_b and hl_a is not hl_b
+            assert graded_kernel(a) is not graded_kernel(b)
+        assert filtration_calls == [1, 1] and len(flag_calls) == 2
+        assert pairs[0][0] == pairs[1][0]
 
     def test_equality_and_hash_read_fields_only(self):
         strings = (("L", 4), ("L", 2))
