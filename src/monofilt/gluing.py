@@ -19,7 +19,7 @@ from . import qlinalg
 from .monodromy import NilpotentModel
 from .qlinalg import QMatrix, image, kernel
 from .report import Report, ReportBuilder
-from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, image_filtration
+from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, image_filtration, tate_twist
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def _shriek(model: NilpotentModel) -> tuple:
 
 def _star(model: NilpotentModel) -> tuple:
     V, N = model.space, model.N
-    return V, model.twisted, N, AdaptedMap(QMatrix.identity(V.dim), N.cod, N.cod)
+    return V, tate_twist(V, -1), N, AdaptedMap(QMatrix.identity(V.dim), N.cod, N.cod)
 
 
 def _intermediate(model: NilpotentModel) -> tuple:
@@ -89,7 +89,7 @@ def _intermediate(model: NilpotentModel) -> tuple:
     can strict.  For a strict N this is the filtration im N n W_k V(-1) that
     phi inherits from psi(-1) (Deligne, Hodge II 1.1), which makes var
     strict.  For an N that is not strict no filtration of im N makes both
-    strict, and var is not."""
+    strict, and var is not (i_upper_shriek.strict is n_complex.strict)."""
     V, N, img = model.space, model.N, model.n_complex.im
     can = qlinalg.corestriction(N.matrix, img)
     phi = image_filtration(can, N.dom)
@@ -137,9 +137,9 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
     The outer terms are the perverse cohomologies of the restriction of the
     open pushforward j_* to the origin, the model's complex [V --N--> V(-1)];
     exactness at each slot is checked by subspace equality.  Of the
-    structural maps only N is checked to be strict: ker N and coker N carry
-    the filtrations induced from V and V(-1), which make the inclusion and
-    the projection strict by definition (Deligne, Hodge II 1.1).
+    structural maps only N is checked to be strict (n_complex.strict): ker N
+    and coker N carry the filtrations induced from V and V(-1), which make
+    the inclusion and the projection strict by definition (Deligne, Hodge II 1.1).
     """
     V, cx = model.space, model.n_complex
     rb = ReportBuilder("exact sequence around N")
@@ -156,7 +156,7 @@ def verify_sequence_2(model: NilpotentModel) -> Report:
     rb.check("right exactness: projection onto coker N is surjective",
              image(proj).is_full())
     rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
-    rb.check("all structural maps are strict", model.N.strict())
+    rb.check("all structural maps are strict", cx.strict)
     rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
     return rb.build()
 

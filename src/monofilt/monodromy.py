@@ -8,15 +8,17 @@ A Jordan string model is its own chain basis: to_nilpotent writes N, the flag
 and M(N) off its strings with no pass, and its model checks them as any other.
 A model's hard Lefschetz report is its one Lefschetz verdict: a model's N
 shifts its filtration by -2, so by Deligne's uniqueness (Weil II 1.6.1) the
-N^k lines pass exactly when that filtration is M(N), and no M(N) is built.
+N^k lines pass exactly when that filtration is M(N), and then the model
+reads M(N) as its own filtration; the chains build M(N) only when they fail.
 It and check_monodromy_axioms, which verifies any filtration against any N,
 read no chain: N: V -> V(-1) is written once in the bases adapted to the
 filtration (weights.AdaptedMap), and the N-shift is its zero pattern.
 Once that holds, each N^k: Gr_{c+k} -> Gr_{c-k} is the product of the k
 graded blocks of N along Gr_{c+k} -> Gr_{c+k-2} -> ... -> Gr_{c-k}, read from
 the map's one table of diagonal blocks (AdaptedMap.diagonal) with no power
-of N formed.  The graded kernel and the strictness of N read their ranks
-from the same table, so no filtration is induced on ker N.
+of N formed.  The graded kernel reads its ranks from the same table, and
+N is strict when its complex is (weights.TwoTermComplex.strict, off those
+ranks and ker N), so no filtration is induced on ker N.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .qlinalg import QMatrix, Subspace
 from .report import Report, ReportBuilder
 from .weights import (LABEL_DEFAULT, AdaptedMap, LabeledGrading, TwistedLabel,
                       TwoTermComplex, WeightFiltration, WeightedSpace, default_grading,
-                      lefschetz_spread, tate_twist)
+                      lefschetz_spread)
 
 
 class NotNilpotent(ValueError):
@@ -58,11 +60,6 @@ def _kernel_flag(m: QMatrix) -> list:
         dim += len(rows)
         if dim == m.rows:
             return flag
-
-
-def nilpotency_index(m: QMatrix) -> int:
-    """Least e with m^e = 0 (at most d), off the kernel flag; raises NotNilpotent."""
-    return min(len(_kernel_flag(m)), m.rows)
 
 
 def monodromy_filtration(n_op: QMatrix, center: int,
@@ -186,10 +183,10 @@ class NilpotentModel:
     rows each step adds (`kernels`, built at construction as the nilpotency
     check, or `known_kernels`), N in the adapted bases (N.adapted, written at
     construction for the N-shift test), the complex [V --N--> V(-1)]
-    (`n_complex`: ker N, the flag's only Subspace, and im N), V(-1), M(N)
-    (built when read, or kept by on_monodromy_filtration and by a string
-    model's to_nilpotent, which writes it and the flag off the strings),
-    the hard Lefschetz report, the graded kernel and the gluing extensions
+    (`n_complex`: ker N, the flag's only Subspace, im N, and whether N is
+    strict), M(N) (the model's own filtration when the hard Lefschetz report
+    passes, and otherwise built from the chains when read), the hard
+    Lefschetz report, the graded kernel and the gluing extensions
     (gluing.extension).  Equality and hashing read the fields only."""
     space: WeightedSpace
     n: int
@@ -216,16 +213,13 @@ class NilpotentModel:
     def on_monodromy_filtration(n_op: QMatrix, n: int,
                                 grading: LabeledGrading | None = None) -> NilpotentModel:
         """The model of N = n_op whose weight filtration is the monodromy
-        filtration centered at n-1, which is built once and kept as the
-        model's monodromy_filtration.  The grading defaults to the string
-        grading of default_grading at that center."""
+        filtration centered at n-1, built once from the chains.  The grading
+        defaults to the string grading of default_grading at that center."""
         kernels = _kernel_flag(n_op)
         filt = monodromy_filtration(n_op, n - 1, kernels=kernels)
         if grading is None:
             grading = default_grading(filt, center=n - 1)
-        model = NilpotentModel.of(WeightedSpace(n_op.rows, filt, grading), n, n_op, kernels)
-        model.__dict__["monodromy_filtration"] = filt
-        return model
+        return NilpotentModel.of(WeightedSpace(n_op.rows, filt, grading), n, n_op, kernels)
 
     @property
     def center(self) -> int:
@@ -238,13 +232,12 @@ class NilpotentModel:
         return TwoTermComplex(self.N, Subspace(self.space.dim, *self.kernels[0]))
 
     @cached_property
-    def twisted(self) -> WeightedSpace:
-        """V(-1), the codomain of N, with its grading."""
-        return tate_twist(self.space, -1)
-
-    @cached_property
     def monodromy_filtration(self) -> WeightFiltration:
-        """The monodromy filtration of N centered at n-1."""
+        """The monodromy filtration of N centered at n-1: the model's own
+        filtration when its hard Lefschetz report passes, by Deligne's
+        uniqueness (N shifts it by -2), and otherwise built from the chains."""
+        if self._hard_lefschetz.passed:
+            return self.space.filtration
         return monodromy_filtration(self.N.matrix, self.center, kernels=self.kernels)
 
     @cached_property
@@ -263,16 +256,15 @@ class NilpotentModel:
 
     @cached_property
     def _graded_kernel(self) -> GradedKernel:
-        filt = self.space.filtration
+        filt, cx = self.space.filtration, self.n_complex
         # the kernel of Gr_k N: Gr_k V -> Gr_k V(-1) = Gr_{k-2} V, at each weight
         dims = tuple((k, filt.graded_dim(k) - self.N.graded_ranks[k]) for k in filt.weights)
         # Gr_k(ker N) injects into ker(Gr_k N) at every k, and the two sum to
         # dim ker N and d - sum_k rank Gr_k N: they agree at every k exactly
         # when the sums agree, which is when N is strict (Deligne, Hodge II 1.1)
-        total, ker_dim = sum(d for _, d in dims), self.n_complex.ker.dim
-        if total != ker_dim:
-            raise GradedKernelMismatch(
-                f"ker N has dim {ker_dim} but the kernels of Gr N total {total}")
+        if not cx.strict:
+            raise GradedKernelMismatch(f"ker N has dim {cx.ker.dim} but the kernels "
+                                       f"of Gr N total {sum(d for _, d in dims)}")
         return GradedKernel(_kernel_labels(self, {k: d for k, d in dims if d}), dims)
 
 
@@ -327,9 +319,7 @@ class JordanStringModel:
         filt = WeightFiltration(d, tuple(
             (w, Subspace(d, *zip(*[(u, j) for j, u, _, x in vectors if x <= w])))
             for w in sorted({w for *_, w in vectors})))
-        model = NilpotentModel.of(WeightedSpace(d, filt, grading), self.n, n_op, kernels)
-        model.__dict__["monodromy_filtration"] = filt
-        return model
+        return NilpotentModel.of(WeightedSpace(d, filt, grading), self.n, n_op, kernels)
 
 
 def verify_hard_lefschetz(model: NilpotentModel) -> Report:
@@ -353,9 +343,9 @@ def graded_kernel(model: NilpotentModel) -> GradedKernel:
     """dim ker(N: Gr_k -> Gr_{k-2}) per weight, off the graded ranks of the
     model's N; no filtration is induced on ker N.
 
-    Each equals dim Gr_k(ker N) exactly when N is strict, which the total
-    decides: GradedKernelMismatch is raised when the dims do not sum to
-    dim ker N, which cannot happen for valid pure models.  Labels are
+    Each equals dim Gr_k(ker N) exactly when N is strict, which the model's
+    complex decides (n_complex.strict): GradedKernelMismatch is raised when
+    it is not, which cannot happen for valid pure models.  Labels are
     taken from the twist-0 part of the model's grading when that accounts
     exactly for the kernel dimensions (true for string-propagated gradings),
     with a single-label fallback otherwise.  The result is computed once per

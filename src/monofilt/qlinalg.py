@@ -480,6 +480,3 @@ def inverse(m: QMatrix) -> QMatrix:
     return QMatrix._make(*_over([row[n:] for row in rows],
                                 [row[i] for i, row in enumerate(rows)]), n)
 
-
-def rank(m: QMatrix) -> int:
-    return len(_echelon(m._ints[0])[1])

@@ -16,7 +16,8 @@ matrix once in the adapted bases of its two filtrations.  Whether it sends
 W_k into W'_j is a zero pattern of that matrix, and Gr_k -> Gr_j, in the
 canonical subquotient bases, is one of its blocks.  A filtered map slices
 its diagonal blocks Gr_k -> Gr_k once, into one table of integer rows;
-strictness, the graded kernel and the hard Lefschetz chains read it there.
+the graded kernel, the hard Lefschetz chains and a TwoTermComplex's
+strictness, which adds the ker d it holds, read it there.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .qlinalg import (QMatrix, Subspace, _block_rows, _echelon, _flag_basis, _in_bases,
-                      _new_rows, _prefix_spans, _zero_corner, image, rank)
+                      _new_rows, _prefix_spans, _zero_corner, image)
 
 LABEL_DEFAULT = "pt"
 
@@ -310,20 +311,6 @@ class AdaptedMap:
         filtered map."""
         return {k: len(_echelon(rows)[1]) for k, rows in self.diagonal.items()}
 
-    def strict(self) -> bool:
-        """Strict compatibility: image(m) \\cap W_k(cod) = m(W_k(dom)) for all k.
-
-        Decided by graded ranks (Deligne, Hodge II, 1.1): with F_k = m(W_k)
-        and G_k = image(m) \\cap W_k(cod), rank Gr_k m = dim F_k/(F_k \\cap G_{k-1})
-        <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to rank(m)
-        iff F_k \\cap G_{k-1} = F_{k-1} for all k, which (F = G at the top) is
-        F = G.  The graded maps are the diagonal blocks, which exist iff m
-        is filtered; a map that is not filtered raises NotFiltered.
-        """
-        if not self.filtered():
-            raise NotFiltered("map is not filtered")
-        return sum(self.graded_ranks.values()) == rank(self.matrix)
-
 
 def weights_at_most(filt: WeightFiltration, n: int) -> bool:
     return all(w <= n for w in filt.weights)
@@ -359,7 +346,8 @@ class TwoTermComplex:
     whoever built d, and im d taken once per complex.  Its cohomologies are
     compared as subspaces: ker d of d's domain and im d of its codomain,
     whose quotient is coker d (Beilinson, How to glue perverse sheaves,
-    1987).  No filtration is induced on either."""
+    1987).  No filtration is induced on either; whether d is strict is
+    decided here, from ker d and d's graded ranks."""
     d: AdaptedMap
     ker: Subspace  # ker d, a subspace of d.dom's space
 
@@ -367,3 +355,19 @@ class TwoTermComplex:
     def im(self) -> Subspace:
         """im d, a subspace of d.cod's space."""
         return image(self.d.matrix)
+
+    @cached_property
+    def strict(self) -> bool:
+        """Strict compatibility: im d \\cap W_k(cod) = d(W_k(dom)) for all k.
+
+        Decided by graded ranks (Deligne, Hodge II, 1.1): with F_k = d(W_k)
+        and G_k = im d \\cap W_k(cod), rank Gr_k d = dim F_k/(F_k \\cap G_{k-1})
+        <= dim F_k/F_{k-1}, so the ranks over the domain weights sum to
+        rank d = dim dom - dim ker d iff F_k \\cap G_{k-1} = F_{k-1} for all k,
+        which (F = G at the top) is F = G.  The graded maps are the diagonal
+        blocks, which exist iff d is filtered; a d that is not filtered
+        raises NotFiltered.
+        """
+        if not self.d.filtered():
+            raise NotFiltered("map is not filtered")
+        return sum(self.d.graded_ranks.values()) + self.ker.dim == self.d.dom.ambient_dim

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from monofilt.monodromy import NilpotentModel, monodromy_filtration
-from monofilt.qlinalg import QMatrix, Subspace, _block_rows, inverse
+from monofilt.monodromy import NilpotentModel, _kernel_flag, monodromy_filtration
+from monofilt.qlinalg import QMatrix, Subspace, _block_rows, inverse, kernel
 from monofilt.theorems import random_unimodular
-from monofilt.weights import AdaptedMap, WeightedSpace, WeightFiltration
+from monofilt.weights import AdaptedMap, TwoTermComplex, WeightedSpace, WeightFiltration
 
 from reference import ref_kernel_flag, ref_matmul, ref_span
 
@@ -38,6 +38,17 @@ def _map(m, dom, cod, shift):
     """m: dom -> cod as a morphism into cod shifted by -shift: it is
     filtered exactly when m(W_k(dom)) lies in W_{k+shift}(cod) for all k."""
     return AdaptedMap(m, dom, cod.shifted(-shift))
+
+
+def is_strict(m: AdaptedMap) -> bool:
+    """Whether the map m is strict, as the complex [m] decides it
+    (TwoTermComplex.strict); raises NotFiltered when m is not filtered."""
+    return TwoTermComplex(m, kernel(m.matrix)).strict
+
+
+def nilpotency_index(m: QMatrix) -> int:
+    """Least e with m^e = 0 (at most d), off the kernel flag; raises NotNilpotent."""
+    return min(len(_kernel_flag(m)), m.rows)
 
 
 def graded_block(m, dom, cod, k, j):

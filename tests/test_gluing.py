@@ -10,14 +10,14 @@ from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              verify_prop_2_3, verify_roundtrip,
                              verify_sequence_2)
 from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
-                                graded_kernel, nilpotency_index, primitive_decomposition,
+                                graded_kernel, primitive_decomposition,
                                 verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, image, kernel
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
                                random_unimodular)
 from monofilt.weights import AdaptedMap, WeightFiltration, WeightedSpace
 
-from conftest import _filtrations_n_respects, _string_basis_model, span
+from conftest import _filtrations_n_respects, _string_basis_model, nilpotency_index, span
 from reference import ref_induced_on_sub
 
 
@@ -343,6 +343,39 @@ def _steps(filt: WeightFiltration) -> list:
     return [(w, s.basis.entries) for w, s in filt.steps]
 
 
+def test_model_check_takes_no_rank_of_n(monkeypatch):
+    """A model's check eliminates N's full integer rows nowhere: the kernel
+    flag and im N, off N's columns, are its only passes over N, and the
+    strictness of N reads ker N off the flag.  Every qlinalg._echelon call,
+    also as weights reads it, is recorded on nonzero string, scrambled and
+    string-basis models, strict or not."""
+    rng = random.Random(33)
+    models = []
+    for seed in range(10):
+        strings = generate_model(seed, 3, 4, seed % 3, ["L", "P"])
+        models += [strings.to_nilpotent(), generate_scrambled(strings, seed),
+                   _string_basis_model(rng)]
+    seen, echelon = [], qlinalg._echelon
+
+    def recording(rows):
+        rows = list(rows)
+        seen.append([tuple(r) for r in rows])
+        return echelon(rows)
+
+    for module in (qlinalg, weights):
+        monkeypatch.setattr(module, "_echelon", recording)
+    verdicts = Counter()
+    for model in models:
+        if model.N.matrix.is_zero():  # its rows are its columns
+            continue
+        seen.clear()
+        reports = cli._model_reports(model)
+        assert seen and [tuple(r) for r in model.N.matrix._ints[0]] not in seen
+        verdicts[model.n_complex.strict] += 1
+        assert reports[1].passed == model.n_complex.strict
+    assert verdicts[True] >= 10 and verdicts[False] >= 3, verdicts
+
+
 def test_phi_of_j_intermediate_is_pushed_forward_along_can():
     """phi = im N of j_!* carries can(W_k V).  Where N is strict, on string
     models, scrambled models and the filtrations of _filtrations_n_respects,
@@ -361,7 +394,7 @@ def test_phi_of_j_intermediate_is_pushed_forward_along_can():
                      for filt, center in _filtrations_n_respects(mat, rng.randint(-2, 2))]
         for family, model in families:
             N, d = model.N, model.space.dim
-            assert N.strict()
+            assert model.n_complex.strict
             phi = j_intermediate(model.space, N).phi.filtration
             img = [list(col) for col in zip(*N.matrix.entries)]
             assert _steps(phi) == ref_induced_on_sub(_steps(N.cod), img, d)
@@ -371,9 +404,9 @@ def test_phi_of_j_intermediate_is_pushed_forward_along_can():
     for _ in range(200):
         model = _string_basis_model(rng)
         g = j_intermediate(model.space, model.N)
-        assert g.can.strict()
-        assert g.var.strict() == model.N.strict()
-        verdicts[model.N.strict()] += 1
+        assert g.i_upper_star.strict
+        assert g.i_upper_shriek.strict == model.n_complex.strict
+        verdicts[model.n_complex.strict] += 1
     assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 

@@ -3,13 +3,13 @@ from collections import Counter
 
 import pytest
 
-from monofilt import monodromy, qlinalg, weights
+from monofilt import cli, monodromy, qlinalg, weights
 from monofilt.gluing import extension, verify_sequence_2
 from monofilt.monodromy import (GradedKernel, GradedKernelMismatch, JordanStringModel,
                                 NilpotentModel, NotNilpotent, NotPure,
                                 check_monodromy_axioms, graded_kernel,
-                                monodromy_filtration, nilpotency_index,
-                                primitive_decomposition, verify_hard_lefschetz)
+                                monodromy_filtration, primitive_decomposition,
+                                verify_hard_lefschetz)
 from monofilt.qlinalg import QMatrix, Subspace, inverse
 from monofilt.report import CheckResult
 from monofilt.theorems import (generate_model, generate_scrambled, random_nilpotent,
@@ -18,7 +18,7 @@ from monofilt.weights import (AdaptedMap, LabeledGrading, TwistedLabel,
                               WeightFiltration, WeightedSpace)
 
 from conftest import (J2, J3, _filtrations_n_respects, _map, _string_basis_model, flag_spaces,
-                      qm, span)
+                      is_strict, nilpotency_index, qm, span)
 from reference import (ref_apply, ref_induced_on_sub, ref_kernel_flag, ref_matvec,
                        ref_monodromy_axioms, ref_monodromy_steps, ref_null, ref_string_steps)
 
@@ -260,7 +260,7 @@ def test_filtration_takes_no_intersection_or_image(monkeypatch):
 
 
 def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
-    """AdaptedMap.strict, hard Lefschetz and the graded kernel read every graded
+    """TwoTermComplex.strict, hard Lefschetz and the graded kernel read every graded
     map as a block of a matrix in adapted bases, which test no containment:
     on seeded string and scrambled models, and on N and the inclusion of
     ker N, none of them calls Subspace.contains."""
@@ -277,13 +277,13 @@ def test_graded_maps_test_no_containment_of_filtration_steps(monkeypatch):
         filt, cx = model.space.filtration, model.n_complex
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
-        assert model.N.strict() and _map(model.N.matrix, filt, filt, -2).strict()
+        assert model.n_complex.strict and is_strict(_map(model.N.matrix, filt, filt, -2))
         # ker N with the filtration it inherits from V, built without a test
         induced = ref_induced_on_sub([(w, s.basis.entries) for w, s in filt.steps],
                                      cx.ker.basis.entries, filt.ambient_dim)
         ker_filt = WeightFiltration(cx.ker.dim, tuple(
             (w, Subspace.from_vectors(cx.ker.dim, rows)) for w, rows in induced))
-        assert AdaptedMap(qlinalg.inclusion(cx.ker), ker_filt, filt).strict()
+        assert is_strict(AdaptedMap(qlinalg.inclusion(cx.ker), ker_filt, filt))
     assert calls == []
     Subspace.zero(1).contains(Subspace.zero(1))
     assert calls == [1]
@@ -360,8 +360,8 @@ def test_graded_kernel_reads_n_and_raises_exactly_when_n_is_not_strict():
     strict = Counter()
     for _ in range(150):
         model = _string_basis_model(rng)
-        strict[model.N.strict()] += 1
-        if not model.N.strict():
+        strict[model.n_complex.strict] += 1
+        if not model.n_complex.strict:
             with pytest.raises(GradedKernelMismatch):
                 graded_kernel(model)
             continue
@@ -579,11 +579,13 @@ class TestOperatorContext:
     def test_verifiers_build_one_filtration(self, filtration_calls, flag_calls, monkeypatch):
         """A string model writes M(N) off its strings and builds none; the
         model on_monodromy_filtration builds on the same N and grading builds
-        one, and the verifiers build none and take every rank once."""
+        one, and the verifiers build none and take every rank once: a second
+        round makes no elimination (qlinalg._echelon, also as weights reads it)."""
         ranks = []
-        original_rank = monodromy.qlinalg.rank
-        monkeypatch.setattr(monodromy.qlinalg, "rank",
-                            lambda m: ranks.append(m) or original_rank(m))
+        echelon = qlinalg._echelon
+        for module in (qlinalg, weights):
+            monkeypatch.setattr(module, "_echelon",
+                                lambda rows: ranks.append(1) or echelon(rows))
         strings = JordanStringModel((("L", 4), ("P", 2), ("L", 1)), 1)
         closed = strings.to_nilpotent()
         assert verify_hard_lefschetz(closed).passed and primitive_decomposition(closed).passed
@@ -595,6 +597,7 @@ class TestOperatorContext:
         assert primitive_decomposition(model).passed
         gk = graded_kernel(model)
         first = len(ranks)
+        assert model.n_complex.strict
         assert verify_hard_lefschetz(model) is verify_hard_lefschetz(model)
         assert primitive_decomposition(model).passed
         assert graded_kernel(model) is gk
@@ -752,7 +755,7 @@ class TestOperatorContext:
                 if verify_hard_lefschetz(model).passed:
                     assert primitive_decomposition(model).passed
                     assert graded_kernel(model).dims
-                model.N.strict()
+                model.n_complex.strict
             assert len(set(slices)) == len(slices)
             counts = Counter(a for a, _ in slices)  # the axiom check's N and the model's
             assert counts.pop(id(model.N.adapted)) == len(model.space.filtration.weights)
@@ -765,15 +768,15 @@ class TestOperatorContext:
             span(4, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]), Subspace.full(4)]
 
     def test_strict_reads_the_filtered_verdict_of_construction(self, monkeypatch):
-        """A model's N is found filtered once, at construction; strict() reads
-        that verdict and scans no corner of the adapted matrix again."""
+        """A model's N is found filtered once, at construction; the strict of
+        its complex reads that verdict and scans no corner of the adapted matrix again."""
         for model in (JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent(),
                       generate_scrambled(generate_model(3, 3, 4, 1, ["L", "P"]), 3),
                       wrong_center_model()):
             with monkeypatch.context() as mp:
                 mp.setattr(weights, "_zero_corner", lambda *a: pytest.fail("corner scanned"))
                 assert model.N.filtered()
-                model.N.strict()
+                model.n_complex.strict
 
     def test_no_memo_across_instances(self, filtration_calls, flag_calls):
         """Equal models share no report: two to_nilpotent models of the same
@@ -812,6 +815,58 @@ class TestOperatorContext:
             with pytest.raises(GradedKernelMismatch):
                 graded_kernel(model)
         assert not verify_hard_lefschetz(model).passed
+
+
+# N sends e_3 to e_1 across a gap of 4 weights: N is not strict, its hard
+# Lefschetz fails at N^2 and its M(N) centered at 2 is not its filtration
+NON_STRICT = ('{"kind":"nilpotent","n":3,"matrix":[["0","0","1"],["0","0","0"],["0","0","0"]],'
+              '"filtration":{"0":[["1","0","0"]],"2":[["1","0","0"],["0","1","0"]],'
+              '"4":[["1","0","0"],["0","1","0"],["0","0","1"]]}}')
+
+
+class TestModelMonodromyFiltration:
+    """A model's M(N) has one source: its own filtration when its hard
+    Lefschetz passes (Deligne's uniqueness, N shifting it by -2), and the
+    chain builder, once per model, when it fails."""
+
+    def test_pure_models_read_their_own_filtration(self, monkeypatch):
+        """String, scrambled, filtrationless and filtration-given pure models
+        return their space's filtration and call no monodromy_filtration;
+        it is M(N) by the closed-formula oracle."""
+        rng = random.Random(33)
+        models = [JordanStringModel((), 1).to_nilpotent(),
+                  NilpotentModel.on_monodromy_filtration(J3, 1)]
+        for seed in range(12):
+            strings = generate_model(seed, 3, 4, rng.randint(-1, 3), ["L", "P"])
+            scrambled = generate_scrambled(strings, seed)
+            doc = cli.serialize(cli.ModelDocument("nilpotent", scrambled))
+            models += [strings.to_nilpotent(), scrambled, cli.parse(doc).model]
+        monkeypatch.setattr(monodromy, "monodromy_filtration",
+                            lambda *args, **kwargs: pytest.fail("M(N) built"))
+        for model in models:
+            assert verify_hard_lefschetz(model).passed
+            filt = model.monodromy_filtration
+            assert filt is model.space.filtration
+            d, mat = model.space.dim, model.N.matrix
+            for k, rows in ref_monodromy_steps(mat.entries, d, model.center):
+                assert filt.space_at(k).basis.entries == rows, k
+
+    def test_impure_models_build_it_once_from_the_chains(self, monkeypatch):
+        """Where hard Lefschetz fails, on a filtration off center and on a
+        non-strict N, M(N) is monodromy_filtration(N, c), built once however
+        often it is read, and is not the model's filtration."""
+        built = []
+        original = monodromy.monodromy_filtration
+        monkeypatch.setattr(monodromy, "monodromy_filtration",
+                            lambda *args, **kwargs: built.append(1) or original(*args, **kwargs))
+        for model in (wrong_center_model(), cli.parse(NON_STRICT).model):
+            built.clear()
+            assert not verify_hard_lefschetz(model).passed and built == []
+            filt = model.monodromy_filtration
+            assert model.monodromy_filtration is filt and built == [1]
+            assert filt == original(model.N.matrix, model.center)
+            assert filt != model.space.filtration
+            assert check_monodromy_axioms(filt, model.N.matrix, model.center).passed
 
 
 def test_filtrations_and_purity_checks_build_no_fraction_basis(monkeypatch):

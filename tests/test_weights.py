@@ -13,7 +13,7 @@ from monofilt.weights import (AdaptedMap, FiltrationError, LabeledGrading, NotFi
                               image_filtration, is_pure, tate_twist,
                               weights_at_least, weights_at_most)
 
-from conftest import J2, _map, graded_block, random_matrix, span
+from conftest import J2, _map, graded_block, is_strict, random_matrix, span
 from reference import (ref_adapted_matrix, ref_apply, ref_filtered, ref_graded_map,
                        ref_image_filtration, ref_in_span, ref_is_strict)
 
@@ -116,30 +116,30 @@ class TestCheckStrict:
     def test_one_step_filtrations(self):
         dom = WeightFiltration.single_step(2, 0)
         cod = WeightFiltration.single_step(2, 0)
-        assert AdaptedMap(J2, dom, cod).strict()
+        assert is_strict(AdaptedMap(J2, dom, cod))
 
     def test_finer_domain_fails(self):
         dom = WeightFiltration.single_step(1, 1)
         cod = WeightFiltration.single_step(1, 0)
         # identity: image meets W_0(cod) but W_0(dom) = 0
-        assert not AdaptedMap(QMatrix.identity(1), dom, cod).strict()
+        assert not is_strict(AdaptedMap(QMatrix.identity(1), dom, cod))
 
     def test_monodromy_operator_is_strict(self):
         for strings in [(("L", 2),), (("L", 3), ("L", 1)), (("L", 4), ("P", 2))]:
             m = JordanStringModel(strings, 1).to_nilpotent()
             f = m.space.filtration
-            assert m.N.strict()
-            assert _map(m.N.matrix, f, f, -2).strict()
+            assert m.n_complex.strict
+            assert is_strict(_map(m.N.matrix, f, f, -2))
 
     def test_not_filtered_precondition(self):
         dom = WeightFiltration.single_step(1, 0)
         cod = WeightFiltration.single_step(1, 5)
         with pytest.raises(NotFiltered):
-            AdaptedMap(QMatrix.identity(1), dom, cod).strict()
+            is_strict(AdaptedMap(QMatrix.identity(1), dom, cod))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            AdaptedMap(QMatrix.zero(3, 3), j2_filt(), j2_filt()).strict()
+            is_strict(AdaptedMap(QMatrix.zero(3, 3), j2_filt(), j2_filt()))
 
     def test_strictness_matches_graded_dimension_oracle(self, rng):
         # strict iff the image filtration computed from the domain matches
@@ -154,7 +154,7 @@ class TestCheckStrict:
                 intersect(img, f.space_at(k - 2)).dim
                 == len(ref_apply(mat.entries, f.space_at(k).basis.entries, mat.rows))
                 for k in range(min(f.weights, default=0) - 2, max(f.weights, default=0) + 3))
-            assert _map(mat, f, f, -2).strict() == agree
+            assert is_strict(_map(mat, f, f, -2)) == agree
 
 
 def _transpose(m: QMatrix) -> QMatrix:
@@ -193,20 +193,21 @@ def random_filtered_map(rng, filtered=True):
 
 class TestStrictnessOracle:
     def test_graded_ranks_match_the_definition(self, rng):
-        """AdaptedMap.strict against ref_is_strict, which shares no code with
-        qlinalg, on 300 filtered maps between random filtered spaces."""
+        """TwoTermComplex.strict (is_strict) against ref_is_strict, which
+        shares no code with qlinalg, on 300 filtered maps between random
+        filtered spaces."""
         verdicts = Counter()
         for _ in range(300):
             m, dom, cod, shift, (dom_steps, cod_steps) = random_filtered_map(rng)
             assert _map(m, dom, cod, shift).filtered()
             want = ref_is_strict([list(r) for r in m.entries], dom.ambient_dim,
                                  cod.ambient_dim, dom_steps, cod_steps, shift)
-            assert _map(m, dom, cod, shift).strict() == want
+            assert is_strict(_map(m, dom, cod, shift)) == want
             verdicts[want] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
     def test_not_filtered_exactly_when_check_filtered_fails(self, rng):
-        """AdaptedMap.strict has no filteredness pre-pass: NotFiltered is
+        """TwoTermComplex.strict has no filteredness pre-pass: NotFiltered is
         raised exactly when AdaptedMap.filtered is false, which matches
         filteredness read off the reference spans."""
         verdicts = Counter()
@@ -220,11 +221,11 @@ class TestStrictnessOracle:
                            for v in ref_apply(rows, vs, cod.ambient_dim))
             assert tm.filtered() == filtered
             if filtered:
-                assert tm.strict() == ref_is_strict(
+                assert is_strict(tm) == ref_is_strict(
                     rows, dom.ambient_dim, cod.ambient_dim, dom_steps, cod_steps, shift)
             else:
                 with pytest.raises(NotFiltered):
-                    tm.strict()
+                    is_strict(tm)
             verdicts[filtered] += 1
         assert min(verdicts[True], verdicts[False]) >= 50, verdicts
 
@@ -291,8 +292,8 @@ def _assert_graded_maps(m, dom, dom_steps, cod, cod_steps, pairs, outcomes):
 
 
 class TestAdaptedBasesOracle:
-    """AdaptedMap.adapted, .filtered and .strict read every graded
-    map as a block of one matrix in the bases adapted to the two filtrations;
+    """AdaptedMap.adapted and .filtered, and TwoTermComplex.strict, read every
+    graded map as a block of one matrix in the bases adapted to the two filtrations;
     the oracles in reference.py build each subquotient map on its own."""
 
     def test_adapted_matrix_matches_the_oracle(self, rng):
@@ -332,7 +333,7 @@ class TestAdaptedBasesOracle:
         assert min(outcomes.values()) >= 30, outcomes
 
     def test_filtered_and_strict_match_the_oracle(self, rng):
-        """AdaptedMap.filtered against ref_filtered, and AdaptedMap.strict
+        """AdaptedMap.filtered against ref_filtered, and TwoTermComplex.strict
         against ref_is_strict when the map is filtered and NotFiltered
         otherwise, for every shift from -3 to 3."""
         outcomes = Counter()
@@ -348,11 +349,11 @@ class TestAdaptedBasesOracle:
                 assert tm.filtered() == filtered
                 if not filtered:
                     with pytest.raises(NotFiltered):
-                        tm.strict()
+                        is_strict(tm)
                     outcomes["not filtered"] += 1
                     continue
                 strict = ref_is_strict(rows, *dims, dom_steps, cod_steps, shift)
-                assert tm.strict() == strict
+                assert is_strict(tm) == strict
                 outcomes[f"strict {strict}"] += 1
         assert min(outcomes.values()) >= 30, outcomes
 
