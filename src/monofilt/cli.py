@@ -358,11 +358,11 @@ def _model_reports(model: NilpotentModel) -> list:
 
 
 def _gluing_reports(g: GluingDatum) -> list:
-    p = psi_u(g)
-    rb = ReportBuilder("gluing datum invariants")
-    for name in ("var.can is nilpotent", "can is filtered", "var is filtered"):
-        rb.check(name, True)  # GluingDatum refuses a datum that breaks one
-    return [rb.build(), verify_sequence_2(p), verify_prop_2_3(p)]
+    rb = ReportBuilder("gluing datum invariants")  # can and var are filtered (GluingDatum.of)
+    for name, cx in (("can is strict", g.i_upper_star), ("var is strict", g.i_upper_shriek)):
+        k = cx.ker.dim
+        rb.check(name, cx.strict, f"ker {k}, rank {cx.d.matrix.cols - k}")
+    return [rb.build(), verify_sequence_2(psi_u(g))]
 
 
 def _disk_reports(dm: DiskModel, ks=(-1, 0)) -> list:

@@ -24,9 +24,9 @@ from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, image_filtration
 
 @dataclass(frozen=True)
 class GluingDatum:
-    """The plain constructor checks nothing: gluing.extension builds a
-    model's data with it, since the model's nilpotency and N-shift checks
-    imply the datum's.  GluingDatum.of checks a datum from matrices."""
+    """The plain constructor checks nothing (gluing.extension: a model's checks imply
+    the datum's).  GluingDatum.of refuses a can or var that is not filtered (exit 3);
+    `check` reports whether each is strict (i_upper_star, i_upper_shriek; exit 1)."""
     psi: WeightedSpace
     phi: WeightedSpace
     can: AdaptedMap  # psi -> phi

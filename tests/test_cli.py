@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from monofilt import cli, gluing, monodromy
+from monofilt.gluing import j_intermediate, j_lower_shriek, j_lower_star
 from monofilt.cli import (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION,
                           EXIT_VERIFICATION, ModelDocument, ParseError,
                           ValidationError, parse, serialize)
@@ -23,6 +24,8 @@ from monofilt.qlinalg import QMatrix, inverse
 from monofilt.report import CheckResult, Report
 from monofilt.theorems import DiskModel, generate_model, generate_scrambled
 from monofilt.weights import LabeledGrading, TwistedLabel, WeightedSpace
+
+from reference import ref_is_strict, ref_null
 
 
 def run(argv):
@@ -757,11 +760,134 @@ class TestExtensionContext:
         rc, _ = run(["monodromy", path, "--center", "7"])
         assert rc == EXIT_OK and builds["filtration"] == 1
 
+    def test_gluing_check_builds_only_the_datum(self, builds, tmp_path):
+        """`check` of a gluing document reads the document's own can and var:
+        it builds the checked datum and no extension of psi_u."""
+        path = write_json(tmp_path, "j3.json", J3_INTERMEDIATE)
+        builds.clear()
+        rc, _ = run(["check", path])
+        assert rc == EXIT_OK and builds == Counter(datum=1)
+
     def test_disk_datum_is_the_open_models_extension(self):
         open_model = JordanStringModel((("L", 3), ("P", 1)), 1).to_nilpotent()
         dm = DiskModel(open_model, WeightedSpace.zero())
         assert dm.datum() is dm.datum() is gluing.extension(open_model, "intermediate")
         assert dm.datum().monodromy_matrix() is dm.datum().monodromy_matrix()
+
+
+# the j_!* datum of J_3 at n = 0: psi = Q^3 with M(N), phi = im N, can = N
+# corestricted and var the inclusion
+J3_INTERMEDIATE = {
+    "kind": "gluing",
+    "psi": {"dim": 3, "filtration": {"-2": [["1", "0", "0"]],
+                                     "0": [["1", "0", "0"], ["0", "1", "0"]],
+                                     "2": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}},
+    "phi": {"dim": 2, "filtration": {"0": [["1", "0"]], "2": [["1", "0"], ["0", "1"]]}},
+    "can": [["0", "1", "0"], ["0", "0", "1"]], "var": [["1", "0"], ["0", "1"], ["0", "0"]]}
+# filtered but not strict, the other map zero: can = id from psi, pure of weight 2,
+# onto phi, pure of weight 0, so can(W_0 psi) = 0 while im can n W_0 phi = phi;
+# var = id from phi, pure of weight 2, onto psi(-1), pure of weight 0, likewise
+CAN_NOT_STRICT = {"kind": "gluing", "psi": {"dim": 1, "filtration": {"2": [["1"]]}},
+                  "phi": {"dim": 1, "filtration": {"0": [["1"]]}},
+                  "can": [["1"]], "var": [["0"]]}
+VAR_NOT_STRICT = {"kind": "gluing", "psi": {"dim": 1, "filtration": {"-2": [["1"]]}},
+                  "phi": {"dim": 1, "filtration": {"2": [["1"]]}},
+                  "can": [["0"]], "var": [["1"]]}
+PROP_2_3 = "intermediate-extension kernel/cokernel identities"
+
+
+def _oracle_datum_lines(data) -> list:
+    """[(name, strict, detail)] of can and var of a gluing document, read off
+    its JSON by the Fraction oracle: strictness by its definition
+    (ref_is_strict; var lowers weights by 2) and ker, rank by ref_null."""
+    def rows(m):
+        return [[Fraction(x) for x in r] for r in m]
+
+    def steps(space):
+        return [(int(w), rows(vs)) for w, vs in space.get("filtration", {}).items()]
+
+    psi, phi = data["psi"], data["phi"]
+    out = []
+    for name, m, dom, cod, shift in (("can is strict", data["can"], psi, phi, 0),
+                                     ("var is strict", data["var"], phi, psi, -2)):
+        ker = len(ref_null(rows(m), dom["dim"]))
+        strict = ref_is_strict(rows(m), dom["dim"], cod["dim"], steps(dom), steps(cod), shift)
+        out.append((name, strict, f"ker {ker}, rank {dom['dim'] - ker}"))
+    return out
+
+
+def _check_json(tmp_path, data):
+    rc, out = run(["check", "--format", "json", write_json(tmp_path, "g.json", data)])
+    return rc, json.loads(out)["reports"]
+
+
+def _extension_documents(model) -> list:
+    return [json.loads(serialize(ModelDocument("gluing", build(model.space, model.N))))
+            for build in (j_lower_shriek, j_lower_star, j_intermediate)]
+
+
+class TestGluingCheck:
+    """`check` of a gluing document reports whether the document's own can and
+    var are strict, each with its ker and rank, then sequence 2 on psi_u; it
+    runs no Prop 2.3 on a rebuilt j_!*."""
+
+    def test_extensions_of_seeded_models_match_the_oracle(self, tmp_path):
+        # N = 0 on V = L(0) + P(0): j_!, j_* and j_!* are (V, V, id, 0),
+        # (V, V(-1), 0, id) and (V, 0, 0, 0)
+        zero = _extension_documents(JordanStringModel((("L", 1), ("P", 1)), 1).to_nilpotent())
+        assert [(d["phi"]["dim"], d["can"], d["var"]) for d in zero] == [
+            (2, [["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]),
+            (2, [["0", "0"], ["0", "0"]], [["1", "0"], ["0", "1"]]),
+            (0, [], [[], []])]
+        docs = list(zero)
+        for seed in range(30):
+            strings = generate_model(seed, 3, 4, seed % 3, ["L", "P"])
+            docs += _extension_documents(strings.to_nilpotent())
+            docs += _extension_documents(generate_scrambled(strings, seed))
+        for data in docs:
+            rc, reports = _check_json(tmp_path, data)
+            assert rc == EXIT_OK
+            assert [r["title"] for r in reports] == ["gluing datum invariants",
+                                                     "exact sequence around N"]
+            got = [(c["name"], c["passed"], c["detail"]) for c in reports[0]["checks"]]
+            assert got == _oracle_datum_lines(data)
+
+    def test_verdicts_match_the_oracle_when_n_is_not_strict(self, tmp_path):
+        """The extensions of the non-strict model N e_3 = e_1 on W_0 = <e_1> in
+        W_2 = <e_1, e_2> in W_4: var of j_! and j_!* and can of j_* are not strict."""
+        m = parse(json.dumps({
+            "kind": "nilpotent", "n": 3,
+            "matrix": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
+            "filtration": {"0": [["1", "0", "0"]], "2": [["1", "0", "0"], ["0", "1", "0"]],
+                           "4": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}})).model
+        verdicts = []
+        for data in _extension_documents(m):
+            rc, reports = _check_json(tmp_path, data)
+            got = [(c["name"], c["passed"], c["detail"]) for c in reports[0]["checks"]]
+            assert got == _oracle_datum_lines(data) and rc == EXIT_VERIFICATION
+            verdicts.append([passed for _, passed, _ in got])
+        assert verdicts == [[True, False], [False, True], [True, False]]
+
+    @pytest.mark.parametrize("data, fail", [
+        (CAN_NOT_STRICT, "  FAIL can is strict — ker 0, rank 1"),
+        (VAR_NOT_STRICT, "  FAIL var is strict — ker 0, rank 1"),
+    ], ids=["can", "var"])
+    def test_filtered_map_that_is_not_strict_fails(self, data, fail, tmp_path):
+        rc, out = run(["check", write_json(tmp_path, "g.json", data)])
+        assert rc == EXIT_VERIFICATION
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            "[FAIL] gluing datum invariants", fail, "FAIL"]
+        assert [f"  FAIL {name} — {detail}"
+                for name, strict, detail in _oracle_datum_lines(data) if not strict] == [fail]
+        assert PROP_2_3 not in out
+
+    def test_j3_datum_lines_and_no_prop_2_3(self, tmp_path):
+        rc, out = run(["check", write_json(tmp_path, "j3.json", J3_INTERMEDIATE)])
+        assert rc == EXIT_OK
+        assert out.splitlines()[:3] == ["[PASS] gluing datum invariants",
+                                        "  ok   can is strict — ker 1, rank 2",
+                                        "  ok   var is strict — ker 0, rank 2"]
+        assert PROP_2_3 not in out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
