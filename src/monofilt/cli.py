@@ -24,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from . import gluing, kgroup, monodromy, theorems, weights
+from . import kgroup, monodromy, theorems, weights
 from .monodromy import (JordanStringModel, NilpotentModel, graded_kernel,
                         primitive_decomposition, verify_hard_lefschetz)
-from .gluing import GluingDatum, psi_u, verify_prop_2_3, verify_sequence_2
+from .gluing import GluingDatum, psi_u, verify_sequence_2
 from .qlinalg import QMatrix, Subspace
 from .report import ReportBuilder
 from .theorems import DiskModel, verify_local_invariant_cycles, verify_weight_mechanics
@@ -338,8 +338,8 @@ def parse(text: str) -> ModelDocument:
 # verifier dispatch
 
 def _model_reports(model: NilpotentModel) -> list:
-    reports = [gluing.verify_roundtrip(model), verify_sequence_2(model),
-               verify_prop_2_3(model)]
+    # no extension: on a model's own N the round-trips and Prop 2.3 hold by construction
+    reports = [verify_sequence_2(model)]
     hl = verify_hard_lefschetz(model)
     if not hl.passed:  # the diagnosis: a passing hl is the axioms on W = M(N)
         reports.append(monodromy.check_monodromy_axioms(

@@ -4,8 +4,10 @@ A GluingDatum is (psi, phi, can: psi -> phi, var: phi -> psi(-1)) with
 N = var . can nilpotent.  can and var are weights.AdaptedMap morphisms, so
 each carries its two filtrations, and var's twist is its codomain psi(-1).
 The extension functors j_!, j_*, j_!* and the restrictions i^*, i^! are
-realized concretely so the exact sequence and kernel/cokernel identities
-become subspace computations.
+realized concretely so the kernel/cokernel identities become subspace
+computations.  An extension built from a model's own (V, N) has var . can = N
+and those identities by construction, so `check` of a model builds none and
+runs only sequence 2 (verify_sequence_2).
 
 Degree conventions: perverse objects sit in degree 0, i^* lands in
 degrees (-1, 0) and i^! in degrees (0, 1).
@@ -17,7 +19,7 @@ from functools import cached_property
 
 from . import qlinalg
 from .monodromy import NilpotentModel
-from .qlinalg import QMatrix, image, kernel
+from .qlinalg import QMatrix, kernel
 from .report import Report, ReportBuilder
 from .weights import AdaptedMap, TwoTermComplex, WeightedSpace, image_filtration, tate_twist
 
@@ -132,29 +134,20 @@ def j_intermediate(V: WeightedSpace, N: AdaptedMap) -> GluingDatum:
 
 
 def verify_sequence_2(model: NilpotentModel) -> Report:
-    """Exactness of 0 -> ker N -> V --N--> V(-1) -> coker N -> 0.
+    """The exact sequence 0 -> ker N -> V --N--> V(-1) -> coker N -> 0.
 
     The outer terms are the perverse cohomologies of the restriction of the
-    open pushforward j_* to the origin, the model's complex [V --N--> V(-1)];
-    exactness at each slot is checked by subspace equality.  Of the
-    structural maps only N is checked to be strict (n_complex.strict): ker N
-    and coker N carry the filtrations induced from V and V(-1), which make
-    the inclusion and the projection strict by definition (Deligne, Hodge II 1.1).
+    open pushforward j_* to the origin, the model's complex [V --N--> V(-1)].
+    The inclusion of ker N and the projection onto coker N are exact by
+    their construction, so two lines compare computations: the dims line
+    holds ker N, the first step of the kernel flag, against im N, and the
+    strictness line checks N to be strict (n_complex.strict).  ker N and
+    coker N carry the filtrations induced from V and V(-1), which make the
+    inclusion and the projection strict by definition (Deligne, Hodge II 1.1).
     """
     V, cx = model.space, model.n_complex
     rb = ReportBuilder("exact sequence around N")
     ker, img = cx.ker, cx.im
-    incl = qlinalg.inclusion(ker)
-    proj = qlinalg.quotient_projection(img)
-
-    rb.check("left exactness: inclusion of ker N is injective",
-             kernel(incl).is_zero())
-    rb.check("exactness at the nearby-cycles slot: image = ker N",
-             image(incl) == ker)
-    rb.check("exactness at the twisted slot: im N = ker of projection",
-             img == kernel(proj))
-    rb.check("right exactness: projection onto coker N is surjective",
-             image(proj).is_full())
     rb.check("dims: dim ker N + rank N = dim", ker.dim + img.dim == V.dim)
     rb.check("all structural maps are strict", cx.strict)
     rb.note(f"term dims: {ker.dim}, {V.dim}, {V.dim}, {V.dim - img.dim}")
@@ -180,15 +173,4 @@ def verify_prop_2_3(model: NilpotentModel) -> Report:
     rb.check("(i) complementary vanishing: H^0(i^* j_!*) = 0", istar.im.is_full())
     rb.check("(ii) complementary vanishing: H^0(i^! j_!*) = 0", ishk.ker.is_zero())
     rb.check("(ii) H^1(i^! j_!*) = coker N as quotients of V(-1)", ishk.im == cx.im)
-    return rb.build()
-
-
-def verify_roundtrip(model: NilpotentModel) -> Report:
-    """psi_u of each of j_!, j_*, j_!* returns (V, N) back: var . can = N
-    exactly.  psi is V itself in each extension, so only N is compared."""
-    rb = ReportBuilder("extension round-trips")
-    for name, kind in (("j_!", "shriek"), ("j_*", "star"), ("j_!*", "intermediate")):
-        g = extension(model, kind)
-        # psi_u(g) is (g.psi, var . can); compared without rebuilding a model
-        rb.check(f"psi_u . {name} = id", g.monodromy_matrix() == model.N.matrix)
     return rb.build()

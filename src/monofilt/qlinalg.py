@@ -33,10 +33,8 @@ pivot.  These rows are unique in the same way.  The RREF ``basis`` (each
 integer row divided by its pivot, exactly the basis rational elimination
 gives) is a matrix built on first read.
 
-Coordinates follow two rules.  In a subspace (corestriction) they are the
-entries of v at the pivots of its RREF rows; in Q^d/s (_quotient_coords,
-behind quotient_projection) they are the entries of v reduced modulo s at
-the columns that are not pivots of s.  A nested flag that ends in Q^d has an
+Coordinates in a subspace (corestriction) are the entries of v at the
+pivots of its RREF rows.  A nested flag that ends in Q^d has an
 adapted basis (_flag_basis): the RREF rows of each space whose pivots are new
 over the space before, each divided by its pivot entry.  Its d pivots are
 distinct, so the coordinates of v in it come from one forward reduction in
@@ -368,14 +366,6 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(d, *next(_zassenhaus([rows], d)))
 
 
-def _quotient_coords(s: Subspace, vecs: Iterable[Sequence]) -> list:
-    """[(w, t)] with w / t the coordinates in Q^d/s of each integer vector of
-    vecs, by the rule of the module docstring."""
-    piv = set(s.pivots)
-    pos = [j for j in range(s.ambient_dim) if j not in piv]
-    return [([w[j] for j in pos], t) for w, t in map(s._reduce, vecs)]
-
-
 def _new_rows(flag: Iterable[Subspace]) -> Iterator[list]:
     """For each space of the nested sequence flag, its rows whose pivots are
     not pivots of the space before, as (row, pivot) pairs; with that space
@@ -458,13 +448,6 @@ def corestriction(m: QMatrix, s: Subspace) -> QMatrix:
 def inclusion(s: Subspace) -> QMatrix:
     """The ambient_dim x dim(s) matrix whose columns are the RREF basis of s."""
     return QMatrix(s.ambient_dim, s.dim, (s.basis._cols, s.basis._ints[1]))
-
-
-def quotient_projection(s: Subspace) -> QMatrix:
-    """Matrix of the projection Q^d -> Q^d / s: column j holds the
-    coordinates of e_j in Q^d / s."""
-    d = s.ambient_dim
-    return _from_columns(_quotient_coords(s, [_unit(j, d) for j in range(d)]), d - s.dim)
 
 
 def inverse(m: QMatrix) -> QMatrix:

@@ -98,7 +98,9 @@ def test_rational_document_check_output_is_unchanged(tmp_path):
     """A scrambled nilpotent document conjugated by diag(1, 2, ...), so its
     matrix and filtration have p/q entries: its text and its `check --format
     json` output are byte for byte what the Fraction-built boundary wrote,
-    less the two Prop 2.3 lines that compared induced filtrations."""
+    less the two Prop 2.3 lines that compared induced filtrations, and less
+    the reports a model's construction fixes: the extension round-trips,
+    Prop 2.3 and the four exactness lines of sequence 2."""
     m = generate_scrambled(generate_model(7, 3, 4, 1, ["L", "P"]), 8)
     d = m.space.dim
     scale = QMatrix.from_rows([[i + 1 if i == j else 0 for j in range(d)] for i in range(d)])
@@ -111,7 +113,7 @@ def test_rational_document_check_output_is_unchanged(tmp_path):
     digest = [hashlib.sha256(t.encode()).hexdigest() for t in (text, out)]
     assert digest == [
         "acc155ca26055e7bd251b9a4589331c6b0794122c960969cb9b4b18856dd8477",
-        "ad7af2a90dc3281093a2e2229657411d6bca95f40445d3bbcfbe95286966d33f"]
+        "4e0bca2bd4c30ea81035061fe3c3b37867eed72dbe49bec892222c15ce44fce2"]
 
 
 class TestErrors:
@@ -641,6 +643,13 @@ class TestCommands:
 
 
 README_EXAMPLE = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]]}
+# N sends e_3 to e_1 across a gap of 4 weights: N is not strict, and its hard
+# Lefschetz fails at N^2
+NON_STRICT = {"kind": "nilpotent", "n": 3,
+              "matrix": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
+              "filtration": {"0": [["1", "0", "0"]], "2": [["1", "0", "0"], ["0", "1", "0"]],
+                             "4": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}}
+SEQUENCE_2 = "exact sequence around N"
 
 
 def write_json(tmp_path, name, data):
@@ -720,22 +729,31 @@ def _disk_doc(open_data, pure=True):
 
 
 class TestExtensionContext:
-    """One check builds each extension once per model, and a monodromy
-    filtration only for a model built on it: a passing hard Lefschetz on a
-    document's own filtration builds none."""
+    """A model's check builds no extension, a disk's builds its one, and a
+    monodromy filtration is built only for a model whose hard Lefschetz
+    fails or that was built on it: a passing hard Lefschetz on a document's
+    own filtration builds none."""
 
-    def test_model_check_builds_each_extension_once(self, builds, tmp_path):
+    def test_model_check_builds_no_extension(self, builds, tmp_path):
+        """var . can = N and the identities of j_!* hold for every extension
+        built from a model's own N, so its check builds none of them."""
         strings = json.loads(serialize(ModelDocument(
             "pure_strings", generate_model(5, 3, 4, 1, ["L", "P"]))))
-        # a pure_strings model writes M(N) off its strings: no filtration is built
-        for data, filtrations in ((strings, 0), (_nilpotent_doc(), 0),
-                                  (_nilpotent_doc(("grading",)), 0)):
+        # a pure_strings model writes M(N) off its strings: no filtration is
+        # built; the non-strict model's failing hard Lefschetz builds M(N)
+        for data, rc_want, filtrations in (
+                (strings, EXIT_OK, 0), (_nilpotent_doc(), EXIT_OK, 0),
+                (_nilpotent_doc(("grading",)), EXIT_OK, 0),
+                (_nilpotent_doc(("filtration",)), EXIT_OK, 1),
+                (NON_STRICT, EXIT_VERIFICATION, 1)):
+            path = write_json(tmp_path, "m.json", data)
             builds.clear()
-            rc, _ = run(["check", write_json(tmp_path, "m.json", data)])
-            assert rc == EXIT_OK
-            # a model's extensions take their checks from the model
-            assert builds == Counter(intermediate=1, shriek=1, star=1,
-                                     datum=0, filtration=filtrations)
+            rc, _ = run(["check", path])
+            assert rc == rc_want
+            assert builds == Counter(datum=0, filtration=filtrations)
+            model = cli._doc_model(cli._load(path))
+            cli._model_reports(model)
+            assert model.extensions == {}
 
     def test_disk_check_builds_datum_and_filtration_once(self, builds, tmp_path):
         for data in (_disk_doc(_nilpotent_doc()),
@@ -774,6 +792,38 @@ class TestExtensionContext:
         assert dm.datum() is dm.datum() is gluing.extension(open_model, "intermediate")
         assert dm.datum().monodromy_matrix() is dm.datum().monodromy_matrix()
 
+
+
+class TestModelCheckReports:
+    """A model's check runs sequence 2, then hard Lefschetz and, when it
+    passes, the primitive decomposition and the class identity: no report
+    that the model's construction fixes."""
+
+    def test_passing_check_lists_exactly_its_reports(self, tmp_path):
+        strings = json.loads(serialize(ModelDocument(
+            "pure_strings", generate_model(5, 3, 4, 1, ["L", "P"]))))
+        for data in (README_EXAMPLE, strings, _nilpotent_doc(),
+                     _nilpotent_doc(("filtration", "grading"))):
+            rc, reports = _check_json(tmp_path, data)
+            c = cli._doc_model(parse(json.dumps(data))).center
+            assert rc == EXIT_OK
+            assert [r["title"] for r in reports] == [
+                SEQUENCE_2, f"hard Lefschetz (center {c})",
+                f"primitive decomposition (center {c})",
+                "class identity from the kernel grading"]
+
+    def test_sequence_2_has_its_dims_and_strictness_lines_only(self, tmp_path):
+        """The inclusion of ker N and the projection onto coker N are exact
+        by construction; the two lines left compare computations, and the
+        strictness line still fails, with exit 1, where N is not strict."""
+        for data, strict in ((README_EXAMPLE, True), (_nilpotent_doc(), True),
+                             (J3_INTERMEDIATE, True), (NON_STRICT, False)):
+            rc, reports = _check_json(tmp_path, data)
+            seq, = (r for r in reports if r["title"] == SEQUENCE_2)
+            assert [(c["name"], c["passed"]) for c in seq["checks"]] == [
+                ("dims: dim ker N + rank N = dim", True),
+                ("all structural maps are strict", strict)]
+            assert rc == (EXIT_OK if strict else EXIT_VERIFICATION)
 
 # the j_!* datum of J_3 at n = 0: psi = Q^3 with M(N), phi = im N, can = N
 # corestricted and var the inclusion
@@ -847,19 +897,14 @@ class TestGluingCheck:
         for data in docs:
             rc, reports = _check_json(tmp_path, data)
             assert rc == EXIT_OK
-            assert [r["title"] for r in reports] == ["gluing datum invariants",
-                                                     "exact sequence around N"]
+            assert [r["title"] for r in reports] == ["gluing datum invariants", SEQUENCE_2]
             got = [(c["name"], c["passed"], c["detail"]) for c in reports[0]["checks"]]
             assert got == _oracle_datum_lines(data)
 
     def test_verdicts_match_the_oracle_when_n_is_not_strict(self, tmp_path):
         """The extensions of the non-strict model N e_3 = e_1 on W_0 = <e_1> in
         W_2 = <e_1, e_2> in W_4: var of j_! and j_!* and can of j_* are not strict."""
-        m = parse(json.dumps({
-            "kind": "nilpotent", "n": 3,
-            "matrix": [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "0"]],
-            "filtration": {"0": [["1", "0", "0"]], "2": [["1", "0", "0"], ["0", "1", "0"]],
-                           "4": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}})).model
+        m = parse(json.dumps(NON_STRICT)).model
         verdicts = []
         for data in _extension_documents(m):
             rc, reports = _check_json(tmp_path, data)

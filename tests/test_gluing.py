@@ -7,8 +7,7 @@ import pytest
 from monofilt import cli, qlinalg, weights
 from monofilt.gluing import (EXTENSIONS, GluingDatum, extension, j_intermediate,
                              j_lower_shriek, j_lower_star, psi_u,
-                             verify_prop_2_3, verify_roundtrip,
-                             verify_sequence_2)
+                             verify_prop_2_3, verify_sequence_2)
 from monofilt.monodromy import (JordanStringModel, NilpotentModel, NotNilpotent,
                                 graded_kernel, primitive_decomposition,
                                 verify_hard_lefschetz)
@@ -33,6 +32,14 @@ def string_vn(strings, n=1):
 def raw_model(mat, n):
     """mat on its monodromy filtration centered at n-1."""
     return NilpotentModel.on_monodromy_filtration(mat, n)
+
+
+def roundtrips(model) -> bool:
+    """psi_u of each of j_!, j_*, j_!* gives (V, N) back: var . can = N
+    exactly.  psi is V itself in each extension, so only N is compared, and
+    without rebuilding a model."""
+    return all(extension(model, kind).monodromy_matrix() == model.N.matrix
+               for kind in EXTENSIONS)
 
 
 class TestPsiU:
@@ -66,12 +73,12 @@ class TestExtensions:
             strings = tuple(("L", rng.randint(1, 3))
                             for _ in range(rng.randint(1, 3)))
             model = string_model(strings, rng.randint(0, 2))
-            assert verify_roundtrip(model).passed
+            assert roundtrips(model)
 
     def test_roundtrips_on_raw_nilpotents(self, rng):
         for _ in range(30):
             mat = random_nilpotent(rng, max_dim=5)
-            assert verify_roundtrip(raw_model(mat, 1)).passed
+            assert roundtrips(raw_model(mat, 1))
 
     def test_invalid_datum_rejected(self):
         V = WeightedSpace.pure(1, 0)
@@ -178,8 +185,8 @@ def test_a_model_writes_n_in_adapted_bases_once(monkeypatch):
         assert verify_hard_lefschetz(model).passed
         assert graded_kernel(model).dims
         assert primitive_decomposition(model).passed
-        for verify in (verify_roundtrip, verify_sequence_2, verify_prop_2_3):
-            assert verify(model).passed
+        assert roundtrips(model)
+        assert verify_sequence_2(model).passed and verify_prop_2_3(model).passed
         assert sum(m is model.N.matrix for m in written) == 1
         assert extension(model, "star").can is model.N
         assert extension(model, "shriek").var is model.N
@@ -285,8 +292,8 @@ class TestSequence2:
 
 
 def test_zero_model_passes_every_gluing_verifier():
-    """On the zero space ker N and coker N are zero: the inclusion is d x 0
-    and the projection 0 x 0, and the general checks hold on them."""
+    """On the zero space ker N and coker N are zero, each extension's i^*
+    and i^! are 0 x 0 complexes, and the general checks hold on them."""
     model = JordanStringModel((), 1).to_nilpotent()
     for g in (extension(model, kind) for kind in EXTENSIONS):
         for cx in (g.i_upper_star, g.i_upper_shriek):
@@ -294,7 +301,7 @@ def test_zero_model_passes_every_gluing_verifier():
     seq = verify_sequence_2(model)
     assert seq.passed and seq.notes == ("term dims: 0, 0, 0, 0",)
     assert verify_prop_2_3(model).passed
-    assert verify_roundtrip(model).passed
+    assert roundtrips(model)
 
 
 def test_can_and_var_carry_the_filtrations_of_psi_and_its_twist():
@@ -319,13 +326,11 @@ def test_can_and_var_carry_the_filtrations_of_psi_and_its_twist():
 
 
 def test_check_of_a_string_model_induces_no_filtration(monkeypatch, tmp_path):
-    """`check` of the J3+J1 pure_strings document runs four Zassenhaus
-    passes, one per kernel and meet it reads, none for the model's kernel
-    flag, which the strings give, and none for phi of j_!*, which is pushed
-    forward along can; it writes one map (N) in adapted bases: the graded
-    kernel reads N's graded ranks, Prop 2.3 compares subspaces, and
-    sequence 2 does not write the inclusion of ker N or the projection onto
-    coker N."""
+    """`check` of the J3+J1 pure_strings document runs no Zassenhaus pass:
+    the strings give the model's kernel flag, and it builds no extension, so
+    it takes no kernel of a can or var and induces no filtration on phi of
+    j_!*.  It writes one map (N) in adapted bases, whose graded ranks the
+    graded kernel reads."""
     calls = {"_zassenhaus": 0, "_in_bases": 0}
     for module, name in ((qlinalg, "_zassenhaus"), (weights, "_in_bases")):
         def counting(*args, name=name, f=getattr(module, name)):
@@ -336,7 +341,7 @@ def test_check_of_a_string_model_induces_no_filtration(monkeypatch, tmp_path):
     path.write_text('{"kind": "pure_strings", "n": 1, "strings": '
                     '[{"label": "L", "length": 3}, {"label": "P", "length": 1}]}')
     assert cli.run(["check", str(path)], io.StringIO()) == cli.EXIT_OK
-    assert calls == {"_zassenhaus": 4, "_in_bases": 1}
+    assert calls == {"_zassenhaus": 0, "_in_bases": 1}
 
 
 def _steps(filt: WeightFiltration) -> list:
@@ -372,7 +377,8 @@ def test_model_check_takes_no_rank_of_n(monkeypatch):
         reports = cli._model_reports(model)
         assert seen and [tuple(r) for r in model.N.matrix._ints[0]] not in seen
         verdicts[model.n_complex.strict] += 1
-        assert reports[1].passed == model.n_complex.strict
+        sequence_2, = (r for r in reports if r.title == "exact sequence around N")
+        assert sequence_2.passed == model.n_complex.strict
     assert verdicts[True] >= 10 and verdicts[False] >= 3, verdicts
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monofilt.qlinalg import (AmbientMismatch, QMatrix, Subspace, _echelon, image,
-                              intersect, inverse, kernel, quotient_projection)
+                              intersect, inverse, kernel)
 from monofilt.weights import WeightFiltration
 
 from conftest import (J2, J3, graded_block, qm, random_matrix, random_subspace, rref_basis,
@@ -150,10 +150,3 @@ class TestMisc:
             if len(_echelon(m._ints[0])[1]) < d:
                 continue
             assert m @ inverse(m) == QMatrix.identity(d)
-
-    def test_quotient_projection(self):
-        s = span(3, [1, 1, 0])
-        p = quotient_projection(s)
-        assert p.rows == 2
-        assert all(x == 0 for x in ref_matvec(p.entries, [1, 1, 0]))
-        assert kernel(p) == s

@@ -90,8 +90,8 @@ def test_disk_reports_take_each_kernel_once(monkeypatch):
     kernel, image = gluing.kernel, qlinalg.image
     monkeypatch.setattr(gluing, "kernel", lambda m: kernels.append(m) or kernel(m))
     # every two-term complex, the model's of N and the datum's restrictions,
-    # takes its image in weights
-    for mod in (gluing, qlinalg, weights):
+    # takes its image in weights; gluing takes none
+    for mod in (qlinalg, weights):
         monkeypatch.setattr(mod, "image", lambda m: images.append(m) or image(m))
     for _ in range(3):
         for k in (-1, 0):
