@@ -2,7 +2,9 @@
 
 One JSON document describes one model.  Rationals are serialized as
 strings ("p/q" or "p"), never floats; serialization is canonical (sorted
-keys, fixed field order) so parse . serialize is the identity.
+keys, fixed field order) so parse . serialize is the identity; all JSON output
+goes through one writer, `_dumps`, byte-equal to json.dumps(sort_keys=True,
+indent=2).  Rational strings are memoized; a key named twice is a parse error.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 parse error,
 3 validation error, 4 output error (`main` only: stdout could not be
@@ -14,6 +16,7 @@ validation error, raised before anything of that size is built.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -21,6 +24,7 @@ import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -83,6 +87,11 @@ def _parse_rat(s) -> int | Fraction:
         return s
     if not isinstance(s, str):
         raise ParseError(f"rationals must be strings or integers, got {s!r}")
+    return _parse_rat_text(s)
+
+
+@functools.lru_cache(maxsize=256)  # a refusal raises, so it is never kept
+def _parse_rat_text(s: str) -> int | Fraction:
     m = _RATIONAL.fullmatch(s)
     if m is None:
         raise ParseError(f"bad rational {s!r}: not an integer or p/q")
@@ -304,19 +313,57 @@ def _disk_to_json(dm: DiskModel) -> dict:
             "extension": dm.extension}
 
 
+def _write(x, out: list, indent: str) -> None:
+    """Appends to out the text json.dumps(x, sort_keys=True, indent=2) gives x at indent."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, bool):
+        out.append("true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):  # keys are strings
+        inner = indent + "  "
+        for i, k in enumerate(sorted(x)):
+            out += (",\n" if i else "{\n", inner, encode_basestring_ascii(k), ": ")
+            _write(x[k], out, inner)
+        out.append("\n" + indent + "}" if x else "{}")
+    elif isinstance(x, list):
+        inner = indent + "  "
+        for i, v in enumerate(x):
+            out += (",\n" if i else "[\n", inner)
+            _write(v, out, inner)
+        out.append("\n" + indent + "]" if x else "[]")
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} as JSON")
+
+
+def _dumps(payload) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte."""
+    _write(payload, out := [], "")
+    return "".join(out) + "\n"
+
+
 def serialize(doc: ModelDocument) -> str:
-    payload = _KINDS[doc.kind].to_json(doc.model)
-    payload["kind"] = doc.kind
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _dumps({**_KINDS[doc.kind].to_json(doc.model), "kind": doc.kind})
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of pairs; a key named twice is an error."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"repeated key {k!r}")
+        obj[k] = v
+    return obj
 
 
 def parse(text: str) -> ModelDocument:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") \
             from None
-    except ValueError as e:  # an integer literal with more digits than int() converts
+    except ValueError as e:  # a repeated key, or more digits than int() converts
         raise ParseError(f"invalid JSON: {e}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
@@ -411,10 +458,8 @@ def _emit_all(title: str, reports: list, fmt: str, out) -> bool:
     whether they all passed."""
     passed = all(r.passed for r in reports)
     if fmt == "json":
-        payload = {"title": title,
-                   "passed": passed,
-                   "reports": [r.to_dict() for r in reports]}
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out.write(_dumps({"title": title, "passed": passed,
+                          "reports": [r.to_dict() for r in reports]}))
     else:
         for r in reports:
             out.write(r.to_text() + "\n")

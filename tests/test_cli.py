@@ -11,7 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from monofilt import cli, gluing, monodromy
@@ -146,6 +146,58 @@ class TestErrors:
                 "matrix": [["0", "1"], ["0", "0"]],
                 "filtration": {"-1": [["0", "1"]],
                                "1": [["1", "0"], ["0", "1"]]}}))
+
+
+# text json.dumps escapes: non-ASCII, control characters and lone surrogates
+_TEXT = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u00e9", "\u2014", "\u2028",
+     '"', "\\", "/"]))
+_PAYLOADS = st.recursive(
+    st.booleans() | st.integers(-3, 3) | st.integers(-10**50, 10**50) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+class TestDocumentText:
+    """The one JSON writer and the memo of rational strings behind parse."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(payload=_PAYLOADS)
+    @example(payload={"b": [], "a": {}, "": [[], {}]})
+    def test_writer_is_json_dumps(self, payload):
+        assert cli._dumps(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("bad", ["1.5", "1/0", "x", "", "1/-2", "1" * 5000])
+    def test_a_refused_string_is_refused_each_time(self, bad):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as e:
+                cli._parse_rat(bad)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 0.5, None, ["1"], {"1": 1}])
+    def test_values_that_are_not_rationals_are_refused(self, value):
+        cli._parse_rat("1")  # 1 in the memo does not let True through
+        with pytest.raises(ParseError, match="^rationals must be strings or integers"):
+            cli._parse_rat(value)
+
+    def test_p_over_q_is_a_fraction_and_p_an_int(self):
+        assert type(cli._parse_rat("2/1")) is Fraction and cli._parse_rat("2/1") == 2
+        assert type(cli._parse_rat("-2")) is int and cli._parse_rat(7) == 7
+
+    def test_the_memo_is_bounded(self):
+        assert cli._parse_rat_text.cache_info().maxsize == 256
+
+    def test_more_distinct_entries_than_the_memo_holds(self):
+        d = 24  # 276 distinct entries above the diagonal of a nilpotent matrix
+        rows = [[Fraction(i * d + j, 7) if j > i else 0 for j in range(d)] for i in range(d)]
+        text = json.dumps({"kind": "nilpotent", "n": 1,
+                           "matrix": [[str(x) for x in row] for row in rows]})
+        assert len({x for row in rows for x in row}) > cli._parse_rat_text.cache_info().maxsize
+        want = QMatrix.from_rows(rows)
+        for _ in range(2):
+            assert parse(text).model.N.matrix == want
 
 
 J2_DOC = {"kind": "nilpotent", "n": 1, "matrix": [["0", "1"], ["0", "0"]],
@@ -524,6 +576,21 @@ class TestCommands:
                               "1": [["1", "0"], ["0", "1"]]}}
         assert run(["check", write_json(tmp_path, "d.json", doc)]) == (EXIT_VALIDATION, "")
         assert capsys.readouterr().err == "validation error: repeated weight\n"
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"kind":"nilpotent","n":1,"n":1,"matrix":[["0","1"],["0","0"]],'
+         '"matrix":[["0","0"],["0","0"]]}', "n"),
+        ('{"kind":"nilpotent","n":1,"matrix":[["0","1"],["0","0"]],'
+         '"filtration":{"-1":[["1","0"]],"-1":[["1","0"]],"1":[["1","0"],["0","1"]]}}', "-1"),
+        ('{"kind":"nilpotent","n":1,"matrix":[["0","1"],["0","0"]],'
+         '"grading":{"-1":[["L",0,1]],"1":[["L",-1,1]],"1":[["L",-1,1]]}}', "1"),
+    ], ids=["top_level", "filtration_weight", "grading_weight"])
+    def test_repeated_key_is_a_parse_error(self, text, key, tmp_path, capsys):
+        """A key named twice in one object is refused, not read last-wins."""
+        p = tmp_path / "d.json"
+        p.write_text(text)
+        assert run(["check", str(p)]) == (EXIT_PARSE, "")
+        assert capsys.readouterr().err == f"parse error: invalid JSON: repeated key {key!r}\n"
 
     def test_kernel_labels_fall_back_to_pt(self, tmp_path):
         """No twist-0 label at the kernel's weight -1, so the kernel grading
